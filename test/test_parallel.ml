@@ -306,11 +306,24 @@ let test_race_agreement =
 
 (* A cancelled route never contributes a verdict: whatever attempt got
    rewritten to [Cancelled] is never the route the result credits, and
-   the verdict that did win is certified. *)
+   the verdict that did win is certified.  Racing also never skips a
+   route the sequential dispatcher tries: both read the same guards. *)
 let test_cancelled_never_contributes () =
   for seed = 0 to 59 do
     let a, b = Core.Selfcheck.instance seed in
     let r = Core.Solver.solve ~threads:4 a b in
+    let names (r : Core.Solver.result) =
+      List.map
+        (fun (at : Core.Solver.attempt) -> Core.Solver.route_name at.Core.Solver.route)
+        r.Core.Solver.attempts
+    in
+    let raced = names r in
+    List.iter
+      (fun name ->
+        check
+          (Printf.sprintf "seed %d: route %s tried sequentially is raced" seed name)
+          true (List.mem name raced))
+      (names (Core.Solver.solve ~threads:1 a b));
     List.iter
       (fun at ->
         if at.Core.Solver.outcome = Core.Solver.Cancelled then
