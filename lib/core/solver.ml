@@ -64,506 +64,278 @@ let verdict_name = function
   | Unknown reason ->
     Printf.sprintf "unknown (%s)" (Budget.reason_to_string reason)
 
-(* What a route reports before certification: a witness, or a refutation
-   together with the (possibly expensive) construction of its checkable
-   certificate.  Certification runs under the same budget slice as the
-   route itself; if it exhausts the slice, the answer is withheld and the
-   dispatcher falls through, exactly as for an exhausted route. *)
-type route_answer =
+(* The route table: one entry per tractable case of the paper, in
+   dispatch order.  A driver runs an entry's guard only when it reaches
+   the entry; the guard either rejects the instance (no attempt is
+   recorded) or names the concrete route and a budgeted [run].  Two
+   drivers read the one table: [fold] tries the entries in order
+   (threads = 1), and [race] runs every independent entry concurrently
+   next to a [fold] over the chained suffix (threads > 1). *)
+
+(* What a route's run reports.  [Refuted] carries the (possibly
+   expensive) construction of its checkable certificate, which runs
+   under the route's own budget; if it exhausts that budget the answer
+   is withheld and the driver falls through, exactly as for an exhausted
+   route.  [Declined] is recorded as [Inapplicable]; [Pruned] hands a
+   sound domain restriction on to the later entries. *)
+type step =
   | Found of Homomorphism.mapping
   | Refuted of (Budget.t -> Certificate.t option)
+  | Declined
+  | Pruned of (int -> int -> bool)
 
-let solve_seq ~max_treewidth ~consistency_k ~booleanize_threshold ~budget a b =
-  let attempts = ref [] in
-  let solve_span = Telemetry.begin_span "solver.solve" in
-  (* Close the per-attempt span (when one is open) with the attempt's
-     identity as fields, so each emitted span record carries the route,
-     its node consumption, its outcome, and the counter increments the
-     engines performed on its behalf. *)
-  let record ?(counters = []) span route nodes outcome =
-    ignore
-      (Telemetry.end_span span
-         ~fields:
-           [
-             ("route", Telemetry.String (route_name route));
-             ("nodes", Telemetry.Int nodes);
-             ("outcome", Telemetry.String (outcome_name outcome));
-           ]);
-    attempts := { route; nodes; outcome; counters } :: !attempts
-  in
-  let finish verdict route =
-    ignore
-      (Telemetry.end_span solve_span
-         ~fields:
-           [
-             ("verdict", Telemetry.String (verdict_name verdict));
-             ("route", Telemetry.String (route_name route));
-           ]);
-    { verdict; route; attempts = List.rev !attempts }
-  in
-  (* Domain pruning inherited from a non-refuting k-consistency pass. *)
-  let restriction = ref None in
-  (* One intermediate route's share of the remaining node allowance;
-     backtracking, last in line, gets everything left. *)
-  let slice_for frac =
-    match Budget.remaining_nodes budget with
-    | None -> Budget.slice budget ()
-    | Some r -> Budget.slice budget ~max_nodes:(max 1 (r / frac)) ()
-  in
-  (* Run one route under its own budget slice.  [f] answers [Some answer]
-     when the route decided, [None] when the instance is outside it;
-     budget exhaustion — in the route or while building the refutation
-     certificate — falls through to the next route.  A refutation whose
-     certificate cannot be built at all is a cross-route disagreement and
-     fails loudly. *)
-  let attempt ?frac route f =
-    let s = match frac with None -> Budget.slice budget () | Some k -> slice_for k in
-    let sp = Telemetry.begin_span "solver.attempt" in
-    match f s with
-    | Some (Found h) ->
-      record sp route (Budget.spent s) Decided;
-      Some (finish (Sat h) route)
-    | Some (Refuted build) -> (
+(* The part of the remaining node allowance the sequential fold gives an
+   entry: all of it, or a quarter for the expensive routes that leave
+   room for a later, more general one. *)
+type share = All | Quarter
+
+type entry = {
+  share : share;
+  chained : bool;
+      (* Produces or consumes the pruning restriction, so racing keeps
+         the entry in the sequential suffix rather than its own task. *)
+  guard : unit -> (route * run) option;
+}
+
+(* A run sees the restriction earlier entries produced and reports its
+   engine counters next to its step. *)
+and run = (int -> int -> bool) option -> Budget.t -> step * (string * int) list
+
+let table ~max_treewidth ~consistency_k ~booleanize_threshold a b =
+  let independent share guard = { share; chained = false; guard }
+  and chained share guard = { share; chained = true; guard } in
+  let plain f _ s = (f s, []) in
+  [
+    (* Boolean Schaefer target: the direct algorithms of Theorem 3.4. *)
+    independent All (fun () ->
+        if Structure.size b <> 2 then None
+        else
+          Option.map
+            (fun cls ->
+              ( Schaefer_direct cls,
+                plain (fun s ->
+                    match Schaefer.Uniform.solve_direct ~budget:s a b with
+                    | Schaefer.Uniform.Hom h -> Found h
+                    | Schaefer.Uniform.No_hom ->
+                      Refuted (fun s -> Certify.of_schaefer_direct ~budget:s a b cls)
+                    | Schaefer.Uniform.Not_applicable _ -> Declined) ))
+            (Schaefer.Classify.classify b));
+    (* Tractable undirected-graph target (Hell–Nešetřil). *)
+    independent All (fun () ->
+        if
+          Graph_dichotomy.is_undirected_graph b
+          && Vocabulary.equal (Structure.vocabulary a) (Structure.vocabulary b)
+          && Graph_dichotomy.complexity b = Graph_dichotomy.Polynomial
+        then
+          Some
+            ( Graph_target Graph_dichotomy.Polynomial,
+              plain (fun s ->
+                  Budget.check s;
+                  match Graph_dichotomy.solve a b with
+                  | Some h -> Found h
+                  | None -> Refuted (fun _ -> Certify.of_graph a b)) )
+        else None);
+    (* Booleanized Schaefer target (Lemma 3.5) for small targets.  Only
+       the encoding tells whether the case applies, so the guard solves
+       and the run just reports the answer. *)
+    independent All (fun () ->
+        if Structure.size b > booleanize_threshold || Structure.size b < 1 then None
+        else
+          let route () =
+            Booleanized
+              (Option.value ~default:Schaefer.Classify.Affine
+                 (Schaefer.Classify.classify (Schaefer.Booleanize.encode_target b)))
+          in
+          match Schaefer.Booleanize.solve a b with
+          | Schaefer.Booleanize.Hom h -> Some (route (), plain (fun _ -> Found h))
+          | Schaefer.Booleanize.No_hom ->
+            Some
+              ( route (),
+                plain (fun _ -> Refuted (fun s -> Certify.of_booleanized ~budget:s a b)) )
+          | Schaefer.Booleanize.Not_schaefer _ -> None);
+    (* Acyclic source: Yannakakis semi-joins (querywidth 1). *)
+    independent All (fun () ->
+        if Treewidth.Hypergraph.is_acyclic a then
+          Some
+            ( Acyclic,
+              plain (fun s ->
+                  Budget.check s;
+                  match Treewidth.Hypergraph.solve_acyclic a b with
+                  | Some h -> Found h
+                  | None -> Refuted (fun _ -> Certify.of_acyclic a b)) )
+        else None);
+    (* Bounded-treewidth source: dynamic programming (Theorem 5.4). *)
+    independent Quarter (fun () ->
+        let td = Treewidth.Td_solver.decompose a in
+        let w = Treewidth.Tree_decomposition.width td in
+        if w > max_treewidth then None
+        else
+          Some
+            ( Bounded_treewidth w,
+              plain (fun s ->
+                  match Treewidth.Td_solver.solve_with_decomposition ~budget:s td a b with
+                  | Some h -> Found h
+                  | None -> Refuted (fun _ -> Certify.of_treewidth td a b)) ));
+    (* k-consistency, the existential k-pebble game (Theorems 4.7–4.9):
+       refutes outright, or prunes soundly — a pair [(x, v)] whose
+       singleton configuration left the winning family lies on no
+       homomorphism.  The counters come from the engine's returned stats,
+       not from telemetry, so attempts do not depend on a sink. *)
+    chained Quarter (fun () ->
+        Some
+          ( Consistency_refutation consistency_k,
+            fun _ s ->
+              let family, trace, st =
+                Pebble.Game.run_traced ~budget:s ~k:consistency_k a b
+              in
+              let counters =
+                [
+                  ("pebble.configs_ranked", st.Pebble.Game.configs_ranked);
+                  ("pebble.deaths_propagated", st.Pebble.Game.deaths_propagated);
+                  ("pebble.initial_configs", st.Pebble.Game.initial_configs);
+                  ("pebble.removed", st.Pebble.Game.removed);
+                  ("pebble.supports_built", st.Pebble.Game.supports_built);
+                ]
+              in
+              match family with
+              | [] -> (Refuted (fun _ -> Some (Certify.of_consistency ~trace b)), counters)
+              | _ ->
+                let singles = Hashtbl.create 256 in
+                List.iter
+                  (function [ (x, v) ] -> Hashtbl.replace singles (x, v) () | _ -> ())
+                  family;
+                (Pruned (fun x v -> Hashtbl.mem singles (x, v)), counters) ));
+    (* MAC backtracking (NP-complete in general) under the inherited
+       pruning, certified by an independent exhaustive search. *)
+    chained All (fun () ->
+        Some
+          ( Backtracking,
+            fun restrict s ->
+              match Homomorphism.decide ?restrict ~budget:s a b with
+              | Budget.Sat h -> (Found h, [])
+              | Budget.Unsat -> (Refuted (fun s -> Certify.of_backtracking ~budget:s a b), [])
+              | Budget.Unknown reason -> raise (Budget.Exhausted reason) ));
+  ]
+
+(* Run one route under budget [s] and close its span with the attempt's
+   identity as fields.  Answers the attempt record and, when the route
+   settled the instance, the verdict; a [Pruned] step lands in
+   [restrict].  Budget exhaustion — in the route or while building its
+   refutation certificate — falls through.  A refutation whose
+   certificate cannot be built at all is a cross-route disagreement, a
+   solver bug that fails loudly. *)
+let attempt restrict s route (run : run) =
+  let sp = Telemetry.begin_span "solver.attempt" in
+  let outcome, counters, verdict =
+    match run !restrict s with
+    | Found h, counters -> (Decided, counters, Some (Sat h))
+    | Refuted build, counters -> (
       match build s with
-      | Some cert ->
-        record sp route (Budget.spent s) Decided;
-        Some (finish (Unsat cert) route)
+      | Some cert -> (Decided, counters, Some (Unsat cert))
       | None ->
         Error.internal
           "route %s refuted the instance but no checkable certificate exists \
            (cross-route disagreement)"
           (route_name route)
-      | exception Budget.Exhausted reason ->
-        record sp route (Budget.spent s) (Exhausted reason);
-        None)
-    | None ->
-      record sp route (Budget.spent s) Inapplicable;
-      None
-    | exception Budget.Exhausted reason ->
-      record sp route (Budget.spent s) (Exhausted reason);
-      None
+      | exception Budget.Exhausted reason -> (Exhausted reason, counters, None))
+    | Declined, counters -> (Inapplicable, counters, None)
+    | Pruned p, counters ->
+      restrict := Some p;
+      ((Pruned : attempt_outcome), counters, None)
+    | exception Budget.Exhausted reason -> (Exhausted reason, [], None)
   in
+  let nodes = Budget.spent s in
+  ignore
+    (Telemetry.end_span sp
+       ~fields:
+         [
+           ("route", Telemetry.String (route_name route));
+           ("nodes", Telemetry.Int nodes);
+           ("outcome", Telemetry.String (outcome_name outcome));
+         ]);
+  ({ route; nodes; outcome; counters }, verdict)
 
-  let try_schaefer () =
-    if Structure.size b <> 2 then None
-    else
-      match Schaefer.Classify.classify b with
-      | None -> None
-      | Some cls ->
-        attempt (Schaefer_direct cls) (fun s ->
-            match Schaefer.Uniform.solve_direct ~budget:s a b with
-            | Schaefer.Uniform.Hom h -> Some (Found h)
-            | Schaefer.Uniform.No_hom ->
-              Some (Refuted (fun s -> Certify.of_schaefer_direct ~budget:s a b cls))
-            | Schaefer.Uniform.Not_applicable _ -> None)
+(* Prefer the global cause (deadline, cancellation) when the whole
+   budget is spent. *)
+let global_reason budget reason =
+  match Budget.status budget with Some r -> r | None -> reason
+
+let slice budget share =
+  match (share, Budget.remaining_nodes budget) with
+  | Quarter, Some r -> Budget.slice budget ~max_nodes:(max 1 (r / 4)) ()
+  | _ -> Budget.slice budget ()
+
+(* The sequential driver: try the entries in order, each under its share
+   of what [budget] has left, until one settles the instance.  When none
+   does, the verdict is [Unknown], credited to the last route that ran
+   out (backtracking, which always runs). *)
+let fold ~budget entries =
+  let restrict = ref None in
+  let rec go attempts last = function
+    | [] ->
+      let route, reason = last in
+      { verdict = Unknown (global_reason budget reason); route; attempts = List.rev attempts }
+    | e :: rest -> (
+      match e.guard () with
+      | None -> go attempts last rest
+      | Some (route, run) -> (
+        match attempt restrict (slice budget e.share) route run with
+        | at, Some verdict -> { verdict; route; attempts = List.rev (at :: attempts) }
+        | ({ outcome = Exhausted reason; _ } as at), None ->
+          go (at :: attempts) (route, reason) rest
+        | at, None -> go (at :: attempts) last rest))
   in
-  let try_graph () =
-    if
-      Graph_dichotomy.is_undirected_graph b
-      && Vocabulary.equal (Structure.vocabulary a) (Structure.vocabulary b)
-      && Graph_dichotomy.complexity b = Graph_dichotomy.Polynomial
-    then
-      attempt (Graph_target Graph_dichotomy.Polynomial) (fun s ->
-          Budget.check s;
-          match Graph_dichotomy.solve a b with
-          | Some h -> Some (Found h)
-          | None -> Some (Refuted (fun _ -> Certify.of_graph a b)))
-    else None
+  go [] (Backtracking, Budget.Node_limit) entries
+
+(* Portfolio racing (threads > 1).  Each independent entry is a task
+   under its own [Budget.racer]; the chained suffix is one more task
+   running [fold] over those entries, so the pruning chain survives.
+   The calling domain consumes finishers in completion order and the
+   first claim that passes the trusted certificate checker wins; it
+   raises the shared cancel flag every other racer's budget polls.
+   Losers are recorded as [Cancelled] and never contribute a verdict; a
+   claim that fails the checker is dropped (counted as
+   [solver.race.uncertified]) and the race goes on. *)
+let race ~budget ~threads a b entries =
+  let cancel = ref false in
+  (* A task answers the attempts it recorded (chronological), at most
+     one claim on the verdict, and its spend.  Budget exhaustion never
+     escapes a task; [Error.internal] still does, loudly, through
+     [Race.run]. *)
+  let task body () =
+    let s = Budget.racer budget ~cancel in
+    let attempts, claim = body s in
+    (attempts, claim, Budget.spent s)
   in
-  let try_booleanize () =
-    if Structure.size b > booleanize_threshold || Structure.size b < 1 then None
-    else
-      let classify () =
-        let bb = Schaefer.Booleanize.encode_target b in
-        Option.value ~default:Schaefer.Classify.Affine (Schaefer.Classify.classify bb)
-      in
-      match Schaefer.Booleanize.solve a b with
-      | Schaefer.Booleanize.Hom h ->
-        attempt (Booleanized (classify ())) (fun _ -> Some (Found h))
-      | Schaefer.Booleanize.No_hom ->
-        attempt (Booleanized (classify ())) (fun _ ->
-            Some (Refuted (fun s -> Certify.of_booleanized ~budget:s a b)))
-      | Schaefer.Booleanize.Not_schaefer _ -> None
-  in
-  let try_acyclic () =
-    if Treewidth.Hypergraph.is_acyclic a then
-      attempt Acyclic (fun s ->
-          Budget.check s;
-          match Treewidth.Hypergraph.solve_acyclic a b with
-          | Some h -> Some (Found h)
-          | None -> Some (Refuted (fun _ -> Certify.of_acyclic a b)))
-    else None
-  in
-  let try_treewidth () =
-    match Treewidth.Td_solver.decompose a with
-    | td ->
-      let w = Treewidth.Tree_decomposition.width td in
-      if w > max_treewidth then None
-      else
-        attempt ~frac:4 (Bounded_treewidth w) (fun s ->
-            match Treewidth.Td_solver.solve_with_decomposition ~budget:s td a b with
-            | Some h -> Some (Found h)
-            | None -> Some (Refuted (fun _ -> Certify.of_treewidth td a b)))
-    | exception Budget.Exhausted reason ->
-      record None (Bounded_treewidth max_treewidth) 0 (Exhausted reason);
-      None
-  in
-  let try_consistency () =
-    let route = Consistency_refutation consistency_k in
-    let s = slice_for 4 in
-    let sp = Telemetry.begin_span "solver.attempt" in
-    (* The engine's own stats, as structured counters on the attempt.
-       Deliberately derived from the returned stats rather than from
-       telemetry, so attempts are identical whether or not a sink is
-       installed (no observer effect). *)
-    let engine_counters (st : Pebble.Game.stats) =
-      [
-        ("pebble.configs_ranked", st.Pebble.Game.configs_ranked);
-        ("pebble.deaths_propagated", st.Pebble.Game.deaths_propagated);
-        ("pebble.initial_configs", st.Pebble.Game.initial_configs);
-        ("pebble.removed", st.Pebble.Game.removed);
-        ("pebble.supports_built", st.Pebble.Game.supports_built);
+  let independent, chain = List.partition (fun e -> not e.chained) entries in
+  let tasks =
+    List.map
+      (fun e ->
+        task (fun s ->
+            match e.guard () with
+            | None -> ([], None)
+            | Some (route, run) ->
+              let at, verdict = attempt (ref None) s route run in
+              ([ at ], Option.map (fun v -> (v, route)) verdict)))
+      independent
+    @ [
+        task (fun s ->
+            let r = fold ~budget:s chain in
+            (r.attempts, Some (r.verdict, r.route)));
       ]
-    in
-    match Pebble.Game.run_traced ~budget:s ~k:consistency_k a b with
-    | [], trace, stats ->
-      record ~counters:(engine_counters stats) sp route (Budget.spent s) Decided;
-      Some (finish (Unsat (Certify.of_consistency ~trace b)) route)
-    | family, _, stats ->
-      (* Sound pruning: a pair [(x, v)] whose singleton configuration was
-         removed from the winning family lies on no homomorphism, so the
-         backtracking route may skip it outright. *)
-      let singles = Hashtbl.create 256 in
-      List.iter
-        (fun cfg ->
-          match cfg with [ (x, v) ] -> Hashtbl.replace singles (x, v) () | _ -> ())
-        family;
-      restriction := Some (fun x v -> Hashtbl.mem singles (x, v));
-      record ~counters:(engine_counters stats) sp route (Budget.spent s) Pruned;
-      None
-    | exception Budget.Exhausted reason ->
-      record sp route (Budget.spent s) (Exhausted reason);
-      None
   in
-  let backtracking () =
-    let s = Budget.slice budget () in
-    let sp = Telemetry.begin_span "solver.attempt" in
-    let global reason =
-      (* Prefer the global cause (deadline/cancellation) when the whole
-         portfolio is spent. *)
-      match Budget.status budget with Some r -> r | None -> reason
-    in
-    match Homomorphism.decide ?restrict:!restriction ~budget:s a b with
-    | Budget.Sat h ->
-      record sp Backtracking (Budget.spent s) Decided;
-      finish (Sat h) Backtracking
-    | Budget.Unsat -> (
-      (* Certify with an independent exhaustive search under what remains
-         of the slice; a witness surfacing here means MAC and the
-         certifying search disagree. *)
-      match Certify.of_backtracking ~budget:s a b with
-      | Some cert ->
-        record sp Backtracking (Budget.spent s) Decided;
-        finish (Unsat cert) Backtracking
-      | None ->
-        Error.internal
-          "backtracking refuted the instance but the certifying search found \
-           a homomorphism (cross-route disagreement)"
-      | exception Budget.Exhausted reason ->
-        record sp Backtracking (Budget.spent s) (Exhausted reason);
-        finish (Unknown (global reason)) Backtracking)
-    | Budget.Unknown reason ->
-      record sp Backtracking (Budget.spent s) (Exhausted reason);
-      finish (Unknown (global reason)) Backtracking
+  let attempts = ref [] and winner = ref None and fallback = ref None in
+  let accept cert claim =
+    if Certificate.check a b cert then begin
+      winner := Some claim;
+      cancel := true
+    end
+    else Telemetry.count "solver.race.uncertified" 1
   in
-  let ( <|> ) r f = match r with Some _ -> r | None -> f () in
-  let result =
-    try_schaefer ()
-    <|> try_graph
-    <|> try_booleanize
-    <|> try_acyclic
-    <|> try_treewidth
-    <|> try_consistency
-  in
-  match result with Some r -> r | None -> backtracking ()
-
-(* ------------------------------------------------------------------ *)
-(* Portfolio racing (threads > 1).                                      *)
-(*                                                                      *)
-(* Instead of trying routes in sequence, every applicable route runs    *)
-(* concurrently on its own domain under its own [Budget.racer]; the     *)
-(* calling domain consumes finishers in completion order and the first  *)
-(* claim that survives the trusted certificate checker wins.  Accepting *)
-(* a claim raises the shared race flag, which every other racer's       *)
-(* budget polls, so the losers abort with [Cancelled] soon after; their *)
-(* attempts are recorded with the [Cancelled] outcome and their claims  *)
-(* (if they finished anyway) are discarded — a cancelled route never    *)
-(* contributes a verdict.  An Unsat whose certificate fails the checker *)
-(* is dropped (counted as [solver.race.uncertified]) and the race       *)
-(* continues with the next finisher, preserving the proof-carrying      *)
-(* invariant of the sequential dispatcher.                              *)
-(*                                                                      *)
-(* The backtracking route is fused with the k-consistency pass into one *)
-(* task so the pruning chain survives racing: the pass either refutes   *)
-(* outright or seeds the restriction under which backtracking searches, *)
-(* exactly as in the sequential route order.                            *)
-(* ------------------------------------------------------------------ *)
-
-(* A racer's contribution, adjudicated on the calling domain: the
-   attempts it wants recorded (chronological) and at most one claim on
-   the verdict. *)
-type claim =
-  | Claim_sat of route * Homomorphism.mapping
-  | Claim_unsat of route * Certificate.t
-  | Claim_unknown of route * Budget.exhausted_reason
-      (** The fused fallback task ran out: verdict [Unknown] unless some
-          other racer decides. *)
-  | Claim_none
-
-type finisher = { f_attempts : attempt list; f_claim : claim; f_spent : int }
-
-let solve_race ~max_treewidth ~consistency_k ~booleanize_threshold ~budget
-    ~threads a b =
-  let solve_span = Telemetry.begin_span "solver.solve" in
-  let race = ref false in
-  let span_fields route nodes outcome =
-    [
-      ("route", Telemetry.String (route_name route));
-      ("nodes", Telemetry.Int nodes);
-      ("outcome", Telemetry.String (outcome_name outcome));
-    ]
-  in
-  (* Every task runs under a private racer budget and returns a
-     finisher; spans open and close on the task's own domain.  Budget
-     exhaustion never escapes a task — a cross-route disagreement
-     ([Error.internal]) still does, loudly, through [Race.run]. *)
-  let run_task body () =
-    let s = Budget.racer budget ~cancel:race in
-    let fin = body s in
-    { fin with f_spent = Budget.spent s }
-  in
-  let no_contribution = { f_attempts = []; f_claim = Claim_none; f_spent = 0 } in
-  let one route s sp outcome claim =
-    ignore (Telemetry.end_span sp ~fields:(span_fields route (Budget.spent s) outcome));
-    {
-      f_attempts = [ { route; nodes = Budget.spent s; outcome; counters = [] } ];
-      f_claim = claim;
-      f_spent = 0;
-    }
-  in
-  (* A task body shaped like the sequential [attempt]: [None] = the
-     instance is outside the route, [Some (Found / Refuted)] = claim. *)
-  let attempted route f =
-    run_task (fun s ->
-        let sp = Telemetry.begin_span "solver.attempt" in
-        match f s with
-        | Some (Found h) -> one route s sp Decided (Claim_sat (route, h))
-        | Some (Refuted build) -> (
-          match build s with
-          | Some cert -> one route s sp Decided (Claim_unsat (route, cert))
-          | None ->
-            Error.internal
-              "route %s refuted the instance but no checkable certificate \
-               exists (cross-route disagreement)"
-              (route_name route)
-          | exception Budget.Exhausted reason ->
-            one route s sp (Exhausted reason) Claim_none)
-        | None -> one route s sp Inapplicable Claim_none
-        | exception Budget.Exhausted reason ->
-          one route s sp (Exhausted reason) Claim_none)
-  in
-  let tasks = ref [] in
-  let add t = tasks := t :: !tasks in
-  (* Route guards mirror the sequential dispatcher and run on the caller
-     where they are cheap; [decompose], which is budgeted, stays inside
-     its task. *)
-  (if Structure.size b = 2 then
-     match Schaefer.Classify.classify b with
-     | Some cls ->
-       add
-         (attempted (Schaefer_direct cls) (fun s ->
-              match Schaefer.Uniform.solve_direct ~budget:s a b with
-              | Schaefer.Uniform.Hom h -> Some (Found h)
-              | Schaefer.Uniform.No_hom ->
-                Some
-                  (Refuted (fun s -> Certify.of_schaefer_direct ~budget:s a b cls))
-              | Schaefer.Uniform.Not_applicable _ -> None))
-     | None -> ());
-  if
-    Graph_dichotomy.is_undirected_graph b
-    && Vocabulary.equal (Structure.vocabulary a) (Structure.vocabulary b)
-    && Graph_dichotomy.complexity b = Graph_dichotomy.Polynomial
-  then
-    add
-      (attempted (Graph_target Graph_dichotomy.Polynomial) (fun s ->
-           Budget.check s;
-           match Graph_dichotomy.solve a b with
-           | Some h -> Some (Found h)
-           | None -> Some (Refuted (fun _ -> Certify.of_graph a b))));
-  if Structure.size b <= booleanize_threshold && Structure.size b >= 1 then
-    add
-      (run_task (fun s ->
-           match Schaefer.Booleanize.solve a b with
-           | Schaefer.Booleanize.Not_schaefer _ -> no_contribution
-           | answer -> (
-             let cls =
-               let bb = Schaefer.Booleanize.encode_target b in
-               Option.value ~default:Schaefer.Classify.Affine
-                 (Schaefer.Classify.classify bb)
-             in
-             let route = Booleanized cls in
-             let sp = Telemetry.begin_span "solver.attempt" in
-             match answer with
-             | Schaefer.Booleanize.Hom h ->
-               one route s sp Decided (Claim_sat (route, h))
-             | Schaefer.Booleanize.No_hom -> (
-               match Certify.of_booleanized ~budget:s a b with
-               | Some cert -> one route s sp Decided (Claim_unsat (route, cert))
-               | None ->
-                 Error.internal
-                   "route %s refuted the instance but no checkable certificate \
-                    exists (cross-route disagreement)"
-                   (route_name route)
-               | exception Budget.Exhausted reason ->
-                 one route s sp (Exhausted reason) Claim_none)
-             | Schaefer.Booleanize.Not_schaefer _ -> assert false)));
-  if Treewidth.Hypergraph.is_acyclic a then
-    add
-      (attempted Acyclic (fun s ->
-           Budget.check s;
-           match Treewidth.Hypergraph.solve_acyclic a b with
-           | Some h -> Some (Found h)
-           | None -> Some (Refuted (fun _ -> Certify.of_acyclic a b))));
-  add
-    (run_task (fun s ->
-         match Treewidth.Td_solver.decompose a with
-         | exception Budget.Exhausted reason ->
-           {
-             f_attempts =
-               [
-                 {
-                   route = Bounded_treewidth max_treewidth;
-                   nodes = Budget.spent s;
-                   outcome = Exhausted reason;
-                   counters = [];
-                 };
-               ];
-             f_claim = Claim_none;
-             f_spent = 0;
-           }
-         | td ->
-           let w = Treewidth.Tree_decomposition.width td in
-           if w > max_treewidth then no_contribution
-           else begin
-             let route = Bounded_treewidth w in
-             let sp = Telemetry.begin_span "solver.attempt" in
-             match Treewidth.Td_solver.solve_with_decomposition ~budget:s td a b with
-             | Some h -> one route s sp Decided (Claim_sat (route, h))
-             | None -> (
-               match Certify.of_treewidth td a b with
-               | Some cert -> one route s sp Decided (Claim_unsat (route, cert))
-               | None ->
-                 Error.internal
-                   "route %s refuted the instance but no checkable certificate \
-                    exists (cross-route disagreement)"
-                   (route_name route)
-               | exception Budget.Exhausted reason ->
-                 one route s sp (Exhausted reason) Claim_none)
-             | exception Budget.Exhausted reason ->
-               one route s sp (Exhausted reason) Claim_none
-           end));
-  (* The fused fallback: k-consistency then backtracking under whatever
-     pruning the pass produced.  Always applicable, so the race always
-     has at least one task that yields a verdict or an Unknown claim. *)
-  add
-    (run_task (fun s ->
-         let attempts = ref [] in
-         let push route nodes outcome counters =
-           attempts := { route; nodes; outcome; counters } :: !attempts
-         in
-         let cons_route = Consistency_refutation consistency_k in
-         let slice =
-           match Budget.remaining_nodes s with
-           | None -> Budget.slice s ()
-           | Some r -> Budget.slice s ~max_nodes:(max 1 (r / 4)) ()
-         in
-         let engine_counters (st : Pebble.Game.stats) =
-           [
-             ("pebble.configs_ranked", st.Pebble.Game.configs_ranked);
-             ("pebble.deaths_propagated", st.Pebble.Game.deaths_propagated);
-             ("pebble.initial_configs", st.Pebble.Game.initial_configs);
-             ("pebble.removed", st.Pebble.Game.removed);
-             ("pebble.supports_built", st.Pebble.Game.supports_built);
-           ]
-         in
-         let restriction = ref None in
-         let sp = Telemetry.begin_span "solver.attempt" in
-         let refutation =
-           match Pebble.Game.run_traced ~budget:slice ~k:consistency_k a b with
-           | [], trace, stats ->
-             let outcome = Decided in
-             ignore
-               (Telemetry.end_span sp
-                  ~fields:(span_fields cons_route (Budget.spent slice) outcome));
-             push cons_route (Budget.spent slice) outcome (engine_counters stats);
-             Some (Claim_unsat (cons_route, Certify.of_consistency ~trace b))
-           | family, _, stats ->
-             let singles = Hashtbl.create 256 in
-             List.iter
-               (fun cfg ->
-                 match cfg with
-                 | [ (x, v) ] -> Hashtbl.replace singles (x, v) ()
-                 | _ -> ())
-               family;
-             restriction := Some (fun x v -> Hashtbl.mem singles (x, v));
-             ignore
-               (Telemetry.end_span sp
-                  ~fields:(span_fields cons_route (Budget.spent slice) Pruned));
-             push cons_route (Budget.spent slice) Pruned (engine_counters stats);
-             None
-           | exception Budget.Exhausted reason ->
-             ignore
-               (Telemetry.end_span sp
-                  ~fields:
-                    (span_fields cons_route (Budget.spent slice) (Exhausted reason)));
-             push cons_route (Budget.spent slice) (Exhausted reason) [];
-             None
-         in
-         match refutation with
-         | Some claim -> { f_attempts = List.rev !attempts; f_claim = claim; f_spent = 0 }
-         | None ->
-           let base = Budget.spent s in
-           let bt_nodes () = Budget.spent s - base in
-           let sp = Telemetry.begin_span "solver.attempt" in
-           let finish_bt outcome claim =
-             ignore
-               (Telemetry.end_span sp
-                  ~fields:(span_fields Backtracking (bt_nodes ()) outcome));
-             push Backtracking (bt_nodes ()) outcome [];
-             { f_attempts = List.rev !attempts; f_claim = claim; f_spent = 0 }
-           in
-           (match Homomorphism.decide ?restrict:!restriction ~budget:s a b with
-           | Budget.Sat h -> finish_bt Decided (Claim_sat (Backtracking, h))
-           | Budget.Unsat -> (
-             match Certify.of_backtracking ~budget:s a b with
-             | Some cert -> finish_bt Decided (Claim_unsat (Backtracking, cert))
-             | None ->
-               Error.internal
-                 "backtracking refuted the instance but the certifying search \
-                  found a homomorphism (cross-route disagreement)"
-             | exception Budget.Exhausted reason ->
-               finish_bt (Exhausted reason) (Claim_unknown (Backtracking, reason)))
-           | Budget.Unknown reason ->
-             finish_bt (Exhausted reason) (Claim_unknown (Backtracking, reason)))));
-  let tasks = Array.of_list (List.rev !tasks) in
-  let attempts = ref [] in
-  let winner = ref None in
-  let fallback = ref None in
-  let consume (ev : finisher Parallel.Race.event) =
-    let f = ev.Parallel.Race.value in
+  let consume { Parallel.Race.value = racer_attempts, claim, spent; _ } =
     (* Merge the racer's spend before adjudicating, so the portfolio
        budget reflects all work performed on its behalf. *)
-    Budget.charge budget f.f_spent;
+    Budget.charge budget spent;
     let lost = !winner <> None in
     (* After a winner: a finisher's decision was discarded and a racer
        aborted by the race flag lost — both are [Cancelled].  A
@@ -576,54 +348,39 @@ let solve_race ~max_treewidth ~consistency_k ~booleanize_threshold ~budget
         { at with outcome = Cancelled }
       | _ -> at
     in
-    List.iter (fun at -> attempts := adjust at :: !attempts) f.f_attempts;
+    List.iter (fun at -> attempts := adjust at :: !attempts) racer_attempts;
     if not lost then
-      match f.f_claim with
-      | Claim_none -> ()
-      | Claim_unknown (route, reason) ->
+      match claim with
+      | None -> ()
+      | Some ((Sat h, _) as claim) -> accept (Certificate.Witness h) claim
+      | Some ((Unsat c, _) as claim) -> accept c claim
+      | Some (Unknown reason, route) ->
         if !fallback = None then fallback := Some (route, reason)
-      | Claim_sat (route, h) ->
-        if Certificate.check a b (Certificate.Witness h) then begin
-          winner := Some (Sat h, route);
-          race := true
-        end
-        else Telemetry.count "solver.race.uncertified" 1
-      | Claim_unsat (route, cert) ->
-        if Certificate.check a b cert then begin
-          winner := Some (Unsat cert, route);
-          race := true
-        end
-        else Telemetry.count "solver.race.uncertified" 1
   in
-  Parallel.Race.run ~threads ~tasks ~consume;
-  let finish verdict route =
-    ignore
-      (Telemetry.end_span solve_span
-         ~fields:
-           [
-             ("verdict", Telemetry.String (verdict_name verdict));
-             ("route", Telemetry.String (route_name route));
-             ("threads", Telemetry.Int threads);
-           ]);
-    { verdict; route; attempts = List.rev !attempts }
+  Parallel.Race.run ~threads ~tasks:(Array.of_list tasks) ~consume;
+  let verdict, route =
+    match (!winner, !fallback) with
+    | Some claim, _ -> claim
+    | None, Some (route, reason) -> (Unknown (global_reason budget reason), route)
+    | None, None -> (Unknown (global_reason budget Budget.Node_limit), Backtracking)
   in
-  let global reason =
-    match Budget.status budget with Some r -> r | None -> reason
-  in
-  match !winner with
-  | Some (v, route) -> finish v route
-  | None -> (
-    match !fallback with
-    | Some (route, reason) -> finish (Unknown (global reason)) route
-    | None -> finish (Unknown (global Budget.Node_limit)) Backtracking)
+  { verdict; route; attempts = List.rev !attempts }
 
 let solve_inner ~max_treewidth ~consistency_k ~booleanize_threshold ~budget
     ~threads a b =
-  if threads <= 1 then
-    solve_seq ~max_treewidth ~consistency_k ~booleanize_threshold ~budget a b
-  else
-    solve_race ~max_treewidth ~consistency_k ~booleanize_threshold ~budget
-      ~threads a b
+  let entries = table ~max_treewidth ~consistency_k ~booleanize_threshold a b in
+  let span = Telemetry.begin_span "solver.solve" in
+  let r, fields =
+    if threads <= 1 then (fold ~budget entries, [])
+    else (race ~budget ~threads a b entries, [ ("threads", Telemetry.Int threads) ])
+  in
+  ignore
+    (Telemetry.end_span span
+       ~fields:
+         (("verdict", Telemetry.String (verdict_name r.verdict))
+         :: ("route", Telemetry.String (route_name r.route))
+         :: fields));
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Structural preprocessing (DESIGN.md section 16).                     *)
@@ -758,9 +515,6 @@ let solve_preprocessed ~max_treewidth ~consistency_k ~booleanize_threshold
            (Array.to_list results)
     in
     let finish verdict route = { verdict; route; attempts } in
-    let global reason =
-      match Budget.status budget with Some r -> r | None -> reason
-    in
     let refuted = ref None
     and unknown = ref None in
     Array.iteri
@@ -781,7 +535,7 @@ let solve_preprocessed ~max_treewidth ~consistency_k ~booleanize_threshold
       finish (Unsat (Preprocess.wrap_certificate src i cert)) route
     | None -> (
       match !unknown with
-      | Some (reason, route) -> finish (Unknown (global reason)) route
+      | Some (reason, route) -> finish (Unknown (global_reason budget reason)) route
       | None ->
         let witnesses =
           Array.map

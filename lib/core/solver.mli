@@ -4,15 +4,13 @@ open Relational
     applicable tractable route from the paper and fall back to general
     backtracking search only when none applies.
 
-    Route order:
-    + Boolean Schaefer target — direct algorithms of Theorem 3.4;
-    + tractable undirected-graph target (Hell–Nešetřil: bipartite or loop);
-    + Booleanized Schaefer target (Lemma 3.5) for small non-Boolean targets;
-    + acyclic source — Yannakakis semi-joins (querywidth 1);
-    + bounded-treewidth source — dynamic programming (Theorem 5.4);
-    + k-consistency — the existential k-pebble game (Theorems 4.7–4.9),
-      which may settle "no" and always soundly prunes domains;
-    + MAC backtracking (NP-complete in general; Section 2).
+    Route order is the route table in [solver.ml]: one ordered list of
+    entries, one per tractable case (Schaefer's direct algorithms,
+    Theorem 3.4; the Hell–Nešetřil graph dichotomy; Booleanization,
+    Lemma 3.5; acyclic and bounded-treewidth sources, Theorem 5.4;
+    k-consistency, Theorems 4.7–4.9), ending in MAC backtracking.  Each
+    entry's guard decides whether it applies; the sequential and the
+    racing driver both read the same table.
 
     All routes agree on the answer; the benches measure how much each one
     saves on its own instance class.
@@ -163,10 +161,10 @@ val solve :
     the race continues (counted as [solver.race.uncertified]), so racing
     preserves the proof-carrying invariant: a cancelled or uncertified
     route never contributes a verdict, and verdicts agree with
-    [threads = 1] (the k-consistency pass stays fused with backtracking
-    so its pruning survives).  Total spend is merged back into [budget].
-    [threads = 1] is the sequential dispatcher, bit-identical to
-    previous releases. *)
+    [threads = 1] (k-consistency and backtracking run in order inside
+    one racer, so the pruning survives).  Total spend is merged back
+    into [budget].  [threads = 1] is the sequential dispatcher,
+    bit-identical to previous releases. *)
 
 val exists : Structure.t -> Structure.t -> bool
 (** Unbudgeted existence (always definitive). *)
