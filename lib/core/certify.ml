@@ -113,27 +113,15 @@ let of_treewidth td a b =
   match trivial_unsat a b with
   | Some c -> Some c
   | None ->
-    (* Root every component the way the DP does (node 0 first), so the
-       checker recomputes the very same bottom-up tables. *)
-    let adj = Treewidth.Tree_decomposition.adjacency td in
-    let nodes = Treewidth.Tree_decomposition.node_count td in
-    let parent = Array.make nodes (-1) in
-    let visited = Array.make nodes false in
-    let rec dfs u p =
-      visited.(u) <- true;
-      parent.(u) <- p;
-      List.iter (fun v -> if not visited.(v) then dfs v u) adj.(u)
-    in
-    for u = 0 to nodes - 1 do
-      if not visited.(u) then dfs u (-1)
-    done;
+    (* Rooted exactly as the DP roots it, so the checker recomputes the
+       very same bottom-up tables. *)
     Some
       (Certificate.Dp_empty
          {
            bags =
              Array.map (List.sort_uniq Int.compare)
                td.Treewidth.Tree_decomposition.bags;
-           parent;
+           parent = Treewidth.Join_eval.rooted td;
          })
 
 (* The emptied winning family arrives as the game's chronological log of

@@ -400,26 +400,6 @@ let solve_inner ~max_treewidth ~consistency_k ~booleanize_threshold ~budget
 (* [preprocess.bailouts] counter of the leading attempt record.         *)
 (* ------------------------------------------------------------------ *)
 
-(* A fact of [A] over a symbol whose relation in [B] is absent, empty,
-   or of a different arity refutes outright — and, crucially, keeps the
-   per-component conjunction sound in the presence of nullary facts,
-   which survive [Structure.induced] into every component. *)
-let empty_relation_refutation a b =
-  Structure.fold_tuples
-    (fun name t acc ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-        let missing =
-          match Structure.relation b name with
-          | r -> Relation.is_empty r || Relation.arity r <> Array.length t
-          | exception Not_found -> true
-        in
-        if missing then
-          Some (Certificate.Empty_relation { symbol = name; fact = t })
-        else None)
-    a None
-
 let preprocess_attempt ?(extra = []) ~nodes ~outcome stats =
   { route = Preprocess; nodes; outcome; counters = extra @ Preprocess.counters stats }
 
@@ -432,7 +412,10 @@ let solve_preprocessed ~max_treewidth ~consistency_k ~booleanize_threshold
       attempts = [ { route = Preprocess; nodes = 0; outcome = Decided; counters } ];
     }
   in
-  match empty_relation_refutation a b with
+  (* A fact over an empty, absent or arity-clashing relation refutes
+     outright.  This also keeps the per-component conjunction sound for
+     nullary facts, which survive [Structure.induced] into every part. *)
+  match Schaefer.Certify.empty_relation_refutation a b with
   | Some cert ->
     decided_by_preprocess
       ~counters:[ ("preprocess.empty_relation", 1) ]

@@ -4,187 +4,71 @@ let is_acyclic q =
   let body, _ = Canonical.database_no_head q in
   Treewidth.Hypergraph.is_acyclic body
 
-(* Small relational tables over canonical-database elements. *)
-type table = { cols : int list; rows : Tuple.t list }
-
-(* Linear-time dedup via the tuple hash table; row order is irrelevant to
-   callers (the final result is sorted once in [evaluate]). *)
-let dedup rows =
-  let seen = Tuple.Table.create 64 in
-  List.filter
-    (fun r ->
-      if Tuple.Table.mem seen r then false
-      else begin
-        Tuple.Table.replace seen r ();
-        true
-      end)
-    rows
-
-let project table keep =
-  let positions =
-    Array.of_list
-      (List.filter_map
-         (fun c ->
-           let rec find i = function
-             | [] -> None
-             | c' :: _ when c' = c -> Some i
-             | _ :: rest -> find (i + 1) rest
-           in
-           find 0 table.cols)
-         keep)
-  in
-  let kept_cols =
-    List.filter (fun c -> List.mem c table.cols) keep
-  in
-  {
-    cols = kept_cols;
-    rows =
-      dedup (List.map (fun row -> Array.map (fun i -> row.(i)) positions) table.rows);
-  }
-
-let join t1 t2 =
-  let shared =
-    List.filter (fun c -> List.mem c t2.cols) t1.cols
-  in
-  let pos cols c =
-    let rec find i = function
-      | [] -> assert false
-      | c' :: _ when c' = c -> i
-      | _ :: rest -> find (i + 1) rest
-    in
-    find 0 cols
-  in
-  let shared1 = Array.of_list (List.map (pos t1.cols) shared) in
-  let shared2 = Array.of_list (List.map (pos t2.cols) shared) in
-  let extra_positions =
-    List.mapi (fun i c -> (i, c)) t2.cols
-    |> List.filter (fun (_, c) -> not (List.mem c t1.cols))
-  in
-  let extra2 = Array.of_list (List.map fst extra_positions) in
-  let extra2_cols = List.map snd extra_positions in
-  (* Hash join: bucket t2 by its projection on the shared columns, then
-     probe once per t1 row. *)
-  let index = Tuple.Table.create (max 16 (2 * List.length t2.rows)) in
-  List.iter
-    (fun row ->
-      let key = Array.map (fun i -> row.(i)) shared2 in
-      Tuple.Table.replace index key
-        (row :: (match Tuple.Table.find_opt index key with Some l -> l | None -> [])))
-    t2.rows;
-  let rows =
-    List.concat_map
-      (fun row1 ->
-        let key = Array.map (fun i -> row1.(i)) shared1 in
-        match Tuple.Table.find_opt index key with
-        | None -> []
-        | Some rows2 ->
-          List.map
-            (fun row2 -> Array.append row1 (Array.map (fun i -> row2.(i)) extra2))
-            rows2)
-      t1.rows
-  in
-  { cols = t1.cols @ extra2_cols; rows = dedup rows }
-
+(* Yannakakis with early projection: each table keeps, per key shared
+   with the parent, the deduplicated set of head projections its subtree
+   realizes.  A projection is an array with one slot per distinct head
+   element, [-1] where the subtree does not reach that element. *)
 let evaluate q db =
   let body, index = Canonical.database_no_head q in
   match Treewidth.Hypergraph.join_forest body with
   | None -> invalid_arg "Acyclic.evaluate: query body is cyclic"
-  | Some forest ->
-    let m = Structure.size db in
-    let head_elements =
-      List.sort_uniq Int.compare
-        (Array.to_list (Array.map (fun v -> List.assoc v index) q.Query.head))
-    in
-    let nfacts = Array.length forest.Treewidth.Hypergraph.facts in
-    (* Initial table per fact: matching target tuples over its elements. *)
-    let fact_table f =
-      let name, (t : Tuple.t) = forest.Treewidth.Hypergraph.facts.(f) in
-      let cols = Tuple.elements t in
-      let rel =
-        match Structure.relation db name with
-        | r -> r
-        | exception Not_found -> Relation.empty (Array.length t)
+  | Some { facts; parent } ->
+    let tree = Treewidth.Join_eval.of_forest body ~facts ~parent db in
+    let head = Array.map (fun v -> List.assoc v index) q.Query.head in
+    let slots = Array.of_list (List.sort_uniq Int.compare (Array.to_list head)) in
+    let index_of a x =
+      let rec find i =
+        if i = Array.length a then -1 else if a.(i) = x then i else find (i + 1)
       in
-      let rows =
-        Relation.fold
-          (fun (t' : Tuple.t) acc ->
-            (* Repetition-consistent tuples, projected to distinct cols. *)
-            let assignment = Hashtbl.create 4 in
-            let ok = ref true in
-            Array.iteri
-              (fun i x ->
-                match Hashtbl.find_opt assignment x with
-                | Some v -> if v <> t'.(i) then ok := false
-                | None -> Hashtbl.replace assignment x t'.(i))
-              t;
-            if !ok then
-              Array.of_list (List.map (Hashtbl.find assignment) cols) :: acc
-            else acc)
-          rel []
+      find 0
+    in
+    (* Per node: the row position of each head slot, or [-1]. *)
+    let reach =
+      Array.map
+        (fun vars -> Array.map (index_of vars) slots)
+        (Treewidth.Join_eval.vars tree)
+    in
+    let singleton p =
+      let set = Tuple.Table.create 1 in
+      Tuple.Table.replace set p ();
+      set
+    in
+    let product s1 s2 =
+      let set = Tuple.Table.create (Tuple.Table.length s1 * Tuple.Table.length s2) in
+      Tuple.Table.iter
+        (fun p1 () ->
+          Tuple.Table.iter
+            (fun p2 () ->
+              let p = Array.mapi (fun k v -> if v >= 0 then v else p2.(k)) p1 in
+              Tuple.Table.replace set p ())
+            s2)
+        s1;
+      set
+    in
+    let store =
+      {
+        Treewidth.Join_eval.row =
+          (fun u r ->
+            singleton (Array.map (fun i -> if i < 0 then -1 else r.(i)) reach.(u)));
+        join = product;
+        add =
+          (fun old fresh ->
+            Tuple.Table.iter (fun p () -> Tuple.Table.replace old p ()) fresh;
+            old);
+      }
+    in
+    let tables, ok = Treewidth.Join_eval.bottom_up tree store in
+    if not ok then []
+    else
+      (* Different roots share no elements; elements in no fact are roots
+         of their own ranging over the whole universe. *)
+      let answers =
+        List.fold_left product
+          (singleton (Array.make (Array.length slots) (-1)))
+          (Treewidth.Join_eval.root_values tree tables)
       in
-      { cols; rows = List.sort_uniq Tuple.compare rows }
-    in
-    let tables = Array.init nfacts fact_table in
-    (* Bottom-up: join each node into its parent, projecting the child to
-       the columns still needed above (parent-shared + head columns). *)
-    let depth = Array.make nfacts 0 in
-    let rec d f =
-      if forest.Treewidth.Hypergraph.parent.(f) < 0 then 0
-      else 1 + d forest.Treewidth.Hypergraph.parent.(f)
-    in
-    Array.iteri (fun f _ -> depth.(f) <- d f) depth;
-    let order =
-      List.sort (fun a b -> compare depth.(b) depth.(a)) (List.init nfacts Fun.id)
-    in
-    let roots = ref [] in
-    List.iter
-      (fun f ->
-        let p = forest.Treewidth.Hypergraph.parent.(f) in
-        if p < 0 then roots := f :: !roots
-        else begin
-          let keep =
-            List.filter
-              (fun c -> List.mem c tables.(p).cols || List.mem c head_elements)
-              tables.(f).cols
-          in
-          tables.(p) <- join tables.(p) (project tables.(f) keep)
-        end)
-      order;
-    (* Combine the roots (different trees share no elements). *)
-    let combined =
-      List.fold_left
-        (fun acc f -> join acc (project tables.(f) head_elements))
-        { cols = []; rows = [ [||] ] }
-        !roots
-    in
-    (* Head columns outside every fact range over the whole universe. *)
-    let full =
-      List.fold_left
-        (fun t c ->
-          if List.mem c t.cols then t
-          else
-            {
-              cols = t.cols @ [ c ];
-              rows =
-                List.concat_map
-                  (fun row -> List.init m (fun e -> Array.append row [| e |]))
-                  t.rows;
-            })
-        combined head_elements
-    in
-    (* Project to the head, honouring order and repetitions. *)
-    let col_pos c =
-      let rec find i = function
-        | [] -> assert false
-        | c' :: _ when c' = c -> i
-        | _ :: rest -> find (i + 1) rest
-      in
-      find 0 full.cols
-    in
-    let head_positions =
-      Array.map (fun v -> col_pos (List.assoc v index)) q.Query.head
-    in
-    List.sort_uniq Tuple.compare
-      (List.map
-         (fun row -> Array.map (fun i -> row.(i)) head_positions)
-         full.rows)
+      let head_slots = Array.map (index_of slots) head in
+      List.sort_uniq Tuple.compare
+        (Tuple.Table.fold
+           (fun p () acc -> Array.map (fun k -> p.(k)) head_slots :: acc)
+           answers [])

@@ -10,370 +10,15 @@ let route_name = function
 
 type plan = { route : route; seq : Homomorphism.mapping Seq.t }
 
-(* ------------------------------------------------------------------ *)
-(* Acyclic route: Yannakakis full reduction, then backtrack-free join
-   enumeration.                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Shared-projection position pairs for every non-root forest node:
-   [child_pos.(e)] indexes into [e]'s candidate tuples, [parent_pos.(e)]
-   into the parent's, listing the same shared elements in the same
-   order. *)
-let forest_projections (forest : Hypergraph.join_forest) =
-  let nfacts = Array.length forest.facts in
-  let child_pos = Array.make nfacts [||] in
-  let parent_pos = Array.make nfacts [||] in
-  Array.iteri
-    (fun e p ->
-      if p >= 0 then begin
-        let _, te = forest.facts.(e) and _, tp = forest.facts.(p) in
-        let shared = Hypergraph.shared_positions te tp in
-        child_pos.(e) <- Array.of_list (List.map fst shared);
-        parent_pos.(e) <- Array.of_list (List.map snd shared)
-      end)
-    forest.parent;
-  (child_pos, parent_pos)
-
-(* Children before parents (and its reverse for the top-down passes). *)
-let forest_bottom_up (forest : Hypergraph.join_forest) =
-  let nfacts = Array.length forest.facts in
-  let depth = Array.make nfacts 0 in
-  let rec d e = if forest.parent.(e) < 0 then 0 else 1 + d forest.parent.(e) in
-  Array.iteri (fun e _ -> depth.(e) <- d e) depth;
-  List.sort (fun e f -> compare depth.(f) depth.(e)) (List.init nfacts Fun.id)
-
-let project (pos : int array) (t : Tuple.t) = Array.map (fun i -> t.(i)) pos
-
-(* Elements of [a] occurring in no fact: each ranges freely over the
-   target universe. *)
-let free_elements a =
-  let covered = Array.make (max (Structure.size a) 1) false in
-  Structure.iter_tuples
-    (fun _ t -> Array.iter (fun x -> covered.(x) <- true) t)
-    a;
-  List.filter (fun x -> not covered.(x)) (List.init (Structure.size a) Fun.id)
-
-(* Full reduction: bottom-up semijoin (after which every surviving parent
-   tuple has a compatible child tuple in every child), then top-down
-   semijoin (discarding child tuples no surviving parent can reach), then
-   per-node buckets keyed by the parent-shared projection.  Returns
-   [None] when some candidate set empties — no homomorphism exists. *)
-let full_reduce ~budget forest b =
-  let nfacts = Array.length forest.Hypergraph.facts in
-  let cands = Array.map (fun fact -> Hypergraph.candidates b fact) forest.Hypergraph.facts in
-  let child_pos, parent_pos = forest_projections forest in
-  let bottom_up = forest_bottom_up forest in
-  let feasible = ref true in
-  List.iter
-    (fun e ->
-      if !feasible then begin
-        if cands.(e) = [] then feasible := false
-        else begin
-          let p = forest.Hypergraph.parent.(e) in
-          if p >= 0 then begin
-            let keys = Tuple.Table.create (2 * List.length cands.(e)) in
-            List.iter
-              (fun te' ->
-                Budget.tick budget;
-                Tuple.Table.replace keys (project child_pos.(e) te') ())
-              cands.(e);
-            cands.(p) <-
-              List.filter
-                (fun tp' ->
-                  Budget.tick budget;
-                  Tuple.Table.mem keys (project parent_pos.(e) tp'))
-                cands.(p);
-            if cands.(p) = [] then feasible := false
-          end
-        end
-      end)
-    bottom_up;
-  if not !feasible then None
-  else begin
-    let buckets : Tuple.t list Tuple.Table.t array =
-      Array.init nfacts (fun _ -> Tuple.Table.create 16)
-    in
-    List.iter
-      (fun e ->
-        let p = forest.Hypergraph.parent.(e) in
-        if p >= 0 then begin
-          (* Down pass: a child tuple survives only if its shared
-             projection is realized by some surviving parent tuple. *)
-          let parent_keys = Tuple.Table.create (2 * List.length cands.(p)) in
-          List.iter
-            (fun tp' ->
-              Tuple.Table.replace parent_keys (project parent_pos.(e) tp') ())
-            cands.(p);
-          cands.(e) <-
-            List.filter
-              (fun te' ->
-                Budget.tick budget;
-                Tuple.Table.mem parent_keys (project child_pos.(e) te'))
-              cands.(e)
-        end;
-        let tbl = buckets.(e) in
-        List.iter
-          (fun te' ->
-            let key = if p < 0 then [||] else project child_pos.(e) te' in
-            Tuple.Table.replace tbl key
-              (te' :: Option.value ~default:[] (Tuple.Table.find_opt tbl key)))
-          cands.(e))
-      (List.rev bottom_up);
-    Some (buckets, child_pos, parent_pos)
-  end
-
-let acyclic_seq ~budget (forest : Hypergraph.join_forest) a b =
-  let n = Structure.size a and m = Structure.size b in
+(* Both tractable routes stream off all-row tables of the one join
+   evaluator: the GYO join forest for acyclic sources, the min-fill
+   decomposition for bounded treewidth. *)
+let stream_of ~budget tree a b =
   Homomorphism.generator (fun ~yield ->
       Budget.check budget;
-      match full_reduce ~budget forest b with
-      | None -> ()
-      | Some (buckets, _child_pos, parent_pos) ->
-        let nodes = Array.of_list (List.rev (forest_bottom_up forest)) in
-        let free = Array.of_list (free_elements a) in
-        let mapping = Array.make (max n 1) 0 in
-        let chosen = Array.make (Array.length forest.facts) [||] in
-        let rec over_free j =
-          if j = Array.length free then begin
-            let h = Array.sub mapping 0 n in
-            assert (Homomorphism.is_homomorphism a b h);
-            yield h
-          end
-          else
-            for v = 0 to m - 1 do
-              mapping.(free.(j)) <- v;
-              over_free (j + 1)
-            done
-        in
-        (* Backtrack-free: after full reduction, every bucket looked up
-           along the way is non-empty, so each completed pass down the
-           node list emits an answer — the delay between answers is one
-           bucket lookup and tuple write per fact. *)
-        let rec over_nodes i =
-          if i = Array.length nodes then over_free 0
-          else begin
-            let e = nodes.(i) in
-            let p = forest.parent.(e) in
-            let key = if p < 0 then [||] else project parent_pos.(e) chosen.(p) in
-            let bucket =
-              Option.value ~default:[] (Tuple.Table.find_opt buckets.(e) key)
-            in
-            List.iter
-              (fun te' ->
-                Budget.tick budget;
-                chosen.(e) <- te';
-                let _, te = forest.facts.(e) in
-                Array.iteri (fun idx x -> mapping.(x) <- te'.(idx)) te;
-                over_nodes (i + 1))
-              bucket
-          end
-        in
-        if n = 0 && Array.length nodes = 0 then yield [||]
-        else if m > 0 || Array.length nodes > 0 then over_nodes 0)
-
-(* Sum-product counting over the same reduced forest: [counts.(e)] maps a
-   parent-shared projection to the number of homomorphism fragments on
-   [e]'s subtree realizing it. *)
-let acyclic_count ~budget (forest : Hypergraph.join_forest) a b =
-  let m = Structure.size b in
-  Budget.check budget;
-  let nfacts = Array.length forest.facts in
-  let cands = Array.map (fun fact -> Hypergraph.candidates b fact) forest.facts in
-  let child_pos, parent_pos = forest_projections forest in
-  let children = Array.make nfacts [] in
-  Array.iteri
-    (fun e p -> if p >= 0 then children.(p) <- e :: children.(p))
-    forest.parent;
-  let counts : int Tuple.Table.t array =
-    Array.init nfacts (fun _ -> Tuple.Table.create 16)
-  in
-  let root_total = ref 1 in
-  List.iter
-    (fun e ->
-      let tbl = counts.(e) in
-      List.iter
-        (fun te' ->
-          Budget.tick budget;
-          let weight =
-            List.fold_left
-              (fun acc c ->
-                if acc = 0 then 0
-                else
-                  Homomorphism.checked_mul acc
-                    (Option.value ~default:0
-                       (Tuple.Table.find_opt counts.(c)
-                          (project parent_pos.(c) te'))))
-              1 children.(e)
-          in
-          if weight > 0 then begin
-            let key =
-              if forest.parent.(e) < 0 then [||] else project child_pos.(e) te'
-            in
-            Tuple.Table.replace tbl key
-              (Homomorphism.checked_add weight
-                 (Option.value ~default:0 (Tuple.Table.find_opt tbl key)))
-          end)
-        cands.(e);
-      if forest.parent.(e) < 0 then
-        root_total :=
-          Homomorphism.checked_mul !root_total
-            (Option.value ~default:0 (Tuple.Table.find_opt tbl [||])))
-    (forest_bottom_up forest);
-  Homomorphism.checked_mul !root_total
-    (Homomorphism.checked_pow m (List.length (free_elements a)))
-
-(* ------------------------------------------------------------------ *)
-(* Bounded-treewidth route: the Td_solver dynamic program, storing every
-   consistent bag assignment per parent-shared key and reconstructing
-   answers top-down.                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let local_tuples a bag =
-  let mem x = List.mem x bag in
-  List.rev
-    (Structure.fold_tuples
-       (fun name t acc -> if Array.for_all mem t then (name, t) :: acc else acc)
-       a [])
-
-let treewidth_seq ~budget td a b =
-  let n = Structure.size a and m = Structure.size b in
-  Homomorphism.generator (fun ~yield ->
-      Budget.check budget;
-      if n = 0 then yield [||]
-      else if m = 0 then ()
-      else begin
-        if not (Tree_decomposition.validate_structure a td) then
-          invalid_arg
-            "Enumerate: invalid tree decomposition for the source structure";
-        let adj = Tree_decomposition.adjacency td in
-        let bags =
-          Array.map (List.sort_uniq Int.compare) td.Tree_decomposition.bags
-        in
-        let nodes = Tree_decomposition.node_count td in
-        let parent = Array.make nodes (-1) in
-        let order = ref [] in
-        let rec dfs u p =
-          parent.(u) <- p;
-          List.iter (fun v -> if v <> p then dfs v u) adj.(u);
-          order := u :: !order
-        in
-        dfs 0 (-1);
-        (* [!order] lists parents before children; its reverse is a
-           post-order for the bottom-up DP. *)
-        let preorder = Array.of_list !order in
-        let postorder = List.rev !order in
-        let target_rel name =
-          match Structure.relation b name with
-          | r -> r
-          | exception Not_found -> Relation.empty 0
-        in
-        let bag_arrs = Array.map Array.of_list bags in
-        let parent_shared =
-          Array.init nodes (fun u ->
-              if parent.(u) < 0 then [||]
-              else
-                Array.of_list
-                  (List.filter
-                     (fun x -> List.mem x bags.(parent.(u)))
-                     bags.(u)))
-        in
-        (* Per node: all consistent bag assignments (full [image] copies,
-           aligned with [bag_arrs]), bucketed by their projection onto
-           the parent-shared elements.  An assignment is recorded only
-           when every child bucket it induces is non-empty, so the
-           top-down reconstruction below never dead-ends. *)
-        let tables : int array list Tuple.Table.t array =
-          Array.init nodes (fun _ -> Tuple.Table.create 64)
-        in
-        let feasible = ref true in
-        List.iter
-          (fun u ->
-            if !feasible then begin
-              let bag = bags.(u) in
-              let bag_arr = bag_arrs.(u) in
-              let d = Array.length bag_arr in
-              let locals = local_tuples a bag in
-              let children = List.filter (fun v -> v <> parent.(u)) adj.(u) in
-              let shared_with other =
-                Array.of_list
-                  (List.filter (fun x -> List.mem x bags.(other)) bag)
-              in
-              let child_shared = List.map (fun c -> (c, shared_with c)) children in
-              let image = Array.make (max d 1) 0 in
-              let value x =
-                let rec find j =
-                  if bag_arr.(j) = x then image.(j) else find (j + 1)
-                in
-                find 0
-              in
-              let found_any = ref false in
-              let rec assign i =
-                if i = d then begin
-                  Budget.tick budget;
-                  let local_ok =
-                    List.for_all
-                      (fun (name, t) ->
-                        Relation.mem (target_rel name) (Array.map value t))
-                      locals
-                  in
-                  let children_ok =
-                    local_ok
-                    && List.for_all
-                         (fun (child, shared) ->
-                           Tuple.Table.mem tables.(child)
-                             (Array.map value shared))
-                         child_shared
-                  in
-                  if children_ok then begin
-                    found_any := true;
-                    let key = Array.map value parent_shared.(u) in
-                    Tuple.Table.replace tables.(u) key
-                      (Array.copy image
-                      :: Option.value ~default:[]
-                           (Tuple.Table.find_opt tables.(u) key))
-                  end
-                end
-                else
-                  for v = 0 to m - 1 do
-                    image.(i) <- v;
-                    assign (i + 1)
-                  done
-              in
-              assign 0;
-              if not !found_any then feasible := false
-            end)
-          postorder;
-        if !feasible then begin
-          let mapping = Array.make n (-1) in
-          (* Lazy product over the decomposition tree: at each node in
-             pre-order, the ancestors' choices fix the parent-shared
-             projection, and every stored assignment under that key
-             extends to a full answer. *)
-          let rec descend idx =
-            if idx = Array.length preorder then begin
-              let h = Array.copy mapping in
-              assert (Homomorphism.is_homomorphism a b h);
-              yield h
-            end
-            else begin
-              let u = preorder.(idx) in
-              let key = Array.map (fun x -> mapping.(x)) parent_shared.(u) in
-              let entries =
-                Option.value ~default:[] (Tuple.Table.find_opt tables.(u) key)
-              in
-              List.iter
-                (fun assignment ->
-                  Budget.tick budget;
-                  Array.iteri
-                    (fun j v -> mapping.(bag_arrs.(u).(j)) <- v)
-                    assignment;
-                  descend (idx + 1))
-                entries
-            end
-          in
-          descend 0
-        end
-      end)
+      Join_eval.enumerate ~budget (tree ()) ~yield:(fun h ->
+          assert (Homomorphism.is_homomorphism a b h);
+          yield (Array.copy h)))
 
 (* ------------------------------------------------------------------ *)
 (* Route dispatch.                                                     *)
@@ -389,14 +34,16 @@ let metered route seq =
 
 let plan ?(max_width = 3) ?(budget = Budget.unlimited) ?pool a b =
   match Hypergraph.join_forest a with
-  | Some forest ->
-    { route = Acyclic; seq = metered Acyclic (acyclic_seq ~budget forest a b) }
+  | Some { facts; parent } ->
+    let tree () = Join_eval.of_forest ~budget a ~facts ~parent b in
+    { route = Acyclic; seq = metered Acyclic (stream_of ~budget tree a b) }
   | None ->
     let td = Td_solver.decompose a in
     let w = Tree_decomposition.width td in
     if w <= max_width then
+      let tree () = Join_eval.of_decomposition ~budget td a b in
       { route = Bounded_treewidth w;
-        seq = metered (Bounded_treewidth w) (treewidth_seq ~budget td a b)
+        seq = metered (Bounded_treewidth w) (stream_of ~budget tree a b)
       }
     else
       { route = Backtracking;
@@ -413,7 +60,8 @@ let stream ?max_width ?limit ?budget ?pool a b =
 
 let count_connected ~max_width ~budget piece b =
   match Hypergraph.join_forest piece with
-  | Some forest -> acyclic_count ~budget forest piece b
+  | Some { facts; parent } ->
+    Join_eval.count (Join_eval.of_forest ~budget piece ~facts ~parent b)
   | None ->
     let td = Td_solver.decompose piece in
     if Tree_decomposition.width td <= max_width then
@@ -422,17 +70,19 @@ let count_connected ~max_width ~budget piece b =
 
 let count ?(max_width = 3) ?(budget = Budget.unlimited) a b =
   Budget.check budget;
-  (* Only the count-compatible shrink is used: component decomposition
-     with textual dedup ([#hom] factors exactly over components, and a
-     deduplicated component contributes its count once per copy).  The
-     per-part fold/core retraction in [shrink] is deliberately ignored —
-     retraction preserves existence, not counts. *)
-  let src = Preprocess.shrink_source ~budget a in
-  Array.fold_left
-    (fun acc (part : Preprocess.part) ->
-      if acc = 0 then 0
-      else
-        let piece = count_connected ~max_width ~budget part.piece b in
-        Homomorphism.checked_mul acc
-          (Homomorphism.checked_pow piece part.copies))
-    1 src.parts
+  (* A source without elements has no parts to multiply over, so its
+     nullary facts are checked here.  Only the count-compatible shrink is
+     used: component decomposition with textual dedup ([#hom] factors
+     exactly over components, and a deduplicated component contributes
+     its count once per copy).  The per-part fold/core retraction in
+     [shrink] is deliberately ignored — retraction preserves existence,
+     not counts. *)
+  if not (Homomorphism.nullary_facts_hold a b) then 0
+  else
+    Array.fold_left
+      (fun acc (part : Preprocess.part) ->
+        if acc = 0 then 0
+        else
+          let piece = count_connected ~max_width ~budget part.piece b in
+          Homomorphism.checked_mul acc (Homomorphism.checked_pow piece part.copies))
+      1 (Preprocess.shrink_source ~budget a).parts

@@ -8,18 +8,16 @@ open Relational
     polynomial-delay enumeration, and this module dispatches on the same
     structural hierarchy as {!Core.Solver}:
 
-    + {b acyclic source} — Yannakakis full reduction (bottom-up then
-      top-down semijoin passes over the GYO join forest), then
-      backtrack-free join enumeration off per-node hash buckets keyed by
-      the parent-shared projection.  After full reduction every surviving
-      candidate tuple extends to a solution, so the delay between
-      consecutive answers is polynomial (one bucket lookup per fact);
-    + {b bounded treewidth} — the sum-product dynamic program of
-      {!Treewidth.Td_solver}, storing {e all} consistent bag assignments
-      per parent-shared key, with answers reconstructed top-down as a
-      lazy product over the decomposition tree (again backtrack-free:
-      an assignment is recorded only when every child bucket is
-      non-empty);
+    + {b acyclic source} — the {!Treewidth.Join_eval} pass over the GYO
+      join forest, keeping every candidate tuple per parent-shared key,
+      then a backtrack-free descent: the bottom-up pass keeps a tuple
+      only when every child stores something under the key it induces,
+      so every bucket the descent looks up is non-empty and the delay
+      between consecutive answers is polynomial (one bucket lookup per
+      fact);
+    + {b bounded treewidth} — the same pass and descent over a tree
+      decomposition, keeping every consistent bag assignment per
+      parent-shared key;
     + {b general fallback} — the budget/telemetry-metered MAC
       backtracking search, pulled through
       {!Relational.Homomorphism.search_seq}.
@@ -39,8 +37,8 @@ open Relational
     power computed with overflow-checked arithmetic. *)
 
 type route =
-  | Acyclic  (** Yannakakis full reducer + backtrack-free buckets. *)
-  | Bounded_treewidth of int  (** DP witness reconstruction at this width. *)
+  | Acyclic  (** Join-forest tables + backtrack-free buckets. *)
+  | Bounded_treewidth of int  (** Bag tables at this width, read the same way. *)
   | Backtracking  (** General MAC search, streamed. *)
 
 val route_name : route -> string

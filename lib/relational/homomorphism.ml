@@ -48,6 +48,20 @@ let is_homomorphism a b (h : mapping) =
     a;
   !ok
 
+(* A nullary fact [P()] of [a] holds under every mapping or under none:
+   it needs [P()] in [b].  Arc consistency never sees arity-0 atoms, so
+   every engine that shortcuts or propagates checks them here first. *)
+let nullary_facts_hold a b =
+  List.for_all
+    (fun (name, arity) ->
+      arity > 0
+      || Relation.is_empty (Structure.relation a name)
+      ||
+      match Structure.relation b name with
+      | r -> Relation.mem r [||]
+      | exception Not_found -> false)
+    (Vocabulary.symbols (Structure.vocabulary a))
+
 (* Generic MAC backtracking search.  [on_solution] receives each solution and
    returns [true] to continue enumerating.  [budget] is ticked once per
    search-tree node and may abort the search by raising
@@ -57,7 +71,8 @@ let search ?(ordering = `Mrv) ?(restrict = fun _ _ -> true)
   let n = Structure.size a and m = Structure.size b in
   let nodes = ref 0 in
   Budget.check budget;
-  if n = 0 then begin
+  if not (nullary_facts_hold a b) then !nodes
+  else if n = 0 then begin
     ignore (on_solution [||]);
     !nodes
   end

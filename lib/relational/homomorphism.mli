@@ -39,6 +39,11 @@ val checked_pow : int -> int -> int
 
 val is_homomorphism : Structure.t -> Structure.t -> mapping -> bool
 
+val nullary_facts_hold : Structure.t -> Structure.t -> bool
+(** Every nullary fact [P()] of the source is a fact of the target.  No
+    mapping can repair a missing one, so every engine checks this before
+    it shortcuts an empty source or propagates over positive arities. *)
+
 val find :
   ?ordering:[ `Mrv | `Input ] ->
   ?restrict:(int -> int -> bool) ->

@@ -18,18 +18,9 @@ val join_forest : Structure.t -> join_forest option
 
 val is_acyclic : Structure.t -> bool
 
-val candidates : Structure.t -> string * Tuple.t -> Tuple.t list
-(** [candidates b fact]: target tuples of the fact's relation matching
-    its repetition pattern — the candidate images of one source fact. *)
-
-val shared_positions : Tuple.t -> Tuple.t -> (int * int) list
-(** [shared_positions t_child t_parent]: for each element occurring in
-    both tuples, one position in each, listed in the child tuple's
-    first-occurrence element order.  Projecting two tuples on the
-    respective position lists yields comparable keys for semijoins. *)
-
 val solve_acyclic : Structure.t -> Structure.t -> Homomorphism.mapping option
-(** Yannakakis: bottom-up semi-join filtering, then top-down extraction.
+(** Yannakakis: the {!Join_eval} first-row pass over the join forest,
+    then top-down extraction.
     @raise Invalid_argument if the source is not acyclic. *)
 
 val exists_acyclic : Structure.t -> Structure.t -> bool

@@ -14,163 +14,51 @@ let decomposition a = Elimination.decomposition (graph a)
 
 let treewidth_upper a = Tree_decomposition.width (decomposition a)
 
-(* Dynamic programming over a tree decomposition of the incidence graph.
-   A "value" for an element node is a target element; for a fact node it is
-   an index into the candidate target tuples of that fact's relation. *)
+(* The {!Join_eval} first-row pass over a tree decomposition of the
+   incidence graph.  A value for an element node is a target element; for
+   a fact node it is an index into the candidate target tuples of that
+   fact. *)
 let solve_with_stats a b =
   let n = Structure.size a and m = Structure.size b in
-  if n = 0 then (Some [||], { width = -1; tables = 0 })
-  else if m = 0 then (None, { width = -1; tables = 0 })
-  else begin
-    let facts = facts_of a in
-    let td = decomposition a in
-    let bags = Array.map (List.sort_uniq Int.compare) td.Tree_decomposition.bags in
-    let adj = Tree_decomposition.adjacency td in
-    let nodes = Tree_decomposition.node_count td in
-    let width = Tree_decomposition.width td in
-    (* Candidate target tuples per fact. *)
-    let candidates =
-      Array.map
-        (fun (name, (t : Tuple.t)) ->
-          let rel =
-            match Structure.relation b name with
-            | r -> r
-            | exception Not_found -> Relation.empty (Array.length t)
-          in
-          let ok (t' : Tuple.t) =
-            (* Repetition pattern must match. *)
-            let fine = ref true in
-            Array.iteri
-              (fun i x ->
-                Array.iteri (fun j y -> if x = y && t'.(i) <> t'.(j) then fine := false) t)
-              t;
-            !fine
-          in
-          Array.of_list (List.filter ok (Relation.elements rel)))
-        facts
-    in
-    let domain_size v = if v < n then m else Array.length candidates.(v - n) in
-    (* Incidence constraints inside a bag: (fact node, position, element). *)
-    let bag_constraints bag =
-      List.concat_map
-        (fun v ->
-          if v < n then []
-          else
-            let _, t = facts.(v - n) in
-            List.concat
-              (List.init (Array.length t) (fun i ->
-                   if List.mem t.(i) bag then [ (v, i, t.(i)) ] else [])))
-        bag
-    in
-    let parent = Array.make nodes (-1) in
-    let order = ref [] in
-    let rec dfs u p =
-      parent.(u) <- p;
-      List.iter (fun v -> if v <> p then dfs v u) adj.(u);
-      order := u :: !order
-    in
-    dfs 0 (-1);
-    let postorder = List.rev !order in
-    let tables : (Tuple.t, (int * int) list) Hashtbl.t array =
-      Array.init nodes (fun _ -> Hashtbl.create 64)
-    in
-    let entries = ref 0 in
-    let feasible = ref true in
-    List.iter
-      (fun u ->
-        if !feasible then begin
-          let bag = bags.(u) in
-          let bag_arr = Array.of_list bag in
-          let d = Array.length bag_arr in
-          let constraints = bag_constraints bag in
-          let children = List.filter (fun v -> v <> parent.(u)) adj.(u) in
-          let shared_with other = List.filter (fun x -> List.mem x bags.(other)) bag in
-          let parent_shared = if parent.(u) < 0 then [] else shared_with parent.(u) in
-          let value_of = Array.make (max d 1) 0 in
-          let value x =
-            let rec find j = if bag_arr.(j) = x then value_of.(j) else find (j + 1) in
-            find 0
-          in
-          let found = ref false in
-          let rec assign i =
-            if i = d then begin
-              let local_ok =
-                List.for_all
-                  (fun (fnode, pos, elem) ->
-                    let cand = candidates.(fnode - n).(value fnode) in
-                    cand.(pos) = value elem)
-                  constraints
-              in
-              let children_ok =
-                local_ok
-                && List.for_all
-                     (fun child ->
-                       let key = Array.of_list (List.map value (shared_with child)) in
-                       Hashtbl.mem tables.(child) key)
-                     children
-              in
-              if children_ok then begin
-                found := true;
-                let key = Array.of_list (List.map value parent_shared) in
-                if not (Hashtbl.mem tables.(u) key) then begin
-                  incr entries;
-                  Hashtbl.replace tables.(u) key (List.map (fun x -> (x, value x)) bag)
-                end
-              end
-            end
-            else begin
-              let limit = domain_size bag_arr.(i) in
-              if limit = 0 then ()
-              else
-                for v = 0 to limit - 1 do
-                  value_of.(i) <- v;
-                  assign (i + 1)
-                done
-            end
-          in
-          assign 0;
-          if not !found then feasible := false
-        end)
-      postorder;
-    let stats = { width; tables = !entries } in
-    if not !feasible then (None, stats)
-    else begin
-      let node_value = Array.make (n + Array.length facts) (-1) in
-      let rec descend u assignment =
-        List.iter (fun (x, v) -> node_value.(x) <- v) assignment;
-        List.iter
-          (fun child ->
-            if child <> parent.(u) then begin
-              let shared = List.filter (fun x -> List.mem x bags.(child)) bags.(u) in
-              let key = Array.of_list (List.map (fun x -> node_value.(x)) shared) in
-              match Hashtbl.find_opt tables.(child) key with
-              | Some assignment -> descend child assignment
-              | None -> assert false
-            end)
-          adj.(u)
+  let facts = facts_of a in
+  let td = decomposition a in
+  let cands = Array.map (fun fact -> Array.of_list (Join_eval.candidates b fact)) facts in
+  let domain v = if v < n then m else Array.length cands.(v - n) in
+  (* In a bag, a fact node's tuple must agree with each element node of
+     the bag that the fact mentions. *)
+  let checks bag =
+    let index x =
+      let rec find k =
+        if k = Array.length bag then -1 else if bag.(k) = x then k else find (k + 1)
       in
-      (match Hashtbl.fold (fun _ v _ -> Some v) tables.(0) None with
-      | Some root -> descend 0 root
-      | None -> assert false);
-      let mapping = Array.make n 0 in
-      for x = 0 to n - 1 do
-        mapping.(x) <- (if node_value.(x) >= 0 then node_value.(x) else 0)
-      done;
-      (* Elements whose value was only pinned through fact nodes: recover
-         from any fact containing them. *)
-      Array.iteri
-        (fun f (_, (t : Tuple.t)) ->
-          let choice = node_value.(n + f) in
-          if choice >= 0 then
-            Array.iteri
-              (fun i x -> if node_value.(x) < 0 then mapping.(x) <- candidates.(f).(choice).(i))
-              t)
-        facts;
-      if Homomorphism.is_homomorphism a b mapping then (Some mapping, stats)
-      else
-        invalid_arg "Incidence.solve: extraction failed (invalid decomposition?)"
-    end
-  end
+      find 0
+    in
+    List.filter_map
+      (fun k ->
+        let v = bag.(k) in
+        if v < n then None
+        else
+          let _, t = facts.(v - n) in
+          let pairs =
+            List.filter
+              (fun (_, p) -> p >= 0)
+              (List.mapi (fun i x -> (i, index x)) (Array.to_list t))
+          in
+          Some
+            (fun image ->
+              let c = cands.(v - n).(image.(k)) in
+              List.for_all (fun (i, p) -> c.(i) = image.(p)) pairs))
+      (List.init (Array.length bag) Fun.id)
+  in
+  let tree = Join_eval.of_bags td ~size:(n + Array.length facts) ~domain ~checks in
+  let values, tables = Join_eval.solve tree in
+  let stats = { width = Tree_decomposition.width td; tables } in
+  match values with
+  | None -> (None, stats)
+  | Some values ->
+    let mapping = Array.sub values 0 n in
+    if Homomorphism.is_homomorphism a b mapping then (Some mapping, stats)
+    else invalid_arg "Incidence.solve: extraction failed (invalid decomposition?)"
 
 let solve a b = fst (solve_with_stats a b)
 

@@ -6,236 +6,22 @@ let decompose a =
   let g = Graph.of_edges ~size:(Structure.size a) (Structure.gaifman_edges a) in
   Elimination.decomposition g
 
-(* Tuples of A whose elements all lie in [bag]. *)
-let local_tuples a bag =
-  let mem x = List.mem x bag in
-  List.rev
-    (Structure.fold_tuples
-       (fun name t acc -> if Array.for_all mem t then (name, t) :: acc else acc)
-       a [])
-
-let solve_with_decomposition_stats ?(budget = Relational.Budget.unlimited) td a b =
-  let n = Structure.size a and m = Structure.size b in
-  Relational.Budget.check budget;
-  if n = 0 then (Some [||], { width = Tree_decomposition.width td; tables = 0 })
-  else if m = 0 then (None, { width = Tree_decomposition.width td; tables = 0 })
-  else begin
-    if not (Tree_decomposition.validate_structure a td) then
-      invalid_arg "Td_solver: invalid tree decomposition for the source structure";
-    let adj = Tree_decomposition.adjacency td in
-    (* Keys are projections of bag assignments; sorted bags make the two
-       sides of every tree edge project in the same element order. *)
-    let bags = Array.map (List.sort_uniq Int.compare) td.Tree_decomposition.bags in
-    let nodes = Tree_decomposition.node_count td in
-    (* Root the tree at node 0 and compute a post-order. *)
-    let parent = Array.make nodes (-1) in
-    let order = ref [] in
-    let rec dfs u p =
-      parent.(u) <- p;
-      List.iter (fun v -> if v <> p then dfs v u) adj.(u);
-      order := u :: !order
-    in
-    dfs 0 (-1);
-    (* Children before parents (the root was pushed last, hence is first in
-       [!order]). *)
-    let postorder = List.rev !order in
-    let target_rel name =
-      match Structure.relation b name with
-      | r -> r
-      | exception Not_found -> Relation.empty 0
-    in
-    (* Per node: solutions indexed by their projection onto the
-       intersection with the parent bag. *)
-    let tables :
-        (Tuple.t, (int * int) list) Hashtbl.t array =
-      Array.init nodes (fun _ -> Hashtbl.create 64)
-    in
-    let table_entries = ref 0 in
-    let feasible = ref true in
-    List.iter
-      (fun u ->
-        if !feasible then begin
-          let bag = bags.(u) in
-          let bag_arr = Array.of_list bag in
-          let d = Array.length bag_arr in
-          let locals = local_tuples a bag in
-          let children = List.filter (fun v -> v <> parent.(u)) adj.(u) in
-          let shared_with child =
-            List.filter (fun x -> List.mem x bags.(child)) bag
-          in
-          let parent_shared =
-            if parent.(u) < 0 then []
-            else List.filter (fun x -> List.mem x bags.(parent.(u))) bag
-          in
-          let image = Array.make (max d 1) 0 in
-          let value x =
-            let rec find j = if bag_arr.(j) = x then image.(j) else find (j + 1) in
-            find 0
-          in
-          let found_any = ref false in
-          let rec assign i =
-            if i = d then begin
-              Relational.Budget.tick budget;
-              let local_ok =
-                List.for_all
-                  (fun (name, t) -> Relation.mem (target_rel name) (Array.map value t))
-                  locals
-              in
-              let children_ok =
-                local_ok
-                && List.for_all
-                     (fun child ->
-                       let key =
-                         Array.of_list (List.map value (shared_with child))
-                       in
-                       Hashtbl.mem tables.(child) key)
-                     children
-              in
-              if children_ok then begin
-                found_any := true;
-                let key = Array.of_list (List.map value parent_shared) in
-                if not (Hashtbl.mem tables.(u) key) then begin
-                  incr table_entries;
-                  Hashtbl.replace tables.(u) key
-                    (List.map (fun x -> (x, value x)) bag)
-                end
-              end
-            end
-            else
-              for v = 0 to m - 1 do
-                image.(i) <- v;
-                assign (i + 1)
-              done
-          in
-          assign 0;
-          if not !found_any then feasible := false
-        end)
-      postorder;
-    let stats =
-      { width = Tree_decomposition.width td; tables = !table_entries }
-    in
-    if not !feasible then (None, stats)
-    else begin
-      (* Top-down extraction: pick any root entry, then for each child the
-         stored representative compatible on the shared elements. *)
-      let mapping = Array.make n (-1) in
-      let rec descend u assignment =
-        List.iter (fun (x, v) -> mapping.(x) <- v) assignment;
-        List.iter
-          (fun child ->
-            if child <> parent.(u) then begin
-              let shared =
-                List.filter (fun x -> List.mem x bags.(child)) bags.(u)
-              in
-              let key = Array.of_list (List.map (fun x -> mapping.(x)) shared) in
-              match Hashtbl.find_opt tables.(child) key with
-              | Some child_assignment -> descend child child_assignment
-              | None -> assert false
-            end)
-          adj.(u)
-      in
-      (match Hashtbl.fold (fun _ v _acc -> Some v) tables.(0) None with
-      | Some root_assignment -> descend 0 root_assignment
-      | None -> assert false);
-      (* Elements outside every bag cannot exist (validation covers all
-         vertices), but guard anyway. *)
-      Array.iteri (fun i v -> if v < 0 then mapping.(i) <- 0) mapping;
-      (Some mapping, stats)
-    end
-  end
+let solve_with_decomposition_stats ?budget td a b =
+  Option.iter Budget.check budget;
+  if not (Tree_decomposition.validate_structure a td) then
+    invalid_arg "Td_solver: invalid tree decomposition for the source structure";
+  let h, tables = Join_eval.solve (Join_eval.of_decomposition ?budget td a b) in
+  (h, { width = Tree_decomposition.width td; tables })
 
 let solve_with_decomposition ?budget td a b =
   fst (solve_with_decomposition_stats ?budget td a b)
 
-let solve ?budget a b =
-  if Structure.size a = 0 then Some [||]
-  else solve_with_decomposition ?budget (decompose a) a b
+let solve ?budget a b = solve_with_decomposition ?budget (decompose a) a b
 
 let exists a b = solve a b <> None
 
-let solve_with_stats ?budget a b =
-  if Structure.size a = 0 then (Some [||], { width = -1; tables = 0 })
-  else solve_with_decomposition_stats ?budget (decompose a) a b
+let solve_with_stats ?budget a b = solve_with_decomposition_stats ?budget (decompose a) a b
 
-let count ?(budget = Relational.Budget.unlimited) a b =
-  let n = Structure.size a and m = Structure.size b in
-  Relational.Budget.check budget;
-  if n = 0 then 1
-  else if m = 0 then 0
-  else begin
-    let td = decompose a in
-    let adj = Tree_decomposition.adjacency td in
-    let bags = Array.map (List.sort_uniq Int.compare) td.Tree_decomposition.bags in
-    let nodes = Tree_decomposition.node_count td in
-    let parent = Array.make nodes (-1) in
-    let order = ref [] in
-    let rec dfs u p =
-      parent.(u) <- p;
-      List.iter (fun v -> if v <> p then dfs v u) adj.(u);
-      order := u :: !order
-    in
-    dfs 0 (-1);
-    let postorder = List.rev !order in
-    let target_rel name =
-      match Structure.relation b name with
-      | r -> r
-      | exception Not_found -> Relation.empty 0
-    in
-    (* Per node: aggregated counts keyed by the projection onto the parent
-       bag: sum over assignments of this subtree's fresh elements. *)
-    let aggregated : (Tuple.t, int) Hashtbl.t array =
-      Array.init nodes (fun _ -> Hashtbl.create 64)
-    in
-    List.iter
-      (fun u ->
-        let bag = bags.(u) in
-        let bag_arr = Array.of_list bag in
-        let d = Array.length bag_arr in
-        let locals = local_tuples a bag in
-        let children = List.filter (fun v -> v <> parent.(u)) adj.(u) in
-        let shared_with other = List.filter (fun x -> List.mem x bags.(other)) bag in
-        let parent_shared = if parent.(u) < 0 then [] else shared_with parent.(u) in
-        let image = Array.make (max d 1) 0 in
-        let value x =
-          let rec find j = if bag_arr.(j) = x then image.(j) else find (j + 1) in
-          find 0
-        in
-        let rec assign i =
-          if i = d then begin
-            Relational.Budget.tick budget;
-            let local_ok =
-              List.for_all
-                (fun (name, t) -> Relation.mem (target_rel name) (Array.map value t))
-                locals
-            in
-            if local_ok then begin
-              let contribution =
-                List.fold_left
-                  (fun acc child ->
-                    if acc = 0 then 0
-                    else
-                      let key = Array.of_list (List.map value (shared_with child)) in
-                      Homomorphism.checked_mul acc
-                        (Option.value ~default:0
-                           (Hashtbl.find_opt aggregated.(child) key)))
-                  1 children
-              in
-              if contribution > 0 then begin
-                let key = Array.of_list (List.map value parent_shared) in
-                Hashtbl.replace aggregated.(u) key
-                  (Homomorphism.checked_add contribution
-                     (Option.value ~default:0
-                        (Hashtbl.find_opt aggregated.(u) key)))
-              end
-            end
-          end
-          else
-            for v = 0 to m - 1 do
-              image.(i) <- v;
-              assign (i + 1)
-            done
-        in
-        assign 0)
-      postorder;
-    Option.value ~default:0 (Hashtbl.find_opt aggregated.(0) [||])
-  end
+let count ?budget a b =
+  Option.iter Budget.check budget;
+  Join_eval.count (Join_eval.of_decomposition ?budget (decompose a) a b)

@@ -196,6 +196,73 @@ let unit_tests =
         check_int "count 0" 0 (Enumerate.count a b));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Nullary facts: [P()] in the source needs [P()] in the target, however *)
+(* many elements the source has.                                        *)
+(* ------------------------------------------------------------------ *)
+
+let nullary_vocab = Vocabulary.create [ ("P", 0); ("E", 2) ]
+
+let with_edges ~size ~p edges =
+  Structure.of_relations nullary_vocab ~size
+    (("E", List.map (fun (u, v) -> [| u; v |]) edges)
+    :: (if p then [ ("P", [ [||] ]) ] else []))
+
+(* Reference count: every mapping, checked by [is_homomorphism]. *)
+let brute_count a b =
+  let n = Structure.size a and m = Structure.size b in
+  let h = Array.make n 0 in
+  let rec go i =
+    if i = n then if Homomorphism.is_homomorphism a b h then 1 else 0
+    else begin
+      let c = ref 0 in
+      for v = 0 to m - 1 do
+        h.(i) <- v;
+        c := !c + go (i + 1)
+      done;
+      !c
+    end
+  in
+  go 0
+
+let engines_agree a b =
+  let expected = brute_count a b in
+  let exists = expected > 0 in
+  let witness name = function
+    | Some h -> check (name ^ " witness") true (Homomorphism.is_homomorphism a b h)
+    | None -> check (name ^ " finds none") false exists
+  in
+  witness "Homomorphism.find" (Homomorphism.find a b);
+  check_int "Homomorphism.count" expected (Homomorphism.count a b);
+  witness "Hypergraph.solve_acyclic" (Treewidth.Hypergraph.solve_acyclic a b);
+  witness "Td_solver.solve" (Treewidth.Td_solver.solve a b);
+  check_int "Td_solver.count" expected (Treewidth.Td_solver.count a b);
+  check_int "Enumerate.count" expected (Enumerate.count a b);
+  check_int "Enumerate.stream" expected (List.length (List.of_seq (Enumerate.stream a b)));
+  List.iter
+    (fun preprocess ->
+      Alcotest.(check (option bool))
+        (Printf.sprintf "Solver.solve preprocess=%b" preprocess)
+        (Some exists)
+        (Helpers.certified_verdict a b (Core.Solver.solve ~threads:1 ~preprocess a b)))
+    [ true; false ]
+
+let k2_edges = [ (0, 1); (1, 0) ]
+
+let nullary_tests =
+  [
+    Alcotest.test_case "missing P() with no elements" `Quick (fun () ->
+        engines_agree (with_edges ~size:0 ~p:true []) (with_edges ~size:2 ~p:false k2_edges));
+    Alcotest.test_case "missing P() with one element" `Quick (fun () ->
+        engines_agree (with_edges ~size:1 ~p:true []) (with_edges ~size:2 ~p:false k2_edges));
+    Alcotest.test_case "missing P() with two elements" `Quick (fun () ->
+        engines_agree
+          (with_edges ~size:2 ~p:true [ (0, 1) ])
+          (with_edges ~size:2 ~p:false k2_edges));
+    Alcotest.test_case "present P() with no elements" `Quick (fun () ->
+        engines_agree (with_edges ~size:0 ~p:true []) (with_edges ~size:2 ~p:true k2_edges));
+  ]
+
 let () =
   Alcotest.run "enumerate"
     [
@@ -203,4 +270,5 @@ let () =
       ("differential", differential_tests);
       ("limit", limit_tests);
       ("overflow", overflow_tests);
+      ("nullary", nullary_tests);
     ]

@@ -253,9 +253,18 @@ let count_tests =
         let empty = Structure.create graph_vocab ~size:0 in
         check_int "empty source" 1 (Treewidth.Td_solver.count empty k2);
         check_int "empty target" 0 (Treewidth.Td_solver.count (path 2) empty));
+    (* On acyclic sources the join-forest count must match too: the two
+       tree shapes of [Join_eval] checked against each other. *)
     qtest ~count:200 "count agrees with enumeration"
       (arbitrary_pair ~max_size_a:4 ~max_size_b:3 ~max_tuples:4 ())
-      (fun (a, b) -> Treewidth.Td_solver.count a b = Homomorphism.count a b);
+      (fun (a, b) ->
+        let expected = Homomorphism.count a b in
+        Treewidth.Td_solver.count a b = expected
+        &&
+        match Hypergraph.join_forest a with
+        | Some { facts; parent } ->
+          Join_eval.count (Join_eval.of_forest a ~facts ~parent b) = expected
+        | None -> true);
   ]
 
 
