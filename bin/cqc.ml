@@ -287,19 +287,13 @@ let certify_term =
            verdict carries no certificate and is unaffected.")
 
 (* Run the trusted checker on the verdict's certificate against the raw
-   instance pair.  The solver never emits a certificate it cannot build,
-   so a rejection here is a checker/solver disagreement: a bug, exit 5. *)
+   instance pair; a rejection is an internal error, exit 5. *)
 let certify_against (s, t) r =
-  match Core.Solver.certificate r with
+  match Core.Solver.checked_certificate s t r with
   | None -> Format.eprintf "certificate: none (verdict is unknown)@."
   | Some c ->
-    if Certificate.check s t c then
-      Format.eprintf "certificate: %s, accepted by the checker@."
-        (Certificate.describe c)
-    else
-      Core.Error.internal "the checker rejected the %s certificate of route %s"
-        (Certificate.describe c)
-        (Core.Solver.route_name r.Core.Solver.route)
+    Format.eprintf "certificate: %s, accepted by the checker@."
+      (Certificate.describe c)
 
 (* The Core.Error exit-code contract, shown in every subcommand's man
    page in place of cmdliner's defaults. *)
@@ -1206,16 +1200,11 @@ let triage dump_path out fuel =
       (match d.Serve.Dump.abort_spec with
       | Some spec -> Unix.putenv "CQCSP_TEST_ABORT" spec
       | None -> ( try Unix.putenv "CQCSP_TEST_ABORT" "" with _ -> ()));
-      let j =
+      let frame =
         match Serve.Json.parse d.Serve.Dump.line with
         | j -> j
         | exception Serve.Json.Parse_error msg ->
           Core.Error.bad_input "dump request line: %s" msg
-      in
-      let req =
-        match Serve.Protocol.request_of_json j with
-        | Ok r -> r
-        | Error msg -> Core.Error.bad_input "dump request line: %s" msg
       in
       let limits =
         {
@@ -1245,97 +1234,127 @@ let triage dump_path out fuel =
             | _ -> None)
         end
       in
-      let budget () =
-        Core.Budget.create ?max_nodes:req.Serve.Protocol.max_nodes
-          ?timeout:req.Serve.Protocol.timeout ()
-      in
-      let require field = function
-        | Some v -> v
-        | None -> Core.Error.bad_input "dump request is missing %S" field
-      in
-      let get field = Serve.Json.string_member field j in
-      let check_reproduces reproduced =
-        if not reproduced then
-          Core.Error.unsupported
-            "the dump's %s signature did not reproduce in replay (fixed bug, \
-             different machine, or missing CQCSP_TEST_ABORT state)"
-            target
-      in
-      match req.Serve.Protocol.op with
-      | Serve.Protocol.Ping | Serve.Protocol.Stats ->
-        Core.Error.bad_input "dump request op %S carries nothing to minimize"
-          (Serve.Protocol.op_name req.Serve.Protocol.op)
-      | (Serve.Protocol.Solve | Serve.Protocol.Enumerate) as op ->
-        let a = parse_structure_text ~what:"source" (require "source" (get "source")) in
-        let b = parse_structure_text ~what:"target" (require "target" (get "target")) in
-        let compute a b () =
-          Serve.Worker.test_abort_hook a;
-          (* Replay what the worker was doing when it died: a dumped
-             enumerate drains the stream, a dumped solve solves. *)
-          (match op with
-          | Serve.Protocol.Enumerate ->
-            Seq.iter ignore (Enumerate.stream ~budget:(budget ()) a b)
-          | _ -> ignore (Core.Solver.solve ~budget:(budget ()) a b));
-          Serve.Json.Null
+      (* Replay request [j] once.  When it crashes with the dump's
+         signature, minimize it: the minimized request and the lines
+         reporting the reduction. *)
+      let minimized j =
+        let req =
+          match Serve.Protocol.request_of_json j with
+          | Ok r -> r
+          | Error msg -> Core.Error.bad_input "dump request line: %s" msg
         in
-        let crashes a b = signature (compute a b) = Some target in
-        check_reproduces (crashes a b);
-        let a' = Shrink.structure ~keeps:(fun a' -> crashes a' b) a in
-        let b' = Shrink.structure ~keeps:(fun b' -> crashes a' b') b in
-        let t0 = Relational.Structure.total_tuples a + Relational.Structure.total_tuples b in
-        let t1 = Relational.Structure.total_tuples a' + Relational.Structure.total_tuples b' in
-        let line' =
-          Serve.Json.to_string
-            (set_field "target"
-               (Serve.Json.String (Relational.Structure_text.print b'))
-               (set_field "source"
-                  (Serve.Json.String (Relational.Structure_text.print a'))
-                  j))
+        let budget () =
+          Core.Budget.create ?max_nodes:req.Serve.Protocol.max_nodes
+            ?timeout:req.Serve.Protocol.timeout ()
         in
-        let min_dump = { d with Serve.Dump.line = line' } in
+        let get field =
+          match Serve.Json.string_member field j with
+          | Some v -> v
+          | None -> Core.Error.bad_input "dump request is missing %S" field
+        in
+        match req.Serve.Protocol.op with
+        | Serve.Protocol.Ping | Serve.Protocol.Stats ->
+          Core.Error.bad_input "dump request op %S carries nothing to minimize"
+            (Serve.Protocol.op_name req.Serve.Protocol.op)
+        | (Serve.Protocol.Solve | Serve.Protocol.Enumerate) as op ->
+          let a = parse_structure_text ~what:"source" (get "source") in
+          let b = parse_structure_text ~what:"target" (get "target") in
+          let compute a b () =
+            Serve.Worker.test_abort_hook a;
+            (* Replay what the worker was doing when it died: a dumped
+               enumerate drains the stream, a dumped solve solves. *)
+            (match op with
+            | Serve.Protocol.Enumerate ->
+              Seq.iter ignore (Enumerate.stream ~budget:(budget ()) a b)
+            | _ -> ignore (Core.Solver.solve ~budget:(budget ()) a b));
+            Serve.Json.Null
+          in
+          let crashes a b = signature (compute a b) = Some target in
+          if not (crashes a b) then None
+          else
+            let a' = Shrink.structure ~keeps:(fun a' -> crashes a' b) a in
+            let b' = Shrink.structure ~keeps:(fun b' -> crashes a' b') b in
+            let tuples a b =
+              Relational.Structure.total_tuples a
+              + Relational.Structure.total_tuples b
+            in
+            let t0 = tuples a b and t1 = tuples a' b' in
+            let size = Relational.Structure.size in
+            Some
+              ( set_field "target"
+                  (Serve.Json.String (Relational.Structure_text.print b'))
+                  (set_field "source"
+                     (Serve.Json.String (Relational.Structure_text.print a'))
+                     j),
+                [
+                  Printf.sprintf "tuples: %d -> %d" t0 t1;
+                  Printf.sprintf "universe: %d+%d -> %d+%d" (size a) (size b)
+                    (size a') (size b');
+                  Printf.sprintf "reduction: %.0f%%"
+                    (pct_reduced ~before:t0 ~after:t1);
+                ] )
+        | Serve.Protocol.Contain ->
+          let q1 = parse_query (get "q1") in
+          let q2 = parse_query (get "q2") in
+          let compute q1 q2 () =
+            let a, b = Core.Solver.containment_instance q1 q2 in
+            Serve.Worker.test_abort_hook a;
+            ignore (Core.Solver.solve ~budget:(budget ()) a b);
+            Serve.Json.Null
+          in
+          let crashes q1 q2 =
+            match signature (compute q1 q2) with
+            | s -> s = Some target
+            | exception Invalid_argument _ -> false
+          in
+          if not (crashes q1 q2) then None
+          else
+            let q1' = Shrink.query ~keeps:(fun q -> crashes q q2) q1 in
+            let q2' = Shrink.query ~keeps:(fun q -> crashes q1' q) q2 in
+            let atoms q1 q2 = Cq.Query.atom_count q1 + Cq.Query.atom_count q2 in
+            let a0 = atoms q1 q2 and a1 = atoms q1' q2' in
+            Some
+              ( set_field "q2"
+                  (Serve.Json.String (Cq.Query.to_string q2'))
+                  (set_field "q1" (Serve.Json.String (Cq.Query.to_string q1')) j),
+                [
+                  Printf.sprintf "atoms: %d -> %d" a0 a1;
+                  Printf.sprintf "reduction: %.0f%%"
+                    (pct_reduced ~before:a0 ~after:a1);
+                ] )
+      in
+      (* A batch dump holds the whole array frame: replay its solve and
+         contain members one at a time and minimize the first one that
+         reproduces the crash on its own, as a single-request dump.  A
+         member the daemon rejected as bad input never reached the
+         worker, so it is skipped. *)
+      let minimum =
+        match frame with
+        | Serve.Json.List members ->
+          List.find_map
+            (fun m ->
+              match Serve.Protocol.request_of_json m with
+              | Ok { Serve.Protocol.op = Serve.Protocol.Solve | Serve.Protocol.Contain; _ }
+                -> (
+                try minimized m
+                with Core.Error.Error (Core.Error.Bad_input _) -> None)
+              | _ -> None)
+            members
+        | j -> minimized j
+      in
+      match minimum with
+      | None ->
+        Core.Error.unsupported
+          "the dump's %s signature did not reproduce in replay (fixed bug, \
+           different machine, or missing CQCSP_TEST_ABORT state)"
+          target
+      | Some (request, report) ->
+        let min_dump = { d with Serve.Dump.line = Serve.Json.to_string request } in
         Out_channel.with_open_text out (fun oc ->
             output_string oc (Serve.Json.to_string (Serve.Dump.to_json min_dump));
             output_char oc '\n');
         Format.printf "signature: %s (reproduced)@." target;
-        Format.printf "tuples: %d -> %d@." t0 t1;
-        Format.printf "universe: %d+%d -> %d+%d@."
-          (Relational.Structure.size a) (Relational.Structure.size b)
-          (Relational.Structure.size a') (Relational.Structure.size b');
-        Format.printf "reduction: %.0f%%@." (pct_reduced ~before:t0 ~after:t1);
-        Format.printf "wrote %s@." out;
-        0
-      | Serve.Protocol.Contain ->
-        let q1 = parse_query (require "q1" (get "q1")) in
-        let q2 = parse_query (require "q2" (get "q2")) in
-        let compute q1 q2 () =
-          let a, b = Core.Solver.containment_instance q1 q2 in
-          Serve.Worker.test_abort_hook a;
-          ignore (Core.Solver.solve ~budget:(budget ()) a b);
-          Serve.Json.Null
-        in
-        let crashes q1 q2 =
-          match signature (compute q1 q2) with
-          | s -> s = Some target
-          | exception Invalid_argument _ -> false
-        in
-        check_reproduces (crashes q1 q2);
-        let q1' = Shrink.query ~keeps:(fun q -> crashes q q2) q1 in
-        let q2' = Shrink.query ~keeps:(fun q -> crashes q1' q) q2 in
-        let a0 = Cq.Query.atom_count q1 + Cq.Query.atom_count q2 in
-        let a1 = Cq.Query.atom_count q1' + Cq.Query.atom_count q2' in
-        let line' =
-          Serve.Json.to_string
-            (set_field "q2"
-               (Serve.Json.String (Cq.Query.to_string q2'))
-               (set_field "q1" (Serve.Json.String (Cq.Query.to_string q1')) j))
-        in
-        let min_dump = { d with Serve.Dump.line = line' } in
-        Out_channel.with_open_text out (fun oc ->
-            output_string oc (Serve.Json.to_string (Serve.Dump.to_json min_dump));
-            output_char oc '\n');
-        Format.printf "signature: %s (reproduced)@." target;
-        Format.printf "atoms: %d -> %d@." a0 a1;
-        Format.printf "reduction: %.0f%%@." (pct_reduced ~before:a0 ~after:a1);
+        List.iter (Format.printf "%s@.") report;
         Format.printf "wrote %s@." out;
         0)
 

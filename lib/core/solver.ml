@@ -58,6 +58,17 @@ let certificate r =
   | Unsat c -> Some c
   | Unknown _ -> None
 
+(* The solver never emits a certificate it cannot build, so a rejection
+   is a checker/solver disagreement: a bug. *)
+let checked_certificate a b r =
+  match certificate r with
+  | None -> None
+  | Some c ->
+    if Certificate.check a b c then Some c
+    else
+      Error.internal "the checker rejected the %s certificate of route %s"
+        (Certificate.describe c) (route_name r.route)
+
 let verdict_name = function
   | Sat _ -> "sat"
   | Unsat _ -> "unsat"

@@ -116,6 +116,14 @@ val certificate : result -> Certificate.t option
 (** The certificate of a definite verdict: [Witness h] for [Sat h], the
     refutation for [Unsat]; [None] for [Unknown]. *)
 
+val checked_certificate :
+  Structure.t -> Structure.t -> result -> Certificate.t option
+(** [checked_certificate a b r] is {!certificate}[ r] after the trusted
+    {!Certificate.check} accepted it against [(a, b)]; [None] for
+    [Unknown].  The exit gate of [--certify] in the CLI and of
+    ["certify": true] in serve.
+    @raise Error.Error ([internal]) when the checker rejects it. *)
+
 val verdict_name : verdict -> string
 (** ["sat"], ["unsat"] or ["unknown (<reason>)"]. *)
 

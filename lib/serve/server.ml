@@ -91,6 +91,12 @@ let resolve_template cfg b =
   | Cache.Miss (interned, core) -> (interned, core, "miss")
   | Cache.Poisoned _ -> (b, Preprocess.identity_retraction b, "poisoned")
 
+(* request_of_json validated presence; reaching [None] is a handler bug,
+   not request content. *)
+let validated field = function
+  | Some v -> v
+  | None -> Core.Error.internal "missing validated field %S" field
+
 (* The in-process solve of one request against an already-resolved
    template.  [certify] re-derives the verdict's certificate with the
    trusted checker — a rejection is an internal error, raised and mapped
@@ -116,16 +122,7 @@ let solve_now cfg ~threads ~id ~op ~certify ~max_nodes ~timeout a
   let elapsed_ms = Float.round (1e6 *. (Unix.gettimeofday () -. t0)) /. 1000. in
   let certified =
     if not certify then None
-    else
-      match Core.Solver.certificate r with
-      | None -> None
-      | Some c ->
-        if Certificate.check a b c then Some true
-        else
-          Core.Error.internal
-            "the checker rejected the %s certificate of route %s"
-            (Certificate.describe c)
-            (Core.Solver.route_name r.Core.Solver.route)
+    else Option.map (fun _ -> true) (Core.Solver.checked_certificate a b r)
   in
   Protocol.ok_verdict ~id ~op ~verdict:r.Core.Solver.verdict
     ~route:(Core.Solver.route_name r.Core.Solver.route)
@@ -165,45 +162,91 @@ let dump_for cfg ~line pool ~crash ~detail ~attempts =
          (Dump.make ~line ~crash ~detail ~attempts
             ~limits:(Worker.pool_limits pool)))
 
-(* Solve (A, B), resolving the template through the cache; returns the
-   response.
-
-   With a sandbox pool, the solve itself runs inside a forked worker
-   under {!Worker.supervise}; the cache lookup stays in the parent on
-   purpose, so a warm template's interned indexes are built once and
-   shared copy-on-write with every child.  The degraded retry clamps the
-   node budget to the pool's [retry_nodes] — a crash is evidence the
-   request is near some resource cliff, so the second attempt must be
-   strictly cheaper. *)
-let solve_instance cfg ~line ~id ~op ~certify ~max_nodes ~timeout a b =
-  let resolved = resolve_template cfg b in
-  let t0 = Unix.gettimeofday () in
-  let response =
-    match cfg.sandbox with
-    | None ->
-      solve_now cfg ~threads:cfg.threads ~id ~op ~certify ~max_nodes ~timeout a
-        resolved
-    | Some pool ->
-      Worker.supervise pool ~id ~dump:(dump_for cfg ~line pool)
-        (fun ~degraded ->
-          Worker.test_abort_hook a;
-          let max_nodes =
-            if not degraded then max_nodes
-            else
-              let cap = Worker.retry_nodes pool in
-              Some (match max_nodes with Some n -> min n cap | None -> cap)
-          in
-          solve_now cfg ~threads:1 ~id ~op ~certify ~max_nodes ~timeout a
-            resolved)
-  in
-  record_latency cfg ~wall_ms:((Unix.gettimeofday () -. t0) *. 1000.) response
-
 (* Re-key a response object under the given id (crash responses fan out
    to every request they answered for). *)
 let with_id id = function
   | Json.Obj fields ->
     Json.Obj (("id", id) :: List.filter (fun (k, _) -> k <> "id") fields)
   | j -> j
+
+(* ------------------------------------------------------------------ *)
+(* Admission and isolation: one place each for every request kind      *)
+(* ------------------------------------------------------------------ *)
+
+(* Run [work] holding an admission slot.  A refused frame is answered
+   through [refused], which receives the refusal keyed by request id so
+   a batch can give it to every member it carries. *)
+let admitted cfg ~refused work =
+  Fault.trip Fault.Admit;
+  match cfg.admit () with
+  | `Shed message ->
+    Telemetry.count "serve.shed" 1;
+    refused (fun id -> Protocol.shed ~id ~message)
+  | `Cancelled ->
+    refused (fun id ->
+        Protocol.error ~id
+          (Core.Error.Budget_exhausted Relational.Budget.Cancelled))
+  | `Go -> Fun.protect ~finally:cfg.release work
+
+(* Run [compute ~threads ~max_nodes] in process with [cfg.threads], or,
+   with a sandbox pool, in a forked worker under {!Worker.supervise} with
+   [threads = 1] (fork and domains do not mix).  [max_nodes] maps a
+   request's own node limit to the one to solve under: unchanged, except
+   on the degraded retry, which clamps it to the pool's [retry_nodes] — a
+   crash is evidence the request is near some resource cliff, so the
+   second attempt must be strictly cheaper.  The child first runs the
+   synthetic crasher hook over [sources].  Parsing and cache resolution
+   stay with the caller, in the parent, so a warm template's interned
+   indexes are built once and shared copy-on-write with every child.  On
+   both sides an escaping exception becomes the typed error of [id]. *)
+let isolated cfg ~line ~id ~sources compute =
+  match cfg.sandbox with
+  | None -> (
+    match compute ~threads:cfg.threads ~max_nodes:Fun.id with
+    | j -> j
+    | exception e -> Protocol.error_of_exn ~id e)
+  | Some pool ->
+    Worker.supervise pool ~id ~dump:(dump_for cfg ~line pool)
+      (fun ~degraded ->
+        List.iter Worker.test_abort_hook sources;
+        let max_nodes requested =
+          if not degraded then requested
+          else
+            let cap = Worker.retry_nodes pool in
+            Some (match requested with Some n -> min n cap | None -> cap)
+        in
+        compute ~threads:1 ~max_nodes)
+
+(* ------------------------------------------------------------------ *)
+(* Request instances                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The parsed, cache-resolved template of a solve or enumerate request,
+   forced at most once however many requests share it, so a bad template
+   text answers each of them with the same typed error. *)
+let shared_template cfg (req : Protocol.request) =
+  lazy
+    (resolve_template cfg
+       (parse_structure ~what:"target" (validated "target" req.Protocol.target)))
+
+(* The (A, resolved-B) instance of one request.  Contain requests
+   re-derive their instance (cheap) and hit the cache that the group's
+   first member warmed. *)
+let member_instance cfg ~shared (req : Protocol.request) =
+  match req.Protocol.op with
+  | Protocol.Solve | Protocol.Enumerate ->
+    let a = parse_structure ~what:"source" (validated "source" req.Protocol.source) in
+    (a, Lazy.force shared)
+  | Protocol.Contain ->
+    let q1 = parse_query ~what:"q1" (validated "q1" req.Protocol.q1) in
+    let q2 = parse_query ~what:"q2" (validated "q2" req.Protocol.q2) in
+    let a, b =
+      match Core.Solver.containment_instance q1 q2 with
+      | pair -> pair
+      | exception Invalid_argument msg -> Core.Error.bad_input "%s" msg
+    in
+    (a, resolve_template cfg b)
+  | Protocol.Ping | Protocol.Stats -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Streamed enumeration                                                 *)
@@ -265,17 +308,17 @@ let enumerate_now cfg ~emit_frame ~id ~max_nodes ~timeout ~limit ~batch a
     ~cache:cache_status ~count:!count ~complete:!complete ~elapsed_ms
 
 (* Enumerate (A, B), streaming answers frames through [emit]; returns
-   the final frame as the request's response line.  The sandboxed path
-   cannot stream through the fork boundary, so the child accumulates
-   every frame and returns them as one [Json.List] — distinguishable
-   from a terminal crash response, which is an object — and the parent
-   replays all but the last through [emit].  An exception mid-stream
-   (budget exhaustion, cancellation) propagates to the isolation
-   boundary: already-emitted answers frames stand, and the typed error
-   response carrying the request's id terminates the stream. *)
-let enumerate_instance cfg ~line ~emit ~id ~max_nodes ~timeout ~limit ~batch a b
-    =
-  let resolved = resolve_template cfg b in
+   the final frame as the request's response line.  In process, frames
+   go out as they fill.  A forked worker cannot stream through the fork
+   boundary, so it holds every frame and returns them as one [Json.List]
+   — distinguishable from a terminal crash response, which is an object
+   — and the parent replays all but the last through [emit].  An
+   exception mid-stream (budget exhaustion, cancellation) ends the
+   stream with the typed error response; already-emitted answers frames
+   stand. *)
+let enumerate_instance cfg ~line ~emit (req : Protocol.request) =
+  let id = req.Protocol.id in
+  let a, resolved = member_instance cfg ~shared:(shared_template cfg req) req in
   let emit_json j =
     emit
       (match Json.to_string j with
@@ -283,51 +326,126 @@ let enumerate_instance cfg ~line ~emit ~id ~max_nodes ~timeout ~limit ~batch a b
       | exception _ -> Protocol.fallback_line)
   in
   let t0 = Unix.gettimeofday () in
-  let final =
-    match cfg.sandbox with
-    | None ->
-      enumerate_now cfg ~emit_frame:emit_json ~id ~max_nodes ~timeout ~limit
-        ~batch a resolved
-    | Some pool -> (
-      let reply =
-        Worker.supervise pool ~id ~dump:(dump_for cfg ~line pool)
-          (fun ~degraded ->
-            Worker.test_abort_hook a;
-            let max_nodes =
-              if not degraded then max_nodes
-              else
-                let cap = Worker.retry_nodes pool in
-                Some (match max_nodes with Some n -> min n cap | None -> cap)
-            in
-            let frames = ref [] in
-            let final =
-              enumerate_now cfg
-                ~emit_frame:(fun j -> frames := j :: !frames)
-                ~id ~max_nodes ~timeout ~limit ~batch a resolved
-            in
-            Json.List (List.rev (final :: !frames)))
-      in
-      match reply with
-      | Json.List (_ :: _ as frames) ->
-        let rec replay = function
-          | [ last ] -> last
-          | f :: rest ->
-            emit_json f;
-            replay rest
-          | [] -> assert false
+  let reply =
+    isolated cfg ~line ~id ~sources:[ a ] (fun ~threads:_ ~max_nodes ->
+        let held = ref [] in
+        let emit_frame j =
+          if Option.is_none cfg.sandbox then emit_json j else held := j :: !held
         in
-        replay frames
-      | crash -> with_id id crash)
+        let final =
+          enumerate_now cfg ~emit_frame ~id
+            ~max_nodes:(max_nodes req.Protocol.max_nodes)
+            ~timeout:req.Protocol.timeout ~limit:req.Protocol.limit
+            ~batch:req.Protocol.batch a resolved
+        in
+        Json.List (List.rev (final :: !held)))
+  in
+  let final =
+    match reply with
+    | Json.List (_ :: _ as frames) ->
+      let rec replay = function
+        | [ last ] -> last
+        | f :: rest ->
+          emit_json f;
+          replay rest
+        | [] -> assert false
+      in
+      replay frames
+    | crash -> with_id id crash
   in
   (* Count answers parent-side off the final frame: a sandboxed stream
      produces them in the forked child, whose telemetry dies with it. *)
-  (match final with
-  | Json.Obj fields -> (
-    match List.assoc_opt "count" fields with
-    | Some (Json.Int n) -> Telemetry.count "serve.enumerate.answers" n
-    | _ -> ())
-  | _ -> ());
+  (match Json.int_member "count" final with
+  | Some n -> Telemetry.count "serve.enumerate.answers" n
+  | None -> ());
   record_latency cfg ~wall_ms:((Unix.gettimeofday () -. t0) *. 1000.) final
+
+(* ------------------------------------------------------------------ *)
+(* Solve and contain: template groups                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Verdict-bearing requests are answered in template groups.  A JSON
+   array frame is a batch: each element is a request, and the response
+   is the array of their responses, in order, on one line.  A single
+   solve or contain frame is a batch of one.  The requests of one frame
+   pass admission once as a unit, and members sharing a template —
+   identical "target" text for solve, identical "q1" text for contain
+   (the template side of a containment instance is q1's canonical
+   database) — are grouped so that each distinct template is parsed and
+   cache-resolved once and, with a sandbox, each group costs one forked
+   worker instead of one per member.  That is the whole point of
+   batching: N queries against the same structure amortize one cache
+   lookup and one fork. *)
+
+let template_key (req : Protocol.request) =
+  match req.Protocol.op with
+  | Protocol.Solve -> ("solve", Option.value ~default:"" req.Protocol.target)
+  | Protocol.Contain -> ("contain", Option.value ~default:"" req.Protocol.q1)
+  | Protocol.Enumerate | Protocol.Ping | Protocol.Stats -> assert false
+
+(* Answer one template group into [responses].  The isolated compute
+   returns the member responses as one [Json.List]; a terminal crash
+   response is an object instead, given to every member under its own
+   id so accounting stays one-response-per-member. *)
+let solve_group cfg ~line responses members =
+  let shared = shared_template cfg (snd (List.hd members)) in
+  let runnable =
+    List.filter_map
+      (fun (i, req) ->
+        match member_instance cfg ~shared req with
+        | ab -> Some (i, req, ab)
+        | exception e ->
+          responses.(i) <- Protocol.error_of_exn ~id:req.Protocol.id e;
+          None)
+      members
+  in
+  match runnable with
+  | [] -> ()
+  | runnable -> (
+    let ids = List.map (fun (_, req, _) -> req.Protocol.id) runnable in
+    let t0 = Unix.gettimeofday () in
+    let reply =
+      isolated cfg ~line ~id:(Json.List ids)
+        ~sources:(List.map (fun (_, _, (a, _)) -> a) runnable)
+        (fun ~threads ~max_nodes ->
+          Json.List
+            (List.map
+               (fun (_, (req : Protocol.request), (a, b)) ->
+                 try
+                   solve_now cfg ~threads ~id:req.id ~op:req.op
+                     ~certify:req.certify ~max_nodes:(max_nodes req.max_nodes)
+                     ~timeout:req.timeout a b
+                 with e -> Protocol.error_of_exn ~id:req.id e)
+               runnable))
+    in
+    let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+    let answer (i, _, _) r = responses.(i) <- record_latency cfg ~wall_ms r in
+    match reply with
+    | Json.List rs when List.length rs = List.length runnable ->
+      List.iter2 answer runnable rs
+    | crash ->
+      List.iter2 answer runnable (List.map (fun id -> with_id id crash) ids))
+
+(* Answer the solve and contain requests [(i, req)] of one frame into
+   [responses]: one admission, then one group per template, groups in
+   order of first appearance and requests in order within each group. *)
+let solve_members cfg ~line responses solves =
+  admitted cfg
+    ~refused:(fun refusal ->
+      List.iter
+        (fun (i, (req : Protocol.request)) -> responses.(i) <- refusal req.id)
+        solves)
+    (fun () ->
+      let rec groups = function
+        | [] -> []
+        | (_, req) :: _ as solves ->
+          let key = template_key req in
+          let group, rest =
+            List.partition (fun (_, r) -> template_key r = key) solves
+          in
+          group :: groups rest
+      in
+      List.iter (solve_group cfg ~line responses) (groups solves))
 
 let stats_fields cfg =
   let c = Cache.stats cfg.cache in
@@ -392,177 +510,15 @@ let dispatch cfg ~line ~emit (req : Protocol.request) =
   match req.Protocol.op with
   | Protocol.Ping -> Protocol.ok_ping ~id
   | Protocol.Stats -> Protocol.ok_stats ~id ~fields:(stats_fields cfg)
-  | (Protocol.Solve | Protocol.Contain | Protocol.Enumerate) as op -> (
-    Fault.trip Fault.Admit;
-    match cfg.admit () with
-    | `Shed message ->
-      Telemetry.count "serve.shed" 1;
-      Protocol.shed ~id ~message
-    | `Cancelled ->
-      Protocol.error ~id
-        (Core.Error.Budget_exhausted Relational.Budget.Cancelled)
-    | `Go ->
-      Fun.protect ~finally:cfg.release (fun () ->
-          let get field = function
-            | Some v -> v
-            | None ->
-              (* request_of_json validated presence; reaching here is a
-                 handler bug, not request content. *)
-              Core.Error.internal "missing validated field %S" field
-          in
-          match op with
-          | Protocol.Solve ->
-            let a = parse_structure ~what:"source" (get "source" req.source) in
-            let b = parse_structure ~what:"target" (get "target" req.target) in
-            solve_instance cfg ~line ~id ~op ~certify:req.certify
-              ~max_nodes:req.max_nodes ~timeout:req.timeout a b
-          | Protocol.Contain ->
-            let q1 = parse_query ~what:"q1" (get "q1" req.q1) in
-            let q2 = parse_query ~what:"q2" (get "q2" req.q2) in
-            let a, b =
-              match Core.Solver.containment_instance q1 q2 with
-              | pair -> pair
-              | exception Invalid_argument msg -> Core.Error.bad_input "%s" msg
-            in
-            solve_instance cfg ~line ~id ~op ~certify:req.certify
-              ~max_nodes:req.max_nodes ~timeout:req.timeout a b
-          | Protocol.Enumerate ->
-            Telemetry.count "serve.enumerate" 1;
-            let a = parse_structure ~what:"source" (get "source" req.source) in
-            let b = parse_structure ~what:"target" (get "target" req.target) in
-            enumerate_instance cfg ~line ~emit ~id ~max_nodes:req.max_nodes
-              ~timeout:req.timeout ~limit:req.limit ~batch:req.batch a b
-          | Protocol.Ping | Protocol.Stats -> assert false))
-
-(* ------------------------------------------------------------------ *)
-(* Batch frames                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* A JSON array frame is a batch: each element is a request, and the
-   response is the array of their responses, in order, on one line.
-   Verdict-bearing members pass admission once as a unit, and members
-   sharing a template — identical "target" text for solve, identical
-   "q1" text for contain (the template side of a containment instance is
-   q1's canonical database) — are grouped so that each distinct template
-   is parsed and cache-resolved once and, with a sandbox, each group
-   costs one forked worker instead of one per member.  That is the whole
-   point of batching: N queries against the same structure amortize one
-   cache lookup and one fork. *)
-
-let template_key (req : Protocol.request) =
-  match req.Protocol.op with
-  | Protocol.Solve -> ("solve", Option.value ~default:"" req.Protocol.target)
-  | Protocol.Contain -> ("contain", Option.value ~default:"" req.Protocol.q1)
-  | Protocol.Enumerate | Protocol.Ping | Protocol.Stats -> assert false
-
-(* The (A, resolved-B) instance of one group member.  [shared] lazily
-   parses and cache-resolves the group's solve template, so a bad
-   template text answers every member with the same typed error; contain
-   members re-derive their instance (cheap) and hit the cache that the
-   group's first member warmed. *)
-let member_instance cfg ~shared (req : Protocol.request) =
-  let get field = function
-    | Some v -> v
-    | None -> Core.Error.internal "missing validated field %S" field
-  in
-  match req.Protocol.op with
-  | Protocol.Solve ->
-    let a = parse_structure ~what:"source" (get "source" req.Protocol.source) in
-    (a, Lazy.force shared)
-  | Protocol.Contain ->
-    let q1 = parse_query ~what:"q1" (get "q1" req.Protocol.q1) in
-    let q2 = parse_query ~what:"q2" (get "q2" req.Protocol.q2) in
-    let a, b =
-      match Core.Solver.containment_instance q1 q2 with
-      | pair -> pair
-      | exception Invalid_argument msg -> Core.Error.bad_input "%s" msg
-    in
-    (a, resolve_template cfg b)
-  | Protocol.Enumerate | Protocol.Ping | Protocol.Stats -> assert false
-
-(* Answer one template group.  All parsing and cache resolution happens
-   in the parent (children must inherit warm templates copy-on-write,
-   never build their own); the sandboxed compute returns the list of
-   member responses as a single [Json.List] frame, distinguishable from
-   a terminal crash response, which is an object and is re-keyed to
-   every member's id. *)
-let solve_group cfg ~line responses members =
-  let shared =
-    lazy
-      (let _, first = List.hd members in
-       let text = Option.value ~default:"" first.Protocol.target in
-       resolve_template cfg (parse_structure ~what:"target" text))
-  in
-  let runnable =
-    List.filter_map
-      (fun (i, req) ->
-        match member_instance cfg ~shared req with
-        | ab -> Some (i, req, ab)
-        | exception e ->
-          responses.(i) <- Protocol.error_of_exn ~id:req.Protocol.id e;
-          None)
-      members
-  in
-  match (runnable, cfg.sandbox) with
-  | [], _ -> ()
-  | runnable, None ->
-    List.iter
-      (fun (i, (req : Protocol.request), (a, b)) ->
-        let t0 = Unix.gettimeofday () in
-        let resp =
-          try
-            solve_now cfg ~threads:cfg.threads ~id:req.id ~op:req.op
-              ~certify:req.certify ~max_nodes:req.max_nodes
-              ~timeout:req.timeout a b
-          with e -> Protocol.error_of_exn ~id:req.id e
-        in
-        responses.(i) <-
-          record_latency cfg
-            ~wall_ms:((Unix.gettimeofday () -. t0) *. 1000.)
-            resp)
-      runnable
-  | runnable, Some pool ->
-    let ids =
-      Json.List (List.map (fun (_, req, _) -> req.Protocol.id) runnable)
-    in
-    let t0 = Unix.gettimeofday () in
-    let reply =
-      Worker.supervise pool ~id:ids ~dump:(dump_for cfg ~line pool)
-        (fun ~degraded ->
-          Json.List
-            (List.map
-               (fun (_, (req : Protocol.request), (a, b)) ->
-                 try
-                   Worker.test_abort_hook a;
-                   let max_nodes =
-                     if not degraded then req.max_nodes
-                     else
-                       let cap = Worker.retry_nodes pool in
-                       Some
-                         (match req.max_nodes with
-                         | Some n -> min n cap
-                         | None -> cap)
-                   in
-                   solve_now cfg ~threads:1 ~id:req.id ~op:req.op
-                     ~certify:req.certify ~max_nodes ~timeout:req.timeout a b
-                 with e -> Protocol.error_of_exn ~id:req.id e)
-               runnable))
-    in
-    let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-    (match reply with
-    | Json.List rs when List.length rs = List.length runnable ->
-      List.iter2
-        (fun (i, _, _) r -> responses.(i) <- record_latency cfg ~wall_ms r)
-        runnable rs
-    | crash ->
-      (* A terminal worker crash (or a protocol-garbled frame) is one
-         object; every member of the lost group gets it, under its own
-         id, so batch accounting stays one-response-per-member. *)
-      List.iter
-        (fun (i, (req : Protocol.request), _) ->
-          responses.(i) <-
-            record_latency cfg ~wall_ms (with_id req.Protocol.id crash))
-        runnable)
+  | Protocol.Enumerate ->
+    admitted cfg ~refused:(fun refusal -> refusal id) (fun () ->
+        Telemetry.count "serve.enumerate" 1;
+        enumerate_instance cfg ~line ~emit req)
+  | Protocol.Solve | Protocol.Contain ->
+    (* A single frame is a batch of one. *)
+    let responses = [| Json.Null |] in
+    solve_members cfg ~line responses [ (0, req) ];
+    responses.(0)
 
 let handle_batch cfg ~line items =
   let n = List.length items in
@@ -583,10 +539,8 @@ let handle_batch cfg ~line items =
             (Core.Error.Bad_input msg)
       | Ok req -> (
         match req.Protocol.op with
-        | Protocol.Ping -> responses.(i) <- Protocol.ok_ping ~id:req.Protocol.id
-        | Protocol.Stats ->
-          responses.(i) <-
-            Protocol.ok_stats ~id:req.Protocol.id ~fields:(stats_fields cfg)
+        | Protocol.Ping | Protocol.Stats ->
+          responses.(i) <- dispatch cfg ~line ~emit:ignore req
         | Protocol.Enumerate ->
           (* A batch answers one line per frame; a streamed op cannot
              keep that contract, so it must arrive as its own frame. *)
@@ -598,45 +552,9 @@ let handle_batch cfg ~line items =
         | Protocol.Solve | Protocol.Contain ->
           solves := (i, req) :: !solves))
     items;
-  let solves = List.rev !solves in
-  (if solves <> [] then begin
-     Fault.trip Fault.Admit;
-     match cfg.admit () with
-     | `Shed message ->
-       Telemetry.count "serve.shed" 1;
-       List.iter
-         (fun (i, (req : Protocol.request)) ->
-           responses.(i) <- Protocol.shed ~id:req.id ~message)
-         solves
-     | `Cancelled ->
-       List.iter
-         (fun (i, (req : Protocol.request)) ->
-           responses.(i) <-
-             Protocol.error ~id:req.id
-               (Core.Error.Budget_exhausted Relational.Budget.Cancelled))
-         solves
-     | `Go ->
-       Fun.protect ~finally:cfg.release (fun () ->
-           (* Group members by template, preserving first-appearance
-              order of groups and request order within each group. *)
-           let order = ref [] in
-           let groups = Hashtbl.create 8 in
-           List.iter
-             (fun (i, req) ->
-               let key = template_key req in
-               (match Hashtbl.find_opt groups key with
-               | None -> order := key :: !order
-               | Some _ -> ());
-               Hashtbl.replace groups key
-                 ((i, req)
-                 :: Option.value ~default:[] (Hashtbl.find_opt groups key)))
-             solves;
-           List.iter
-             (fun key ->
-               let members = List.rev (Hashtbl.find groups key) in
-               solve_group cfg ~line responses members)
-             (List.rev !order))
-   end);
+  (match List.rev !solves with
+  | [] -> ()
+  | solves -> solve_members cfg ~line responses solves);
   Json.List (Array.to_list responses)
 
 let handle_line ?(emit = fun _ -> ()) cfg line =

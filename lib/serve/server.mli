@@ -97,8 +97,16 @@ val handle_line : ?emit:(string -> unit) -> config -> string -> string
     resolution and — when sandboxed — one forked worker, so N queries
     against the same structure cost one cache lookup and one fork.
     Member failures (bad member shape, bad structure text, a terminal
-    worker crash taking down the group) are answered per member with
-    the usual typed error objects; batches are limited to 64 members. *)
+    worker crash taking down the group, one member running out of
+    memory on both attempts) are answered per member with the usual
+    typed error objects; batches are limited to 64 members, and may
+    not carry [enumerate].
+
+    A single solve or contain frame is a batch of one: it takes the
+    same path and answers what the one-member array frame answers,
+    unwrapped.  Every
+    work-bearing request (solve, contain, enumerate) passes admission
+    and the in-process-or-sandboxed split at one point each. *)
 
 type socket_mode = Unix_socket of string | Stdio
 

@@ -293,22 +293,27 @@ let note_crash p crash =
 (* A child that detects its own crash condition (Out_of_memory under the
    rlimit ceiling) answers a typed worker_crash frame rather than dying;
    fold that into the same crash path as a real death so retry, dumps
-   and counters treat both alike. *)
+   and counters treat both alike.  A compute answering for several
+   requests returns a [Json.List] of their responses, and one member's
+   crash is the whole worker's. *)
 let crash_of_response j =
-  match Json.member "error" j with
-  | Some (Json.String "worker_crash") ->
-    let crash =
-      match Json.string_member "crash" j with
-      | Some name -> Core.Error.crash_class_of_name name
-      | None -> None
-    in
-    let detail =
-      Option.value
-        (Json.string_member "message" j)
-        ~default:"worker-reported crash"
-    in
-    Some (Option.value crash ~default:Core.Error.Crash_oom, detail)
-  | _ -> None
+  let crash_of j =
+    match Json.member "error" j with
+    | Some (Json.String "worker_crash") ->
+      let crash =
+        match Json.string_member "crash" j with
+        | Some name -> Core.Error.crash_class_of_name name
+        | None -> None
+      in
+      let detail =
+        Option.value
+          (Json.string_member "message" j)
+          ~default:"worker-reported crash"
+      in
+      Some (Option.value crash ~default:Core.Error.Crash_oom, detail)
+    | _ -> None
+  in
+  match j with Json.List items -> List.find_map crash_of items | j -> crash_of j
 
 let attempt p ~limits ~id compute =
   with_lock p (fun () ->

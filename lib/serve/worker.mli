@@ -103,7 +103,11 @@ val supervise :
     answer a typed [worker_crash] response carrying the crash class and,
     when spooled, the ["dump"] path.  Bumps the pool counters and the
     [serve.worker.*] telemetry counters.  Total: never raises ([dump]
-    exceptions are swallowed into [None]). *)
+    exceptions are swallowed into [None]).
+
+    A crash is a child death or a typed [worker_crash] answer: the
+    answer itself, or any element of a [Json.List] answer (a compute
+    answering for several requests, one of which ran out of memory). *)
 
 val test_abort_hook : Relational.Structure.t -> unit
 (** Test-only crash synthesis, consulted by the sandboxed compute

@@ -481,6 +481,29 @@ let handler_tests =
            load. *)
         let j = handle cfg "{\"op\":\"ping\"}" in
         expect_status "ok" j "ping under load");
+    Alcotest.test_case "solve errors land in the latency histogram as none"
+      `Quick (fun () ->
+        (* A single frame and a one-member batch failing alike must both
+           be filed: errors are latency samples too. *)
+        let cfg = Server.default_config () in
+        let internal j =
+          check "internal error" true
+            (Json.string_member "error" j = Some "internal")
+        in
+        with_faults "solve:1:1.0" (fun () ->
+            internal (handle cfg (solve_frame ~id:1 k2 k2));
+            let batch = "[" ^ solve_frame ~id:2 k2 k2 ^ "]" in
+            match Json.parse (Server.handle_line cfg batch) with
+            | Json.List [ member ] -> internal member
+            | j ->
+              Alcotest.failf "expected a one-member batch: %s"
+                (Json.to_string j));
+        let stats = handle cfg "{\"op\":\"stats\"}" in
+        let count =
+          Option.bind (Json.member "latency_ms" stats) (Json.member "none")
+          |> Option.map (Json.int_member "count")
+        in
+        check "both errors filed under none" true (count = Some (Some 2)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -726,6 +749,44 @@ let worker_tests =
         check_int "one crash" 1 st.Worker.crashes_total;
         check_int "one retry" 1 st.Worker.retries;
         check_int "one completion" 1 st.Worker.completed);
+    Alcotest.test_case "supervise: an oom member of a list answer is a crash"
+      `Quick (fun () ->
+        (* A worker answering for a batch group catches Out_of_memory per
+           member, so the oom worker_crash arrives inside the list. *)
+        let ok = Json.Obj [ ("id", Json.Int 1); ("status", Json.String "ok") ] in
+        let oom = Protocol.error_of_exn ~id:(Json.Int 2) Out_of_memory in
+        let ids = Json.List [ Json.Int 1; Json.Int 2 ] in
+        let pool = create_test_pool () in
+        let j =
+          Worker.supervise pool ~id:ids
+            ~dump:(fun ~crash:_ ~detail:_ ~attempts:_ ->
+              Alcotest.fail "dump must not be written when the retry succeeds")
+            (fun ~degraded -> Json.List [ ok; (if degraded then ok else oom) ])
+        in
+        check "retry answer" true (j = Json.List [ ok; ok ]);
+        let st = Worker.stats pool in
+        check_int "one oom" 1 st.Worker.crashes_oom;
+        check_int "one retry" 1 st.Worker.retries;
+        check_int "one completion" 1 st.Worker.completed;
+        let pool = create_test_pool () in
+        let dumps = ref 0 in
+        let j =
+          Worker.supervise pool ~id:ids
+            ~dump:(fun ~crash ~detail:_ ~attempts:_ ->
+              check "dumped as oom" true (crash = Core.Error.Crash_oom);
+              incr dumps;
+              None)
+            (fun ~degraded:_ -> Json.List [ ok; oom ])
+        in
+        check "terminal worker_crash" true
+          (Json.string_member "error" j = Some "worker_crash");
+        check "oom class" true (Json.string_member "crash" j = Some "oom");
+        check "code 6" true (Json.int_member "code" j = Some 6);
+        check_int "one dump" 1 !dumps;
+        let st = Worker.stats pool in
+        check_int "both attempts counted" 2 st.Worker.crashes_oom;
+        check_int "one retry" 1 st.Worker.retries;
+        check_int "no completion" 0 st.Worker.completed);
     Alcotest.test_case "degraded limits halve time, keep memory" `Quick
       (fun () ->
         let l =

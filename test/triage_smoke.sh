@@ -9,7 +9,11 @@
 #      signature, and minimize the reproducer by at least 80% (tuples);
 #   3. the minimized dump must itself replay with the same signature;
 #   4. the same loop on a contain-op crasher exercises the query
-#      minimizer end to end.
+#      minimizer end to end;
+#   5. a batch frame with one BOOM member among clean ones sharing its
+#      template crashes the whole group; triage must replay the members
+#      one at a time and minimize the BOOM one into a single-request
+#      dump.
 #
 # Usage: test/triage_smoke.sh [path/to/cqc.exe]   (run from the repo
 # root; needs jq)
@@ -97,4 +101,33 @@ grep -q '(reproduced)' "$TMP/ctriage.out" \
 grep -q '^atoms: ' "$TMP/ctriage.out" \
   || fail "contain triage printed no atoms line"
 
-echo "triage_smoke: OK (solve reduction ${RED}%, minimized dump replays; contain minimizer reproduced)"
+# --- Batch crasher: one BOOM member among clean ones -----------------
+# The members share one target, so they form one group and one worker:
+# the BOOM member takes the whole group down.  The clean members carry
+# an empty BOOM relation, which leaves the hook inert.
+CLEAN='size 3\nrel E 2\nrel BOOM 1\nE 0 1\nE 1 2\n'
+BATCH="[{\"id\":10,\"op\":\"solve\",\"source\":\"$CLEAN\",\"target\":\"$TARGET\"},\
+{\"id\":11,\"op\":\"solve\",\"source\":\"$SOURCE\",\"target\":\"$TARGET\"},\
+{\"id\":12,\"op\":\"solve\",\"source\":\"$CLEAN\",\"target\":\"$TARGET\"}]"
+printf '%s\n' "$BATCH" \
+  | env CQCSP_TEST_ABORT=segv:BOOM \
+      "$BIN" serve --stdio --sandbox --spool "$SPOOL" \
+      >"$TMP/batch.jsonl" 2>/dev/null \
+  || fail "stdio daemon exited nonzero seeding the batch crasher"
+jq -e 'length == 3 and all(.[]; .code == 6) and (.[1].dump | type == "string")' \
+  "$TMP/batch.jsonl" >/dev/null \
+  || fail "batch crasher did not crash its group: $(cat "$TMP/batch.jsonl")"
+BDUMP=$(jq -r '.[1].dump' "$TMP/batch.jsonl")
+"$BIN" triage "$BDUMP" --out "$TMP/bmin.json" \
+  >"$TMP/btriage.out" 2>"$TMP/btriage.err" \
+  || fail "batch triage exited nonzero: $(cat "$TMP/btriage.err")"
+grep -q '^signature: signal (reproduced)$' "$TMP/btriage.out" \
+  || fail "batch triage did not reproduce: $(cat "$TMP/btriage.out")"
+jq -e '.line | fromjson | type == "object" and .id == 11' "$TMP/bmin.json" >/dev/null \
+  || fail "batch triage did not write a single-request dump of the BOOM member"
+"$BIN" triage "$TMP/bmin.json" --out "$TMP/bmin2.json" \
+  >"$TMP/btriage2.out" 2>/dev/null \
+  || fail "minimized batch dump does not replay"
+BRED=$(sed -n 's/^reduction: \([0-9][0-9]*\)%$/\1/p' "$TMP/btriage.out")
+
+echo "triage_smoke: OK (solve reduction ${RED}%, minimized dump replays; contain minimizer reproduced; batch member isolated, reduction ${BRED}%)"
