@@ -989,7 +989,7 @@ let establish_time ?repeat ~algorithm a b =
    by CQCSP_PERF_BASELINE are "key=value" lines; a metric regressing past
    2x its checked-in value fails the run.  Speedups guard downwards
    (measured must stay above half the baseline), costs guard upwards. *)
-let perf_guard metrics =
+let perf_guard ~experiment metrics =
   match Sys.getenv_opt "CQCSP_PERF_BASELINE" with
   | None | Some "" -> Util.note "no CQCSP_PERF_BASELINE set; regression guard skipped."
   | Some file ->
@@ -1021,8 +1021,8 @@ let perf_guard metrics =
           if not ok then
             failwith
               (Printf.sprintf
-                 "E16 perf regression on %s: measured %.3g vs baseline %.3g (>2x)"
-                 key measured base))
+                 "%s perf regression on %s: measured %.3g vs baseline %.3g (>2x)"
+                 experiment key measured base))
       metrics
 
 (* Deep-cascade establish workloads.  The target is a transitive tournament
@@ -1240,52 +1240,6 @@ let e16 () =
       \   \"deadline_s\": %.6e, \"tick_ratio\": %.3f, \"clock_reads\": %d}"
       ticks t_plain t_deadline tick_ratio reads
     :: !json;
-  (* Threads axis: the domain-sharded AC-4 engine against the sequential
-     fixpoint at the largest dense size.  A size-1 pool dispatches inline,
-     so its ratio to the plain sequential path is ~1.0 by construction and
-     is guarded unconditionally (threads=1 must never pay for the parallel
-     plumbing); the multi-domain speedup and scaling efficiency are always
-     recorded, but only guarded on hosts that actually have cores to scale
-     onto. *)
-  let cores = Domain.recommended_domain_count () in
-  let par_threads = max 2 (min 4 cores) in
-  let par_size = 96 in
-  let par_a = Core.Workloads.path (2 * par_size) in
-  let par_b = dense_floor par_size in
-  let establish_sharded ?pool () =
-    let ctx = Arc_consistency.create ~algorithm:`Ac4 par_a par_b in
-    Arc_consistency.establish ?pool ctx
-  in
-  let r_seq, t_seq = Util.time ~repeat:3 (fun () -> establish_sharded ()) in
-  let pool1 = Parallel.Pool.create 1 in
-  let r_one, t_one =
-    Util.time ~repeat:3 (fun () -> establish_sharded ~pool:pool1 ())
-  in
-  Parallel.Pool.shutdown pool1;
-  let pooln = Parallel.Pool.create par_threads in
-  let r_par, t_par =
-    Util.time ~repeat:3 (fun () -> establish_sharded ~pool:pooln ())
-  in
-  Parallel.Pool.shutdown pooln;
-  assert (r_seq && r_one && r_par);
-  let threads1_ratio = t_one /. t_seq in
-  let par_speedup = t_seq /. t_par in
-  let efficiency = par_speedup /. float_of_int par_threads in
-  Util.note
-    "sharded establish (s=%d): seq %s; threads=1 %s (%.2fx); threads=%d %s \
-     (%.2fx speedup, %.2f scaling efficiency; %d core(s) available)."
-    par_size (f2s t_seq) (f2s t_one) threads1_ratio par_threads (f2s t_par)
-    par_speedup efficiency cores;
-  json :=
-    Printf.sprintf
-      "  {\"family\": \"ac4-parallel\", \"size\": %d, \"threads\": %d, \
-       \"cores\": %d,\n\
-      \   \"seq_s\": %.6e, \"threads1_s\": %.6e, \"par_s\": %.6e,\n\
-      \   \"threads1-ratio\": %.3f, \"speedup\": %.3f, \
-       \"scaling-efficiency\": %.3f}"
-      par_size par_threads cores t_seq t_one t_par threads1_ratio par_speedup
-      efficiency
-    :: !json;
   append_perf_json (List.rev !json);
   Util.note
     "merged E16 rows into BENCH_perf.json (perf trajectory seed for the Thm \
@@ -1296,15 +1250,13 @@ let e16 () =
   let ns_per_unit series =
     match List.rev series with (w, t) :: _ -> t *. 1e9 /. float_of_int w | [] -> nan
   in
-  perf_guard
-    ([
-       ("dense_speedup_64", dense_speedup, true);
-       ("dense_ac4_ns_per_unit", ns_per_unit series_ac4, false);
-       ("yannakakis_ns_per_unit", ns_per_unit yk_series, false);
-       ("deadline_tick_overhead", tick_ratio, false);
-       ("ac_par_threads1_ratio", threads1_ratio, false);
-     ]
-    @ if cores >= 2 then [ ("ac_par_speedup", par_speedup, true) ] else [])
+  perf_guard ~experiment:"E16"
+    [
+      ("dense_speedup_64", dense_speedup, true);
+      ("dense_ac4_ns_per_unit", ns_per_unit series_ac4, false);
+      ("yannakakis_ns_per_unit", ns_per_unit yk_series, false);
+      ("deadline_tick_overhead", tick_ratio, false);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E17: integer-encoded pebble engine and indexed Datalog joins         *)
@@ -1451,44 +1403,6 @@ let e17 () =
   let tc_series = List.map fst tc_results in
   let expo_tc = Util.fitted_exponent tc_series in
   Util.note "seminaive TC time ~ derived^e: e = %.2f." expo_tc;
-  (* Threads axis: the domain-sharded counting engine against its
-     sequential twin at the largest cascade size, with the differential
-     assertion kept (the winning family is the unique greatest fixpoint,
-     so sharding must not change it).  Guarded only on multi-core hosts;
-     the sequential-vs-naive guards above already pin the threads=1
-     path. *)
-  let cores = Domain.recommended_domain_count () in
-  let par_threads = max 2 (min 4 cores) in
-  let par_size = 12 in
-  let par_a = Core.Workloads.path (2 * par_size) in
-  let par_b = dense_floor par_size in
-  let (f_seq, _, _), t_pseq =
-    Util.time ~repeat:3 (fun () ->
-        Pebble.Game.run_traced ~engine:`Counting ~k:2 par_a par_b)
-  in
-  let pooln = Parallel.Pool.create par_threads in
-  let (f_par, _, _), t_ppar =
-    Util.time ~repeat:3 (fun () ->
-        Pebble.Game.run_traced ~engine:`Counting ~pool:pooln ~k:2 par_a par_b)
-  in
-  Parallel.Pool.shutdown pooln;
-  assert (List.sort compare f_seq = List.sort compare f_par);
-  let pebble_par_speedup = t_pseq /. t_ppar in
-  let pebble_efficiency = pebble_par_speedup /. float_of_int par_threads in
-  Util.note
-    "sharded counting engine (cascade-k2 s=%d): seq %s; threads=%d %s \
-     (%.2fx speedup, %.2f scaling efficiency; %d core(s) available)."
-    par_size (f2s t_pseq) par_threads (f2s t_ppar) pebble_par_speedup
-    pebble_efficiency cores;
-  json :=
-    Printf.sprintf
-      "  {\"family\": \"pebble-parallel\", \"k\": 2, \"size\": %d, \
-       \"threads\": %d, \"cores\": %d,\n\
-      \   \"seq_s\": %.6e, \"par_s\": %.6e, \"speedup\": %.3f, \
-       \"scaling-efficiency\": %.3f}"
-      par_size par_threads cores t_pseq t_ppar pebble_par_speedup
-      pebble_efficiency
-    :: !json;
   append_perf_json (List.rev !json);
   Util.note "merged E17 rows into BENCH_perf.json.";
   let ns_per_unit series =
@@ -1496,16 +1410,13 @@ let e17 () =
     | (w, t) :: _ -> t *. 1e9 /. float_of_int w
     | [] -> nan
   in
-  perf_guard
-    ([
-       ("pebble_speedup_largest", largest_speedup, true);
-       ("pebble_expo_counting", expo_counting, false);
-       ("pebble_counting_ns_per_unit", ns_per_unit counting_series, false);
-       ("datalog_tc_ns_per_derived", ns_per_unit tc_series, false);
-     ]
-    @
-    if cores >= 2 then [ ("pebble_par_speedup", pebble_par_speedup, true) ]
-    else [])
+  perf_guard ~experiment:"E17"
+    [
+      ("pebble_speedup_largest", largest_speedup, true);
+      ("pebble_expo_counting", expo_counting, false);
+      ("pebble_counting_ns_per_unit", ns_per_unit counting_series, false);
+      ("datalog_tc_ns_per_derived", ns_per_unit tc_series, false);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E18 — telemetry overhead: disabled vs memory sink vs JSONL sink      *)
@@ -1649,7 +1560,7 @@ let e18 () =
     :: !json;
   append_perf_json (List.rev !json);
   Util.note "merged E18 rows into BENCH_perf.json.";
-  perf_guard
+  perf_guard ~experiment:"E18"
     [
       ("telemetry_overhead", mem_ratio, false);
       ("telemetry_jsonl_overhead", jsonl_ratio, false);
@@ -1794,7 +1705,7 @@ let e19 () =
       overhead_ratio;
   append_perf_json (List.rev !json);
   Util.note "merged E19 rows into BENCH_perf.json.";
-  perf_guard
+  perf_guard ~experiment:"E19"
     [
       ("core_shrink_speedup", core_shrink_speedup, true);
       ("preprocess_overhead_ratio", overhead_ratio, false);
@@ -1922,7 +1833,7 @@ let e20 () =
       count_speedup;
   append_perf_json (List.rev !json);
   Util.note "merged E20 rows into BENCH_perf.json.";
-  perf_guard
+  perf_guard ~experiment:"E20"
     [
       ("enum_acyclic_ns_per_answer", acyclic_per *. 1e9, false);
       ("enum_treewidth_ns_per_answer", tw_per *. 1e9, false);

@@ -571,12 +571,11 @@ let count_cmd =
 (* enumerate: stream every homomorphism                                 *)
 (* ------------------------------------------------------------------ *)
 
-let enumerate max_nodes timeout threads limit format metrics_json trace_out a b
-    =
+let enumerate max_nodes timeout limit format metrics_json trace_out a b =
   run (fun () ->
       with_telemetry ~command:"enumerate" ~metrics_json ~trace_out @@ fun () ->
       let a = read_structure a and b = read_structure b in
-      (* --threads-aware cancellation: SIGINT flips the shared cancel flag
+      (* Cooperative cancellation: SIGINT flips the shared cancel flag
          so an interrupted stream unwinds as a budget-exhausted run
          (partial answers already flushed, exit 4) instead of dying
          mid-frame. *)
@@ -594,43 +593,37 @@ let enumerate max_nodes timeout threads limit format metrics_json trace_out a b
         ~finally:(fun () ->
           Option.iter (fun h -> Sys.set_signal Sys.sigint h) previous)
         (fun () ->
-          let pool =
-            if threads > 1 then Some (Parallel.Pool.create threads) else None
+          let plan = Enumerate.plan ~budget a b in
+          let route = Enumerate.route_name plan.Enumerate.route in
+          let seq =
+            match limit with
+            | Some l -> Seq.take l plan.Enumerate.seq
+            | None -> plan.Enumerate.seq
           in
-          Fun.protect
-            ~finally:(fun () -> Option.iter Parallel.Pool.shutdown pool)
-            (fun () ->
-              let plan = Enumerate.plan ~budget ?pool a b in
-              let route = Enumerate.route_name plan.Enumerate.route in
-              let seq =
-                match limit with
-                | Some l -> Seq.take l plan.Enumerate.seq
-                | None -> plan.Enumerate.seq
-              in
-              let n = ref 0 in
-              Seq.iter
-                (fun h ->
-                  incr n;
-                  match format with
-                  | `Text -> Format.printf "%a@." Relational.Tuple.pp h
-                  | `Jsonl ->
-                    Format.printf "{\"hom\":[%s]}@."
-                      (String.concat ","
-                         (List.map string_of_int (Array.to_list h))))
-                seq;
-              let complete =
-                match limit with Some l -> !n < l | None -> true
-              in
-              (match format with
-              | `Text -> ()
+          let n = ref 0 in
+          Seq.iter
+            (fun h ->
+              incr n;
+              match format with
+              | `Text -> Format.printf "%a@." Relational.Tuple.pp h
               | `Jsonl ->
-                Format.printf
-                  "{\"done\":true,\"count\":%d,\"route\":\"%s\",\"complete\":%b}@."
-                  !n route complete);
-              Format.eprintf "%d answer(s)%s  (route: %s)@." !n
-                (if complete then "" else ", truncated by --limit")
-                route;
-              0)))
+                Format.printf "{\"hom\":[%s]}@."
+                  (String.concat ","
+                     (List.map string_of_int (Array.to_list h))))
+            seq;
+          let complete =
+            match limit with Some l -> !n < l | None -> true
+          in
+          (match format with
+          | `Text -> ()
+          | `Jsonl ->
+            Format.printf
+              "{\"done\":true,\"count\":%d,\"route\":\"%s\",\"complete\":%b}@."
+              !n route complete);
+          Format.eprintf "%d answer(s)%s  (route: %s)@." !n
+            (if complete then "" else ", truncated by --limit")
+            route;
+          0))
 
 let enumerate_cmd =
   let limit =
@@ -674,7 +667,7 @@ let enumerate_cmd =
               retraction.";
          ])
     Term.(
-      const enumerate $ max_nodes_term $ timeout_term $ threads_term $ limit
+      const enumerate $ max_nodes_term $ timeout_term $ limit
       $ format $ metrics_json_term $ trace_out_term
       $ structure_arg ~docv:"SOURCE" 0 $ structure_arg ~docv:"TARGET" 1)
 
@@ -1054,7 +1047,7 @@ let serve_cmd =
               to 64 members.";
            `P
              "--threads races the portfolio routes of each in-process solve \
-              on a domain pool (see 'cqc solve --threads'); forked sandbox \
+              across domains (see 'cqc solve --threads'); forked sandbox \
               workers always solve sequentially, so the flag applies to \
               --no-sandbox daemons and --stdio sessions.";
            `P

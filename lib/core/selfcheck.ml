@@ -139,7 +139,7 @@ let routes ~budget a b =
    and the naive full-rescan revise must agree on the establish verdict,
    on every domain of the arc-consistent closure (which is unique), and
    on the domains after an assign/propagate/pop round trip. *)
-let ac_differential ?pool note a b =
+let ac_differential note a b =
   let c4 = Arc_consistency.create ~algorithm:`Ac4 a b in
   let cn = Arc_consistency.create ~algorithm:`Naive a b in
   let n = Structure.size a in
@@ -149,19 +149,6 @@ let ac_differential ?pool note a b =
       note (Printf.sprintf "ac-differential: domains differ %s" stage)
   in
   let r4 = Arc_consistency.establish c4 and rn = Arc_consistency.establish cn in
-  (* The sharded engine must agree with both: same verdict always, same
-     (unique) closure on success. *)
-  (match pool with
-  | None -> ()
-  | Some pool ->
-    let cp = Arc_consistency.create ~algorithm:`Ac4 a b in
-    let rp = Arc_consistency.establish ~pool cp in
-    if rp <> r4 then
-      note
-        (Printf.sprintf "ac-differential: parallel establish disagrees (ac4 %b, parallel %b)"
-           r4 rp)
-    else if rp && domains cp <> domains c4 then
-      note "ac-differential: parallel domains differ from the sequential closure");
   if r4 <> rn then
     note (Printf.sprintf "ac-differential: establish disagrees (ac4 %b, naive %b)" r4 rn)
   else if r4 then begin
@@ -193,12 +180,9 @@ let ac_differential ?pool note a b =
    greatest fixpoint (the winning family is unique), so their families
    must be identical and, on a Spoiler win, the counting engine's trace
    must replay through the trusted checker. *)
-let pebble_differential ?pool note ~budget a b =
-  let family ?pool engine =
-    match
-      Pebble.Game.winning_family_with_trace ~budget:(budget ()) ~engine ?pool
-        ~k:2 a b
-    with
+let pebble_differential note ~budget a b =
+  let family engine =
+    match Pebble.Game.winning_family_with_trace ~budget:(budget ()) ~engine ~k:2 a b with
     | family, trace -> Some (List.sort compare family, trace)
     | exception Budget.Exhausted _ -> None
   in
@@ -213,26 +197,7 @@ let pebble_differential ?pool note ~budget a b =
       let cert = Certify.of_consistency ~trace b in
       if not (Certificate.check a b cert) then
         note "pebble-differential: counting-engine Spoiler trace rejected"
-    end;
-    (* Sharded counting engine: identical family, and a Spoiler-win trace
-       (round-concatenated, so a different order) that still replays. *)
-    (match pool with
-    | None -> ()
-    | Some _ -> (
-      match family ?pool `Counting with
-      | None -> ()
-      | Some (fp, ptrace) ->
-        if fp <> fc then
-          note
-            (Printf.sprintf
-               "pebble-differential: parallel family differs (parallel %d, \
-                sequential %d configs)"
-               (List.length fp) (List.length fc));
-        if fp = [] && Structure.size a > 0 then begin
-          let cert = Certify.of_consistency ~trace:ptrace b in
-          if not (Certificate.check a b cert) then
-            note "pebble-differential: parallel Spoiler trace rejected"
-        end))
+    end
   | _ -> ()
 
 (* The full portfolio, with its verdict checked against its own
@@ -263,7 +228,7 @@ let portfolio ~budget ?booleanize_threshold ?max_treewidth ?consistency_k
              (Solver.route_name r.Solver.route)) )
   | Solver.Unknown _ -> (name, Skip, None)
 
-let check_instance ~max_nodes ?(threads = 1) ?pool seed a b =
+let check_instance ~max_nodes ?(threads = 1) seed a b =
   let budget () = Budget.create ~max_nodes () in
   let issues = ref [] in
   let claims = ref [] in
@@ -299,8 +264,8 @@ let check_instance ~max_nodes ?(threads = 1) ?pool seed a b =
   List.iter
     (fun (name, claim) -> push name claim)
     (routes ~budget a b);
-  ac_differential ?pool note a b;
-  pebble_differential ?pool note ~budget a b;
+  ac_differential note a b;
+  pebble_differential note ~budget a b;
   (* Cross-route agreement: no Yes may meet a No. *)
   let yes = List.filter (fun (_, c) -> c = Yes) !claims in
   let no = List.filter (fun (_, c) -> c = No) !claims in
@@ -352,10 +317,6 @@ let containment_check ~max_nodes ?(threads = 1) seed =
 
 let run ?(max_nodes = 50_000) ?(count = 500) ?(seed = 0) ?(threads = 1) () =
   Telemetry.with_span "selfcheck.run" @@ fun () ->
-  let pool = if threads > 1 then Some (Parallel.Pool.create threads) else None in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Parallel.Pool.shutdown pool)
-  @@ fun () ->
   let instances = ref 0 and checked = ref 0 and skipped = ref 0 in
   let issues = ref [] in
   for i = 0 to count - 1 do
@@ -367,7 +328,7 @@ let run ?(max_nodes = 50_000) ?(count = 500) ?(seed = 0) ?(threads = 1) () =
         if s mod 7 = 6 then containment_check ~max_nodes ~threads s
         else
           let a, b = instance s in
-          check_instance ~max_nodes ~threads ?pool s a b
+          check_instance ~max_nodes ~threads s a b
       with
       | r -> r
       | exception e ->

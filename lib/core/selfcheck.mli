@@ -18,12 +18,9 @@
     exhaustion is not an issue — an exhausted route degrades to a skip,
     so the oracle terminates even on adversarial seeds.
 
-    With [threads > 1] the oracle additionally differentials the parallel
-    layer on every instance: the racing portfolio
-    ([Solver.solve ~threads]) joins the cross-route agreement check with
-    its certificates validated, and the sharded AC-4 and pebble engines
-    are replayed against their sequential twins on a shared domain
-    pool. *)
+    With [threads > 1] the racing portfolio ([Solver.solve ~threads])
+    joins the cross-route agreement check on every instance, with its
+    certificates validated. *)
 
 type issue = { seed : int; what : string }
 
@@ -45,5 +42,5 @@ val run :
 (** [run ?max_nodes ?count ?seed ?threads ()] checks [count] (default
     500) consecutive seeds starting at [seed] (default 0), giving every
     route invocation its own fresh budget of [max_nodes] (default
-    50_000) ticks.  [threads] (default 1) > 1 adds the parallel
-    differentials described above. *)
+    50_000) ticks.  [threads] (default 1) > 1 adds the racing portfolio
+    described above. *)

@@ -399,8 +399,8 @@ let solve_inner ~max_treewidth ~consistency_k ~booleanize_threshold ~budget
 (* Ahead of the portfolio the source is decomposed into connected       *)
 (* components (textually identical ones deduplicated), each component   *)
 (* folded and cored by [Preprocess.shrink_source], and each shrunk      *)
-(* piece solved independently against [B] — sequentially, or over a     *)
-(* [Parallel.Pool] with racer budgets when [threads > 1] supplies more  *)
+(* piece solved independently against [B] — sequentially, or raced with *)
+(* [Parallel.Race] under racer budgets when [threads > 1] supplies more *)
 (* than one part.  Verdicts conjoin: any part's refutation refutes the  *)
 (* whole (wrapped in [Certificate.Via_preprocess] so the trusted        *)
 (* checker can replay the shrink), and per-part witnesses reassemble    *)
@@ -469,26 +469,20 @@ let solve_preprocessed ~max_treewidth ~consistency_k ~booleanize_threshold
     in
     let results = Array.make nparts None in
     if threads > 1 && nparts > 1 then begin
-      (* Parts race across a pool: first refutation raises the shared
-         cancel flag; every racer's spend is merged back afterwards. *)
-      let shards = min threads nparts in
-      let pool = Parallel.Pool.create shards in
+      (* Parts race: the first refutation raises the shared cancel flag;
+         every racer's spend is merged back afterwards. *)
       let cancel = ref false in
       let budgets = Array.init nparts (fun _ -> Budget.racer budget ~cancel) in
-      Fun.protect
-        ~finally:(fun () -> Parallel.Pool.shutdown pool)
-        (fun () ->
-          Parallel.Pool.run pool (fun shard ->
-              let i = ref shard in
-              while !i < nparts do
-                let r =
-                  solve_piece ~threads:1 ~budget:budgets.(!i)
-                    parts.(!i).Preprocess.shrink.Preprocess.structure
-                in
-                results.(!i) <- Some r;
-                (match r.verdict with Unsat _ -> cancel := true | _ -> ());
-                i := !i + shards
-              done));
+      Parallel.Race.run ~threads
+        ~tasks:
+          (Array.mapi
+             (fun i p () ->
+               solve_piece ~threads:1 ~budget:budgets.(i)
+                 p.Preprocess.shrink.Preprocess.structure)
+             parts)
+        ~consume:(fun { Parallel.Race.index; value = r } ->
+          results.(index) <- Some r;
+          match r.verdict with Unsat _ -> cancel := true | _ -> ());
       Array.iter (fun s -> Budget.charge budget (Budget.spent s)) budgets
     end
     else

@@ -150,7 +150,7 @@ val solve :
     {!result.attempts} carries the [preprocess.*] shrink counters.
     Shrink-stage budget exhaustion degrades to the unshrunk instance
     ([preprocess.bailouts]); it never changes a verdict.  With
-    [threads > 1] and several parts, parts race across a domain pool
+    [threads > 1] and several parts, parts race through [Parallel.Race]
     under {!Budget.racer} budgets (first refutation cancels the rest).
 
     [max_treewidth] (default 3) caps the decomposition width the DP route

@@ -32,7 +32,7 @@ let metered route seq =
       h)
     seq
 
-let plan ?(max_width = 3) ?(budget = Budget.unlimited) ?pool a b =
+let plan ?(max_width = 3) ?(budget = Budget.unlimited) a b =
   match Hypergraph.join_forest a with
   | Some { facts; parent } ->
     let tree () = Join_eval.of_forest ~budget a ~facts ~parent b in
@@ -47,11 +47,11 @@ let plan ?(max_width = 3) ?(budget = Budget.unlimited) ?pool a b =
       }
     else
       { route = Backtracking;
-        seq = metered Backtracking (Homomorphism.search_seq ~budget ?pool a b)
+        seq = metered Backtracking (Homomorphism.search_seq ~budget a b)
       }
 
-let stream ?max_width ?limit ?budget ?pool a b =
-  let { seq; _ } = plan ?max_width ?budget ?pool a b in
+let stream ?max_width ?limit ?budget a b =
+  let { seq; _ } = plan ?max_width ?budget a b in
   match limit with Some l -> Seq.take l seq | None -> seq
 
 (* ------------------------------------------------------------------ *)

@@ -54,14 +54,12 @@ type plan = {
 val plan :
   ?max_width:int ->
   ?budget:Budget.t ->
-  ?pool:Parallel.Pool.t ->
   Structure.t ->
   Structure.t ->
   plan
 (** Choose the cheapest applicable enumeration route for [A -> B] and
     return its lazy stream.  [max_width] (default 3, matching
-    {!Core.Solver}) caps the treewidth route; [pool] shards the root
-    arc-consistency establish on the backtracking route.  Route choice
+    {!Core.Solver}) caps the treewidth route.  Route choice
     and stream construction are cheap; all real work happens as the
     sequence is forced.
     @raise Budget.Exhausted from forcing the node that exhausts
@@ -71,7 +69,6 @@ val stream :
   ?max_width:int ->
   ?limit:int ->
   ?budget:Budget.t ->
-  ?pool:Parallel.Pool.t ->
   Structure.t ->
   Structure.t ->
   Homomorphism.mapping Seq.t

@@ -1,8 +1,9 @@
 (** Race independent tasks on a bounded set of domains, delivering each
     result to the calling domain in completion order.
 
-    This is the primitive under portfolio racing in [Core.Solver]: tasks
-    are route attempts, [consume] inspects each finisher's claim on the
+    This is the only multicore primitive, under both kinds of racing in
+    [Core.Solver]: tasks are route attempts or the parts of a
+    disconnected source, [consume] inspects each finisher's claim on the
     *calling* domain (where it can run the trusted certificate checker
     and mutate solver state without synchronization), and cancellation
     is the tasks' own business — typically a shared [Budget] cancel flag

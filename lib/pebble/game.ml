@@ -207,13 +207,6 @@ end
 (* The counting engine                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* A dead configuration's cascade, as a message routed to the domain
-   owning the affected configuration during a parallel death round:
-   [Down (sid, t)] is a restriction-closure kill of an extension,
-   [Dec (psid, pcode, slot, pivot)] one lost support of an immediate
-   restriction. *)
-type death = Down of int * int | Dec of int * int * int * int
-
 (* The strong k-consistency fixpoint as AC-4-style support counting over
    the extension relation between configurations.
 
@@ -225,60 +218,16 @@ type death = Down of int * int | Dec of int * int * int * int
    upwards, decrementing the counters of the dead configuration's
    immediate restrictions (which may cascade), and downwards, killing its
    immediate extensions (restriction-closure, no trace entry needed: the
-   certificate checker finds the forth-removed subset).
-
-   With [?pool] the three bulk phases (validity, support counting, the
-   death cascade) run sharded across domains in bulk-synchronous rounds.
-   Every array location has exactly one writer per step: validity
-   shards subsets level by level (level d only reads level d-1 bytes),
-   counting shards by the *parent* subset owning the counter slots, and
-   each death round splits into an emit step (read-only over the frozen
-   bitmap, producing per-(producer, owner) message buckets) and an apply
-   step in which the domain owning a configuration — keyed by its code —
-   performs all of its byte clears and counter decrements.  The alive
-   bitmap is one byte per configuration precisely so that concurrent
-   writes to *distinct* configurations touch distinct memory.  A round-r
-   trace entry is justified by deaths from rounds < r, so concatenating
-   the per-round batches in round order replays through the certificate
-   checker just like the sequential queue order. *)
-let run_counting ?(verify = false) ?pool ~budget ~k:_ enc a b =
+   certificate checker finds the forth-removed subset). *)
+let run_counting ?(verify = false) ~budget ~k:_ enc a b =
   let open Encoding in
   let n = enc.n and m = enc.m in
   let k = enc.k in
   let nsubsets = Array.length enc.elems in
-  let pool =
-    match pool with Some p when Parallel.Pool.size p > 1 -> Some p | _ -> None
-  in
-  let nshards = match pool with Some p -> Parallel.Pool.size p | None -> 1 in
   let alive = Bytes.make (max 1 enc.total) '\000' in
   let get id = Bytes.unsafe_get alive id <> '\000' in
   let set id = Bytes.unsafe_set alive id '\001' in
   let clear id = Bytes.unsafe_set alive id '\000' in
-  (* Budgeted parallel phase: every shard ticks a private racer budget;
-     the first exhaustion flips the shared flag so the others cancel at
-     their next poll, the actual spend is merged back into the real
-     budget at the barrier, and the original reason re-raises on the
-     calling domain. *)
-  let abort = ref false in
-  let abort_reason = ref None in
-  let abort_mutex = Mutex.create () in
-  let par_phase p job =
-    let spent = Atomic.make 0 in
-    Parallel.Pool.run p (fun s ->
-        let rb = Budget.racer budget ~cancel:abort in
-        (try job s rb with
-        | Budget.Exhausted r ->
-          Mutex.lock abort_mutex;
-          if !abort_reason = None && not (r = Budget.Cancelled && !abort) then
-            abort_reason := Some r;
-          abort := true;
-          Mutex.unlock abort_mutex);
-        ignore (Atomic.fetch_and_add spent (Budget.spent rb)));
-    Budget.charge budget (Atomic.get spent);
-    match !abort_reason with
-    | Some r -> raise (Budget.Exhausted r)
-    | None -> ()
-  in
   (* Per-symbol target indexes, probed O(1) per constraint check. *)
   let target_index =
     List.map
@@ -329,9 +278,9 @@ let run_counting ?(verify = false) ?pool ~budget ~k:_ enc a b =
      in full per subset.  Each constraint is compiled to the digit ranks
      of its components, and checked exactly once per subset chain: deeper
      subsets inherit the verdict through the parent bit. *)
-  (* Scratch arrays are per caller: parallel validity workers allocate
-     their own pair, the sequential path reuses this one. *)
-  let new_constraints ~in_subset ~rank_in sid =
+  let in_subset = Array.make n false in
+  let rank_in = Array.make n (-1) in
+  let new_constraints sid =
     let s = enc.elems.(sid) in
     let d = Array.length s in
     let x = s.(d - 1) in
@@ -369,15 +318,15 @@ let run_counting ?(verify = false) ?pool ~budget ~k:_ enc a b =
   (* Phase 1: validity.  A configuration is alive iff its restriction by
      the maximum pebble is alive and the newly-covered tuples of A land in
      the corresponding relations of B. *)
-  let validate_subset budget_ ~in_subset ~rank_in sid =
+  let validate_subset sid =
     let d = Array.length enc.elems.(sid) in
-    let cons = new_constraints ~in_subset ~rank_in sid in
+    let cons = new_constraints sid in
     let psid = enc.parent_sid.(sid).(d - 1) in
     let base = enc.offset.(sid) and pbase = enc.offset.(psid) in
     let block = enc.pow.(d - 1) in
     let found = ref 0 in
     for t = 0 to enc.pow.(d) - 1 do
-      Budget.tick budget_;
+      Budget.tick budget;
       if get (pbase + (t mod block)) then begin
         let ok =
           List.for_all
@@ -400,127 +349,37 @@ let run_counting ?(verify = false) ?pool ~budget ~k:_ enc a b =
   let initial = ref 0 in
   set 0;
   incr initial;
-  (match pool with
-  | None ->
-    let in_subset = Array.make n false in
-    let rank_in = Array.make n (-1) in
-    for sid = 1 to nsubsets - 1 do
-      initial := !initial + validate_subset budget ~in_subset ~rank_in sid
-    done
-  | Some p ->
-    (* Force A's lazy per-symbol indexes before any worker reads them. *)
-    List.iter
-      (fun (name, arity, _) ->
-        if arity > 0 then
-          match Structure.index a name with
-          | (_ : Relation.Index.t) -> ()
-          | exception Not_found -> ())
-      target_index;
-    (* Level by level: a subset's validity reads only its parent one
-       level down, so within a level all blocks are independent. *)
-    let levels = Array.make (k + 1) [] in
-    for sid = nsubsets - 1 downto 1 do
-      let d = Array.length enc.elems.(sid) in
-      levels.(d) <- sid :: levels.(d)
-    done;
-    for d = 1 to k do
-      let sids = Array.of_list levels.(d) in
-      let next = Atomic.make 0 in
-      let found = Atomic.make 0 in
-      par_phase p (fun _ rb ->
-          let in_subset = Array.make n false in
-          let rank_in = Array.make n (-1) in
-          let mine = ref 0 in
-          let continue_ = ref true in
-          while !continue_ do
-            let i = Atomic.fetch_and_add next 1 in
-            if i >= Array.length sids then continue_ := false
-            else mine := !mine + validate_subset rb ~in_subset ~rank_in sids.(i)
-          done;
-          ignore (Atomic.fetch_and_add found !mine));
-      initial := !initial + Atomic.get found
-    done);
+  for sid = 1 to nsubsets - 1 do
+    initial := !initial + validate_subset sid
+  done;
   (* Phase 2: support counters, one increment per (alive configuration,
      pebble) pair.  Restrictions of a partial homomorphism are partial
-     homomorphisms, so every counted parent is alive.  The parallel
-     variant counts from the parent side instead — the owner of a
-     subset's counter slots scans its alive codes and counts each one's
-     alive extensions directly — which writes every slot exactly once
-     from exactly one shard and produces the same values: summing "alive
-     extensions of alive parents" parent-by-parent is the same multiset
-     of (child, pebble) pairs the child-side increments enumerate. *)
+     homomorphisms, so every counted parent is alive. *)
   let counters = Array.make (max 1 enc.counter_slots) 0 in
   let supports = ref 0 in
-  (match pool with
-  | None ->
-    for sid = 1 to nsubsets - 1 do
-      let s = enc.elems.(sid) in
-      let d = Array.length s in
-      let base = enc.offset.(sid) in
-      for t = 0 to enc.pow.(d) - 1 do
-        if get (base + t) then begin
-          Budget.tick budget;
-          for j = 0 to d - 1 do
-            let psid = enc.parent_sid.(sid).(j) in
-            let pcode = (t / enc.pow.(j + 1) * enc.pow.(j)) + (t mod enc.pow.(j)) in
-            let nfree = Array.length enc.free.(psid) in
-            let fi = enc.free_idx.(psid).(s.(j)) in
-            let slot = enc.cnt_base.(psid) + (pcode * nfree) + fi in
-            counters.(slot) <- counters.(slot) + 1;
-            incr supports
-          done
-        end
-      done
+  for sid = 1 to nsubsets - 1 do
+    let s = enc.elems.(sid) in
+    let d = Array.length s in
+    let base = enc.offset.(sid) in
+    for t = 0 to enc.pow.(d) - 1 do
+      if get (base + t) then begin
+        Budget.tick budget;
+        for j = 0 to d - 1 do
+          let psid = enc.parent_sid.(sid).(j) in
+          let pcode = (t / enc.pow.(j + 1) * enc.pow.(j)) + (t mod enc.pow.(j)) in
+          let nfree = Array.length enc.free.(psid) in
+          let fi = enc.free_idx.(psid).(s.(j)) in
+          let slot = enc.cnt_base.(psid) + (pcode * nfree) + fi in
+          counters.(slot) <- counters.(slot) + 1;
+          incr supports
+        done
+      end
     done
-  | Some p ->
-    let parents = ref [] in
-    for sid = nsubsets - 1 downto 0 do
-      if enc.cnt_base.(sid) >= 0 then parents := sid :: !parents
-    done;
-    let parents = Array.of_list !parents in
-    let next = Atomic.make 0 in
-    let total = Atomic.make 0 in
-    par_phase p (fun _ rb ->
-        let mine = ref 0 in
-        let continue_ = ref true in
-        while !continue_ do
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= Array.length parents then continue_ := false
-          else begin
-            let sid = parents.(i) in
-            let d = Array.length enc.elems.(sid) in
-            let nfree = Array.length enc.free.(sid) in
-            let base = enc.offset.(sid) in
-            for t = 0 to enc.pow.(d) - 1 do
-              if get (base + t) then begin
-                Budget.tick rb;
-                for fi = 0 to nfree - 1 do
-                  let x = enc.free.(sid).(fi) in
-                  let sid' = enc.ext_sid.(sid).(x) in
-                  let pos = enc.ext_pos.(sid).(x) in
-                  let stem =
-                    (t / enc.pow.(pos) * enc.pow.(pos + 1)) + (t mod enc.pow.(pos))
-                  in
-                  let cnt = ref 0 in
-                  for v = 0 to m - 1 do
-                    if get (enc.offset.(sid') + stem + (v * enc.pow.(pos))) then
-                      incr cnt
-                  done;
-                  if !cnt > 0 then begin
-                    counters.(enc.cnt_base.(sid) + (t * nfree) + fi) <- !cnt;
-                    mine := !mine + !cnt
-                  end
-                done
-              end
-            done
-          end
-        done;
-        ignore (Atomic.fetch_and_add total !mine));
-    supports := Atomic.get total);
+  done;
   (* Deaths. *)
   let removed = ref 0 and propagated = ref 0 in
   let trace = ref [] in
-  let spoiler = Atomic.make false in
+  let spoiler = ref false in
   (* Zero-counter scan over one subset: the first free element with no
      alive extension is the forth failure's pivot. *)
   let zero_pivot sid t =
@@ -533,215 +392,65 @@ let run_counting ?(verify = false) ?pool ~budget ~k:_ enc a b =
     done;
     !pivot
   in
-  (match pool with
-  | None ->
-    let queue = Queue.create () in
-    let kill ?pivot sid t =
-      let id = enc.offset.(sid) + t in
-      if get id then begin
-        clear id;
-        incr removed;
-        (match pivot with
-        | Some x -> trace := (sid, t, x) :: !trace
-        | None -> ());
-        if Array.length enc.elems.(sid) = 0 then Atomic.set spoiler true;
-        Queue.add (sid, t) queue
-      end
-    in
-    (* Initial forth failures: a zero counter with no deaths yet means no
-       valid extension exists at all. *)
-    for sid = 0 to nsubsets - 1 do
-      let d = Array.length enc.elems.(sid) in
-      if d < k && Array.length enc.free.(sid) > 0 then begin
-        let base = enc.offset.(sid) in
-        for t = 0 to enc.pow.(d) - 1 do
-          if get (base + t) then begin
-            let pivot = zero_pivot sid t in
-            if pivot >= 0 then kill ~pivot sid t
-          end
-        done
-      end
-    done;
-    while (not (Atomic.get spoiler)) && not (Queue.is_empty queue) do
-      Budget.tick budget;
-      incr propagated;
-      let sid, t = Queue.pop queue in
-      let s = enc.elems.(sid) in
-      let d = Array.length s in
-      (* Downwards: restriction-closure kills every alive extension. *)
-      if d < k then
-        Array.iter
-          (fun x ->
-            let sid' = enc.ext_sid.(sid).(x) in
-            let pos = enc.ext_pos.(sid).(x) in
-            let high = t / enc.pow.(pos) and low = t mod enc.pow.(pos) in
-            let stem = (high * enc.pow.(pos + 1)) + low in
-            for v = 0 to m - 1 do
-              let t' = stem + (v * enc.pow.(pos)) in
-              if get (enc.offset.(sid') + t') then kill sid' t'
-            done)
-          enc.free.(sid);
-      (* Upwards: one lost support per immediate restriction. *)
-      for j = 0 to d - 1 do
-        let psid = enc.parent_sid.(sid).(j) in
-        let pcode = (t / enc.pow.(j + 1) * enc.pow.(j)) + (t mod enc.pow.(j)) in
-        if get (enc.offset.(psid) + pcode) then begin
-          let nfree = Array.length enc.free.(psid) in
-          let fi = enc.free_idx.(psid).(s.(j)) in
-          let slot = enc.cnt_base.(psid) + (pcode * nfree) + fi in
-          counters.(slot) <- counters.(slot) - 1;
-          if counters.(slot) = 0 then kill ~pivot:s.(j) psid pcode
+  let queue = Queue.create () in
+  let kill ?pivot sid t =
+    let id = enc.offset.(sid) + t in
+    if get id then begin
+      clear id;
+      incr removed;
+      (match pivot with
+      | Some x -> trace := (sid, t, x) :: !trace
+      | None -> ());
+      if Array.length enc.elems.(sid) = 0 then spoiler := true;
+      Queue.add (sid, t) queue
+    end
+  in
+  (* Initial forth failures: a zero counter with no deaths yet means no
+     valid extension exists at all. *)
+  for sid = 0 to nsubsets - 1 do
+    let d = Array.length enc.elems.(sid) in
+    if d < k && Array.length enc.free.(sid) > 0 then begin
+      let base = enc.offset.(sid) in
+      for t = 0 to enc.pow.(d) - 1 do
+        if get (base + t) then begin
+          let pivot = zero_pivot sid t in
+          if pivot >= 0 then kill ~pivot sid t
         end
       done
+    end
+  done;
+  while (not !spoiler) && not (Queue.is_empty queue) do
+    Budget.tick budget;
+    incr propagated;
+    let sid, t = Queue.pop queue in
+    let s = enc.elems.(sid) in
+    let d = Array.length s in
+    (* Downwards: restriction-closure kills every alive extension. *)
+    if d < k then
+      Array.iter
+        (fun x ->
+          let sid' = enc.ext_sid.(sid).(x) in
+          let pos = enc.ext_pos.(sid).(x) in
+          let high = t / enc.pow.(pos) and low = t mod enc.pow.(pos) in
+          let stem = (high * enc.pow.(pos + 1)) + low in
+          for v = 0 to m - 1 do
+            let t' = stem + (v * enc.pow.(pos)) in
+            if get (enc.offset.(sid') + t') then kill sid' t'
+          done)
+        enc.free.(sid);
+    (* Upwards: one lost support per immediate restriction. *)
+    for j = 0 to d - 1 do
+      let psid = enc.parent_sid.(sid).(j) in
+      let pcode = (t / enc.pow.(j + 1) * enc.pow.(j)) + (t mod enc.pow.(j)) in
+      if get (enc.offset.(psid) + pcode) then begin
+        let nfree = Array.length enc.free.(psid) in
+        let fi = enc.free_idx.(psid).(s.(j)) in
+        let slot = enc.cnt_base.(psid) + (pcode * nfree) + fi in
+        counters.(slot) <- counters.(slot) - 1;
+        if counters.(slot) = 0 then kill ~pivot:s.(j) psid pcode
+      end
     done
-  | Some p ->
-    (* Parallel zero-scan: read-only over bitmap and counters, collecting
-       per-shard candidates; the kills are applied on the calling domain
-       to seed round 0 of the cascade. *)
-    let parents = ref [] in
-    for sid = nsubsets - 1 downto 0 do
-      if Array.length enc.elems.(sid) < k && Array.length enc.free.(sid) > 0 then
-        parents := sid :: !parents
-    done;
-    let parents = Array.of_list !parents in
-    let initial_bad = Array.make nshards [] in
-    par_phase p (fun s _rb ->
-        let acc = ref [] in
-        let i = ref s in
-        while !i < Array.length parents do
-          let sid = parents.(!i) in
-          let d = Array.length enc.elems.(sid) in
-          let base = enc.offset.(sid) in
-          for t = 0 to enc.pow.(d) - 1 do
-            if get (base + t) then begin
-              let pivot = zero_pivot sid t in
-              if pivot >= 0 then acc := (sid, t, pivot) :: !acc
-            end
-          done;
-          i := !i + nshards
-        done;
-        initial_bad.(s) <- List.rev !acc);
-    let frontier = ref [] in
-    Array.iter
-      (List.iter (fun (sid, t, pivot) ->
-           let id = enc.offset.(sid) + t in
-           if get id then begin
-             clear id;
-             incr removed;
-             trace := (sid, t, pivot) :: !trace;
-             if Array.length enc.elems.(sid) = 0 then Atomic.set spoiler true;
-             frontier := (sid, t) :: !frontier
-           end))
-      initial_bad;
-    (* Bulk-synchronous death rounds.  Emit: shards stride over the
-       frontier (bitmap and counters frozen) and route each cascade
-       message to the shard owning the affected configuration.  Apply:
-       each shard drains exactly its own messages, so every byte clear
-       and counter decrement has one writer; deaths it causes become the
-       next frontier.  Small frontiers run both steps inline on the
-       calling domain — the sparse tail of a cascade cannot amortize two
-       barriers per round. *)
-    let buckets = Array.init nshards (fun _ -> Array.make nshards []) in
-    let next_frontier = Array.make nshards [] in
-    let round_traces = Array.make nshards [] in
-    let round_removed = Array.make nshards 0 in
-    let round_propagated = Array.make nshards 0 in
-    let emit frontier s rb =
-      let own = buckets.(s) in
-      let i = ref s in
-      while !i < Array.length frontier do
-        Budget.tick rb;
-        round_propagated.(s) <- round_propagated.(s) + 1;
-        let sid, t = frontier.(!i) in
-        let selems = enc.elems.(sid) in
-        let d = Array.length selems in
-        if d < k then
-          Array.iter
-            (fun x ->
-              let sid' = enc.ext_sid.(sid).(x) in
-              let pos = enc.ext_pos.(sid).(x) in
-              let high = t / enc.pow.(pos) and low = t mod enc.pow.(pos) in
-              let stem = (high * enc.pow.(pos + 1)) + low in
-              for v = 0 to m - 1 do
-                let t' = stem + (v * enc.pow.(pos)) in
-                let id' = enc.offset.(sid') + t' in
-                if get id' then
-                  own.(id' mod nshards) <- Down (sid', t') :: own.(id' mod nshards)
-              done)
-            enc.free.(sid);
-        for j = 0 to d - 1 do
-          let psid = enc.parent_sid.(sid).(j) in
-          let pcode = (t / enc.pow.(j + 1) * enc.pow.(j)) + (t mod enc.pow.(j)) in
-          let pid = enc.offset.(psid) + pcode in
-          if get pid then begin
-            let nfree = Array.length enc.free.(psid) in
-            let fi = enc.free_idx.(psid).(selems.(j)) in
-            let slot = enc.cnt_base.(psid) + (pcode * nfree) + fi in
-            own.(pid mod nshards) <- Dec (psid, pcode, slot, selems.(j)) :: own.(pid mod nshards)
-          end
-        done;
-        i := !i + nshards
-      done
-    in
-    let apply w _rb =
-      let acc = ref [] and tr = ref [] and rm = ref 0 in
-      for s = 0 to nshards - 1 do
-        List.iter
-          (fun msg ->
-            match msg with
-            | Down (sid', t') ->
-              let id' = enc.offset.(sid') + t' in
-              if get id' then begin
-                clear id';
-                incr rm;
-                acc := (sid', t') :: !acc
-              end
-            | Dec (psid, pcode, slot, pivot) ->
-              let pid = enc.offset.(psid) + pcode in
-              if get pid then begin
-                counters.(slot) <- counters.(slot) - 1;
-                if counters.(slot) = 0 then begin
-                  clear pid;
-                  incr rm;
-                  tr := (psid, pcode, pivot) :: !tr;
-                  if Array.length enc.elems.(psid) = 0 then
-                    Atomic.set spoiler true;
-                  acc := (psid, pcode) :: !acc
-                end
-              end)
-          (List.rev buckets.(s).(w))
-      done;
-      next_frontier.(w) <- List.rev !acc;
-      round_traces.(w) <- List.rev !tr;
-      round_removed.(w) <- !rm
-    in
-    (* Below this frontier size the two per-round barriers cost more
-       than the round's work. *)
-    let inline_deaths = 64 in
-    while (not (Atomic.get spoiler)) && !frontier <> [] do
-      let f = Array.of_list !frontier in
-      let each job =
-        if Array.length f < inline_deaths then
-          for s = 0 to nshards - 1 do
-            job s budget
-          done
-        else par_phase p job
-      in
-      Array.iter (fun own -> Array.fill own 0 nshards []) buckets;
-      Array.fill next_frontier 0 nshards [];
-      Array.fill round_traces 0 nshards [];
-      Array.fill round_removed 0 nshards 0;
-      each (emit f);
-      each apply;
-      for s = 0 to nshards - 1 do
-        removed := !removed + round_removed.(s);
-        List.iter (fun e -> trace := e :: !trace) round_traces.(s)
-      done;
-      frontier := List.concat (Array.to_list next_frontier)
-    done;
-    for s = 0 to nshards - 1 do
-      propagated := !propagated + round_propagated.(s)
-    done);
+  done;
   let trace =
     List.rev_map (fun (sid, t, x) -> (Encoding.decode enc sid t, x)) !trace
   in
@@ -782,7 +491,7 @@ let run_counting ?(verify = false) ?pool ~budget ~k:_ enc a b =
     done;
     !ok
   in
-  if Atomic.get spoiler then ([], trace, stats ~removed:!initial, true)
+  if !spoiler then ([], trace, stats ~removed:!initial, true)
   else begin
     let surviving = ref [] in
     for sid = nsubsets - 1 downto 0 do
@@ -996,7 +705,7 @@ let publish_stats st =
     Telemetry.count "pebble.deaths_propagated" st.deaths_propagated
   end
 
-let run_traced ?(budget = Budget.unlimited) ?(engine = `Counting) ?pool ~k a b =
+let run_traced ?(budget = Budget.unlimited) ?(engine = `Counting) ~k a b =
   if k < 1 then invalid_arg "Game: k must be positive";
   Budget.check budget;
   let n = Structure.size a and m = Structure.size b in
@@ -1009,36 +718,36 @@ let run_traced ?(budget = Budget.unlimited) ?(engine = `Counting) ?pool ~k a b =
       | `Counting -> (
         match Encoding.create ~budget ~n ~m ~k () with
         | Some enc ->
-          let family, trace, stats, _ = run_counting ~budget ?pool ~k enc a b in
+          let family, trace, stats, _ = run_counting ~budget ~k enc a b in
           (family, trace, stats)
         | None -> run_naive ~budget ~k a b)
   in
   publish_stats stats;
   (family, trace, stats)
 
-let run ?budget ?engine ?pool ~k a b =
-  let family, _, stats = run_traced ?budget ?engine ?pool ~k a b in
+let run ?budget ?engine ~k a b =
+  let family, _, stats = run_traced ?budget ?engine ~k a b in
   (family, stats)
 
-let winning_family ?budget ?engine ?pool ~k a b =
-  fst (run ?budget ?engine ?pool ~k a b)
+let winning_family ?budget ?engine ~k a b =
+  fst (run ?budget ?engine ~k a b)
 
-let winning_family_with_trace ?budget ?engine ?pool ~k a b =
-  let family, trace, _ = run_traced ?budget ?engine ?pool ~k a b in
+let winning_family_with_trace ?budget ?engine ~k a b =
+  let family, trace, _ = run_traced ?budget ?engine ~k a b in
   (family, trace)
 
-let duplicator_wins_with_stats ?budget ?engine ?pool ~k a b =
-  let family, stats = run ?budget ?engine ?pool ~k a b in
+let duplicator_wins_with_stats ?budget ?engine ~k a b =
+  let family, stats = run ?budget ?engine ~k a b in
   (family <> [], stats)
 
-let duplicator_wins ?budget ?engine ?pool ~k a b =
-  fst (duplicator_wins_with_stats ?budget ?engine ?pool ~k a b)
+let duplicator_wins ?budget ?engine ~k a b =
+  fst (duplicator_wins_with_stats ?budget ?engine ~k a b)
 
-let spoiler_wins ?budget ?engine ?pool ~k a b =
-  not (duplicator_wins ?budget ?engine ?pool ~k a b)
+let spoiler_wins ?budget ?engine ~k a b =
+  not (duplicator_wins ?budget ?engine ~k a b)
 
-let solve ?budget ?engine ?pool ~k a b =
-  if spoiler_wins ?budget ?engine ?pool ~k a b then Some false else None
+let solve ?budget ?engine ~k a b =
+  if spoiler_wins ?budget ?engine ~k a b then Some false else None
 
 type strategy = {
   k : int;

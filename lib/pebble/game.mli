@@ -39,14 +39,9 @@ open Relational
     the computation aborts by raising [Budget.Exhausted].  [Core.Solver]
     uses this to bound the k-consistency pass in its portfolio.
 
-    Entry points also take an optional [?pool]: with a pool of size > 1
-    the counting engine's bulk phases — validity, support counting and
-    the death cascade — run sharded across the pool's domains in
-    bulk-synchronous rounds (ownership-partitioned writes, a barrier
-    between the read and write halves of each round), computing the
-    identical family, failure trace and statistics; workers tick private
-    {!Budget.racer} budgets whose spend merges back into [budget].  The
-    [`Naive] engine and the capacity-degraded path ignore the pool. *)
+    Both engines run on the calling domain; multicore solving happens
+    one level up, where [Core.Solver] races whole routes and whole
+    source components against each other. *)
 
 type config = (int * int) list
 (** A game position: pairs [(a, b)] of pebbled elements, sorted by [a],
@@ -85,7 +80,6 @@ end
 val winning_family :
   ?budget:Budget.t ->
   ?engine:engine ->
-  ?pool:Parallel.Pool.t ->
   k:int ->
   Structure.t ->
   Structure.t ->
@@ -97,7 +91,6 @@ val winning_family :
 val winning_family_with_trace :
   ?budget:Budget.t ->
   ?engine:engine ->
-  ?pool:Parallel.Pool.t ->
   k:int ->
   Structure.t ->
   Structure.t ->
@@ -112,7 +105,6 @@ val winning_family_with_trace :
 val duplicator_wins :
   ?budget:Budget.t ->
   ?engine:engine ->
-  ?pool:Parallel.Pool.t ->
   k:int ->
   Structure.t ->
   Structure.t ->
@@ -121,7 +113,6 @@ val duplicator_wins :
 val spoiler_wins :
   ?budget:Budget.t ->
   ?engine:engine ->
-  ?pool:Parallel.Pool.t ->
   k:int ->
   Structure.t ->
   Structure.t ->
@@ -142,7 +133,6 @@ type stats = {
 val run_traced :
   ?budget:Budget.t ->
   ?engine:engine ->
-  ?pool:Parallel.Pool.t ->
   k:int ->
   Structure.t ->
   Structure.t ->
@@ -152,7 +142,6 @@ val run_traced :
 val duplicator_wins_with_stats :
   ?budget:Budget.t ->
   ?engine:engine ->
-  ?pool:Parallel.Pool.t ->
   k:int ->
   Structure.t ->
   Structure.t ->
@@ -161,7 +150,6 @@ val duplicator_wins_with_stats :
 val solve :
   ?budget:Budget.t ->
   ?engine:engine ->
-  ?pool:Parallel.Pool.t ->
   k:int ->
   Structure.t ->
   Structure.t ->

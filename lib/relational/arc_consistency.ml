@@ -330,157 +330,7 @@ let propagate ctx =
   Telemetry.count "ac.propagations" 1;
   match ctx.algorithm with `Naive -> propagate_naive ctx | `Ac4 -> propagate_ac4 ctx
 
-(* --- Sharded establish -------------------------------------------------
-
-   The parallel path recomputes the same arc-consistent closure (it is a
-   unique greatest fixpoint, so any elimination order converges to the
-   same domains) as a sequence of BSP rounds on a domain pool, with all
-   writes partitioned by ownership so no location is ever written by two
-   shards:
-
-     build   constraints sharded by index: each shard fills the
-             kill/supp counters of its own constraints from the (frozen)
-             domains and collects its zero-support candidates;
-     step 1  candidates sharded by *variable*: the owner re-verifies
-             support (reading supp, which nobody writes in this step)
-             and clears dom/count for its own variables;
-     step 2  the round's removals sharded by *constraint*: the owner
-             applies the kill/supp decrements (reading dom, which nobody
-             writes in this step) and collects next-round candidates.
-
-   Each [Pool.run] is a barrier, so step N+1 reads the writes of step N.
-   Domain wipeout is flagged through an [Atomic]; the round still runs
-   its step 2 so every trail entry has had its kill-side effects applied
-   — [pop]'s revive replay depends on that invariant.  Trail pushes,
-   telemetry and the removal counter happen on the calling domain
-   between steps.  Small frontiers run their steps inline (same code,
-   shard loop on the caller) to avoid paying two barriers per round on
-   the long sparse tail of a propagation cascade. *)
-
-let shard_build ctx nshards shard cands =
-  let nconstrs = Array.length ctx.constrs in
-  let acc = ref [] in
-  let ci = ref shard in
-  while !ci < nconstrs do
-    let c = ctx.constrs.(!ci) in
-    let arity = Array.length c.atom in
-    Array.fill c.kill 0 (Array.length c.kill) 0;
-    Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) c.supp;
-    Array.iteri
-      (fun ti (tt : Tuple.t) ->
-        let dead = ref 0 in
-        for j = 0 to arity - 1 do
-          if not ctx.dom.(c.atom.(j)).(tt.(j)) then incr dead
-        done;
-        c.kill.(ti) <- !dead;
-        if !dead = 0 then
-          for j = 0 to arity - 1 do
-            c.supp.(j).(tt.(j)) <- c.supp.(j).(tt.(j)) + 1
-          done)
-      c.info.tuples;
-    for j = 0 to arity - 1 do
-      let x = c.atom.(j) in
-      for v = 0 to ctx.m - 1 do
-        if ctx.dom.(x).(v) && c.supp.(j).(v) = 0 then acc := (x, v) :: !acc
-      done
-    done;
-    ci := !ci + nshards
-  done;
-  cands.(shard) <- !acc
-
-let shard_remove ctx nshards shard frontier removed wipeout =
-  let acc = ref [] in
-  Array.iter
-    (fun (y, w) ->
-      if y mod nshards = shard && ctx.dom.(y).(w) && value_unsupported ctx y w
-      then begin
-        ctx.dom.(y).(w) <- false;
-        ctx.count.(y) <- ctx.count.(y) - 1;
-        if ctx.count.(y) = 0 then Atomic.set wipeout true;
-        acc := (y, w) :: !acc
-      end)
-    frontier;
-  removed.(shard) <- List.rev !acc
-
-let shard_kill ctx nshards shard removals cands =
-  let acc = ref [] in
-  Array.iter
-    (fun (y, w) ->
-      List.iter
-        (fun (ci, js) ->
-          if ci mod nshards = shard then begin
-            let c = ctx.constrs.(ci) in
-            List.iter
-              (fun j ->
-                Array.iter
-                  (fun ti ->
-                    c.kill.(ti) <- c.kill.(ti) + 1;
-                    if c.kill.(ti) = 1 then begin
-                      let tt = c.info.tuples.(ti) in
-                      for k = 0 to Array.length c.atom - 1 do
-                        let v = tt.(k) in
-                        c.supp.(k).(v) <- c.supp.(k).(v) - 1;
-                        if c.supp.(k).(v) = 0 && ctx.dom.(c.atom.(k)).(v) then
-                          acc := (c.atom.(k), v) :: !acc
-                      done
-                    end)
-                  c.info.by_pos.(j).(w))
-              js
-          end)
-        ctx.occ_c.(y))
-    removals;
-  cands.(shard) <- !acc
-
-(* Below this frontier size the per-round barrier costs more than the
-   round's work; run the steps inline on the caller instead. *)
-let inline_frontier = 64
-
-let establish_sharded ctx pool =
-  let nshards = Parallel.Pool.size pool in
-  Telemetry.count "ac.support_builds" 1;
-  Queue.clear ctx.pending_vals;
-  let cands = Array.make nshards [] in
-  Parallel.Pool.run pool (fun s -> shard_build ctx nshards s cands);
-  ctx.init_depth <- Stack.length ctx.trail;
-  ctx.supports_ready <- true;
-  let wipeout = Atomic.make false in
-  let removed = Array.make nshards [] in
-  let frontier = ref (Array.of_list (List.concat (Array.to_list cands))) in
-  let alive = ref true in
-  while !alive && Array.length !frontier > 0 do
-    let f = !frontier in
-    let inline = Array.length f < inline_frontier in
-    let each job =
-      if inline then
-        for s = 0 to nshards - 1 do
-          job s
-        done
-      else Parallel.Pool.run pool job
-    in
-    Array.fill removed 0 nshards [];
-    each (fun s -> shard_remove ctx nshards s f removed wipeout);
-    let nremoved = ref 0 in
-    Array.iter
-      (List.iter
-         (fun (y, w) ->
-           incr nremoved;
-           Stack.push (y, w) ctx.trail))
-      removed;
-    if !nremoved > 0 then begin
-      ctx.removals <- ctx.removals + !nremoved;
-      Telemetry.count "ac.kills" !nremoved
-    end;
-    Array.fill cands 0 nshards [];
-    if !nremoved > 0 then begin
-      let removals = Array.of_list (List.concat (Array.to_list removed)) in
-      each (fun s -> shard_kill ctx nshards s removals cands)
-    end;
-    if Atomic.get wipeout then alive := false
-    else frontier := Array.of_list (List.concat (Array.to_list cands))
-  done;
-  !alive
-
-let establish ?pool ctx =
+let establish ctx =
   if ctx.n = 0 then true
   else if ctx.m = 0 then false
   else
@@ -490,12 +340,9 @@ let establish ?pool ctx =
         schedule ctx x
       done;
       propagate_naive ctx
-    | `Ac4 -> (
-      match pool with
-      | Some pool when Parallel.Pool.size pool > 1 -> establish_sharded ctx pool
-      | _ ->
-        ensure_supports ctx;
-        propagate_ac4 ctx)
+    | `Ac4 ->
+      ensure_supports ctx;
+      propagate_ac4 ctx
 
 let assign ctx x v =
   if not ctx.dom.(x).(v) then invalid_arg "Arc_consistency.assign: value not in domain";

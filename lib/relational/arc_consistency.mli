@@ -47,25 +47,9 @@ val propagate : t -> bool
 (** Propagates all pending removals to the arc-consistent fixpoint.
     Returns [false] on wipeout. *)
 
-val establish : ?pool:Parallel.Pool.t -> t -> bool
+val establish : t -> bool
 (** Makes the whole context arc-consistent from scratch (all variables
-    scheduled).  Returns [false] when no homomorphism can exist.
-
-    With [?pool] of size > 1 (and the [`Ac4] engine), the support-counter
-    build and the death-propagation cascade run sharded across the
-    pool's domains in bulk-synchronous rounds, all counter writes
-    partitioned by ownership (constraints by index, variables by index)
-    with a barrier between the removal and decrement halves of each
-    round.  The closure is the same unique fixpoint the sequential path
-    computes, so on a [true] verdict the resulting domains, [dom_size]
-    and [removal_count] are identical; only trail order may differ,
-    which {!pop} is insensitive to.  On wipeout both paths stop early —
-    the verdict still agrees (the closure is empty iff any propagation
-    order hits an empty domain), but the partially-emptied domains are
-    order-dependent, exactly as they already are between sequential
-    runs that enqueue variables differently.  The context itself stays
-    single-domain: only [establish] may be handed a pool, and the
-    context must not be used concurrently. *)
+    scheduled).  Returns [false] when no homomorphism can exist. *)
 
 val push : t -> unit
 (** Push an undo checkpoint. *)

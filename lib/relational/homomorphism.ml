@@ -67,7 +67,7 @@ let nullary_facts_hold a b =
    search-tree node and may abort the search by raising
    [Budget.Exhausted]. *)
 let search ?(ordering = `Mrv) ?(restrict = fun _ _ -> true)
-    ?(budget = Budget.unlimited) ?pool a b ~on_solution =
+    ?(budget = Budget.unlimited) a b ~on_solution =
   let n = Structure.size a and m = Structure.size b in
   let nodes = ref 0 in
   Budget.check budget;
@@ -86,9 +86,7 @@ let search ?(ordering = `Mrv) ?(restrict = fun _ _ -> true)
           if not (Arc_consistency.remove_value ctx x v) then alive := false
       done
     done;
-    (* Only the root establish is sharded: the per-assignment propagations
-       during search are far too fine-grained to win back a barrier. *)
-    if !alive && Arc_consistency.establish ?pool ctx then begin
+    if !alive && Arc_consistency.establish ctx then begin
       let decided = Array.make n false in
       (* Variable choice: minimum-remaining-values, or plain input order
          (kept for the ablation benchmarks). *)
@@ -142,20 +140,20 @@ let search ?(ordering = `Mrv) ?(restrict = fun _ _ -> true)
     !nodes
   end
 
-let find_with_stats ?ordering ?restrict ?budget ?pool a b =
+let find_with_stats ?ordering ?restrict ?budget a b =
   let result = ref None in
   let nodes =
-    search ?ordering ?restrict ?budget ?pool a b ~on_solution:(fun h ->
+    search ?ordering ?restrict ?budget a b ~on_solution:(fun h ->
         result := Some (Array.copy h);
         false)
   in
   (!result, { nodes })
 
-let find ?ordering ?restrict ?budget ?pool a b =
-  fst (find_with_stats ?ordering ?restrict ?budget ?pool a b)
+let find ?ordering ?restrict ?budget a b =
+  fst (find_with_stats ?ordering ?restrict ?budget a b)
 
-let decide ?ordering ?restrict ?budget ?pool a b =
-  match find ?ordering ?restrict ?budget ?pool a b with
+let decide ?ordering ?restrict ?budget a b =
+  match find ?ordering ?restrict ?budget a b with
   | Some h -> Budget.Sat h
   | None -> Budget.Unsat
   | exception Budget.Exhausted reason -> Budget.Unknown reason
@@ -194,10 +192,10 @@ let generator (produce : yield:(mapping -> unit) -> unit) : mapping Seq.t =
             | _ -> None);
       }
 
-let search_seq ?ordering ?restrict ?budget ?pool a b =
+let search_seq ?ordering ?restrict ?budget a b =
   generator (fun ~yield ->
       ignore
-        (search ?ordering ?restrict ?budget ?pool a b ~on_solution:(fun h ->
+        (search ?ordering ?restrict ?budget a b ~on_solution:(fun h ->
              yield (Array.copy h);
              true)))
 

@@ -48,7 +48,6 @@ val find :
   ?ordering:[ `Mrv | `Input ] ->
   ?restrict:(int -> int -> bool) ->
   ?budget:Budget.t ->
-  ?pool:Parallel.Pool.t ->
   Structure.t ->
   Structure.t ->
   mapping option
@@ -56,17 +55,13 @@ val find :
     prunes target candidate [v] for source element [x] up front — used, e.g.,
     to search for non-surjective endomorphisms.  [ordering] selects the
     branching-variable heuristic: minimum-remaining-values (default) or
-    plain input order (for ablations).  [pool] shards the root
-    arc-consistency establish across domains (see
-    {!Arc_consistency.establish}); the backtracking search itself stays
-    on the calling domain.
+    plain input order (for ablations).
     @raise Budget.Exhausted when [budget] runs out mid-search. *)
 
 val find_with_stats :
   ?ordering:[ `Mrv | `Input ] ->
   ?restrict:(int -> int -> bool) ->
   ?budget:Budget.t ->
-  ?pool:Parallel.Pool.t ->
   Structure.t ->
   Structure.t ->
   mapping option * stats
@@ -75,7 +70,6 @@ val decide :
   ?ordering:[ `Mrv | `Input ] ->
   ?restrict:(int -> int -> bool) ->
   ?budget:Budget.t ->
-  ?pool:Parallel.Pool.t ->
   Structure.t ->
   Structure.t ->
   mapping Budget.outcome
@@ -96,7 +90,6 @@ val search_seq :
   ?ordering:[ `Mrv | `Input ] ->
   ?restrict:(int -> int -> bool) ->
   ?budget:Budget.t ->
-  ?pool:Parallel.Pool.t ->
   Structure.t ->
   Structure.t ->
   mapping Seq.t

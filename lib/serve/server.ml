@@ -101,7 +101,7 @@ let validated field = function
    template.  [certify] re-derives the verdict's certificate with the
    trusted checker — a rejection is an internal error, raised and mapped
    at the boundary like everything else.  [threads] > 1 races the
-   portfolio routes on a domain pool; callers inside a forked sandbox
+   portfolio routes across domains; callers inside a forked sandbox
    worker must pass 1 — fork and domains do not mix. *)
 let solve_now cfg ~threads ~id ~op ~certify ~max_nodes ~timeout a
     (b, core, cache_status) =

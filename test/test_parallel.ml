@@ -1,10 +1,10 @@
-(* The parallel layer: pool/race primitives, racer budgets, and the
-   differential that justifies the sharded kernels — parallel AC-4 and
-   parallel pebble counting must compute bit-identical fixpoints to their
-   sequential twins on every instance.  Solver racing is covered at the
-   end: verdict agreement across thread counts, with every Unsat passing
-   the trusted certificate checker, and the losers of a race never
-   contributing a verdict. *)
+(* The parallel layer: the race primitive, racer budgets, and the two
+   places the solver races on it.  Route racing is checked for verdict
+   agreement across thread counts, with every Unsat passing the trusted
+   certificate checker and the losers of a race never contributing a
+   verdict.  Part racing is checked on disconnected sources whose
+   components race each other under racer budgets charged back into the
+   caller's budget. *)
 
 open Relational
 open Helpers
@@ -13,57 +13,10 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 (* ------------------------------------------------------------------ *)
-(* Pool                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_pool_partition_sum () =
-  let pool = Parallel.Pool.create 3 in
-  let n = 1000 in
-  let slots = Array.make (Parallel.Pool.size pool) 0 in
-  let job shard =
-    let acc = ref 0 in
-    for i = 0 to n - 1 do
-      if i mod Parallel.Pool.size pool = shard then acc := !acc + i
-    done;
-    slots.(shard) <- !acc
-  in
-  Parallel.Pool.run pool job;
-  check_int "all shards sum to the full range" (n * (n - 1) / 2)
-    (Array.fold_left ( + ) 0 slots);
-  (* The pool is persistent: a second run reuses the same workers. *)
-  Array.fill slots 0 (Array.length slots) 0;
-  Parallel.Pool.run pool job;
-  check_int "second run over the same pool" (n * (n - 1) / 2)
-    (Array.fold_left ( + ) 0 slots);
-  Parallel.Pool.shutdown pool;
-  Parallel.Pool.shutdown pool (* idempotent *)
-
-let test_pool_size_one_is_direct () =
-  let pool = Parallel.Pool.create 1 in
-  let ran = ref (-1) in
-  Parallel.Pool.run pool (fun shard -> ran := shard);
-  check_int "size-1 pool runs shard 0 on the caller" 0 !ran;
-  Parallel.Pool.shutdown pool
-
-exception Shard_boom
-
-let test_pool_exception_then_reuse () =
-  let pool = Parallel.Pool.create 3 in
-  let raised =
-    match Parallel.Pool.run pool (fun shard -> if shard = 1 then raise Shard_boom) with
-    | () -> false
-    | exception Shard_boom -> true
-  in
-  check "a shard's exception reaches the caller" true raised;
-  (* The barrier completed, so the pool is still usable afterwards. *)
-  let hits = Array.make 3 false in
-  Parallel.Pool.run pool (fun shard -> hits.(shard) <- true);
-  check "pool usable after a failed job" true (Array.for_all Fun.id hits);
-  Parallel.Pool.shutdown pool
-
-(* ------------------------------------------------------------------ *)
 (* Race                                                                *)
 (* ------------------------------------------------------------------ *)
+
+exception Task_boom
 
 let test_race_sequential_order () =
   let tasks = Array.init 5 (fun i -> fun () -> i * 10) in
@@ -85,13 +38,13 @@ let test_race_all_consumed () =
 
 let test_race_task_exception () =
   let tasks =
-    [| (fun () -> 1); (fun () -> raise Shard_boom); (fun () -> 3) |]
+    [| (fun () -> 1); (fun () -> raise Task_boom); (fun () -> 3) |]
   in
   let consumed = ref 0 in
   let raised =
     match Parallel.Race.run ~threads:2 ~tasks ~consume:(fun _ -> incr consumed) with
     | () -> false
-    | exception Shard_boom -> true
+    | exception Task_boom -> true
   in
   check "task exception re-raised after the drain" true raised
 
@@ -140,115 +93,6 @@ let test_charge_accumulates () =
   Budget.charge parent 1000;
   check "over-charge surfaces on the next probe" true
     (Budget.status parent = Some Budget.Node_limit)
-
-(* ------------------------------------------------------------------ *)
-(* Differential: sharded AC-4 vs sequential                            *)
-(* ------------------------------------------------------------------ *)
-
-let pair_of_seed seed =
-  QCheck.Gen.generate1
-    ~rand:(Random.State.make [| 0x5eed; seed |])
-    (gen_pair ~max_rels:3 ~max_arity:3 ~max_size_a:8 ~max_size_b:6
-       ~max_tuples:12 ())
-
-let domains_of ctx a =
-  List.init (Structure.size a) (fun x -> Arc_consistency.dom_values ctx x)
-
-let ac_differential_one pool a b =
-  let ctx_seq = Arc_consistency.create a b in
-  let ok_seq = Arc_consistency.establish ctx_seq in
-  let ctx_par = Arc_consistency.create a b in
-  let ok_par = Arc_consistency.establish ~pool ctx_par in
-  check "establish verdict agrees" ok_seq ok_par;
-  (* The AC closure is unique, so consistent outcomes must match exactly.
-     On wipeout both engines stop early, at order-dependent partial
-     states, so only the verdict is comparable. *)
-  if ok_seq then begin
-    Alcotest.(check (list (list int)))
-      "identical arc-consistent domains" (domains_of ctx_seq a)
-      (domains_of ctx_par a);
-    check_int "identical removal counts"
-      (Arc_consistency.removal_count ctx_seq)
-      (Arc_consistency.removal_count ctx_par)
-  end
-
-let test_ac_differential () =
-  let pools = [ Parallel.Pool.create 2; Parallel.Pool.create 3 ] in
-  for seed = 0 to 149 do
-    let a, b = pair_of_seed seed in
-    List.iter (fun pool -> ac_differential_one pool a b) pools
-  done;
-  (* Fixed larger instances whose cascades exceed the inline threshold. *)
-  List.iter
-    (fun (a, b) -> List.iter (fun pool -> ac_differential_one pool a b) pools)
-    [
-      (undirected_cycle 31, k2);
-      (clique 8, clique 6);
-      (path 40, directed_cycle 3);
-      (clique 5, undirected_cycle 7);
-    ];
-  List.iter Parallel.Pool.shutdown pools
-
-(* Parallel establish must leave the context in a state [push]/[pop] can
-   still unwind: assign after a sharded establish, pop, and the domains
-   must come back. *)
-let test_ac_parallel_then_backtrack () =
-  let pool = Parallel.Pool.create 2 in
-  let a = undirected_cycle 6 and b = k2 in
-  let ctx = Arc_consistency.create a b in
-  check "establish succeeds" true (Arc_consistency.establish ~pool ctx);
-  let before = domains_of ctx a in
-  Arc_consistency.push ctx;
-  ignore (Arc_consistency.assign ctx 0 0);
-  Arc_consistency.pop ctx;
-  Alcotest.(check (list (list int)))
-    "pop restores the parallel fixpoint" before (domains_of ctx a);
-  Parallel.Pool.shutdown pool
-
-(* ------------------------------------------------------------------ *)
-(* Differential: sharded pebble counting vs sequential                 *)
-(* ------------------------------------------------------------------ *)
-
-let sorted_family f = List.sort compare f
-
-let pebble_differential_one pool ~k a b =
-  let fam_s, _, (st_s : Pebble.Game.stats) = Pebble.Game.run_traced ~k a b in
-  let fam_p, trace_p, (st_p : Pebble.Game.stats) =
-    Pebble.Game.run_traced ~pool ~k a b
-  in
-  check "winning family agrees" true (sorted_family fam_s = sorted_family fam_p);
-  check_int "initial_configs agree" st_s.Pebble.Game.initial_configs
-    st_p.Pebble.Game.initial_configs;
-  check_int "removed agree" st_s.Pebble.Game.removed st_p.Pebble.Game.removed;
-  check_int "supports_built agree" st_s.Pebble.Game.supports_built
-    st_p.Pebble.Game.supports_built;
-  (* A parallel Spoiler win must replay through the trusted checker: the
-     round-concatenated trace is a valid derivation. *)
-  if fam_p = [] && Structure.size a > 0 then
-    check "parallel spoiler trace certifies" true
-      (Certificate.check a b (Core.Certify.of_consistency ~trace:trace_p b))
-
-let test_pebble_differential () =
-  let pools = [ Parallel.Pool.create 2; Parallel.Pool.create 3 ] in
-  for seed = 0 to 79 do
-    let a, b = pair_of_seed seed in
-    List.iter (fun pool -> pebble_differential_one pool ~k:2 a b) pools
-  done;
-  for seed = 80 to 99 do
-    let a, b = pair_of_seed seed in
-    List.iter (fun pool -> pebble_differential_one pool ~k:3 a b) pools
-  done;
-  (* Spoiler-win cascades large enough to leave the inline path. *)
-  List.iter
-    (fun (k, a, b) ->
-      List.iter (fun pool -> pebble_differential_one pool ~k a b) pools)
-    [
-      (2, undirected_cycle 9, k2);
-      (3, undirected_cycle 15, k2);
-      (2, clique 4, undirected_cycle 5);
-      (3, clique 4, clique 3);
-    ];
-  List.iter Parallel.Pool.shutdown pools
 
 (* ------------------------------------------------------------------ *)
 (* Portfolio racing                                                    *)
@@ -349,16 +193,57 @@ let test_cancelled_never_contributes () =
     | Core.Solver.Unknown _ -> ()
   done
 
+(* Part racing: a disconnected source splits into one part per distinct
+   component, and with [threads > 1] the parts race through
+   [Parallel.Race], each on its own racer budget.  Verdicts agree across
+   thread counts, every certificate checks, the racers' spend is charged
+   back into the caller's budget, and a budget too small to finish
+   degrades to [Unknown] instead of raising. *)
+let test_part_race () =
+  let ( ++ ) = Structure.disjoint_union in
+  let unsat = undirected_cycle 4 ++ undirected_cycle 5 ++ undirected_cycle 6 in
+  let sat = undirected_cycle 4 ++ undirected_cycle 6 in
+  List.iter
+    (fun (name, a, expect_sat) ->
+      List.iter
+        (fun threads ->
+          let label what = Printf.sprintf "%s, threads=%d: %s" name threads what in
+          (* A node limit makes route slices tick through to this budget,
+             so its spend must cover every attempt's nodes. *)
+          let budget = Budget.create ~max_nodes:1_000_000 () in
+          let r = Core.Solver.solve ~budget ~threads a k2 in
+          (match r.Core.Solver.verdict with
+          | Core.Solver.Sat h ->
+            check (label "sat") expect_sat true;
+            check (label "witness certified") true
+              (Certificate.check a k2 (Certificate.Witness h))
+          | Core.Solver.Unsat c ->
+            check (label "sat") expect_sat false;
+            check (label "refutation certified") true (Certificate.check a k2 c)
+          | Core.Solver.Unknown _ -> Alcotest.failf "%s" (label "unexpected unknown"));
+          let attempted =
+            List.fold_left
+              (fun acc (at : Core.Solver.attempt) -> acc + at.Core.Solver.nodes)
+              0 r.Core.Solver.attempts
+          in
+          check (label "parent budget spent") true (Budget.spent budget > 0);
+          check (label "parent spend covers every attempt") true
+            (Budget.spent budget >= attempted))
+        [ 1; 2; 3 ])
+    [ ("C4+C5+C6 -> K2", unsat, false); ("C4+C6 -> K2", sat, true) ];
+  List.iter
+    (fun threads ->
+      match
+        (Core.Solver.solve ~budget:(Budget.create ~max_nodes:1 ()) ~threads unsat k2)
+          .Core.Solver.verdict
+      with
+      | Core.Solver.Unknown _ -> ()
+      | _ -> Alcotest.failf "max_nodes=1, threads=%d: expected unknown" threads)
+    [ 1; 2; 3 ]
+
 let () =
   Alcotest.run "parallel"
     [
-      ( "pool",
-        [
-          Alcotest.test_case "partition sum" `Quick test_pool_partition_sum;
-          Alcotest.test_case "size one direct" `Quick test_pool_size_one_is_direct;
-          Alcotest.test_case "exception then reuse" `Quick
-            test_pool_exception_then_reuse;
-        ] );
       ( "race",
         [
           Alcotest.test_case "sequential order" `Quick test_race_sequential_order;
@@ -372,20 +257,12 @@ let () =
           Alcotest.test_case "user cancel" `Quick test_racer_sees_user_cancel;
           Alcotest.test_case "charge accumulates" `Quick test_charge_accumulates;
         ] );
-      ( "ac differential",
-        [
-          Alcotest.test_case "parallel = sequential" `Quick test_ac_differential;
-          Alcotest.test_case "backtrack after parallel" `Quick
-            test_ac_parallel_then_backtrack;
-        ] );
-      ( "pebble differential",
-        [ Alcotest.test_case "parallel = sequential" `Quick test_pebble_differential ]
-      );
       ( "racing",
         [
           Alcotest.test_case "cancellation" `Quick test_race_cancellation;
           test_race_agreement;
           Alcotest.test_case "cancelled never contributes" `Quick
             test_cancelled_never_contributes;
+          Alcotest.test_case "part race" `Quick test_part_race;
         ] );
     ]
