@@ -263,6 +263,7 @@ let () =
           test_race_agreement;
           Alcotest.test_case "cancelled never contributes" `Quick
             test_cancelled_never_contributes;
-          Alcotest.test_case "part race" `Quick test_part_race;
         ] );
+      ( "racing disconnected",
+        [ Alcotest.test_case "part race" `Quick test_part_race ] );
     ]
