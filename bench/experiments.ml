@@ -324,28 +324,30 @@ let e7 () =
   List.iter
     (fun n ->
       let g = Core.Workloads.undirected_cycle n in
-      let (wins, stats), t =
+      let { Pebble.Game.family; stats; _ }, t =
         Util.time ~repeat:1 (fun () ->
-            Pebble.Game.duplicator_wins_with_stats ~k:2 g Core.Workloads.k2)
+            Option.get (Pebble.Game.run ~k:2 g Core.Workloads.k2))
       in
+      let wins = Pebble.Game.mem family [] in
       assert wins;
       (* 2 pebbles never refute cycles. *)
       series2 := (n, t) :: !series2;
       rows :=
-        [ "2"; int n; string_of_bool (not wins); int stats.Pebble.Game.initial_configs; f2s t ]
+        [ "2"; int n; string_of_bool (not wins); int stats.initial_configs; f2s t ]
         :: !rows)
     [ 8; 16; 32; 64 ];
   List.iter
     (fun n ->
       let g = Core.Workloads.undirected_cycle n in
-      let (wins, stats), t =
+      let { Pebble.Game.family; stats; _ }, t =
         Util.time ~repeat:1 (fun () ->
-            Pebble.Game.duplicator_wins_with_stats ~k:3 g Core.Workloads.k2)
+            Option.get (Pebble.Game.run ~k:3 g Core.Workloads.k2))
       in
+      let wins = Pebble.Game.mem family [] in
       (* 3 pebbles decide 2-colorability exactly (Theorem 4.8 for K2). *)
       assert (wins = (n mod 2 = 0));
       rows :=
-        [ "3"; int n; string_of_bool (not wins); int stats.Pebble.Game.initial_configs; f2s t ]
+        [ "3"; int n; string_of_bool (not wins); int stats.initial_configs; f2s t ]
         :: !rows)
     [ 7; 8; 11; 12; 15; 16 ];
   Util.table
@@ -905,7 +907,7 @@ let certify () =
        ("treewidth-dp", a, b, fun () -> ignore (Treewidth.Td_solver.solve a b)));
       (let a = marked_clique 5 and b = marked_triangle in
        ("2-consistency", a, b, fun () ->
-           ignore (Pebble.Game.solve ~k:2 a b)));
+           ignore (Pebble.Game.spoiler_wins ~k:2 a b)));
       (let a = Core.Workloads.clique 5 and b = Core.Workloads.undirected_cycle 7 in
        ("backtracking", a, b, fun () -> ignore (Homomorphism.decide a b)));
     ]
@@ -977,12 +979,12 @@ let certify () =
 (* E16: indexed propagation and the Theorem 3.4 O(||A||*||B||) bound    *)
 (* ------------------------------------------------------------------ *)
 
-(* Establish arc consistency from scratch under the chosen engine; the
-   context build is part of the measured cost (the support tables ARE the
-   algorithm's O(||A||*||B||) preprocessing). *)
-let establish_time ?repeat ~algorithm a b =
+(* Establish arc consistency from scratch with AC-4; the context build is
+   part of the measured cost (the support tables ARE the algorithm's
+   O(||A||*||B||) preprocessing). *)
+let establish_time ?repeat a b =
   Util.time ?repeat (fun () ->
-      let ctx = Arc_consistency.create ~algorithm a b in
+      let ctx = Arc_consistency.create a b in
       Arc_consistency.establish ctx)
 
 (* Scale-free regression guard: keys in the (optional) baseline file named
@@ -1135,11 +1137,14 @@ let e16 () =
       (fun s ->
         let a = source s in
         let b = target s in
-        (* The naive baseline is slow on the large sizes; one timing of it
-           suffices for a reference ratio. *)
-        let rn, tn = establish_time ~repeat:1 ~algorithm:`Naive a b in
-        let r4, t4 = establish_time ~repeat:3 ~algorithm:`Ac4 a b in
-        assert (rn && r4);
+        (* The naive baseline (the rescan-and-revise oracle) is slow on
+           the large sizes; one timing of it suffices for a reference
+           ratio. *)
+        let rn, tn =
+          Util.time ~repeat:1 (fun () -> Oracle.Arc.closure ~restrict:(fun _ _ -> true) a b)
+        in
+        let r4, t4 = establish_time ~repeat:3 a b in
+        assert (rn <> None && r4);
         record family s a b (Some tn) t4;
         ( (s, Structure.norm a * Structure.norm b, tn, t4),
           [ family; int s; int (Structure.norm a); int (Structure.norm b);
@@ -1282,19 +1287,18 @@ let e17 () =
     List.map
       (fun s ->
         let a = source s and b = target s in
-        (* The naive engine dominates the large sizes; one timing of it
-           suffices for a reference ratio. *)
-        let (fn, _, _), tn =
+        (* The naive engine (the list-based oracle) dominates the large
+           sizes; one timing of it suffices for a reference ratio. *)
+        let (fn, _), tn =
           Util.time ~repeat:1 (fun () ->
-              Pebble.Game.run_traced ~engine:`Naive ~k a b)
+              Oracle.Pebble.family ~budget:Budget.unlimited ~k a b)
         in
-        let (fc, _, stats), tc =
-          Util.time ~repeat:3 (fun () ->
-              Pebble.Game.run_traced ~engine:`Counting ~k a b)
-        in
-        (* Differential: the winning family is the unique greatest fixpoint,
-           so the engines must agree configuration for configuration. *)
-        assert (List.sort compare fn = List.sort compare fc);
+        let outcome, tc = Util.time ~repeat:3 (fun () -> Pebble.Game.run ~k a b) in
+        let { Pebble.Game.family = fc; stats; _ } = Option.get outcome in
+        (* Differential, outside the timed closures: the winning family is
+           the unique greatest fixpoint, so the engines must agree
+           configuration for configuration. *)
+        assert (List.sort compare fn = List.sort compare (Pebble.Game.configs fc));
         record family ~k s a b (Some tn) tc stats;
         ( (s, Structure.norm a * Structure.norm b, tn, tc),
           [ family; int k; int s; int (Structure.norm a);
@@ -1446,13 +1450,15 @@ let e18 () =
   in
   let workload () =
     let r1 = Core.Solver.solve (Core.Workloads.path 48) (dense_floor 24) in
-    let family, _, _ =
-      Pebble.Game.run_traced ~k:3 (Core.Workloads.undirected_cycle 9)
-        Core.Workloads.k2
+    let family =
+      Pebble.Game.configs
+        (Option.get
+           (Pebble.Game.run ~k:3 (Core.Workloads.undirected_cycle 9) Core.Workloads.k2))
+          .family
     in
     let arc =
       let ctx =
-        Arc_consistency.create ~algorithm:`Ac4 (Core.Workloads.path 96)
+        Arc_consistency.create (Core.Workloads.path 96)
           (dense_floor 32)
       in
       Arc_consistency.establish ctx

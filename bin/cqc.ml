@@ -671,20 +671,29 @@ let enumerate_cmd =
       $ format $ metrics_json_term $ trace_out_term
       $ structure_arg ~docv:"SOURCE" 0 $ structure_arg ~docv:"TARGET" 1)
 
-let game k engine show_stats a b =
+let game k show_stats a b =
   run (fun () ->
       let a = read_structure a and b = read_structure b in
-      let wins, stats = Pebble.Game.duplicator_wins_with_stats ~engine ~k a b in
+      let { Pebble.Game.family; stats; _ } =
+        match Pebble.Game.run ~k a b with
+        | Some outcome -> outcome
+        | None ->
+          Core.Error.unsupported
+            "the %d-pebble game on %d x %d elements exceeds the encoding capacity \
+             of %d slots"
+            k (Relational.Structure.size a) (Relational.Structure.size b)
+            Pebble.Game.Encoding.capacity
+      in
+      let wins = Pebble.Game.mem family [] in
       Format.printf "existential %d-pebble game: %s wins@." k
         (if wins then "the Duplicator" else "the Spoiler");
       Format.printf "partial homomorphisms: %d generated, %d pruned@."
-        stats.Pebble.Game.initial_configs stats.Pebble.Game.removed;
+        stats.initial_configs stats.removed;
       if show_stats then
         Format.printf
           "engine counters: %d configs ranked, %d supports built, %d deaths \
            propagated@."
-          stats.Pebble.Game.configs_ranked stats.Pebble.Game.supports_built
-          stats.Pebble.Game.deaths_propagated;
+          stats.configs_ranked stats.supports_built stats.deaths_propagated;
       if not wins then Format.printf "consequence: no homomorphism SOURCE -> TARGET@."
       else
         Format.printf
@@ -695,30 +704,20 @@ let game_cmd =
   let k =
     Arg.(value & opt int 2 & info [ "k"; "pebbles" ] ~docv:"K" ~doc:"Number of pebbles.")
   in
-  let engine =
-    Arg.(
-      value
-      & opt (enum [ ("counting", `Counting); ("naive", `Naive) ]) `Counting
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Fixpoint engine: counting (integer-encoded support counters, the \
-             default) or naive (the list-based reference).  Both compute the \
-             identical winning family.")
-  in
   let stats =
     Arg.(
       value & flag
       & info [ "stats" ]
           ~doc:
-            "Also print the counting engine's internal counters: configurations \
+            "Also print the engine's internal counters: configurations \
              ranked, support-counter increments, and deaths propagated through \
-             the worklist (all zero under --engine naive).")
+             the worklist.")
   in
   Cmd.v
     (Cmd.info "game" ~exits
        ~doc:"Play the existential k-pebble game (strong k-consistency)")
     Term.(
-      const game $ k $ engine $ stats $ structure_arg ~docv:"SOURCE" 0
+      const game $ k $ stats $ structure_arg ~docv:"SOURCE" 0
       $ structure_arg ~docv:"TARGET" 1)
 
 let fo_check formula_text a =

@@ -130,75 +130,88 @@ let routes ~budget a b =
         claim_of (fun () ->
             (* One-sided: a Spoiler win refutes, a Duplicator win decides
                nothing. *)
-            match Pebble.Game.solve ~budget:(budget ()) ~k:2 a b with
-            | Some false -> Some false
-            | _ -> None));
+            if Pebble.Game.spoiler_wins ~budget:(budget ()) ~k:2 a b then Some false
+            else None));
   ]
 
-(* Differential check of the propagation engines: AC-4 support counting
-   and the naive full-rescan revise must agree on the establish verdict,
-   on every domain of the arc-consistent closure (which is unique), and
-   on the domains after an assign/propagate/pop round trip. *)
+(* Differential check of AC-4 against the rescan-and-revise oracle: the
+   arc-consistent closure is unique, so they must agree on the establish
+   verdict and every domain, and on the domains after an assign — the
+   oracle's closure with [x] fixed to [v] — while pop must restore the
+   establish snapshot. *)
 let ac_differential note a b =
-  let c4 = Arc_consistency.create ~algorithm:`Ac4 a b in
-  let cn = Arc_consistency.create ~algorithm:`Naive a b in
+  let ctx = Arc_consistency.create a b in
   let n = Structure.size a in
-  let domains ctx = List.init n (Arc_consistency.dom_values ctx) in
-  let compare_domains stage =
-    if domains c4 <> domains cn then
-      note (Printf.sprintf "ac-differential: domains differ %s" stage)
+  let domains () = Array.init n (Arc_consistency.dom_values ctx) in
+  let compare_with stage ours oracle =
+    match (ours, oracle) with
+    | false, None -> ()
+    | true, Some doms ->
+      if domains () <> doms then note ("ac-differential: domains differ " ^ stage)
+    | _ ->
+      note
+        (Printf.sprintf "ac-differential: %s disagrees (ac4 %b, oracle %b)" stage ours
+           (oracle <> None))
   in
-  let r4 = Arc_consistency.establish c4 and rn = Arc_consistency.establish cn in
-  if r4 <> rn then
-    note (Printf.sprintf "ac-differential: establish disagrees (ac4 %b, naive %b)" r4 rn)
-  else if r4 then begin
-    compare_domains "after establish";
-    let snapshot = domains c4 in
+  let established = Arc_consistency.establish ctx in
+  compare_with "after establish" established
+    (Oracle.Arc.closure ~restrict:(fun _ _ -> true) a b);
+  if established then begin
+    let snapshot = domains () in
     let branch = ref None in
     for x = n - 1 downto 0 do
-      if Arc_consistency.dom_size c4 x > 1 then branch := Some x
+      if Arc_consistency.dom_size ctx x > 1 then branch := Some x
     done;
     match !branch with
     | None -> ()
     | Some x ->
-      let v = List.hd (Arc_consistency.dom_values c4 x) in
-      Arc_consistency.push c4;
-      Arc_consistency.push cn;
-      let a4 = Arc_consistency.assign c4 x v and an = Arc_consistency.assign cn x v in
-      if a4 <> an then
-        note (Printf.sprintf "ac-differential: assign disagrees (ac4 %b, naive %b)" a4 an)
-      else if a4 then compare_domains "after assign";
-      Arc_consistency.pop c4;
-      Arc_consistency.pop cn;
-      if domains c4 <> snapshot then
-        note "ac-differential: ac4 pop did not restore the establish domains";
-      compare_domains "after pop"
+      let v = List.hd (Arc_consistency.dom_values ctx x) in
+      Arc_consistency.push ctx;
+      compare_with "after assign" (Arc_consistency.assign ctx x v)
+        (Oracle.Arc.closure ~restrict:(fun y w -> y <> x || w = v) a b);
+      Arc_consistency.pop ctx;
+      if domains () <> snapshot then
+        note "ac-differential: ac4 pop did not restore the establish domains"
   end
 
-(* Differential check of the pebble-game engines: the integer-encoded
-   support-counter engine and the naive list engine compute the same
-   greatest fixpoint (the winning family is unique), so their families
-   must be identical and, on a Spoiler win, the counting engine's trace
-   must replay through the trusted checker. *)
+(* Differential check of the pebble game against the list-based oracle:
+   both compute the unique greatest fixpoint, so the families must be
+   identical, [mem] must hold on every oracle configuration, [respond]
+   must answer from every one with fewer than k pebbles, and on a Spoiler
+   win the engine's trace must replay through the trusted checker. *)
 let pebble_differential note ~budget a b =
-  let family engine =
-    match Pebble.Game.winning_family_with_trace ~budget:(budget ()) ~engine ~k:2 a b with
-    | family, trace -> Some (List.sort compare family, trace)
-    | exception Budget.Exhausted _ -> None
-  in
-  match (family `Counting, family `Naive) with
-  | Some (fc, trace), Some (fn, _) ->
-    if fc <> fn then
+  let k = 2 in
+  match
+    ( Pebble.Game.run ~budget:(budget ()) ~k a b,
+      Oracle.Pebble.family ~budget:(budget ()) ~k a b )
+  with
+  | Some { family; trace; _ }, (oracle, _) ->
+    let ours = List.sort compare (Pebble.Game.configs family) in
+    let oracle = List.sort compare oracle in
+    if ours <> oracle then
       note
         (Printf.sprintf
-           "pebble-differential: families differ (counting %d, naive %d configs)"
-           (List.length fc) (List.length fn));
-    if fc = [] && Structure.size a > 0 then begin
+           "pebble-differential: families differ (engine %d, oracle %d configs)"
+           (List.length ours) (List.length oracle));
+    if not (List.for_all (Pebble.Game.mem family) oracle) then
+      note "pebble-differential: mem rejects an oracle configuration";
+    let stranded config =
+      List.length config < k
+      && List.exists
+           (fun x ->
+             (not (List.mem_assoc x config))
+             && Pebble.Game.respond family config x = None)
+           (Structure.universe a)
+    in
+    if List.exists stranded oracle then
+      note "pebble-differential: respond has no answer from an oracle position";
+    if ours = [] && Structure.size a > 0 then begin
       let cert = Certify.of_consistency ~trace b in
       if not (Certificate.check a b cert) then
-        note "pebble-differential: counting-engine Spoiler trace rejected"
+        note "pebble-differential: Spoiler trace rejected"
     end
-  | _ -> ()
+  | None, _ -> ()
+  | exception Budget.Exhausted _ -> ()
 
 (* The full portfolio, with its verdict checked against its own
    certificate by the trusted checker. *)

@@ -190,32 +190,29 @@ let table ~max_treewidth ~consistency_k ~booleanize_threshold a b =
     (* k-consistency, the existential k-pebble game (Theorems 4.7–4.9):
        refutes outright, or prunes soundly — a pair [(x, v)] whose
        singleton configuration left the winning family lies on no
-       homomorphism.  The counters come from the engine's returned stats,
-       not from telemetry, so attempts do not depend on a sink. *)
+       homomorphism.  Declines when the configuration space exceeds the
+       engine's encoding capacity.  The counters come from the engine's
+       returned stats, not from telemetry, so attempts do not depend on a
+       sink. *)
     chained Quarter (fun () ->
         Some
           ( Consistency_refutation consistency_k,
             fun _ s ->
-              let family, trace, st =
-                Pebble.Game.run_traced ~budget:s ~k:consistency_k a b
-              in
-              let counters =
-                [
-                  ("pebble.configs_ranked", st.Pebble.Game.configs_ranked);
-                  ("pebble.deaths_propagated", st.Pebble.Game.deaths_propagated);
-                  ("pebble.initial_configs", st.Pebble.Game.initial_configs);
-                  ("pebble.removed", st.Pebble.Game.removed);
-                  ("pebble.supports_built", st.Pebble.Game.supports_built);
-                ]
-              in
-              match family with
-              | [] -> (Refuted (fun _ -> Some (Certify.of_consistency ~trace b)), counters)
-              | _ ->
-                let singles = Hashtbl.create 256 in
-                List.iter
-                  (function [ (x, v) ] -> Hashtbl.replace singles (x, v) () | _ -> ())
-                  family;
-                (Pruned (fun x v -> Hashtbl.mem singles (x, v)), counters) ));
+              match Pebble.Game.run ~budget:s ~k:consistency_k a b with
+              | None -> (Declined, [])
+              | Some { family; trace; stats = st } ->
+                let counters =
+                  [
+                    ("pebble.configs_ranked", st.configs_ranked);
+                    ("pebble.deaths_propagated", st.deaths_propagated);
+                    ("pebble.initial_configs", st.initial_configs);
+                    ("pebble.removed", st.removed);
+                    ("pebble.supports_built", st.supports_built);
+                  ]
+                in
+                if Pebble.Game.mem family [] then
+                  (Pruned (fun x v -> Pebble.Game.mem family [ (x, v) ]), counters)
+                else (Refuted (fun _ -> Some (Certify.of_consistency ~trace b)), counters) ));
     (* MAC backtracking (NP-complete in general) under the inherited
        pruning, certified by an independent exhaustive search. *)
     chained All (fun () ->

@@ -2,8 +2,6 @@ open Relational
 
 type config = (int * int) list
 
-type engine = [ `Counting | `Naive ]
-
 type stats = {
   initial_configs : int;
   removed : int;
@@ -45,144 +43,152 @@ module Encoding = struct
 
   (* Beyond this many ranked codes, counter slots or per-subset extension
      slots the flat arrays stop being an optimisation and start being an
-     allocation hazard; callers fall back to the streaming list engine,
-     whose budget governs. *)
+     allocation hazard; such layouts are refused. *)
   let capacity = 1 lsl 26
+
+  let sat_add a b = if a > max_int - b then max_int else a + b
+
+  let sat_mul a b = if a <> 0 && b > max_int / a then max_int else a * b
+
+  (* Whether the layout stays within capacity, decided before any subset
+     is enumerated: the ranked codes sum C(n,d)*m^d over d <= k, the
+     counter slots C(n,d)*m^d*(n-d) over d < k, and the n-sized extension
+     tables C(n,d)*n over d < k, all in saturating arithmetic.  Requires
+     [k <= n]. *)
+  let fits ~n ~m ~k =
+    let rec sum d binom pw codes counters exts =
+      let block = sat_mul binom pw in
+      let codes = sat_add codes block in
+      let counters, exts =
+        if d < k then
+          (sat_add counters (sat_mul block (n - d)), sat_add exts (sat_mul binom n))
+        else (counters, exts)
+      in
+      if codes > capacity || counters > capacity || exts > capacity then false
+      else
+        d = k
+        || sum (d + 1)
+             (sat_mul binom (n - d) / (d + 1))
+             (sat_mul pw m) codes counters exts
+    in
+    sum 0 1 1 0 0 0
 
   let create ?(budget = Budget.unlimited) ~n ~m ~k () =
     if n <= 0 || m <= 0 || k < 1 then invalid_arg "Game.Encoding.create";
     let k = min k n in
-    let pow = Array.make (k + 1) 1 in
-    let pow_ok = ref true in
-    for j = 1 to k do
-      if !pow_ok && pow.(j - 1) <= capacity / m then pow.(j) <- pow.(j - 1) * m
-      else pow_ok := false
-    done;
-    if not !pow_ok then None
+    if not (fits ~n ~m ~k) then None
     else begin
-      (* Enumerate subsets in DFS preorder, watching all three capacities:
-         ranked codes, counter slots, and the n-sized extension tables that
-         every subset below size k carries (ext_sid/ext_pos/free_idx). *)
-      let subsets = ref [] and count = ref 0 in
-      let total = ref 0 and counter_slots = ref 0 and ext_slots = ref 0 in
-      let over = ref false in
+      let pow = Array.make (k + 1) 1 in
+      for j = 1 to k do
+        pow.(j) <- pow.(j - 1) * m
+      done;
+      (* Enumerate subsets in DFS preorder. *)
+      let subsets = ref [] in
       let rec extend subset d start =
-        if !over then ()
-        else begin
-          Budget.tick budget;
-          subsets := subset :: !subsets;
-          incr count;
-          total := !total + pow.(d);
-          if d < k then begin
-            ext_slots := !ext_slots + n;
-            if n - d > 0 then
-              counter_slots := !counter_slots + (pow.(d) * (n - d))
-          end;
-          if !total > capacity || !counter_slots > capacity || !ext_slots > capacity
-          then over := true
-          else if d < k then
-            for x = start to n - 1 do
-              extend (subset @ [ x ]) (d + 1) (x + 1)
-            done
-        end
+        Budget.tick budget;
+        subsets := subset :: !subsets;
+        if d < k then
+          for x = start to n - 1 do
+            extend (subset @ [ x ]) (d + 1) (x + 1)
+          done
       in
       extend [] 0 0;
-      if !over then None
-      else begin
-        let nsubsets = !count in
-        let elems =
-          Array.of_list (List.rev_map Array.of_list !subsets)
-        in
-        let sid_of = Hashtbl.create (2 * nsubsets) in
-        Array.iteri (fun sid s -> Hashtbl.replace sid_of (Array.to_list s) sid) elems;
-        let offset = Array.make nsubsets 0 in
-        let cnt_base = Array.make nsubsets (-1) in
-        let acc = ref 0 and cacc = ref 0 in
-        for sid = 0 to nsubsets - 1 do
-          let d = Array.length elems.(sid) in
-          offset.(sid) <- !acc;
-          acc := !acc + pow.(d);
-          if d < k && n - d > 0 then begin
-            cnt_base.(sid) <- !cacc;
-            cacc := !cacc + (pow.(d) * (n - d))
-          end
-        done;
-        let parent_sid =
-          Array.map
-            (fun s ->
-              Array.init (Array.length s) (fun j ->
-                  Hashtbl.find sid_of
-                    (List.filteri (fun i _ -> i <> j) (Array.to_list s))))
-            elems
-        in
-        (* The n-sized extension tables exist only below size k; the
-           dominant |S| = k subsets never consult them, so they all share
-           the one empty array the rows were initialised with. *)
-        let ext_sid = Array.make nsubsets [||] and ext_pos = Array.make nsubsets [||] in
-        let free = Array.make nsubsets [||] and free_idx = Array.make nsubsets [||] in
-        Array.iteri
-          (fun sid s ->
-            Budget.tick budget;
-            let d = Array.length s in
-            if d < k then begin
-              let esid = Array.make n (-1) and epos = Array.make n (-1) in
-              let fidx = Array.make n (-1) in
-              let fr = ref [] in
-              for x = n - 1 downto 0 do
-                if not (Array.exists (( = ) x) s) then begin
-                  let bigger = List.sort compare (x :: Array.to_list s) in
-                  esid.(x) <- Hashtbl.find sid_of bigger;
-                  let pos = ref 0 in
-                  List.iteri (fun i e -> if e = x then pos := i) bigger;
-                  epos.(x) <- !pos;
-                  fr := x :: !fr
-                end
-              done;
-              let fr = Array.of_list !fr in
-              Array.iteri (fun i x -> fidx.(x) <- i) fr;
-              free.(sid) <- fr;
-              ext_sid.(sid) <- esid;
-              ext_pos.(sid) <- epos;
-              free_idx.(sid) <- fidx
-            end)
+      let elems = Array.of_list (List.rev_map Array.of_list !subsets) in
+      let nsubsets = Array.length elems in
+      let sid_of = Hashtbl.create (2 * nsubsets) in
+      Array.iteri (fun sid s -> Hashtbl.replace sid_of (Array.to_list s) sid) elems;
+      let offset = Array.make nsubsets 0 in
+      let cnt_base = Array.make nsubsets (-1) in
+      let acc = ref 0 and cacc = ref 0 in
+      for sid = 0 to nsubsets - 1 do
+        let d = Array.length elems.(sid) in
+        offset.(sid) <- !acc;
+        acc := !acc + pow.(d);
+        if d < k then begin
+          cnt_base.(sid) <- !cacc;
+          cacc := !cacc + (pow.(d) * (n - d))
+        end
+      done;
+      let parent_sid =
+        Array.map
+          (fun s ->
+            Array.init (Array.length s) (fun j ->
+                Hashtbl.find sid_of (List.filteri (fun i _ -> i <> j) (Array.to_list s))))
+          elems
+      in
+      (* The n-sized extension tables exist only below size k; the
+         dominant |S| = k subsets never consult them, so they all share
+         the one empty array the rows were initialised with. *)
+      let ext_sid = Array.make nsubsets [||] and ext_pos = Array.make nsubsets [||] in
+      let free = Array.make nsubsets [||] and free_idx = Array.make nsubsets [||] in
+      Array.iteri
+        (fun sid s ->
+          Budget.tick budget;
+          let d = Array.length s in
+          if d < k then begin
+            let esid = Array.make n (-1) and epos = Array.make n (-1) in
+            let fidx = Array.make n (-1) in
+            let fr = ref [] in
+            for x = n - 1 downto 0 do
+              if not (Array.exists (( = ) x) s) then begin
+                let bigger = List.sort compare (x :: Array.to_list s) in
+                esid.(x) <- Hashtbl.find sid_of bigger;
+                let pos = ref 0 in
+                List.iteri (fun i e -> if e = x then pos := i) bigger;
+                epos.(x) <- !pos;
+                fr := x :: !fr
+              end
+            done;
+            let fr = Array.of_list !fr in
+            Array.iteri (fun i x -> fidx.(x) <- i) fr;
+            free.(sid) <- fr;
+            ext_sid.(sid) <- esid;
+            ext_pos.(sid) <- epos;
+            free_idx.(sid) <- fidx
+          end)
+        elems;
+      Some
+        {
+          n;
+          m;
+          k;
+          pow;
           elems;
-        Some
-          {
-            n;
-            m;
-            k;
-            pow;
-            elems;
-            offset;
-            total = !total;
-            sid_of;
-            parent_sid;
-            ext_sid;
-            ext_pos;
-            free;
-            free_idx;
-            cnt_base;
-            counter_slots = !counter_slots;
-          }
-      end
+          offset;
+          total = !acc;
+          sid_of;
+          parent_sid;
+          ext_sid;
+          ext_pos;
+          free;
+          free_idx;
+          cnt_base;
+          counter_slots = !cacc;
+        }
     end
 
   let configs enc = enc.total
 
-  let rank enc config =
+  (* The code of a well-formed configuration; [None] for an unsorted or
+     repeated domain, an image out of range, or a domain outside the
+     ranked subsets. *)
+  let code enc config =
     let dom = List.map fst config in
-    if List.sort_uniq Int.compare dom <> dom then
-      invalid_arg "Game.Encoding.rank: domain not sorted and distinct";
-    match Hashtbl.find_opt enc.sid_of dom with
-    | None -> invalid_arg "Game.Encoding.rank: domain has more than k elements"
-    | Some sid ->
-      let code = ref enc.offset.(sid) in
-      List.iteri
-        (fun j (_, v) ->
-          if v < 0 || v >= enc.m then invalid_arg "Game.Encoding.rank: image out of range";
-          code := !code + (v * enc.pow.(j)))
-        config;
-      !code
+    if
+      List.sort_uniq Int.compare dom <> dom
+      || List.exists (fun (_, v) -> v < 0 || v >= enc.m) config
+    then None
+    else
+      Option.map
+        (fun sid ->
+          List.fold_left ( + ) enc.offset.(sid)
+            (List.mapi (fun j (_, v) -> v * enc.pow.(j)) config))
+        (Hashtbl.find_opt enc.sid_of dom)
+
+  let rank enc config =
+    match code enc config with
+    | Some c -> c
+    | None -> invalid_arg "Game.Encoding.rank: malformed configuration"
 
   (* The subset owning a code, by binary search over the block offsets. *)
   let sid_of_code enc code =
@@ -219,7 +225,7 @@ end
    immediate restrictions (which may cascade), and downwards, killing its
    immediate extensions (restriction-closure, no trace entry needed: the
    certificate checker finds the forth-removed subset). *)
-let run_counting ?(verify = false) ~budget ~k:_ enc a b =
+let run_counting ?(verify = false) ~budget enc a b =
   let open Encoding in
   let n = enc.n and m = enc.m in
   let k = enc.k in
@@ -260,7 +266,7 @@ let run_counting ?(verify = false) ~budget ~k:_ enc a b =
       target_index
   in
   if not nullary_ok then
-    ( [],
+    ( alive,
       [ ([], 0) ],
       {
         initial_configs = 0;
@@ -491,18 +497,13 @@ let run_counting ?(verify = false) ~budget ~k:_ enc a b =
     done;
     !ok
   in
-  if !spoiler then ([], trace, stats ~removed:!initial, true)
-  else begin
-    let surviving = ref [] in
-    for sid = nsubsets - 1 downto 0 do
-      let d = Array.length enc.elems.(sid) in
-      let base = enc.offset.(sid) in
-      for t = enc.pow.(d) - 1 downto 0 do
-        if get (base + t) then surviving := Encoding.decode enc sid t :: !surviving
-      done
-    done;
-    (!surviving, trace, stats ~removed:!removed, (not verify) || counters_ok ())
+  if !spoiler then begin
+    (* The Spoiler won mid-cascade: the family is empty, whatever bits
+       the stopped worklist left set. *)
+    Bytes.fill alive 0 (Bytes.length alive) '\000';
+    (alive, trace, stats ~removed:!initial, true)
   end
+  else (alive, trace, stats ~removed:!removed, (not verify) || counters_ok ())
 
 (* The counter invariant audited against the final bitmap on a full run of
    the counting engine.  Exposed for the test suite; the audit recounts
@@ -515,184 +516,12 @@ let counter_invariant ~k a b =
     match Encoding.create ~n ~m ~k () with
     | None -> true
     | Some enc ->
-      let _, _, _, ok = run_counting ~verify:true ~budget:Budget.unlimited ~k enc a b in
+      let _, _, _, ok = run_counting ~verify:true ~budget:Budget.unlimited enc a b in
       ok
-
-(* ------------------------------------------------------------------ *)
-(* The naive list engine (differential reference)                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Insert a pebble pair keeping the list sorted by first component. *)
-let rec insert (a, b) = function
-  | [] -> [ (a, b) ]
-  | (a', b') :: rest as l ->
-    if a < a' then (a, b) :: l else (a', b') :: insert (a, b) rest
-
-let rec remove_at a = function
-  | [] -> []
-  | (a', b') :: rest -> if a = a' then rest else (a', b') :: remove_at a rest
-
-let domain config = List.map fst config
-
-(* All subsets of [0..n-1] of size at most k, as sorted lists. *)
-let subsets_up_to n k =
-  let rec extend subset start size acc =
-    let acc = subset :: acc in
-    if size = k then acc
-    else
-      let rec loop i acc =
-        if i >= n then acc
-        else loop (i + 1) (extend (subset @ [ i ]) (i + 1) (size + 1) acc)
-      in
-      loop start acc
-  in
-  extend [] 0 0 []
-
-(* Tuples of A whose elements all satisfy [dom_mem]: a mapping with that
-   domain must honour exactly these. *)
-let tuples_within a dom_mem =
-  List.rev
-    (Structure.fold_tuples
-       (fun name t acc ->
-         if Array.for_all dom_mem t then (name, t) :: acc else acc)
-       a [])
-
-let run_naive ~budget ~k a b =
-  let n = Structure.size a and m = Structure.size b in
-  let family : (config, unit) Hashtbl.t = Hashtbl.create 1024 in
-  (* Generate all partial homomorphisms with |dom| <= k. *)
-  let generate dom =
-    let dom = Array.of_list dom in
-    let d = Array.length dom in
-    let constraints = tuples_within a (fun x -> Array.exists (( = ) x) dom) in
-    let image = Array.make (max d 1) 0 in
-    let lookup x =
-      let rec find j = if dom.(j) = x then image.(j) else find (j + 1) in
-      find 0
-    in
-    let rec assign i =
-      if i = d then begin
-        Budget.tick budget;
-        let ok =
-          List.for_all
-            (fun (name, t) ->
-              let img = Array.map lookup t in
-              match Structure.relation b name with
-              | r -> Relation.mem r img
-              | exception Not_found -> false)
-            constraints
-        in
-        if ok then begin
-          let assoc = Array.to_list (Array.mapi (fun j x -> (x, image.(j))) dom) in
-          Hashtbl.replace family assoc ()
-        end
-      end
-      else
-        for v = 0 to m - 1 do
-          image.(i) <- v;
-          assign (i + 1)
-        done
-    in
-    assign 0
-  in
-  List.iter generate (subsets_up_to n k);
-  let initial_configs = Hashtbl.length family in
-  (* Consistency loop: drop configurations without the forth property,
-     cascading to supersets (restriction-closure) and rechecking
-     restrictions whose forth witnesses vanished. *)
-  let removed = ref 0 in
-  let queue = Queue.create () in
-  (* Chronological log of forth-property failures: [(config, x)] records
-     that, at removal time, no extension of [config] by a value for [x]
-     remained in the family.  Closure removals (supersets of an already
-     removed configuration) need no log entry: they always contain an
-     earlier forth-removed configuration, which is what the certificate
-     checker looks for. *)
-  let trace = ref [] in
-  let remove ?pivot config =
-    if Hashtbl.mem family config then begin
-      Hashtbl.remove family config;
-      incr removed;
-      (match pivot with
-      | Some x -> trace := (config, x) :: !trace
-      | None -> ());
-      Queue.add config queue
-    end
-  in
-  (* First source element (if any) that the configuration cannot be
-     extended to within the current family. *)
-  let forth_failure config =
-    Budget.tick budget;
-    if List.length config >= k then None
-    else begin
-      let dom = domain config in
-      let failure = ref None in
-      for x = 0 to n - 1 do
-        if !failure = None && not (List.mem x dom) then begin
-          let extendable = ref false in
-          for v = 0 to m - 1 do
-            if (not !extendable) && Hashtbl.mem family (insert (x, v) config)
-            then extendable := true
-          done;
-          if not !extendable then failure := Some x
-        end
-      done;
-      !failure
-    end
-  in
-  let initial_bad =
-    Hashtbl.fold
-      (fun config () acc ->
-        match forth_failure config with
-        | Some x -> (config, x) :: acc
-        | None -> acc)
-      family []
-  in
-  List.iter (fun (config, x) -> remove ~pivot:x config) initial_bad;
-  while not (Queue.is_empty queue) do
-    Budget.tick budget;
-    let config = Queue.pop queue in
-    if List.length config < k then begin
-      let dom = domain config in
-      for x = 0 to n - 1 do
-        if not (List.mem x dom) then
-          for v = 0 to m - 1 do
-            remove (insert (x, v) config)
-          done
-      done
-    end;
-    List.iter
-      (fun (x, _) ->
-        let smaller = remove_at x config in
-        if Hashtbl.mem family smaller then
-          match forth_failure smaller with
-          | Some piv -> remove ~pivot:piv smaller
-          | None -> ())
-      config
-  done;
-  let surviving = Hashtbl.fold (fun config () acc -> config :: acc) family [] in
-  ( surviving,
-    List.rev !trace,
-    {
-      initial_configs;
-      removed = !removed;
-      configs_ranked = 0;
-      supports_built = 0;
-      deaths_propagated = 0;
-    } )
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let empty_stats ~initial_configs =
-  {
-    initial_configs;
-    removed = 0;
-    configs_ranked = 0;
-    supports_built = 0;
-    deaths_propagated = 0;
-  }
 
 (* Publish one engine run's stats as telemetry counters, so a dispatcher
    span over the k-consistency route carries the engine work. *)
@@ -705,84 +534,78 @@ let publish_stats st =
     Telemetry.count "pebble.deaths_propagated" st.deaths_propagated
   end
 
-let run_traced ?(budget = Budget.unlimited) ?(engine = `Counting) ~k a b =
+(* The family is the alive bitmap over the encoding's codes.  Without an
+   encoding (an empty source or target) the only possible configuration
+   is the empty one, whose liveness is the one byte. *)
+type family = { k : int; m : int; enc : Encoding.t option; alive : Bytes.t }
+
+type outcome = { family : family; trace : (config * int) list; stats : stats }
+
+let mem f config =
+  let id =
+    match f.enc with
+    | Some enc -> Encoding.code enc config
+    | None -> if config = [] then Some 0 else None
+  in
+  match id with Some id -> Bytes.get f.alive id <> '\000' | None -> false
+
+let configs f =
+  match f.enc with
+  | None -> if mem f [] then [ [] ] else []
+  | Some enc ->
+    let acc = ref [] in
+    for id = Encoding.configs enc - 1 downto 0 do
+      if Bytes.get f.alive id <> '\000' then acc := Encoding.unrank enc id :: !acc
+    done;
+    !acc
+
+let run ?(budget = Budget.unlimited) ~k a b =
   if k < 1 then invalid_arg "Game: k must be positive";
   Budget.check budget;
   let n = Structure.size a and m = Structure.size b in
-  let family, trace, stats =
-    if n = 0 then ([ [] ], [], empty_stats ~initial_configs:1)
-    else if m = 0 then ([], [], empty_stats ~initial_configs:0)
-    else
-      match engine with
-      | `Naive -> run_naive ~budget ~k a b
-      | `Counting -> (
-        match Encoding.create ~budget ~n ~m ~k () with
-        | Some enc ->
-          let family, trace, stats, _ = run_counting ~budget ~k enc a b in
-          (family, trace, stats)
-        | None -> run_naive ~budget ~k a b)
+  let trivial ~wins =
+    Some
+      {
+        family =
+          { k; m; enc = None; alive = Bytes.make 1 (if wins then '\001' else '\000') };
+        trace = [];
+        stats =
+          {
+            initial_configs = (if wins then 1 else 0);
+            removed = 0;
+            configs_ranked = 0;
+            supports_built = 0;
+            deaths_propagated = 0;
+          };
+      }
   in
-  publish_stats stats;
-  (family, trace, stats)
+  let outcome =
+    if n = 0 then trivial ~wins:true
+    else if m = 0 then trivial ~wins:false
+    else
+      Option.map
+        (fun enc ->
+          let alive, trace, stats, _ = run_counting ~budget enc a b in
+          { family = { k; m; enc = Some enc; alive }; trace; stats })
+        (Encoding.create ~budget ~n ~m ~k ())
+  in
+  Option.iter (fun o -> publish_stats o.stats) outcome;
+  outcome
 
-let run ?budget ?engine ~k a b =
-  let family, _, stats = run_traced ?budget ?engine ~k a b in
-  (family, stats)
+let duplicator_wins ?budget ~k a b =
+  match run ?budget ~k a b with
+  | Some o -> mem o.family []
+  | None ->
+    invalid_arg "Game.duplicator_wins: configurations exceed the encoding capacity"
 
-let winning_family ?budget ?engine ~k a b =
-  fst (run ?budget ?engine ~k a b)
+let spoiler_wins ?budget ~k a b = not (duplicator_wins ?budget ~k a b)
 
-let winning_family_with_trace ?budget ?engine ~k a b =
-  let family, trace, _ = run_traced ?budget ?engine ~k a b in
-  (family, trace)
+(* Insert a pebble pair keeping the list sorted by first component. *)
+let rec insert (a, b) = function
+  | [] -> [ (a, b) ]
+  | (a', b') :: rest as l ->
+    if a < a' then (a, b) :: l else (a', b') :: insert (a, b) rest
 
-let duplicator_wins_with_stats ?budget ?engine ~k a b =
-  let family, stats = run ?budget ?engine ~k a b in
-  (family <> [], stats)
-
-let duplicator_wins ?budget ?engine ~k a b =
-  fst (duplicator_wins_with_stats ?budget ?engine ~k a b)
-
-let spoiler_wins ?budget ?engine ~k a b =
-  not (duplicator_wins ?budget ?engine ~k a b)
-
-let solve ?budget ?engine ~k a b =
-  if spoiler_wins ?budget ?engine ~k a b then Some false else None
-
-type strategy = {
-  k : int;
-  family_table : (config, unit) Hashtbl.t;
-}
-
-let strategy ?budget ?engine ~k a b =
-  match winning_family ?budget ?engine ~k a b with
-  | [] -> None
-  | family ->
-    let table = Hashtbl.create (List.length family) in
-    List.iter (fun config -> Hashtbl.replace table config ()) family;
-    Some { k; family_table = table }
-
-let member s config = Hashtbl.mem s.family_table config
-
-let respond s config a =
-  if
-    List.length config >= s.k
-    || List.mem_assoc a config
-    || not (member s config)
-  then None
-  else begin
-    (* Any answer must itself occur in a stored configuration, so probing up
-       to the largest stored value suffices; the forth property guarantees a
-       hit for genuine family positions. *)
-    let limit =
-      Hashtbl.fold
-        (fun cfg () acc -> List.fold_left (fun acc (_, v) -> max acc v) acc cfg)
-        s.family_table 0
-    in
-    let rec probe b =
-      if b > limit then None
-      else if Hashtbl.mem s.family_table (insert (a, b) config) then Some b
-      else probe (b + 1)
-    in
-    probe 0
-  end
+let respond f config a =
+  if List.length config >= f.k || List.mem_assoc a config || not (mem f config) then None
+  else List.find_opt (fun b -> mem f (insert (a, b) config)) (List.init f.m Fun.id)

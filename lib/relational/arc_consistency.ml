@@ -1,5 +1,3 @@
-type algorithm = [ `Ac4 | `Naive ]
-
 (* Target-side index for one relation symbol: the tuple array of B's relation
    plus, per position, value -> indices of tuples carrying that value there.
    Shared by every source atom over the same symbol. *)
@@ -25,17 +23,12 @@ type t = {
   b : Structure.t;
   n : int;
   m : int;
-  algorithm : algorithm;
   dom : bool array array;
   count : int array;
-  occ : (string * Tuple.t) list array;
-  brels : (string, Tuple.t array) Hashtbl.t;
   constrs : constr array;
   occ_c : (int * int list) list array;
   trail : (int * int) Stack.t;
   marks : int Stack.t;
-  pending : int Queue.t;
-  in_pending : bool array;
   pending_vals : (int * int) Queue.t;
   mutable supports_ready : bool;
   mutable init_depth : int;
@@ -52,56 +45,40 @@ let build_info m arity tuples =
     tuples;
   { tuples; by_pos = Array.map (Array.map (fun l -> Array.of_list (List.rev l))) by_pos }
 
-let create ?(algorithm = `Ac4) a b =
+let create a b =
   let n = Structure.size a and m = Structure.size b in
-  let vocab = Structure.vocabulary a in
-  let occ = Array.make (max n 1) [] in
-  Structure.iter_tuples
-    (fun name t ->
-      List.iter (fun x -> occ.(x) <- (name, t) :: occ.(x)) (Tuple.elements t))
-    a;
   (* Symbols missing from B, or present with a different arity, act as empty
      relations: no tuple of B can support such an atom. *)
-  let brels = Hashtbl.create 16 in
-  List.iter
-    (fun (name, arity) ->
+  let infos = Hashtbl.create 16 in
+  let info_for name arity =
+    match Hashtbl.find_opt infos name with
+    | Some info -> info
+    | None ->
       let tuples =
         match Structure.relation b name with
         | r when Relation.arity r = arity -> Relation.tuples_array r
         | _ -> [||]
         | exception Not_found -> [||]
       in
-      Hashtbl.replace brels name tuples)
-    (Vocabulary.symbols vocab);
-  let infos = Hashtbl.create 16 in
-  let info_for name arity =
-    match Hashtbl.find_opt infos name with
-    | Some info -> info
-    | None ->
-      let info = build_info m arity (Hashtbl.find brels name) in
+      let info = build_info m arity tuples in
       Hashtbl.replace infos name info;
       info
   in
-  let constrs =
-    match algorithm with
-    | `Naive -> [||]
-    | `Ac4 ->
-      let acc = ref [] in
-      Structure.iter_tuples
-        (fun name t ->
-          let arity = Array.length t in
-          let info = info_for name arity in
-          acc :=
-            {
-              atom = t;
-              info;
-              kill = Array.make (Array.length info.tuples) 0;
-              supp = Array.init arity (fun _ -> Array.make (max m 1) 0);
-            }
-            :: !acc)
-        a;
-      Array.of_list (List.rev !acc)
-  in
+  let acc = ref [] in
+  Structure.iter_tuples
+    (fun name t ->
+      let arity = Array.length t in
+      let info = info_for name arity in
+      acc :=
+        {
+          atom = t;
+          info;
+          kill = Array.make (Array.length info.tuples) 0;
+          supp = Array.init arity (fun _ -> Array.make (max m 1) 0);
+        }
+        :: !acc)
+    a;
+  let constrs = Array.of_list (List.rev !acc) in
   let occ_c = Array.make (max n 1) [] in
   Array.iteri
     (fun ci c ->
@@ -118,17 +95,12 @@ let create ?(algorithm = `Ac4) a b =
     b;
     n;
     m;
-    algorithm;
     dom = Array.init (max n 1) (fun _ -> Array.make (max m 1) (m > 0));
     count = Array.make (max n 1) m;
-    occ;
-    brels;
     constrs;
     occ_c;
     trail = Stack.create ();
     marks = Stack.create ();
-    pending = Queue.create ();
-    in_pending = Array.make (max n 1) false;
     pending_vals = Queue.create ();
     supports_ready = false;
     init_depth = 0;
@@ -149,12 +121,6 @@ let dom_values ctx x =
     if ctx.dom.(x).(v) then acc := v :: !acc
   done;
   !acc
-
-let schedule ctx x =
-  if not ctx.in_pending.(x) then begin
-    ctx.in_pending.(x) <- true;
-    Queue.add x ctx.pending
-  end
 
 (* AC-4 bookkeeping.  Removing (x, v) hits, in every constraint where [x]
    occurs at position [j], each target tuple with value [v] at [j]; a tuple
@@ -211,59 +177,10 @@ let remove_value ctx x v =
     ctx.removals <- ctx.removals + 1;
     Telemetry.count "ac.kills" 1;
     Stack.push (x, v) ctx.trail;
-    (match ctx.algorithm with
-    | `Naive -> schedule ctx x
-    | `Ac4 -> if ctx.supports_ready then kill_supports ctx x v);
+    if ctx.supports_ready then kill_supports ctx x v;
     ctx.count.(x) > 0
   end
   else true
-
-(* Naive reference: revise one tuple-constraint by rescanning the whole
-   target relation.  Retained behind [`Naive] for differential testing and
-   as the pre-index baseline in bench/E16. *)
-let revise ctx name (t : Tuple.t) =
-  let arity = Array.length t in
-  let tuples = try Hashtbl.find ctx.brels name with Not_found -> [||] in
-  let supp = Array.init arity (fun _ -> Array.make (max ctx.m 1) false) in
-  Array.iter
-    (fun (tt : Tuple.t) ->
-      let ok = ref true in
-      (try
-         for j = 0 to arity - 1 do
-           if not ctx.dom.(t.(j)).(tt.(j)) then begin
-             ok := false;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      if !ok then
-        for j = 0 to arity - 1 do
-          supp.(j).(tt.(j)) <- true
-        done)
-    tuples;
-  let alive = ref true in
-  for j = 0 to arity - 1 do
-    if !alive then
-      for v = 0 to ctx.m - 1 do
-        if !alive && ctx.dom.(t.(j)).(v) && not supp.(j).(v) then
-          if not (remove_value ctx t.(j) v) then alive := false
-      done
-  done;
-  !alive
-
-let propagate_naive ctx =
-  let alive = ref true in
-  while !alive && not (Queue.is_empty ctx.pending) do
-    let x = Queue.pop ctx.pending in
-    ctx.in_pending.(x) <- false;
-    List.iter (fun (name, t) -> if !alive then alive := revise ctx name t) ctx.occ.(x)
-  done;
-  if not !alive then begin
-    (* Drain so a later propagate starts clean after undo. *)
-    Queue.iter (fun x -> ctx.in_pending.(x) <- false) ctx.pending;
-    Queue.clear ctx.pending
-  end;
-  !alive
 
 (* (Re)initialise the AC-4 counters from the current domains and enqueue
    every currently-unsupported pair.  Entries already sitting in the queue
@@ -328,21 +245,15 @@ let propagate_ac4 ctx =
 
 let propagate ctx =
   Telemetry.count "ac.propagations" 1;
-  match ctx.algorithm with `Naive -> propagate_naive ctx | `Ac4 -> propagate_ac4 ctx
+  propagate_ac4 ctx
 
 let establish ctx =
   if ctx.n = 0 then true
   else if ctx.m = 0 then false
-  else
-    match ctx.algorithm with
-    | `Naive ->
-      for x = 0 to ctx.n - 1 do
-        schedule ctx x
-      done;
-      propagate_naive ctx
-    | `Ac4 ->
-      ensure_supports ctx;
-      propagate_ac4 ctx
+  else begin
+    ensure_supports ctx;
+    propagate_ac4 ctx
+  end
 
 let assign ctx x v =
   if not ctx.dom.(x).(v) then invalid_arg "Arc_consistency.assign: value not in domain";

@@ -3,21 +3,20 @@
     A propagation context pairs a source structure [A] with a target [B] and
     maintains, for every element of [A], a domain of candidate images in [B].
     Establishing (generalized) arc consistency removes every candidate that
-    lacks a support in some tuple-constraint of [A].  The context is mutable
-    and supports checkpoint/undo, which lets backtracking searches (MAC) and
-    consistency-based algorithms share one kernel. *)
+    lacks a support in some tuple-constraint of [A].
+
+    One engine does the work: AC-4.  It keeps per-(atom, position, value)
+    support counters that are decremented incrementally as values die and
+    restored exactly on {!pop}, giving amortised [O(||A|| * ||B||)]
+    propagation (Theorem 3.4).  The context is mutable and supports
+    checkpoint/undo, which lets backtracking searches (MAC) and
+    consistency-based algorithms share one kernel.  Its differential
+    reference, the rescan-and-revise fixpoint, is [Oracle.Arc] in the
+    test-only [oracle] library. *)
 
 type t
 
-type algorithm = [ `Ac4 | `Naive ]
-(** Propagation engine.  [`Ac4] (the default) maintains per-(atom, position,
-    value) support counters that are decremented incrementally as values die
-    and restored exactly on {!pop}, giving amortised [O(||A|| * ||B||)]
-    propagation (Theorem 3.4).  [`Naive] rescans the whole target relation on
-    every revision — [O(removals * ||B||)] worst case — and is retained as a
-    differential-testing reference and benchmark baseline. *)
-
-val create : ?algorithm:algorithm -> Structure.t -> Structure.t -> t
+val create : Structure.t -> Structure.t -> t
 (** Fresh context with full domains.  Symbols of [A]'s vocabulary missing
     from [B] (or carried with a different arity) are treated as empty
     relations of [B]. *)
@@ -35,7 +34,8 @@ val dom_size : t -> int -> int
 val dom_values : t -> int -> int list
 
 val remove_value : t -> int -> int -> bool
-(** Removes a candidate and schedules repropagation of the variable.
+(** Removes a candidate and queues the values that lose their last
+    support for the next {!propagate}.
     Returns [false] when the domain becomes empty (wipeout).  Idempotent. *)
 
 val assign : t -> int -> int -> bool

@@ -142,6 +142,30 @@ let solver_tests =
         let r1 = Solver.solve ~booleanize_threshold:0 a b in
         let r2 = Solver.solve ~max_treewidth:0 ~consistency_k:3 a b in
         (Solver.answer r1 <> None) = (Solver.answer r2 <> None));
+    Alcotest.test_case "over-capacity k-consistency declines" `Quick (fun () ->
+        (* K5 into K5 padded with 8,188 isolated elements: the 2-pebble
+           layout exceeds the encoding capacity, so the k-consistency route
+           must decline at once and leave backtracking to decide. *)
+        let read path =
+          Structure_text.parse (In_channel.with_open_text path In_channel.input_all)
+        in
+        let a = read "cli/k5.st" and b = read "cli/k5pad.st" in
+        List.iter
+          (fun preprocess ->
+            let r =
+              Solver.solve ~preprocess ~budget:(Budget.create ~max_nodes:1_000_000 ()) a b
+            in
+            (match r.Solver.verdict with
+            | Solver.Sat h ->
+              check "witness checks" true (Certificate.check a b (Certificate.Witness h))
+            | _ -> Alcotest.fail "expected a homomorphism");
+            check "2-consistency inapplicable" true
+              (List.exists
+                 (fun (at : Solver.attempt) ->
+                   at.route = Solver.Consistency_refutation 2
+                   && at.outcome = Solver.Inapplicable)
+                 r.Solver.attempts))
+          [ true; false ]);
   ]
 
 (* ------------------------------------------------------------------ *)

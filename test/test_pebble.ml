@@ -4,6 +4,16 @@ open Helpers
 
 let check = Alcotest.(check bool)
 
+let run ?budget ~k a b =
+  match Game.run ?budget ~k a b with
+  | Some outcome -> outcome
+  | None -> Alcotest.fail "configuration space over capacity"
+
+let family ?budget ~k a b = (run ?budget ~k a b).Game.family
+
+let sorted_family ?budget ~k a b =
+  List.sort compare (Game.configs (family ?budget ~k a b))
+
 let game_tests =
   [
     Alcotest.test_case "duplicator wins when a homomorphism exists" `Quick (fun () ->
@@ -30,7 +40,7 @@ let game_tests =
         let empty = Structure.create graph_vocab ~size:0 in
         check "spoiler" true (Game.spoiler_wins ~k:2 (path 2) empty));
     Alcotest.test_case "winning family is restriction-closed and has forth" `Quick (fun () ->
-        let family = Game.winning_family ~k:2 (undirected_cycle 4) k2 in
+        let family = Game.configs (family ~k:2 (undirected_cycle 4) k2) in
         check "nonempty" true (family <> []);
         check "contains empty config" true (List.mem [] family);
         (* Restriction-closure. *)
@@ -43,12 +53,13 @@ let game_tests =
                  config)
              family));
     Alcotest.test_case "stats are reported" `Quick (fun () ->
-        let wins, stats = Game.duplicator_wins_with_stats ~k:2 (undirected_cycle 5) k2 in
-        check "duplicator survives" true wins;
-        check "configs counted" true (stats.Game.initial_configs > 0));
+        let { Game.family; stats; _ } = run ~k:2 (undirected_cycle 5) k2 in
+        check "duplicator survives" true (Game.mem family []);
+        check "configs counted" true (stats.initial_configs > 0));
     Alcotest.test_case "solve is one-sided" `Quick (fun () ->
-        check "refutes" true (Game.solve ~k:3 (undirected_cycle 5) k2 = Some false);
-        check "inconclusive" true (Game.solve ~k:3 (undirected_cycle 6) k2 = None));
+        (* A Spoiler win refutes; a Duplicator win is inconclusive. *)
+        check "refutes" true (Game.spoiler_wins ~k:3 (undirected_cycle 5) k2);
+        check "inconclusive" true (Game.duplicator_wins ~k:3 (undirected_cycle 6) k2));
   ]
 
 let property_tests =
@@ -105,22 +116,35 @@ let monotonicity_tests =
       (fun (a, b) ->
         (* Every configuration of size <= 2 surviving at k=3 also survives
            at k=2 (more pebbles demand more). *)
-        let f2 = Game.winning_family ~k:2 a b in
-        let f3 = Game.winning_family ~k:3 a b in
+        let f2 = Game.configs (family ~k:2 a b) in
+        let f3 = Game.configs (family ~k:3 a b) in
         List.for_all
           (fun config -> List.length config > 2 || List.mem config f2)
           f3);
   ]
 
 (* ------------------------------------------------------------------ *)
-(* The integer-encoded counting engine vs the naive reference.          *)
+(* The integer-encoded counting engine vs the naive oracle.             *)
 (* ------------------------------------------------------------------ *)
 
-let sorted_family ?budget ~engine ~k a b =
-  List.sort compare (Game.winning_family ?budget ~engine ~k a b)
+let oracle_family ?(budget = Budget.unlimited) ~k a b =
+  List.sort compare (fst (Oracle.Pebble.family ~budget ~k a b))
 
+(* The engine's family equals the oracle's, [mem] holds on every oracle
+   configuration, and [respond] answers every Spoiler move from every
+   oracle position with fewer than k pebbles (the forth property). *)
 let engines_agree ~k (a, b) =
-  sorted_family ~engine:`Counting ~k a b = sorted_family ~engine:`Naive ~k a b
+  let f = family ~k a b in
+  let oracle = oracle_family ~k a b in
+  List.sort compare (Game.configs f) = oracle
+  && List.for_all (Game.mem f) oracle
+  && List.for_all
+       (fun config ->
+         List.length config >= k
+         || List.for_all
+              (fun x -> List.mem_assoc x config || Game.respond f config x <> None)
+              (Structure.universe a))
+       oracle
 
 let raises_invalid f =
   match f () with _ -> false | exception Invalid_argument _ -> true
@@ -195,6 +219,24 @@ let encoding_tests =
           check "unrank out of range" true
             (raises_invalid (fun () ->
                  Game.Encoding.unrank enc (Game.Encoding.configs enc))));
+    Alcotest.test_case "create refuses an oversized layout up front" `Quick (fun () ->
+        (* C(6000,2) * 2^2 codes exceed the capacity: the closed-form totals
+           refuse the layout before any subset is enumerated, so even a
+           10-node budget is never ticked. *)
+        let budget = Budget.create ~max_nodes:10 () in
+        check "none" true (Game.Encoding.create ~budget ~n:6000 ~m:2 ~k:2 () = None);
+        (* The game then declines: [run] answers [None] and the boolean
+           conveniences refuse to guess. *)
+        let k5 = [ 0; 1; 2; 3; 4 ] in
+        let padded =
+          digraph ~size:8193
+            (List.concat_map
+               (fun i -> List.filter_map (fun j -> if i <> j then Some (i, j) else None) k5)
+               k5)
+        in
+        check "run declines" true (Game.run ~k:2 (clique 5) padded = None);
+        check "spoiler_wins raises" true
+          (raises_invalid (fun () -> Game.spoiler_wins ~k:2 (clique 5) padded)));
     Alcotest.test_case "create ticks the budget during layout" `Quick (fun () ->
         (* 1 + 50 + C(50,2) subsets far exceed the 10-node allowance, so
            the layout pass must abort instead of allocating it all. *)
@@ -232,9 +274,8 @@ let differential_tests =
     qtest ~count:60 "counting-engine spoiler traces replay through the checker"
       (arbitrary_pair ~max_size_a:4 ~max_size_b:2 ~max_tuples:4 ())
       (fun (a, b) ->
-        match Game.winning_family_with_trace ~engine:`Counting ~k:2 a b with
-        | [], trace -> Certificate.check a b (Core.Certify.of_consistency ~trace b)
-        | _ -> true);
+        let { Game.family; trace; _ } = run ~k:2 a b in
+        Game.mem family [] || Certificate.check a b (Core.Certify.of_consistency ~trace b));
     Alcotest.test_case "nullary facts are enforced by both engines" `Quick (fun () ->
         let voc = Vocabulary.create [ ("P", 0); ("E", 2) ] in
         let a =
@@ -245,29 +286,30 @@ let differential_tests =
         let b = Structure.add_tuple (Structure.create voc ~size:2) "E" [| 0; 1 |] in
         (* P() holds in A but not in B: no partial homomorphism exists, and
            the counting engine's trace must replay through the checker. *)
-        let fc, trace = Game.winning_family_with_trace ~engine:`Counting ~k:2 a b in
-        let fn, _ = Game.winning_family_with_trace ~engine:`Naive ~k:2 a b in
-        check "counting family empty" true (fc = []);
-        check "naive family empty" true (fn = []);
+        let { Game.family = f; trace; _ } = run ~k:2 a b in
+        check "counting family empty" true (Game.configs f = []);
+        check "naive family empty" true (oracle_family ~k:2 a b = []);
         check "trace replays" true
           (Certificate.check a b (Core.Certify.of_consistency ~trace b));
         (* With the fact present in B the engines agree on the full family. *)
         let b = Structure.add_tuple b "P" [||] in
         check "families agree when the fact holds" true (engines_agree ~k:2 (a, b));
         check "family nonempty when the fact holds" true
-          (Game.winning_family ~engine:`Counting ~k:2 a b <> []));
+          (Game.configs (family ~k:2 a b) <> []));
     qtest ~count:60 "tight budgets: engines agree whenever both finish"
       (arbitrary_pair ~max_size_a:4 ~max_size_b:3 ~max_tuples:4 ())
       (fun (a, b) ->
         List.for_all
           (fun max_nodes ->
-            let run engine =
-              let budget = Budget.create ~max_nodes () in
-              match sorted_family ~budget ~engine ~k:2 a b with
+            let finish family =
+              match family (Budget.create ~max_nodes ()) with
               | f -> Some f
               | exception Budget.Exhausted _ -> None
             in
-            match (run `Counting, run `Naive) with
+            match
+              ( finish (fun budget -> sorted_family ~budget ~k:2 a b),
+                finish (fun budget -> oracle_family ~budget ~k:2 a b) )
+            with
             | Some fc, Some fn -> fc = fn
             | _ ->
               (* An exhaustion point may differ between engines; the only
@@ -279,26 +321,26 @@ let differential_tests =
 let strategy_tests =
   [
     Alcotest.test_case "no strategy when the spoiler wins" `Quick (fun () ->
-        check "none" true (Game.strategy ~k:3 (undirected_cycle 5) k2 = None));
+        let s = family ~k:3 (undirected_cycle 5) k2 in
+        check "empty config is not in the family" false (Game.mem s []);
+        check "no response" true (Game.respond s [] 0 = None));
     Alcotest.test_case "strategy answers a scripted attack" `Quick (fun () ->
-        match Game.strategy ~k:2 (undirected_cycle 6) k2 with
-        | None -> Alcotest.fail "expected a strategy"
-        | Some s ->
-          check "empty config is in the family" true (Game.member s []);
-          (match Game.respond s [] 0 with
-          | None -> Alcotest.fail "expected a response"
-          | Some b0 ->
-            let cfg = [ (0, b0) ] in
-            check "position still winning" true (Game.member s cfg);
-            (match Game.respond s cfg 1 with
-            | None -> Alcotest.fail "expected a response to the neighbour"
-            | Some b1 -> check "proper colouring" true (b0 <> b1))));
+        let s = family ~k:2 (undirected_cycle 6) k2 in
+        check "empty config is in the family" true (Game.mem s []);
+        match Game.respond s [] 0 with
+        | None -> Alcotest.fail "expected a response"
+        | Some b0 ->
+          let cfg = [ (0, b0) ] in
+          check "position still winning" true (Game.mem s cfg);
+          (match Game.respond s cfg 1 with
+          | None -> Alcotest.fail "expected a response to the neighbour"
+          | Some b1 -> check "proper colouring" true (b0 <> b1)));
     qtest ~count:50 "random play never strands a winning duplicator"
       (arbitrary_pair ~max_rels:1 ~max_arity:2 ~max_size_a:4 ~max_size_b:3 ~max_tuples:4 ())
       (fun (a, b) ->
-        match Game.strategy ~k:2 a b with
-        | None -> true
-        | Some s ->
+        let s = family ~k:2 a b in
+        if not (Game.mem s []) then true
+        else
           let st = Random.State.make [| Structure.size a; Structure.size b |] in
           let n = Structure.size a in
           let config = ref [] in
@@ -322,7 +364,7 @@ let strategy_tests =
                 | None -> ok := false
                 | Some v ->
                   config := List.sort compare ((x, v) :: !config);
-                  if not (Game.member s !config) then ok := false
+                  if not (Game.mem s !config) then ok := false
               end
             end
           done;

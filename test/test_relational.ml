@@ -321,7 +321,7 @@ let ac_tests =
         check "establish ok" true (Arc_consistency.establish ctx));
     Alcotest.test_case "AC-4 counters survive push/assign/pop round trips" `Quick
       (fun () ->
-        let ctx = Arc_consistency.create ~algorithm:`Ac4 (path 4) (clique 3) in
+        let ctx = Arc_consistency.create (path 4) (clique 3) in
         check "establish" true (Arc_consistency.establish ctx);
         let snapshot () = List.init 4 (Arc_consistency.dom_values ctx) in
         let before = snapshot () in
@@ -345,7 +345,7 @@ let ac_tests =
         (* path 3 -> path 3 prunes at establish time (the middle vertex is
            forced to 1), so a checkpoint taken before [establish] rewinds
            past the support-counter build. *)
-        let ctx = Arc_consistency.create ~algorithm:`Ac4 (path 3) (path 3) in
+        let ctx = Arc_consistency.create (path 3) (path 3) in
         Arc_consistency.push ctx;
         check "establish" true (Arc_consistency.establish ctx);
         Alcotest.(check (list int)) "middle forced" [ 1 ] (Arc_consistency.dom_values ctx 1);
@@ -359,14 +359,15 @@ let ac_tests =
         Alcotest.check mapping_testable "solution" [| 0; 1; 2 |]
           (Arc_consistency.solution ctx));
     Alcotest.test_case "naive engine still answers the classics" `Quick (fun () ->
-        let wipe = Arc_consistency.create ~algorithm:`Naive (path 2)
-            (Structure.create graph_vocab ~size:1) in
-        check "wiped" false (Arc_consistency.establish wipe);
-        let ctx = Arc_consistency.create ~algorithm:`Naive (path 3) k2 in
-        check "establish" true (Arc_consistency.establish ctx);
-        check "assign" true (Arc_consistency.assign ctx 0 0);
-        Alcotest.check mapping_testable "solution" [| 0; 1; 0 |]
-          (Arc_consistency.solution ctx));
+        let all _ _ = true in
+        check "wiped" true
+          (Oracle.Arc.closure ~restrict:all (path 2) (Structure.create graph_vocab ~size:1)
+          = None);
+        check "establish" true
+          (Oracle.Arc.closure ~restrict:all (path 3) k2 = Some [| [ 0; 1 ]; [ 0; 1 ]; [ 0; 1 ] |]);
+        check "assign" true
+          (Oracle.Arc.closure ~restrict:(fun x v -> x <> 0 || v = 0) (path 3) k2
+          = Some [| [ 0 ]; [ 1 ]; [ 0 ] |]));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -414,43 +415,39 @@ let property_tests =
     qtest ~count:300 "AC-4 agrees with the naive engine on establish"
       (arbitrary_pair ())
       (fun (a, b) ->
-        let ac4 = Arc_consistency.create ~algorithm:`Ac4 a b in
-        let naive = Arc_consistency.create ~algorithm:`Naive a b in
+        let ac4 = Arc_consistency.create a b in
         let r4 = Arc_consistency.establish ac4 in
-        let rn = Arc_consistency.establish naive in
-        let doms ctx =
-          List.init (Structure.size a) (Arc_consistency.dom_values ctx)
-        in
-        (* On wipeout the engines may stop at different partial states, so
-           only compare the fixpoints when both succeed. *)
-        r4 = rn && (not r4 || doms ac4 = doms naive));
+        (* On wipeout AC-4 may stop at a partial state, so only compare the
+           fixpoints when it succeeds. *)
+        match Oracle.Arc.closure ~restrict:(fun _ _ -> true) a b with
+        | None -> not r4
+        | Some doms -> r4 && Array.init (Structure.size a) (Arc_consistency.dom_values ac4) = doms);
     qtest ~count:150 "AC-4 agrees with the naive engine across push/assign/pop"
       (arbitrary_pair ())
       (fun (a, b) ->
         let n = Structure.size a in
-        let ac4 = Arc_consistency.create ~algorithm:`Ac4 a b in
-        let naive = Arc_consistency.create ~algorithm:`Naive a b in
-        if not (Arc_consistency.establish ac4 && Arc_consistency.establish naive)
-        then true
+        let ac4 = Arc_consistency.create a b in
+        if not (Arc_consistency.establish ac4) then true
         else
-          let doms ctx = List.init n (Arc_consistency.dom_values ctx) in
-          let before = doms ac4 in
+          let doms () = Array.init n (Arc_consistency.dom_values ac4) in
+          let before = doms () in
           let pick = ref None in
           for x = n - 1 downto 0 do
             if Arc_consistency.dom_size ac4 x >= 2 then pick := Some x
           done;
           match !pick with
-          | None -> doms ac4 = doms naive
+          | None -> Oracle.Arc.closure ~restrict:(fun _ _ -> true) a b = Some before
           | Some x ->
             let v = List.hd (Arc_consistency.dom_values ac4 x) in
             Arc_consistency.push ac4;
-            Arc_consistency.push naive;
             let r4 = Arc_consistency.assign ac4 x v in
-            let rn = Arc_consistency.assign naive x v in
-            let agree_mid = r4 = rn && (not r4 || doms ac4 = doms naive) in
+            let agree_mid =
+              match Oracle.Arc.closure ~restrict:(fun y w -> y <> x || w = v) a b with
+              | None -> not r4
+              | Some after -> r4 && doms () = after
+            in
             Arc_consistency.pop ac4;
-            Arc_consistency.pop naive;
-            agree_mid && doms ac4 = before && doms naive = before);
+            agree_mid && doms () = before);
     qtest ~count:100 "binarize preserves hom existence (Lemma 5.5)"
       (arbitrary_pair ~max_size_a:3 ~max_size_b:3 ~max_tuples:3 ())
       (fun (a, b) ->
