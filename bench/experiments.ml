@@ -702,10 +702,10 @@ let ablations () =
       let f = Schaefer.Cnf.make ~nvars clauses in
       let r_scc, t_scc = Util.time ~repeat:1 (fun () -> Schaefer.Two_sat.solve f) in
       let r_phase, t_phase = Util.time ~repeat:1 (fun () -> Schaefer.Two_sat.solve_phase f) in
-      assert ((r_scc = None) = (r_phase = None));
+      assert (Result.is_ok r_scc = (r_phase <> None));
       rows :=
         [ int nvars;
-          (match r_scc with Some _ -> "sat" | None -> "unsat");
+          (if Result.is_ok r_scc then "sat" else "unsat");
           f2s t_scc; f2s t_phase ]
         :: !rows)
     [ 1000; 4000; 16000 ];
@@ -824,15 +824,23 @@ let e14 () =
    the certificate); the check column is the trusted validator alone. *)
 
 let horn_chain n =
-  (* One(x0), x0 -> x1 -> ... -> xn, Zero(xn): a unit-propagation chain. *)
-  let vocab = Vocabulary.create [ ("One", 1); ("Zero", 1); ("Imp", 2) ] in
+  (* One(x0), x0 -> x1 -> ... -> xn, Zero(xn): a unit-propagation chain.
+     The ternary Horn relation {t | not t0 or not t1 or t2}, used once,
+     keeps the target out of the bijunctive class, so it is solved as
+     Horn. *)
+  let vocab = Vocabulary.create [ ("One", 1); ("Zero", 1); ("Imp", 2); ("And", 3) ] in
   let b =
     Structure.of_relations vocab ~size:2
       [ ("One", [ [| 1 |] ]); ("Zero", [ [| 0 |] ]);
-        ("Imp", [ [| 0; 0 |]; [| 0; 1 |]; [| 1; 1 |] ]) ]
+        ("Imp", [ [| 0; 0 |]; [| 0; 1 |]; [| 1; 1 |] ]);
+        ("And",
+         List.filter
+           (fun t -> t <> [| 1; 1; 0 |])
+           (List.init 8 (fun m -> [| m land 1; (m lsr 1) land 1; (m lsr 2) land 1 |]))) ]
   in
   let a = ref (Structure.create vocab ~size:(n + 1)) in
   a := Structure.add_tuple !a "One" [| 0 |];
+  a := Structure.add_tuple !a "And" [| 0; 1; 2 |];
   for i = 0 to n - 1 do
     a := Structure.add_tuple !a "Imp" [| i; i + 1 |]
   done;

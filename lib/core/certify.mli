@@ -1,7 +1,9 @@
 open Relational
 
-(** Certificate construction for the dispatcher routes outside the
-    Schaefer layer (which has its own {!Schaefer.Certify}).
+(** Certificate construction for the dispatcher routes.  The Schaefer
+    certificates come from the Theorem 3.3 pass ({!Schaefer.Uniform.refute},
+    {!Schaefer.Booleanize.refute}) and the odd walk from the source's failed
+    2-colouring ({!Graph_dichotomy.two_colouring}).
 
     All builders are untrusted; their output is validated by the trusted
     {!Certificate.check}.  Each returns [None] only when the instance is
@@ -12,14 +14,12 @@ val trivial_unsat : Structure.t -> Structure.t -> Certificate.t option
 (** Empty target universe, nonempty source: a childless case split. *)
 
 val of_schaefer_direct :
-  ?budget:Budget.t ->
-  Structure.t ->
-  Structure.t ->
-  Schaefer.Classify.schaefer_class ->
-  Certificate.t option
+  ?budget:Budget.t -> Structure.t -> Structure.t -> Certificate.t option
+(** {!Schaefer.Uniform.refute}. *)
 
 val of_booleanized :
   ?budget:Budget.t -> Structure.t -> Structure.t -> Certificate.t option
+(** {!Schaefer.Booleanize.refute}. *)
 
 val of_graph : Structure.t -> Structure.t -> Certificate.t option
 (** Empty-relation fact, or an odd closed walk of the source paired with a

@@ -23,45 +23,55 @@ let has_loop g =
   | None -> false
   | Some name -> Relation.exists (fun t -> t.(0) = t.(1)) (Structure.relation g name)
 
-(* 2-colour the symmetrized edge relation by BFS; [None] when an odd cycle
-   (or loop) blocks it. *)
+(* 2-colour the symmetrized edge relation by BFS.  A loop [x] blocks it
+   with the walk [x; x]; a BFS edge between two same-coloured vertices
+   with the two tree paths up to their common root, a closed walk of odd
+   length. *)
 let two_colouring g =
   let n = Structure.size g in
   let adj = Array.make (max n 1) [] in
-  let ok = ref true in
+  let loop = ref None in
   Structure.iter_tuples
     (fun _ t ->
-      if t.(0) = t.(1) then ok := false
+      if t.(0) = t.(1) then (if !loop = None then loop := Some t.(0))
       else begin
         adj.(t.(0)) <- t.(1) :: adj.(t.(0));
         adj.(t.(1)) <- t.(0) :: adj.(t.(1))
       end)
     g;
-  if not !ok then None
-  else begin
+  match !loop with
+  | Some x -> Error [ x; x ]
+  | None ->
     let colour = Array.make (max n 1) (-1) in
+    let parent = Array.make (max n 1) (-1) in
+    let conflict = ref None in
     let queue = Queue.create () in
     for start = 0 to n - 1 do
-      if !ok && colour.(start) < 0 then begin
+      if !conflict = None && colour.(start) < 0 then begin
         colour.(start) <- 0;
         Queue.add start queue;
-        while !ok && not (Queue.is_empty queue) do
+        while !conflict = None && not (Queue.is_empty queue) do
           let u = Queue.pop queue in
           List.iter
             (fun v ->
               if colour.(v) < 0 then begin
                 colour.(v) <- 1 - colour.(u);
+                parent.(v) <- u;
                 Queue.add v queue
               end
-              else if colour.(v) = colour.(u) then ok := false)
+              else if colour.(v) = colour.(u) && !conflict = None then
+                conflict := Some (u, v))
             adj.(u)
         done
       end
     done;
-    if !ok then Some colour else None
-  end
+    (match !conflict with
+    | None -> Ok colour
+    | Some (u, v) ->
+      let rec to_root x = if x < 0 then [] else x :: to_root parent.(x) in
+      Error (List.rev (to_root u) @ to_root v))
 
-let is_bipartite g = two_colouring g <> None
+let is_bipartite g = Result.is_ok (two_colouring g)
 
 type verdict = Polynomial | Np_complete
 
@@ -89,8 +99,8 @@ let solve g h =
     else begin
       (* Bipartite target with an edge: G -> H iff G is 2-colourable. *)
       match two_colouring g with
-      | None -> None
-      | Some colour -> (
+      | Error _ -> None
+      | Ok colour -> (
         match Relation.choose edge_rel with
         | Some edge -> Some (Array.map (fun c -> if c = 0 then edge.(0) else edge.(1))
                                (Array.sub colour 0 n))

@@ -16,9 +16,9 @@ val is_undirected_graph : Structure.t -> bool
 val edge_symbol : Structure.t -> string option
 (** The single binary relation symbol, when the vocabulary has that shape. *)
 
-val two_colouring : Structure.t -> int array option
-(** A proper 2-colouring of the (symmetrized) edge relation, or [None]
-    when a loop or an odd cycle blocks it. *)
+val two_colouring : Structure.t -> (int array, int list) result
+(** A proper 2-colouring of the (symmetrized) edge relation, or a closed
+    walk of odd length that blocks it: [[x; x]] for a loop [x]. *)
 
 val has_loop : Structure.t -> bool
 

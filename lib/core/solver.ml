@@ -128,7 +128,7 @@ let table ~max_treewidth ~consistency_k ~booleanize_threshold a b =
                     match Schaefer.Uniform.solve_direct ~budget:s a b with
                     | Schaefer.Uniform.Hom h -> Found h
                     | Schaefer.Uniform.No_hom ->
-                      Refuted (fun s -> Certify.of_schaefer_direct ~budget:s a b cls)
+                      Refuted (fun s -> Certify.of_schaefer_direct ~budget:s a b)
                     | Schaefer.Uniform.Not_applicable _ -> Declined) ))
             (Schaefer.Classify.classify b));
     (* Tractable undirected-graph target (Hell–Nešetřil). *)
@@ -146,24 +146,27 @@ let table ~max_treewidth ~consistency_k ~booleanize_threshold a b =
                   | Some h -> Found h
                   | None -> Refuted (fun _ -> Certify.of_graph a b)) )
         else None);
-    (* Booleanized Schaefer target (Lemma 3.5) for small targets.  Only
-       the encoding tells whether the case applies, so the guard solves
-       and the run just reports the answer. *)
+    (* Booleanized Schaefer target (Lemma 3.5) for small targets.  The
+       guard reads the vocabularies and classifies the encoded target
+       (cached per relation); it rejects exactly the pairs on which
+       [Booleanize.solve] answers [Not_schaefer]. *)
     independent All (fun () ->
         if Structure.size b > booleanize_threshold || Structure.size b < 1 then None
         else
-          let route () =
-            Booleanized
-              (Option.value ~default:Schaefer.Classify.Affine
-                 (Schaefer.Classify.classify (Schaefer.Booleanize.encode_target b)))
-          in
-          match Schaefer.Booleanize.solve a b with
-          | Schaefer.Booleanize.Hom h -> Some (route (), plain (fun _ -> Found h))
-          | Schaefer.Booleanize.No_hom ->
+          match
+            ( Schaefer.Uniform.precheck a b,
+              Schaefer.Classify.classify (Schaefer.Booleanize.encode_target b) )
+          with
+          | Some (Schaefer.Uniform.Not_applicable _), _ | None, None -> None
+          | _, cls ->
             Some
-              ( route (),
-                plain (fun _ -> Refuted (fun s -> Certify.of_booleanized ~budget:s a b)) )
-          | Schaefer.Booleanize.Not_schaefer _ -> None);
+              ( Booleanized (Option.value ~default:Schaefer.Classify.Affine cls),
+                plain (fun s ->
+                    match Schaefer.Booleanize.solve ~budget:s a b with
+                    | Schaefer.Booleanize.Hom h -> Found h
+                    | Schaefer.Booleanize.No_hom ->
+                      Refuted (fun s -> Certify.of_booleanized ~budget:s a b)
+                    | Schaefer.Booleanize.Not_schaefer _ -> Declined) ));
     (* Acyclic source: Yannakakis semi-joins (querywidth 1). *)
     independent All (fun () ->
         if Treewidth.Hypergraph.is_acyclic a then
@@ -423,7 +426,7 @@ let solve_preprocessed ~max_treewidth ~consistency_k ~booleanize_threshold
   (* A fact over an empty, absent or arity-clashing relation refutes
      outright.  This also keeps the per-component conjunction sound for
      nullary facts, which survive [Structure.induced] into every part. *)
-  match Schaefer.Certify.empty_relation_refutation a b with
+  match Schaefer.Uniform.empty_relation_refutation a b with
   | Some cert ->
     decided_by_preprocess
       ~counters:[ ("preprocess.empty_relation", 1) ]

@@ -78,12 +78,12 @@ type outcome =
   | No_hom
   | Not_schaefer of Structure.t
 
-let solve a b =
+let solve ?budget a b =
   if Structure.size b = 0 then (if Structure.size a = 0 then Hom [||] else No_hom)
   else begin
     let bits = bits_needed (Structure.size b) in
     let ab, bb = encode_pair a b in
-    match Uniform.solve_direct ab bb with
+    match Uniform.solve_direct ?budget ab bb with
     | Uniform.Hom hb ->
       let h, clamped = decode_counting ~bits ~target:b hb in
       if Homomorphism.is_homomorphism a b h then Hom h
@@ -100,3 +100,14 @@ let solve a b =
     | Uniform.No_hom -> No_hom
     | Uniform.Not_applicable _ -> Not_schaefer bb
   end
+
+let refute ?budget a b =
+  match Uniform.empty_relation_refutation a b with
+  | Some c -> Some c
+  | None when Structure.size b = 0 -> None
+  | None ->
+    let ab, bb = encode_pair a b in
+    Option.map
+      (fun inner ->
+        Certificate.Via_booleanization { bits = bits_needed (Structure.size b); inner })
+      (Uniform.refute ?budget ab bb)

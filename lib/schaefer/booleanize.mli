@@ -54,7 +54,14 @@ type outcome =
       (** The Booleanized target, for inspection, when it lands outside
           Schaefer's tractable classes. *)
 
-val solve : Structure.t -> Structure.t -> outcome
+val solve : ?budget:Budget.t -> Structure.t -> Structure.t -> outcome
 (** Booleanize, classify, solve with {!Uniform.solve_direct}, decode.
     @raise Decode_rejected when the decoded mapping fails
-    [Homomorphism.is_homomorphism] — an internal invariant violation. *)
+    [Homomorphism.is_homomorphism] — an internal invariant violation.
+    @raise Budget.Exhausted when [budget] runs out. *)
+
+val refute : ?budget:Budget.t -> Structure.t -> Structure.t -> Certificate.t option
+(** A certificate for "no homomorphism": an [Empty_relation] fact of the
+    raw pair if there is one, else a [Via_booleanization] wrapper around
+    {!Uniform.refute} of the encoded pair.  [None] when that finds a
+    homomorphism or does not apply. *)

@@ -45,19 +45,6 @@ let models f =
   done;
   !acc
 
-let map_vars ~nvars subst f =
-  make ~nvars
-    (List.map (List.map (fun l -> { l with var = subst l.var })) f.clauses)
-
-let conjoin = function
-  | [] -> { nvars = 0; clauses = [] }
-  | first :: rest ->
-    List.iter
-      (fun f ->
-        if f.nvars <> first.nvars then invalid_arg "Cnf.conjoin: variable count mismatch")
-      rest;
-    { first with clauses = List.concat_map (fun f -> f.clauses) (first :: rest) }
-
 let flip_signs f = { f with clauses = List.map (List.map negate) f.clauses }
 
 let pp_literal ppf l =

@@ -39,14 +39,6 @@ val models : t -> bool array list
 (** All satisfying assignments by exhaustive enumeration; for testing only.
     @raise Invalid_argument when [nvars > 22]. *)
 
-val map_vars : nvars:int -> (int -> int) -> t -> t
-(** Substitute variables; used to instantiate a defining formula [phi_R] on
-    the elements of a tuple. *)
-
-val conjoin : t list -> t
-(** Conjunction of formulas over a common variable set.
-    @raise Invalid_argument when the variable counts differ. *)
-
 val flip_signs : t -> t
 (** Negate every literal (maps Horn to dual Horn and back; a 0/1 assignment
     satisfies the flipped formula iff its complement satisfies the

@@ -18,82 +18,94 @@ let satisfies assignment s =
       !sum = e.rhs)
     s.equations
 
-(* Gaussian elimination on augmented rows; returns the echelon rows and the
-   pivot column of each (the augmented column is [ncols]). *)
-let eliminate ~width rows =
-  let rows = List.map Array.copy rows in
-  let echelon = ref [] in
-  let remaining = ref (List.filter (fun row -> Array.exists Fun.id row) rows) in
-  let col = ref 0 in
-  while !remaining <> [] && !col < width do
-    let c = !col in
-    match List.partition (fun row -> row.(c)) !remaining with
-    | [], _ -> incr col
-    | pivot :: others_with_bit, rest ->
-      let reduce row =
-        if row.(c) then Array.iteri (fun i v -> row.(i) <- row.(i) <> v) pivot
-      in
-      List.iter reduce others_with_bit;
-      List.iter reduce rest;
-      echelon := (c, pivot) :: !echelon;
-      remaining := others_with_bit @ rest;
-      remaining := List.filter (fun row -> Array.exists Fun.id row) !remaining;
-      incr col
+let support coeffs =
+  let cols = ref [] in
+  for c = Array.length coeffs - 1 downto 0 do
+    if coeffs.(c) then cols := c :: !cols
   done;
-  (List.rev !echelon, !remaining)
+  !cols
 
-let solve s =
-  let rows =
-    List.map
-      (fun e -> Array.append e.coeffs [| e.rhs |])
-      s.equations
+(* Sparse elimination keyed by pivot.  A row is its ascending list of
+   nonzero columns, its right-hand side, and the ascending indices of the
+   input rows it sums.  Every stored row's pivot is its least column, so
+   each reduction step strictly raises the reduced row's least column:
+   reduction terminates, and an input row that reduces to [0 = 1] proves
+   the system inconsistent.  The budget is ticked once per step. *)
+type row = { cols : int list; rhs : bool; combo : int list }
+
+let rec sym_diff (xs : int list) ys =
+  match (xs, ys) with
+  | [], l | l, [] -> l
+  | x :: xs', y :: ys' ->
+    if x < y then x :: sym_diff xs' ys
+    else if y < x then y :: sym_diff xs ys'
+    else sym_diff xs' ys'
+
+let eliminate ?(budget = Relational.Budget.unlimited) rows =
+  let pivots = Hashtbl.create 64 in
+  let rec reduce r =
+    Relational.Budget.tick budget;
+    match r.cols with
+    | [] -> if r.rhs then Some r.combo else None
+    | m :: _ -> (
+      match Hashtbl.find_opt pivots m with
+      | Some p ->
+        reduce
+          {
+            cols = sym_diff r.cols p.cols;
+            rhs = r.rhs <> p.rhs;
+            combo = sym_diff r.combo p.combo;
+          }
+      | None ->
+        Hashtbl.add pivots m r;
+        None)
   in
-  let echelon, _leftover = eliminate ~width:(s.nvars + 1) rows in
-  (* Rows left over after elimination are all zero; inconsistency shows up
-     only as a pivot in the augmented column. *)
-  if List.exists (fun (c, _) -> c = s.nvars) echelon then None
-  else begin
-    let assignment = Array.make s.nvars false in
-    (* Back-substitute in decreasing pivot order; free variables stay 0. *)
-    List.iter
-      (fun (c, row) ->
-        let sum = ref row.(s.nvars) in
-        for i = c + 1 to s.nvars - 1 do
-          if row.(i) && assignment.(i) then sum := not !sum
-        done;
-        assignment.(c) <- !sum)
-      (List.rev echelon);
-    Some assignment
-  end
+  let rec go i = function
+    | [] -> Ok pivots
+    | (coeffs, rhs) :: rest -> (
+      match reduce { cols = support coeffs; rhs; combo = [ i ] } with
+      | Some combo -> Error combo
+      | None -> go (i + 1) rest)
+  in
+  go 0 rows
 
-let rank rows =
-  match rows with
-  | [] -> 0
-  | first :: _ ->
-    let echelon, _ = eliminate ~width:(Array.length first) rows in
-    List.length echelon
+(* Set the pivot columns of [x] (all still 0) from the pivot rows, highest
+   pivot first: every other column of a row lies above its pivot, so it is
+   already final.  Non-pivot columns keep their value in [x]. *)
+let back_substitute pivots x =
+  let order =
+    List.sort (Fun.flip Int.compare) (Hashtbl.fold (fun m _ acc -> m :: acc) pivots [])
+  in
+  List.iter
+    (fun m ->
+      let r = Hashtbl.find pivots m in
+      x.(m) <- List.fold_left (fun acc c -> acc <> x.(c)) r.rhs r.cols)
+    order;
+  x
+
+let solve ?budget s =
+  Result.map
+    (fun pivots -> back_substitute pivots (Array.make s.nvars false))
+    (eliminate ?budget (List.map (fun e -> (e.coeffs, e.rhs)) s.equations))
+
+let pivots_of rows =
+  match eliminate (List.map (fun r -> (r, false)) rows) with
+  | Ok pivots -> pivots
+  | Error _ -> assert false (* homogeneous rows never reduce to 0 = 1 *)
+
+let rank rows = Hashtbl.length (pivots_of rows)
 
 let nullspace_basis ~ncols rows =
-  let echelon, _ = eliminate ~width:ncols rows in
-  let pivot_cols = List.map fst echelon in
-  let is_pivot c = List.mem c pivot_cols in
-  let free_cols = List.filter (fun c -> not (is_pivot c)) (List.init ncols Fun.id) in
-  List.map
+  let pivots = pivots_of rows in
+  List.filter_map
     (fun f ->
-      let v = Array.make ncols false in
-      v.(f) <- true;
-      (* Solve M v = 0 with free column [f] set: each echelon row fixes its
-         pivot coordinate. *)
-      List.iter
-        (fun (c, row) ->
-          let sum = ref false in
-          for i = c + 1 to ncols - 1 do
-            if row.(i) && v.(i) then sum := not !sum
-          done;
-          v.(c) <- !sum)
-        (List.rev echelon);
-      v)
-    free_cols
+      if Hashtbl.mem pivots f then None
+      else begin
+        let v = Array.make ncols false in
+        v.(f) <- true;
+        Some (back_substitute pivots v)
+      end)
+    (List.init ncols Fun.id)
 
 let models s =
   if s.nvars > 22 then invalid_arg "Gf2.models: too many variables";

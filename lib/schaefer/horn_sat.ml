@@ -1,5 +1,5 @@
 type clause_state = {
-  negatives : int list; (* distinct variables occurring negatively *)
+  index : int; (* position in the formula's clause list *)
   head : int option; (* the positive variable, if any *)
   mutable pending : int; (* negatives not yet set to true *)
 }
@@ -9,59 +9,54 @@ let solve formula =
   let n = formula.Cnf.nvars in
   let value = Array.make n false in
   let queue = Queue.create () in
-  let set_true v =
-    if not value.(v) then begin
-      value.(v) <- true;
-      Telemetry.count "schaefer.unit_propagations" 1;
-      Queue.add v queue
-    end
+  (* The clauses that forced a variable, latest first, and the falsified
+     clause once one shows up. *)
+  let trace = ref [] and conflict = ref None in
+  let fire st =
+    if !conflict = None then
+      match st.head with
+      | None -> conflict := Some st.index
+      | Some h when not value.(h) ->
+        value.(h) <- true;
+        Telemetry.count "schaefer.unit_propagations" 1;
+        trace := st.index :: !trace;
+        Queue.add h queue
+      | Some _ -> ()
   in
   (* Normalize clauses: drop tautologies, dedupe literals. *)
-  let states = ref [] in
   let watch = Array.make n [] in
-  let unsat = ref false in
-  List.iter
-    (fun clause ->
-      let nvars =
-        List.sort_uniq Int.compare
-          (List.filter_map
-             (fun l -> if l.Cnf.sign then None else Some l.Cnf.var)
-             clause)
-      in
-      let head =
-        List.fold_left
-          (fun acc l -> if l.Cnf.sign then Some l.Cnf.var else acc)
-          None clause
-      in
+  List.iteri
+    (fun index clause ->
+      let head = ref None and negatives = ref [] in
+      List.iter
+        (fun l ->
+          if l.Cnf.sign then head := Some l.Cnf.var
+          else if not (List.mem l.Cnf.var !negatives) then
+            negatives := l.Cnf.var :: !negatives)
+        clause;
+      let negatives = !negatives and head = !head in
       let tautology =
-        match head with Some h -> List.mem h nvars | None -> false
+        match head with Some h -> List.mem h negatives | None -> false
       in
       if not tautology then begin
-        let st = { negatives = nvars; head; pending = List.length nvars } in
-        states := st :: !states;
-        List.iter (fun v -> watch.(v) <- st :: watch.(v)) nvars;
-        if st.pending = 0 then
-          match head with
-          | Some h -> set_true h
-          | None -> unsat := true
+        let st = { index; head; pending = List.length negatives } in
+        List.iter (fun v -> watch.(v) <- st :: watch.(v)) negatives;
+        if st.pending = 0 then fire st
       end)
     formula.Cnf.clauses;
-  while (not !unsat) && not (Queue.is_empty queue) do
+  while !conflict = None && not (Queue.is_empty queue) do
     let v = Queue.pop queue in
     List.iter
       (fun st ->
         st.pending <- st.pending - 1;
-        if st.pending = 0 then
-          match st.head with
-          | Some h -> set_true h
-          | None -> unsat := true)
+        if st.pending = 0 then fire st)
       watch.(v)
   done;
-  if !unsat then None else Some value
+  match !conflict with
+  | None -> Ok value
+  | Some c -> Error (List.rev (c :: !trace))
 
 let solve_dual formula =
   if not (Cnf.is_dual_horn formula) then
     invalid_arg "Horn_sat.solve_dual: formula is not dual Horn";
-  match solve (Cnf.flip_signs formula) with
-  | None -> None
-  | Some value -> Some (Array.map not value)
+  Result.map (Array.map not) (solve (Cnf.flip_signs formula))

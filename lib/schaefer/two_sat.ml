@@ -7,22 +7,23 @@ let node_of l = (2 * l.Cnf.var) + if l.Cnf.sign then 0 else 1
 
 let negate_node u = u lxor 1
 
+let literal_of u = { Cnf.var = u / 2; sign = u land 1 = 0 }
+
+(* Each edge carries the index of the clause it comes from; a unit clause
+   [l] is the edge [not l -> l]. *)
 let implication_graph formula =
-  let n = formula.Cnf.nvars in
-  let succ = Array.make (2 * n) [] in
-  let add u v = succ.(u) <- v :: succ.(u) in
-  let empty = ref false in
-  List.iter
-    (fun clause ->
+  let succ = Array.make (2 * formula.Cnf.nvars) [] in
+  let add u v k = succ.(u) <- (v, k) :: succ.(u) in
+  List.iteri
+    (fun k clause ->
       match clause with
-      | [] -> empty := true
-      | [ l ] -> add (negate_node (node_of l)) (node_of l)
+      | [ l ] -> add (negate_node (node_of l)) (node_of l) k
       | [ l1; l2 ] ->
-        add (negate_node (node_of l1)) (node_of l2);
-        add (negate_node (node_of l2)) (node_of l1)
-      | _ -> assert false)
+        add (negate_node (node_of l1)) (node_of l2) k;
+        add (negate_node (node_of l2)) (node_of l1) k
+      | _ -> invalid_arg "Two_sat.solve: empty clause")
     formula.Cnf.clauses;
-  (succ, !empty)
+  succ
 
 (* Iterative Tarjan SCC; components are numbered in reverse topological
    order (sinks first). *)
@@ -50,7 +51,7 @@ let tarjan succ =
       while not (Stack.is_empty call) do
         let v, rest = Stack.top call in
         match !rest with
-        | w :: tl ->
+        | (w, _) :: tl ->
           rest := tl;
           if index.(w) < 0 then start w
           else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w)
@@ -75,25 +76,61 @@ let tarjan succ =
   done;
   comp
 
+(* Shortest implication path from [start] to [goal] by BFS, as the
+   (clause, implied literal) steps after [start]; [goal] must be
+   reachable. *)
+let path succ start goal =
+  let via = Array.make (Array.length succ) None in
+  let queue = Queue.create () in
+  Queue.add start queue;
+  while via.(goal) = None do
+    let u = Queue.pop queue in
+    List.iter
+      (fun (v, k) ->
+        if via.(v) = None then begin
+          via.(v) <- Some (u, k);
+          Queue.add v queue
+        end)
+      succ.(u)
+  done;
+  let rec back acc v =
+    if v = start then acc
+    else
+      match via.(v) with
+      | Some (u, k) -> back ((k, literal_of v) :: acc) u
+      | None -> assert false
+  in
+  back [] goal
+
+type refutation = {
+  pivot : Cnf.literal;
+  forward : (int * Cnf.literal) list;
+  backward : (int * Cnf.literal) list;
+}
+
 let solve formula =
   check formula;
-  let succ, has_empty = implication_graph formula in
-  if has_empty then None
-  else begin
-    let comp = tarjan succ in
-    let n = formula.Cnf.nvars in
-    let rec assign v acc =
-      if v >= n then Some acc
-      else if comp.(2 * v) = comp.((2 * v) + 1) then None
-      else begin
-        (* Tarjan numbers sinks first; the literal whose component comes
-           first is implied by the other, so make it the true one. *)
-        acc.(v) <- comp.(2 * v) < comp.((2 * v) + 1);
-        assign (v + 1) acc
-      end
-    in
-    assign 0 (Array.make n false)
-  end
+  let succ = implication_graph formula in
+  let comp = tarjan succ in
+  let n = formula.Cnf.nvars in
+  let rec assign v acc =
+    if v >= n then Ok acc
+    else if comp.(2 * v) = comp.((2 * v) + 1) then
+      (* Both literals share a component, so each implies the other. *)
+      Error
+        {
+          pivot = Cnf.pos v;
+          forward = path succ (2 * v) ((2 * v) + 1);
+          backward = path succ ((2 * v) + 1) (2 * v);
+        }
+    else begin
+      (* Tarjan numbers sinks first; the literal whose component comes
+         first is implied by the other, so make it the true one. *)
+      acc.(v) <- comp.(2 * v) < comp.((2 * v) + 1);
+      assign (v + 1) acc
+    end
+  in
+  assign 0 (Array.make n false)
 
 let solve_phase formula =
   check formula;

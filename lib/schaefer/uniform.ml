@@ -17,17 +17,41 @@ let used_symbols a =
     (fun (name, _) -> not (Relation.is_empty (Structure.relation a name)))
     (Vocabulary.symbols (Structure.vocabulary a))
 
+(* [Array.of_list] copies a long list of young values by first forcing a
+   minor collection; filling an array made with an old [dummy] does
+   not. *)
+let array_of_list dummy l =
+  let arr = Array.make (List.length l) dummy in
+  List.iteri (fun i x -> arr.(i) <- x) l;
+  arr
+
+let no_origin = { Certificate.symbol = ""; fact = [||] }
+
+let no_equation = { Gf2.coeffs = [||]; rhs = false }
+
+let compare_lit (l : Certificate.lit) (l' : Certificate.lit) =
+  match Int.compare l.elem l'.elem with 0 -> Bool.compare l.sign l'.sign | c -> c
+
 let build_formula ?(budget = Budget.unlimited) a b cls =
   let n = Structure.size a in
-  let clausal = ref [] and linear = ref [] in
+  (* Clauses or equations, latest first, and the fact each one
+     instantiates. *)
+  let clausal = ref [] and linear = ref [] and origins = ref [] in
   List.iter
     (fun (name, arity) ->
       let def = Define.defining (target_relation b name arity) cls in
       Relation.iter
         (fun t ->
           Budget.tick budget;
+          let origin = { Certificate.symbol = name; fact = t } in
           match def with
-          | Define.Clausal f -> clausal := Cnf.map_vars ~nvars:n (fun p -> t.(p)) f :: !clausal
+          | Define.Clausal f ->
+            List.iter
+              (fun c ->
+                origins := origin :: !origins;
+                let c = List.map (fun (l : Cnf.literal) -> { l with var = t.(l.var) }) c in
+                clausal := c :: !clausal)
+              f.Cnf.clauses
           | Define.Linear s ->
             List.iter
               (fun e ->
@@ -35,74 +59,151 @@ let build_formula ?(budget = Budget.unlimited) a b cls =
                 Array.iteri
                   (fun p c -> if c then coeffs.(t.(p)) <- not coeffs.(t.(p)))
                   e.Gf2.coeffs;
+                origins := origin :: !origins;
                 linear := { Gf2.coeffs; rhs = e.Gf2.rhs } :: !linear)
               s.Gf2.equations)
         (Structure.relation a name))
     (used_symbols a);
+  let origins = array_of_list no_origin (List.rev !origins) in
   match cls with
-  | Classify.Affine -> Define.Linear (Gf2.make_system ~nvars:n !linear)
+  | Classify.Affine ->
+    (Define.Linear (Gf2.make_system ~nvars:n (List.rev !linear)), origins)
   | Classify.Horn | Classify.Dual_horn | Classify.Bijunctive ->
-    Define.Clausal
-      (if !clausal = [] then Cnf.make ~nvars:n [] else Cnf.conjoin !clausal)
+    (Define.Clausal (Cnf.make ~nvars:n (List.rev !clausal)), origins)
   | Classify.Zero_valid | Classify.One_valid ->
     invalid_arg "Uniform.build_formula: trivial class"
 
 let mapping_of_assignment assignment =
   Array.map (fun v -> if v then 1 else 0) assignment
 
-let preconditions a b =
-  if Structure.size b <> 2 then Some "target is not Boolean"
-  else if
+(* Answers settled by the vocabularies alone, before [B]'s class matters.
+   Booleanization keeps symbols, arities up to a common factor and
+   nullary facts, so these read the same on an encoded pair. *)
+let precheck a b =
+  if
     not
       (List.for_all
          (fun (name, arity) ->
            (not (Vocabulary.mem (Structure.vocabulary b) name))
            || Vocabulary.arity (Structure.vocabulary b) name = arity)
          (Vocabulary.symbols (Structure.vocabulary a)))
-  then Some "vocabulary arity mismatch"
+  then Some (Not_applicable "vocabulary arity mismatch")
+  else if
+    (* Classify can not see a symbol A uses but B lacks, nor a nullary
+       fact of A missing from B; either kills every homomorphism. *)
+    List.exists
+      (fun (name, _) -> not (Vocabulary.mem (Structure.vocabulary b) name))
+      (used_symbols a)
+    || not (Homomorphism.nullary_facts_hold a b)
+  then Some No_hom
   else None
 
-(* Symbols used by A but absent from B kill any homomorphism, and so does
-   a nullary fact of A missing from B; classify can not see either, so
-   rule them out up front. *)
-let missing_symbol a b =
-  List.exists
-    (fun (name, _) -> not (Vocabulary.mem (Structure.vocabulary b) name))
-    (used_symbols a)
-
+(* Classify [B] and run [route] on a nontrivial class; [Error] is a
+   route's refutation. *)
 let solve_with ?(budget = Budget.unlimited) ~route a b =
   Budget.check budget;
-  match preconditions a b with
-  | Some reason -> Not_applicable reason
-  | None -> (
-    if missing_symbol a b || not (Homomorphism.nullary_facts_hold a b) then No_hom
-    else
+  if Structure.size b <> 2 then Ok (Not_applicable "target is not Boolean")
+  else
+    match precheck a b with
+    | Some outcome -> Ok outcome
+    | None -> (
       match Classify.classify b with
-      | None -> Not_applicable "target is not a Schaefer structure"
-      | Some Classify.Zero_valid -> Hom (Array.make (Structure.size a) 0)
-      | Some Classify.One_valid -> Hom (Array.make (Structure.size a) 1)
+      | None -> Ok (Not_applicable "target is not a Schaefer structure")
+      | Some Classify.Zero_valid -> Ok (Hom (Array.make (Structure.size a) 0))
+      | Some Classify.One_valid -> Ok (Hom (Array.make (Structure.size a) 1))
       | Some cls -> route cls)
 
+let empty_relation_refutation a b =
+  Structure.fold_tuples
+    (fun name t acc ->
+      match acc with
+      | Some _ -> acc
+      | None ->
+        let no_image =
+          match Structure.relation b name with
+          | r ->
+            Relation.is_empty r
+            || Relation.for_all (fun t' -> Array.length t' <> Array.length t) r
+          | exception Not_found -> true
+        in
+        if no_image then
+          Some (Certificate.Empty_relation { Certificate.symbol = name; fact = t })
+        else None)
+    a None
+
+(* Theorem 3.3: run the class's algorithm on [phi_A].  A refutation comes
+   back as [Error], its clauses or equations mapped to the facts of [A]
+   they instantiate. *)
 let formula_route ?budget a b cls =
+  let decided = Result.map (fun m -> Hom (mapping_of_assignment m)) in
+  let lit (l : Cnf.literal) = { Certificate.elem = l.var; sign = l.sign } in
   match build_formula ?budget a b cls with
-  | Define.Clausal f -> (
-    let result =
-      match cls with
-      | Classify.Horn -> Horn_sat.solve f
-      | Classify.Dual_horn -> Horn_sat.solve_dual f
-      | Classify.Bijunctive -> Two_sat.solve f
-      | _ -> assert false
+  | Define.Clausal f, origins -> (
+    (* Only a refutation reads clauses by index. *)
+    let clauses = lazy (array_of_list [] f.Cnf.clauses) in
+    let iclause k =
+      {
+        Certificate.clause_of = origins.(k);
+        lits = List.sort_uniq compare_lit (List.map lit (Lazy.force clauses).(k));
+      }
     in
-    match result with
-    | Some assignment -> Hom (mapping_of_assignment assignment)
-    | None -> No_hom)
-  | Define.Linear s -> (
-    match Gf2.solve s with
-    | Some assignment -> Hom (mapping_of_assignment assignment)
-    | None -> No_hom)
+    (* Every step but the last forces the clause's one literal of sign
+       [sign]; the last clause is falsified. *)
+    let unit_refutation sign steps =
+      let last = List.length steps - 1 in
+      Certificate.Unit_refutation
+        (List.mapi
+           (fun i k ->
+             let clause = iclause k in
+             let forces =
+               if i = last then None
+               else List.find_opt (fun l -> l.Certificate.sign = sign) clause.lits
+             in
+             { Certificate.clause; forces })
+           steps)
+    in
+    let chain = List.map (fun (k, l) -> (iclause k, lit l)) in
+    decided
+      (match cls with
+      | Classify.Horn -> Result.map_error (unit_refutation true) (Horn_sat.solve f)
+      | Classify.Dual_horn ->
+        Result.map_error (unit_refutation false) (Horn_sat.solve_dual f)
+      | _ ->
+        Result.map_error
+          (fun (r : Two_sat.refutation) ->
+            Certificate.Implication_cycle
+              {
+                pivot = lit r.pivot;
+                forward = chain r.forward;
+                backward = chain r.backward;
+              })
+          (Two_sat.solve f)))
+  | Define.Linear s, origins ->
+    let equations = lazy (array_of_list no_equation s.Gf2.equations) in
+    let iequation i =
+      let e = (Lazy.force equations).(i) in
+      {
+        Certificate.equation_of = origins.(i);
+        elems = Gf2.support e.Gf2.coeffs;
+        rhs = e.Gf2.rhs;
+      }
+    in
+    decided
+      (Result.map_error
+         (fun combo -> Certificate.Affine_contradiction (List.map iequation combo))
+         (Gf2.solve ?budget s))
 
 let solve ?budget a b =
-  solve_with ?budget a b ~route:(fun cls -> formula_route ?budget a b cls)
+  Result.value ~default:No_hom
+    (solve_with ?budget a b ~route:(fun cls -> formula_route ?budget a b cls))
+
+let refute ?budget a b =
+  match empty_relation_refutation a b with
+  | Some c -> Some c
+  | None -> (
+    match solve_with ?budget a b ~route:(fun cls -> formula_route ?budget a b cls) with
+    | Error c -> Some c
+    | Ok _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Direct algorithms (Theorem 3.4).                                    *)
@@ -281,11 +382,12 @@ let solve_bijunctive_direct ?(budget = Budget.unlimited) a b =
          (is the target really bijunctive?)"
 
 let solve_direct ?budget a b =
-  solve_with ?budget a b ~route:(fun cls ->
-      let lift = function Some h -> Hom h | None -> No_hom in
-      match cls with
-      | Classify.Horn -> lift (solve_horn_direct ?budget a b)
-      | Classify.Dual_horn -> lift (solve_dual_horn_direct ?budget a b)
-      | Classify.Bijunctive -> lift (solve_bijunctive_direct ?budget a b)
-      | Classify.Affine -> formula_route ?budget a b Classify.Affine
-      | Classify.Zero_valid | Classify.One_valid -> assert false)
+  Result.value ~default:No_hom
+    (solve_with ?budget a b ~route:(fun cls ->
+         let lift = function Some h -> Ok (Hom h) | None -> Ok No_hom in
+         match cls with
+         | Classify.Horn -> lift (solve_horn_direct ?budget a b)
+         | Classify.Dual_horn -> lift (solve_dual_horn_direct ?budget a b)
+         | Classify.Bijunctive -> lift (solve_bijunctive_direct ?budget a b)
+         | Classify.Affine -> formula_route ?budget a b Classify.Affine
+         | Classify.Zero_valid | Classify.One_valid -> assert false))

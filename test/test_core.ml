@@ -166,6 +166,24 @@ let solver_tests =
                    && at.outcome = Solver.Inapplicable)
                  r.Solver.attempts))
           [ true; false ]);
+    Alcotest.test_case "booleanized route runs under its budget" `Quick (fun () ->
+        (* Directed C400 into C4: the guard only classifies the encoded
+           target, so the Booleanized solve itself meets the node limit. *)
+        let r =
+          Solver.solve ~preprocess:false ~budget:(Budget.create ~max_nodes:5 ())
+            (Workloads.directed_cycle 400) (Workloads.directed_cycle 4)
+        in
+        match
+          List.find_opt
+            (fun (at : Solver.attempt) ->
+              match at.route with Solver.Booleanized _ -> true | _ -> false)
+            r.Solver.attempts
+        with
+        | Some { outcome = Solver.Exhausted Budget.Node_limit; _ } -> ()
+        | Some at ->
+          Alcotest.failf "booleanized attempt %s after %d nodes"
+            (Solver.outcome_name at.outcome) at.nodes
+        | None -> Alcotest.fail "no booleanized attempt");
   ]
 
 (* ------------------------------------------------------------------ *)
