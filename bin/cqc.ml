@@ -365,17 +365,14 @@ let contain max_nodes timeout threads no_preprocess certify union metrics_json
           ~preprocess:(not no_preprocess) q1 q2
       in
       (match r.Core.Solver.verdict with
-      | Core.Solver.Sat _ ->
+      | Core.Solver.Sat h ->
         Format.printf "Q1 <= Q2: true  (route: %s)@."
           (Core.Solver.route_name r.Core.Solver.route);
-        (match Cq.Containment.containment_witness q1 q2 with
-        | Some w ->
-          Format.printf "witness: %a@."
-            (Format.pp_print_list
-               ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-               (fun ppf (v, x) -> Format.fprintf ppf "%s->%s" v x))
-            w
-        | None -> ())
+        Format.printf "witness: %a@."
+          (Format.pp_print_list
+             ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
+             (fun ppf (v, x) -> Format.fprintf ppf "%s->%s" v x))
+          (Cq.Containment.witness_names q1 q2 h)
       | Core.Solver.Unsat _ ->
         Format.printf "Q1 <= Q2: false  (route: %s)@."
           (Core.Solver.route_name r.Core.Solver.route)
@@ -595,24 +592,18 @@ let enumerate max_nodes timeout limit format metrics_json trace_out a b =
         (fun () ->
           let plan = Enumerate.plan ~budget a b in
           let route = Enumerate.route_name plan.Enumerate.route in
-          let seq =
-            match limit with
-            | Some l -> Seq.take l plan.Enumerate.seq
-            | None -> plan.Enumerate.seq
-          in
           let n = ref 0 in
-          Seq.iter
-            (fun h ->
-              incr n;
-              match format with
-              | `Text -> Format.printf "%a@." Relational.Tuple.pp h
-              | `Jsonl ->
-                Format.printf "{\"hom\":[%s]}@."
-                  (String.concat ","
-                     (List.map string_of_int (Array.to_list h))))
-            seq;
           let complete =
-            match limit with Some l -> !n < l | None -> true
+            Enumerate.iter_limited ?limit
+              (fun h ->
+                incr n;
+                match format with
+                | `Text -> Format.printf "%a@." Relational.Tuple.pp h
+                | `Jsonl ->
+                  Format.printf "{\"hom\":[%s]}@."
+                    (String.concat ","
+                       (List.map string_of_int (Array.to_list h))))
+              plan.Enumerate.seq
           in
           (match format with
           | `Text -> ()
@@ -632,9 +623,11 @@ let enumerate_cmd =
       & opt (some nonnegative_int) None
       & info [ "limit" ] ~docv:"N"
           ~doc:
-            "Stop after streaming $(docv) answers.  The stream terminates \
-             early without running the remaining search — with a budget, \
-             only the work for the answers actually pulled is charged.")
+            "Stop after streaming $(docv) answers.  One answer more is \
+             pulled (not printed) to tell a complete stream from a \
+             truncated one.  The stream terminates early without running \
+             the remaining search — with a budget, only the work for the \
+             answers actually pulled is charged.")
   in
   let format =
     Arg.(

@@ -586,83 +586,3 @@ let rec size = function
       (size inner
       + match target with None -> 0 | Some st -> step_size st)
       source
-
-(* ------------------------------------------------------------------ *)
-(* Refutation construction for the backtracking route: a plain          *)
-(* forward-checking DFS, independent of [Relational.Homomorphism].      *)
-(* ------------------------------------------------------------------ *)
-
-exception Found_hom
-
-let refute_by_search ?(budget = Budget.unlimited) a b =
-  let n = Structure.size a and m = Structure.size b in
-  if n = 0 then None
-  else if m = 0 then Some (Split { elem = 0; children = [] })
-  else begin
-    let facts =
-      Array.of_list
-        (List.rev
-           (Structure.fold_tuples (fun name t acc -> (name, t) :: acc) a []))
-    in
-    let images =
-      Array.map (fun (symbol, fact) -> candidate_images b { symbol; fact }) facts
-    in
-    let sigma = Array.make n (-1) in
-    let live (fact : Tuple.t) (t' : Tuple.t) =
-      let ok = ref true in
-      Array.iteri
-        (fun i x -> if sigma.(x) >= 0 && sigma.(x) <> t'.(i) then ok := false)
-        fact;
-      !ok
-    in
-    let rec node () =
-      Budget.tick budget;
-      (* Pick the most constrained fact still carrying an unassigned
-         element; a fact with no surviving image is a conflict. *)
-      let best = ref (-1) and best_count = ref max_int and conflict = ref (-1) in
-      Array.iteri
-        (fun i (_, fact) ->
-          if !conflict < 0 then begin
-            let count =
-              List.fold_left
-                (fun acc t' -> if live fact t' then acc + 1 else acc)
-                0 images.(i)
-            in
-            if count = 0 then conflict := i
-            else if
-              Array.exists (fun x -> sigma.(x) < 0) fact && count < !best_count
-            then begin
-              best := i;
-              best_count := count
-            end
-          end)
-        facts;
-      if !conflict >= 0 then
-        let symbol, fact = facts.(!conflict) in
-        Conflict { symbol; fact }
-      else if !best < 0 then
-        (* Every fact is fully assigned and supported: a homomorphism
-           exists (unconstrained elements can map anywhere). *)
-        raise Found_hom
-      else begin
-        let _, fact = facts.(!best) in
-        let x =
-          let rec first i = if sigma.(fact.(i)) < 0 then fact.(i) else first (i + 1) in
-          first 0
-        in
-        let children =
-          List.init m (fun v ->
-              sigma.(x) <- v;
-              let sub = node () in
-              sigma.(x) <- -1;
-              (v, sub))
-        in
-        Split { elem = x; children }
-      end
-    in
-    match node () with
-    | tree -> Some tree
-    | exception Found_hom ->
-      Array.fill sigma 0 n (-1);
-      None
-  end

@@ -9,7 +9,9 @@ open Relational
     checker below shares no code with any solver route: it re-derives the
     meaning of each certificate form from first principles, so a bug in a
     route (propagation, semi-joins, the pebble game, Booleanization, ...)
-    cannot also hide in the code that audits it.
+    cannot also hide in the code that audits it.  The library only
+    checks: every certificate is built by the route that decides, and
+    nothing here searches or takes a budget.
 
     Soundness contract: [check a b c = true] implies
     - [c = Witness h]: [h] is a homomorphism from [a] to [b];
@@ -131,11 +133,3 @@ val describe : t -> string
 
 val size : t -> int
 (** Rough size measure (number of atomic components), for reporting. *)
-
-val refute_by_search :
-  ?budget:Budget.t -> Structure.t -> Structure.t -> search_tree option
-(** Independent forward-checking DFS used to {e construct} (not check)
-    refutations for the backtracking route: [Some tree] when there is no
-    homomorphism, [None] when one exists.  Shares no code with
-    [Relational.Homomorphism].  @raise Budget.Exhausted when [budget] runs
-    out. *)

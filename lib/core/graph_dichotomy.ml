@@ -79,30 +79,34 @@ let complexity h =
   ignore (require_graph h);
   if has_loop h || is_bipartite h then Polynomial else Np_complete
 
+(* [Error] carries the refutation: a childless split on element 0 for an
+   empty target, the empty edge relation cited by any edge of [g], or an
+   odd closed walk of [g] against [h]'s 2-colouring. *)
 let solve g h =
-  let h_edges = require_graph h in
-  let edge_rel = Structure.relation h h_edges in
+  let symbol = require_graph h in
+  let edge_rel = Structure.relation h symbol in
   let n = Structure.size g in
-  let g_has_edges = Structure.total_tuples g > 0 in
   match Relation.choose (Relation.filter (fun t -> t.(0) = t.(1)) edge_rel) with
-  | Some loop -> Some (Array.make n loop.(0))
+  | Some loop -> Ok (Array.make n loop.(0))
   | None ->
     if Relation.is_empty edge_rel then begin
       (* Edgeless target: sources with facts cannot map. *)
-      if g_has_edges then None
-      else if n = 0 then Some [||]
-      else if Structure.size h = 0 then None
-      else Some (Array.make n 0)
+      if Structure.size h = 0 && n > 0 then
+        Error (Certificate.Search_tree (Certificate.Split { elem = 0; children = [] }))
+      else if Structure.total_tuples g > 0 then
+        Error (Option.get (Schaefer.Uniform.empty_relation_refutation g h))
+      else Ok (Array.make n 0)
     end
-    else if not (is_bipartite h) then
-      invalid_arg "Graph_dichotomy.solve: target is NP-complete (Hell-Nesetril)"
-    else begin
-      (* Bipartite target with an edge: G -> H iff G is 2-colourable. *)
-      match two_colouring g with
-      | Error _ -> None
-      | Ok colour -> (
-        match Relation.choose edge_rel with
-        | Some edge -> Some (Array.map (fun c -> if c = 0 then edge.(0) else edge.(1))
-                               (Array.sub colour 0 n))
-        | None -> assert false)
-    end
+    else
+      match two_colouring h with
+      | Error _ ->
+        invalid_arg "Graph_dichotomy.solve: target is NP-complete (Hell-Nesetril)"
+      | Ok colouring -> (
+        (* Bipartite target with an edge: G -> H iff G is 2-colourable. *)
+        match (two_colouring g, Relation.choose edge_rel) with
+        | Error walk, _ -> Error (Certificate.Odd_walk { symbol; walk; colouring })
+        | Ok colour, Some edge ->
+          Ok
+            (Array.map (fun c -> if c = 0 then edge.(0) else edge.(1))
+               (Array.sub colour 0 n))
+        | Ok _, None -> assert false)

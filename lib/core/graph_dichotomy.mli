@@ -31,7 +31,12 @@ type verdict = Polynomial | Np_complete
 val complexity : Structure.t -> verdict
 (** @raise Invalid_argument if the structure is not an undirected graph. *)
 
-val solve : Structure.t -> Structure.t -> Homomorphism.mapping option
-(** Uniform polynomial algorithm for tractable targets.
+val solve :
+  Structure.t -> Structure.t -> (Homomorphism.mapping, Certificate.t) result
+(** Uniform polynomial algorithm for tractable targets.  A refutation is
+    built from the colourings the algorithm computes: an odd closed walk of
+    the source against a proper 2-colouring of the target, or, for an
+    edgeless or empty target, an empty-relation fact or a childless case
+    split.
     @raise Invalid_argument if the target is not an undirected graph in one
     of the tractable cases. *)

@@ -83,15 +83,13 @@ let verdict_name = function
    (threads = 1), and [race] runs every independent entry concurrently
    next to a [fold] over the chained suffix (threads > 1). *)
 
-(* What a route's run reports.  [Refuted] carries the (possibly
-   expensive) construction of its checkable certificate, which runs
-   under the route's own budget; if it exhausts that budget the answer
-   is withheld and the driver falls through, exactly as for an exhausted
-   route.  [Declined] is recorded as [Inapplicable]; [Pruned] hands a
-   sound domain restriction on to the later entries. *)
+(* What a route's run reports.  [Refuted] carries the checkable
+   certificate the run built from its own data, under its own budget.
+   [Declined] is recorded as [Inapplicable]; [Pruned] hands a sound
+   domain restriction on to the later entries. *)
 type step =
   | Found of Homomorphism.mapping
-  | Refuted of (Budget.t -> Certificate.t option)
+  | Refuted of Certificate.t
   | Declined
   | Pruned of (int -> int -> bool)
 
@@ -112,6 +110,116 @@ type entry = {
    engine counters next to its step. *)
 and run = (int -> int -> bool) option -> Budget.t -> step * (string * int) list
 
+(* Schaefer-direct, booleanized and backtracking decide in one pass and
+   certify in a second.  A certifying pass that finds no refutation
+   contradicts the deciding one: a solver bug, which fails loudly. *)
+let certified route = function
+  | Some cert -> Refuted cert
+  | None ->
+    Error.internal
+      "route %s refuted the instance but no checkable certificate exists \
+       (cross-route disagreement)"
+      (route_name route)
+
+(* An empty target universe against a nonempty source is refuted by a
+   childless case split: the first element has no possible image. *)
+let no_image = Certificate.Search_tree (Certificate.Split { elem = 0; children = [] })
+
+let or_empty_target a b cert =
+  if Structure.size b = 0 && Structure.size a > 0 then no_image else cert
+
+(* The backtracking route's refutation: a forward-checking DFS that
+   shares no code with the MAC search of [Homomorphism], so it
+   re-derives the verdict it certifies.  [None] when it finds a
+   homomorphism after all. *)
+exception Found_hom
+
+let refute_by_search ~budget a b =
+  let n = Structure.size a and m = Structure.size b in
+  if n = 0 then None
+  else if m = 0 then Some no_image
+  else begin
+    let facts =
+      Array.of_list
+        (List.rev (Structure.fold_tuples (fun name t acc -> (name, t) :: acc) a []))
+    in
+    (* The tuples of [B] that can image a fact: same length, and equal
+       entries of the fact take equal entries. *)
+    let images (symbol, (fact : Tuple.t)) =
+      match Structure.relation b symbol with
+      | exception Not_found -> []
+      | r ->
+        Relation.fold
+          (fun (t' : Tuple.t) acc ->
+            let fits = ref (Array.length t' = Array.length fact) in
+            if !fits then
+              Array.iteri
+                (fun i x ->
+                  Array.iteri
+                    (fun j y -> if x = y && t'.(i) <> t'.(j) then fits := false)
+                    fact)
+                fact;
+            if !fits then t' :: acc else acc)
+          r []
+    in
+    let images = Array.map images facts in
+    let sigma = Array.make n (-1) in
+    let live (fact : Tuple.t) (t' : Tuple.t) =
+      let ok = ref true in
+      Array.iteri
+        (fun i x -> if sigma.(x) >= 0 && sigma.(x) <> t'.(i) then ok := false)
+        fact;
+      !ok
+    in
+    let rec node () =
+      Budget.tick budget;
+      (* Pick the most constrained fact still carrying an unassigned
+         element; a fact with no surviving image is a conflict. *)
+      let best = ref (-1) and best_count = ref max_int and conflict = ref (-1) in
+      Array.iteri
+        (fun i (_, fact) ->
+          if !conflict < 0 then begin
+            let count =
+              List.fold_left
+                (fun acc t' -> if live fact t' then acc + 1 else acc)
+                0 images.(i)
+            in
+            if count = 0 then conflict := i
+            else if Array.exists (fun x -> sigma.(x) < 0) fact && count < !best_count
+            then begin
+              best := i;
+              best_count := count
+            end
+          end)
+        facts;
+      if !conflict >= 0 then
+        let symbol, fact = facts.(!conflict) in
+        Certificate.Conflict { symbol; fact }
+      else if !best < 0 then
+        (* Every fact is fully assigned and supported: a homomorphism
+           exists (unconstrained elements can map anywhere). *)
+        raise Found_hom
+      else begin
+        let _, fact = facts.(!best) in
+        let x =
+          let rec first i = if sigma.(fact.(i)) < 0 then fact.(i) else first (i + 1) in
+          first 0
+        in
+        let children =
+          List.init m (fun v ->
+              sigma.(x) <- v;
+              let sub = node () in
+              sigma.(x) <- -1;
+              (v, sub))
+        in
+        Certificate.Split { elem = x; children }
+      end
+    in
+    match node () with
+    | tree -> Some (Certificate.Search_tree tree)
+    | exception Found_hom -> None
+  end
+
 let table ~max_treewidth ~consistency_k ~booleanize_threshold a b =
   let independent share guard = { share; chained = false; guard }
   and chained share guard = { share; chained = true; guard } in
@@ -123,12 +231,13 @@ let table ~max_treewidth ~consistency_k ~booleanize_threshold a b =
         else
           Option.map
             (fun cls ->
-              ( Schaefer_direct cls,
+              let route = Schaefer_direct cls in
+              ( route,
                 plain (fun s ->
                     match Schaefer.Uniform.solve_direct ~budget:s a b with
                     | Schaefer.Uniform.Hom h -> Found h
                     | Schaefer.Uniform.No_hom ->
-                      Refuted (fun s -> Certify.of_schaefer_direct ~budget:s a b)
+                      certified route (Schaefer.Uniform.refute ~budget:s a b)
                     | Schaefer.Uniform.Not_applicable _ -> Declined) ))
             (Schaefer.Classify.classify b));
     (* Tractable undirected-graph target (Hell–Nešetřil). *)
@@ -143,8 +252,8 @@ let table ~max_treewidth ~consistency_k ~booleanize_threshold a b =
               plain (fun s ->
                   Budget.check s;
                   match Graph_dichotomy.solve a b with
-                  | Some h -> Found h
-                  | None -> Refuted (fun _ -> Certify.of_graph a b)) )
+                  | Ok h -> Found h
+                  | Error cert -> Refuted cert) )
         else None);
     (* Booleanized Schaefer target (Lemma 3.5) for small targets.  The
        guard reads the vocabularies and classifies the encoded target
@@ -159,26 +268,40 @@ let table ~max_treewidth ~consistency_k ~booleanize_threshold a b =
           with
           | Some (Schaefer.Uniform.Not_applicable _), _ | None, None -> None
           | _, cls ->
+            let route = Booleanized (Option.value ~default:Schaefer.Classify.Affine cls) in
             Some
-              ( Booleanized (Option.value ~default:Schaefer.Classify.Affine cls),
+              ( route,
                 plain (fun s ->
                     match Schaefer.Booleanize.solve ~budget:s a b with
                     | Schaefer.Booleanize.Hom h -> Found h
                     | Schaefer.Booleanize.No_hom ->
-                      Refuted (fun s -> Certify.of_booleanized ~budget:s a b)
+                      certified route (Schaefer.Booleanize.refute ~budget:s a b)
                     | Schaefer.Booleanize.Not_schaefer _ -> Declined) ));
-    (* Acyclic source: Yannakakis semi-joins (querywidth 1). *)
+    (* Acyclic source: Yannakakis semi-joins (querywidth 1) over the GYO
+       join forest, which also certifies a refutation: the checker re-runs
+       the semi-joins on it. *)
     independent All (fun () ->
-        if Treewidth.Hypergraph.is_acyclic a then
-          Some
+        Option.map
+          (fun (forest : Treewidth.Hypergraph.join_forest) ->
             ( Acyclic,
               plain (fun s ->
                   Budget.check s;
-                  match Treewidth.Hypergraph.solve_acyclic a b with
+                  match Treewidth.Hypergraph.solve_with_forest forest a b with
                   | Some h -> Found h
-                  | None -> Refuted (fun _ -> Certify.of_acyclic a b)) )
-        else None);
-    (* Bounded-treewidth source: dynamic programming (Theorem 5.4). *)
+                  | None ->
+                    let facts =
+                      Array.map
+                        (fun (symbol, fact) -> { Certificate.symbol; fact })
+                        forest.facts
+                    in
+                    Refuted
+                      (or_empty_target a b
+                         (Certificate.Semijoin_empty { facts; parent = forest.parent })))
+            ))
+          (Treewidth.Hypergraph.join_forest a));
+    (* Bounded-treewidth source: dynamic programming (Theorem 5.4).  A
+       refutation hands the checker the bags, rooted exactly as the DP
+       roots them, so it recomputes the very same bottom-up tables. *)
     independent Quarter (fun () ->
         let td = Treewidth.Td_solver.decompose a in
         let w = Treewidth.Tree_decomposition.width td in
@@ -189,9 +312,18 @@ let table ~max_treewidth ~consistency_k ~booleanize_threshold a b =
               plain (fun s ->
                   match Treewidth.Td_solver.solve_with_decomposition ~budget:s td a b with
                   | Some h -> Found h
-                  | None -> Refuted (fun _ -> Certify.of_treewidth td a b)) ));
+                  | None ->
+                    let bags =
+                      Array.map (List.sort_uniq Int.compare)
+                        td.Treewidth.Tree_decomposition.bags
+                    in
+                    Refuted
+                      (or_empty_target a b
+                         (Certificate.Dp_empty
+                            { bags; parent = Treewidth.Join_eval.rooted td }))) ));
     (* k-consistency, the existential k-pebble game (Theorems 4.7–4.9):
-       refutes outright, or prunes soundly — a pair [(x, v)] whose
+       refutes outright with the game's log of forth failures as a
+       Spoiler-win derivation, or prunes soundly — a pair [(x, v)] whose
        singleton configuration left the winning family lies on no
        homomorphism.  Declines when the configuration space exceeds the
        engine's encoding capacity.  The counters come from the engine's
@@ -215,7 +347,7 @@ let table ~max_treewidth ~consistency_k ~booleanize_threshold a b =
                 in
                 if Pebble.Game.mem family [] then
                   (Pruned (fun x v -> Pebble.Game.mem family [ (x, v) ]), counters)
-                else (Refuted (fun _ -> Some (Certify.of_consistency ~trace b)), counters) ));
+                else (Refuted (Certificate.Spoiler_win trace), counters) ));
     (* MAC backtracking (NP-complete in general) under the inherited
        pruning, certified by an independent exhaustive search. *)
     chained All (fun () ->
@@ -224,31 +356,22 @@ let table ~max_treewidth ~consistency_k ~booleanize_threshold a b =
             fun restrict s ->
               match Homomorphism.decide ?restrict ~budget:s a b with
               | Budget.Sat h -> (Found h, [])
-              | Budget.Unsat -> (Refuted (fun s -> Certify.of_backtracking ~budget:s a b), [])
+              | Budget.Unsat ->
+                (certified Backtracking (refute_by_search ~budget:s a b), [])
               | Budget.Unknown reason -> raise (Budget.Exhausted reason) ));
   ]
 
 (* Run one route under budget [s] and close its span with the attempt's
    identity as fields.  Answers the attempt record and, when the route
    settled the instance, the verdict; a [Pruned] step lands in
-   [restrict].  Budget exhaustion — in the route or while building its
-   refutation certificate — falls through.  A refutation whose
-   certificate cannot be built at all is a cross-route disagreement, a
-   solver bug that fails loudly. *)
+   [restrict].  Budget exhaustion — in the route or while it builds its
+   refutation certificate — falls through. *)
 let attempt restrict s route (run : run) =
   let sp = Telemetry.begin_span "solver.attempt" in
   let outcome, counters, verdict =
     match run !restrict s with
     | Found h, counters -> (Decided, counters, Some (Sat h))
-    | Refuted build, counters -> (
-      match build s with
-      | Some cert -> (Decided, counters, Some (Unsat cert))
-      | None ->
-        Error.internal
-          "route %s refuted the instance but no checkable certificate exists \
-           (cross-route disagreement)"
-          (route_name route)
-      | exception Budget.Exhausted reason -> (Exhausted reason, counters, None))
+    | Refuted cert, counters -> (Decided, counters, Some (Unsat cert))
     | Declined, counters -> (Inapplicable, counters, None)
     | Pruned p, counters ->
       restrict := Some p;

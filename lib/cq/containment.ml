@@ -9,16 +9,15 @@ let canonical_pair q1 q2 =
   let d2, index2 = Canonical.database q2 in
   ((d1, index1), (d2, index2))
 
+let witness_names q1 q2 h =
+  let _, index1 = Canonical.database q1 and _, index2 = Canonical.database q2 in
+  let name_of_element1 e = fst (List.find (fun (_, i) -> i = e) index1) in
+  List.map (fun (v, i) -> (v, name_of_element1 h.(i))) index2
+
 let containment_witness q1 q2 =
   check_arities q1 q2;
-  let (d1, index1), (d2, index2) = canonical_pair q1 q2 in
-  match Homomorphism.find d2 d1 with
-  | None -> None
-  | Some h ->
-    let name_of_element1 e =
-      fst (List.find (fun (_, i) -> i = e) index1)
-    in
-    Some (List.map (fun (v, i) -> (v, name_of_element1 h.(i))) index2)
+  let (d1, _), (d2, _) = canonical_pair q1 q2 in
+  Option.map (witness_names q1 q2) (Homomorphism.find d2 d1)
 
 let contained q1 q2 =
   check_arities q1 q2;
@@ -45,7 +44,9 @@ let contained_via_evaluation q1 q2 =
 
 let minimize q =
   let db, index = Canonical.database q in
-  let core, retraction = Homomorphism.core_with_map db in
+  let { Preprocess.structure = core; fold = retraction; _ } =
+    Preprocess.target_core ~core_nodes:max_int db
+  in
   (* Name each core element after one of its preimage variables, preferring
      head variables (which the retraction fixes). *)
   let representative = Array.make (Structure.size core) None in

@@ -14,6 +14,12 @@ val containment_witness : Query.t -> Query.t -> (string * string) list option
 (** The witnessing variable mapping (variables of [q2] to variables of
     [q1]), when containment holds. *)
 
+val witness_names :
+  Query.t -> Query.t -> Homomorphism.mapping -> (string * string) list
+(** Name a homomorphism [D_{Q2} -> D_{Q1}] (such as a solver's [Sat]
+    witness for [q1 ⊆ q2]) through the canonical-database indexes: each
+    variable of [q2] paired with the variable of [q1] it maps to. *)
+
 val contained_via_evaluation : Query.t -> Query.t -> bool
 (** The second characterization of Theorem 2.1: evaluate [q2] over the
     frozen body of [q1] and test whether the frozen head tuple is in the

@@ -54,6 +54,19 @@ let stream ?max_width ?limit ?budget a b =
   let { seq; _ } = plan ?max_width ?budget a b in
   match limit with Some l -> Seq.take l seq | None -> seq
 
+(* At the limit, one more pull tells "exactly [limit] answers" from a
+   longer stream. *)
+let iter_limited ?limit f seq =
+  let rec go left seq =
+    match seq () with
+    | Seq.Nil -> true
+    | Seq.Cons _ when left = 0 -> false
+    | Seq.Cons (h, rest) ->
+      f h;
+      go (left - 1) rest
+  in
+  go (Option.value ~default:max_int limit) seq
+
 (* ------------------------------------------------------------------ *)
 (* Counting with the component product rule.                           *)
 (* ------------------------------------------------------------------ *)

@@ -74,6 +74,14 @@ val stream :
   Homomorphism.mapping Seq.t
 (** [(plan a b).seq], truncated to [limit] answers when given. *)
 
+val iter_limited :
+  ?limit:int -> (Homomorphism.mapping -> unit) -> Homomorphism.mapping Seq.t -> bool
+(** [iter_limited ?limit f seq] applies [f] to the answers of [seq], only
+    the first [limit] of them when given, and tells whether that was the
+    whole stream.  Reaching the limit pulls one answer more, so a stream
+    of exactly [limit] answers reads as complete.
+    @raise Budget.Exhausted from forcing [seq]. *)
+
 val count :
   ?max_width:int -> ?budget:Budget.t -> Structure.t -> Structure.t -> int
 (** Exact number of homomorphisms [A -> B] without enumerating them

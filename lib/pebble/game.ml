@@ -568,7 +568,9 @@ let run ?(budget = Budget.unlimited) ~k a b =
       {
         family =
           { k; m; enc = None; alive = Bytes.make 1 (if wins then '\001' else '\000') };
-        trace = [];
+        (* A lost game on a nonempty source: the empty position cannot
+           place element 0. *)
+        trace = (if wins then [] else [ ([], 0) ]);
         stats =
           {
             initial_configs = (if wins then 1 else 0);

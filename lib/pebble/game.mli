@@ -104,7 +104,8 @@ val run :
   ?budget:Budget.t -> k:int -> Structure.t -> Structure.t -> outcome option
 (** Play the game to its fixpoint.  [None] when the configuration space
     exceeds {!Encoding.capacity}.  An empty source gives the family
-    [{[]}], an empty target (with a nonempty source) the empty family.
+    [{[]}], an empty target (with a nonempty source) the empty family and
+    the one-step trace [[([], 0)]].
     @raise Invalid_argument when [k < 1].
     @raise Budget.Exhausted when [budget] runs out. *)
 

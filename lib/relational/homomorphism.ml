@@ -320,31 +320,6 @@ let fold_candidates a x =
       pool;
     List.sort compare (Hashtbl.fold (fun y () acc -> y :: acc) cands [])
 
-let core_with_map ?budget a =
-  let rec shrink current retraction =
-    let n = Structure.size current in
-    (* Look for an endomorphism avoiding some element v of the universe. *)
-    let rec attempt v =
-      if v >= n then None
-      else
-        match find ?budget ~restrict:(fun _ y -> y <> v) current current with
-        | Some h -> Some h
-        | None -> attempt (v + 1)
-    in
-    match attempt 0 with
-    | None -> (current, retraction)
-    | Some h ->
-      let img = image h in
-      let renum = Hashtbl.create (List.length img) in
-      List.iteri (fun i x -> Hashtbl.add renum x i) img;
-      let smaller = Structure.induced current img in
-      let step = Array.map (fun v -> Hashtbl.find renum v) h in
-      shrink smaller (compose step retraction)
-  in
-  shrink a (identity (Structure.size a))
-
-let core ?budget a = fst (core_with_map ?budget a)
-
 let inverse_mapping ~target_size (h : mapping) =
   let inv = Array.make target_size (-1) in
   Array.iteri (fun x v -> inv.(v) <- x) h;

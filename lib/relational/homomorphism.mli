@@ -142,15 +142,6 @@ val fold_candidates : Structure.t -> int -> int list
     enumerates exactly those.  When [x] occurs in no tuple at all every
     other element qualifies.  Sorted, never contains [x]. *)
 
-val core : ?budget:Budget.t -> Structure.t -> Structure.t
-(** The core: the smallest retract, unique up to isomorphism.  Computed by
-    repeatedly finding non-surjective endomorphisms.
-    @raise Budget.Exhausted when [budget] runs out mid-shrink. *)
-
-val core_with_map : ?budget:Budget.t -> Structure.t -> Structure.t * mapping
-(** The core together with the retraction from the original universe onto
-    the core's (renumbered) universe. *)
-
 val is_isomorphism : Structure.t -> Structure.t -> mapping -> bool
 (** A bijective homomorphism whose inverse is also a homomorphism. *)
 

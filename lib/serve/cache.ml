@@ -85,18 +85,16 @@ let fingerprint b = fnv1a64 (canonical_text b)
 
 (* The per-template analysis: force every relation's hash index (the
    propagation/semijoin/direct routes all probe them) and run the
-   classifier passes whose results live in memo tables keyed by the
-   relation values — Boolean Schaefer classes, the graph-dichotomy
-   verdict.  Everything here is a pure warm-up: solving against the
-   interned structure afterwards finds the work already done. *)
+   Boolean Schaefer classifier, whose classes live in a memo table keyed
+   by the relation values.  Everything here is a pure warm-up: solving
+   against the interned structure afterwards finds the work already
+   done. *)
 let analyse s =
   List.iter
     (fun (name, _arity) -> ignore (Structure.index s name))
     (Vocabulary.symbols (Structure.vocabulary s));
   if Schaefer.Classify.is_boolean_structure s then
-    ignore (Schaefer.Classify.structure_classes s);
-  if Core.Graph_dichotomy.is_undirected_graph s then
-    ignore (Core.Graph_dichotomy.complexity s)
+    ignore (Schaefer.Classify.structure_classes s)
 
 let build_analysis t b =
   Fault.trip Fault.Cache_build;

@@ -3,8 +3,8 @@
     In the serve workload the template side [B] of a homomorphism request
     [(A, B)] repeats constantly (Kolaitis–Vardi: [B] is the schema /
     constraint language).  Per-template analysis — Schaefer
-    classification, the Hell–Nešetřil graph verdict, every relation's
-    hash {!Relational.Relation.Index} — is expensive but amortizable, so
+    classification and every relation's hash
+    {!Relational.Relation.Index} — is expensive but amortizable, so
     the cache builds it once per distinct template and then {e interns}
     the analysed [Structure.t]: a hit hands back the cached structure
     whose lazily-built indexes and memoized classifications are already

@@ -265,9 +265,8 @@ let default_enumerate_batch = 64
 (* Drive the stream against the {e interned} template — never the cached
    core: answer sets (unlike verdicts) are not invariant under core
    retraction.  Full ["answers"] frames of [batch] witnesses go through
-   [emit_frame] as they fill; the final frame is returned.  Pulling one
-   node past the limit distinguishes "exactly limit answers exist"
-   (complete) from a truncated stream. *)
+   [emit_frame] as they fill; the final frame is returned, its
+   ["complete"] field as {!Enumerate.iter_limited} tells it. *)
 let enumerate_now cfg ~emit_frame ~id ~max_nodes ~timeout ~limit ~batch a
     (tmpl, _core, cache_status) =
   let budget = budget_for cfg ~max_nodes ~timeout in
@@ -280,7 +279,6 @@ let enumerate_now cfg ~emit_frame ~id ~max_nodes ~timeout ~limit ~batch a
   let batch = Option.value ~default:default_enumerate_batch batch in
   let plan = Enumerate.plan ~budget a tmpl in
   let count = ref 0 in
-  let complete = ref true in
   let buf = ref [] in
   let flush () =
     if !buf <> [] then begin
@@ -288,24 +286,19 @@ let enumerate_now cfg ~emit_frame ~id ~max_nodes ~timeout ~limit ~batch a
       buf := []
     end
   in
-  let rec pull seq =
-    if !count >= limit then (
-      match seq () with Seq.Nil -> () | Seq.Cons _ -> complete := false)
-    else
-      match seq () with
-      | Seq.Nil -> ()
-      | Seq.Cons (h, rest) ->
+  let complete =
+    Enumerate.iter_limited ~limit
+      (fun h ->
         incr count;
         buf := h :: !buf;
-        if !count mod batch = 0 then flush ();
-        pull rest
+        if !count mod batch = 0 then flush ())
+      plan.Enumerate.seq
   in
-  pull plan.Enumerate.seq;
   flush ();
   let elapsed_ms = Float.round (1e6 *. (Unix.gettimeofday () -. t0)) /. 1000. in
   Protocol.ok_enumerate_final ~id
     ~route:(Enumerate.route_name plan.Enumerate.route)
-    ~cache:cache_status ~count:!count ~complete:!complete ~elapsed_ms
+    ~cache:cache_status ~count:!count ~complete ~elapsed_ms
 
 (* Enumerate (A, B), streaming answers frames through [emit]; returns
    the final frame as the request's response line.  In process, frames

@@ -69,16 +69,18 @@ let join_forest a =
 
 let is_acyclic a = join_forest a <> None
 
+let solve_with_forest { facts; parent } a b =
+  match fst (Join_eval.solve (Join_eval.of_forest a ~facts ~parent b)) with
+  | Some h when not (Homomorphism.is_homomorphism a b h) ->
+    (* The running-intersection property should make this impossible;
+       fail loudly if the forest was somehow degenerate. *)
+    invalid_arg "Hypergraph.solve_acyclic: extraction failed"
+  | result -> result
+
 let solve_acyclic a b =
   match join_forest a with
   | None -> invalid_arg "Hypergraph.solve_acyclic: source structure is not acyclic"
-  | Some { facts; parent } -> (
-    match fst (Join_eval.solve (Join_eval.of_forest a ~facts ~parent b)) with
-    | Some h when not (Homomorphism.is_homomorphism a b h) ->
-      (* The running-intersection property should make this impossible;
-         fail loudly if the forest was somehow degenerate. *)
-      invalid_arg "Hypergraph.solve_acyclic: extraction failed"
-    | result -> result)
+  | Some forest -> solve_with_forest forest a b
 
 let exists_acyclic a b = solve_acyclic a b <> None
 

@@ -23,6 +23,10 @@ val solve_acyclic : Structure.t -> Structure.t -> Homomorphism.mapping option
     then top-down extraction.
     @raise Invalid_argument if the source is not acyclic. *)
 
+val solve_with_forest :
+  join_forest -> Structure.t -> Structure.t -> Homomorphism.mapping option
+(** {!solve_acyclic} over a join forest of the source already in hand. *)
+
 val exists_acyclic : Structure.t -> Structure.t -> bool
 
 val generalized_hypertree_width_upper : Structure.t -> int

@@ -272,18 +272,20 @@ let graph_dichotomy_tests =
           Structure.of_relations Workloads.graph_vocab ~size:1 [ ("E", [ [| 0; 0 |] ]) ]
         in
         match Graph_dichotomy.solve (Workloads.undirected_cycle 5) loopy with
-        | Some h ->
+        | Ok h ->
           check "valid" true
             (Homomorphism.is_homomorphism (Workloads.undirected_cycle 5) loopy h)
-        | None -> Alcotest.fail "expected hom");
+        | Error _ -> Alcotest.fail "expected hom");
     Alcotest.test_case "solve: bipartite target = 2-colorability" `Quick (fun () ->
         let c6 = Workloads.undirected_cycle 6 in
         let target = Workloads.complete_bipartite 2 3 in
         (match Graph_dichotomy.solve c6 target with
-        | Some h -> check "valid" true (Homomorphism.is_homomorphism c6 target h)
-        | None -> Alcotest.fail "expected hom");
-        check "odd cycle fails" true
-          (Graph_dichotomy.solve (Workloads.undirected_cycle 5) target = None));
+        | Ok h -> check "valid" true (Homomorphism.is_homomorphism c6 target h)
+        | Error _ -> Alcotest.fail "expected hom");
+        let c5 = Workloads.undirected_cycle 5 in
+        match Graph_dichotomy.solve c5 target with
+        | Ok _ -> Alcotest.fail "odd cycle should fail"
+        | Error c -> check "odd walk checks" true (Certificate.check c5 target c));
     Alcotest.test_case "solve: NP-complete target rejected" `Quick (fun () ->
         check "raises" true
           (try
@@ -316,8 +318,8 @@ let graph_dichotomy_tests =
            return (a, b)))
       (fun (a, b) ->
         match Graph_dichotomy.solve a b with
-        | Some h -> Homomorphism.is_homomorphism a b h && brute_force_exists a b
-        | None -> not (brute_force_exists a b));
+        | Ok h -> Homomorphism.is_homomorphism a b h && brute_force_exists a b
+        | Error c -> Certificate.check a b c && not (brute_force_exists a b));
   ]
 
 let () =

@@ -275,7 +275,16 @@ let differential_tests =
       (arbitrary_pair ~max_size_a:4 ~max_size_b:2 ~max_tuples:4 ())
       (fun (a, b) ->
         let { Game.family; trace; _ } = run ~k:2 a b in
-        Game.mem family [] || Certificate.check a b (Core.Certify.of_consistency ~trace b));
+        Game.mem family [] || Certificate.check a b (Certificate.Spoiler_win trace));
+    Alcotest.test_case "an empty target's trace replays through the checker" `Quick
+      (fun () ->
+        (* No element of the source can be placed: the engine's own trace
+           must be the one-step derivation that kills the empty position. *)
+        let b = Structure.create (Structure.vocabulary k2) ~size:0 in
+        let { Game.family; trace; _ } = run ~k:2 (path 3) b in
+        check "spoiler wins" false (Game.mem family []);
+        check "trace replays" true
+          (Certificate.check (path 3) b (Certificate.Spoiler_win trace)));
     Alcotest.test_case "nullary facts are enforced by both engines" `Quick (fun () ->
         let voc = Vocabulary.create [ ("P", 0); ("E", 2) ] in
         let a =
@@ -290,7 +299,7 @@ let differential_tests =
         check "counting family empty" true (Game.configs f = []);
         check "naive family empty" true (oracle_family ~k:2 a b = []);
         check "trace replays" true
-          (Certificate.check a b (Core.Certify.of_consistency ~trace b));
+          (Certificate.check a b (Certificate.Spoiler_win trace));
         (* With the fact present in B the engines agree on the full family. *)
         let b = Structure.add_tuple b "P" [||] in
         check "families agree when the fact holds" true (engines_agree ~k:2 (a, b));

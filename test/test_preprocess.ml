@@ -18,6 +18,8 @@ let check_verdict = Alcotest.(check (option bool))
    ask for an effectively unbounded core search. *)
 let deep_core a = Preprocess.target_core ~core_nodes:100_000 a
 
+let core a = (deep_core a).Preprocess.structure
+
 (* A directed triangle with [k] pendant vertices hanging off it: vertex
    [3+i] has the single edge [3+i -> i mod 3].  The core is the triangle
    — each pendant folds onto the triangle predecessor of its anchor. *)
@@ -167,6 +169,16 @@ let property_tests =
             (Core.Solver.solve ~preprocess:false aa b)
         in
         match (pre, raw) with Some x, Some y -> x = y | _ -> true);
+    Helpers.qtest ~count:50 "cores of hom-equivalent structures are isomorphic"
+      (Helpers.arbitrary_structure ~max_size:3 ~max_tuples:3 ())
+      (fun a ->
+        let doubled = Structure.disjoint_union a a in
+        Homomorphism.isomorphic (core a) (core doubled));
+    Helpers.qtest ~count:60 "core is hom-equivalent and minimal-idempotent"
+      (Helpers.arbitrary_structure ~max_size:4 ~max_tuples:4 ())
+      (fun a ->
+        let c = core a in
+        Homomorphism.hom_equivalent a c && Structure.size (core c) = Structure.size c);
     Helpers.qtest ~count:60 "padded-core sources agree with raw solving"
       QCheck.(pair (int_bound 8) (Helpers.arbitrary_structure ~max_rels:1 ()))
       (fun (k, b) ->
@@ -240,10 +252,37 @@ let budget_tests =
           [ 1; 2; 4; 8; 16; 64; 256; 4096; 100_000 ]);
   ]
 
+let core_tests =
+  Helpers.
+    [
+      Alcotest.test_case "core of even cycle is an edge" `Quick (fun () ->
+          check_int "size 2" 2 (Structure.size (core (undirected_cycle 6))));
+      Alcotest.test_case "core of odd cycle is itself" `Quick (fun () ->
+          check_int "size 5" 5 (Structure.size (core (undirected_cycle 5))));
+      Alcotest.test_case "core of disjoint union of K2 and K3 is K3" `Quick (fun () ->
+          let g = Structure.disjoint_union k2 (clique 3) in
+          check_int "size 3" 3 (Structure.size (core g)));
+      Alcotest.test_case "cores are unique up to isomorphism" `Quick (fun () ->
+          (* core(A + A) must be isomorphic to core(A). *)
+          List.iter
+            (fun a ->
+              let c1 = core a in
+              let c2 = core (Structure.disjoint_union a a) in
+              check "isomorphic cores" true (Homomorphism.isomorphic c1 c2))
+            [ undirected_cycle 5; path 4; Structure.disjoint_union k2 (clique 3) ]);
+      Alcotest.test_case "target_core returns a retraction" `Quick (fun () ->
+          let g = Structure.disjoint_union (path 3) (digraph ~size:1 [ (0, 0) ]) in
+          let r = deep_core g in
+          check_int "core is the loop" 1 (Structure.size r.Preprocess.structure);
+          check "retraction is a hom" true
+            (Homomorphism.is_homomorphism g r.Preprocess.structure r.Preprocess.fold));
+    ]
+
 let () =
   Alcotest.run "preprocess"
     [
       ("units", unit_tests);
       ("properties", property_tests);
       ("budgets", budget_tests);
+      ("core", core_tests);
     ]

@@ -254,18 +254,11 @@ let hom_unit_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Core                                                                 *)
+(* Isomorphism (the core search itself is tested with Preprocess)       *)
 (* ------------------------------------------------------------------ *)
 
 let core_tests =
   [
-    Alcotest.test_case "core of even cycle is an edge" `Quick (fun () ->
-        check_int "size 2" 2 (Structure.size (Homomorphism.core (undirected_cycle 6))));
-    Alcotest.test_case "core of odd cycle is itself" `Quick (fun () ->
-        check_int "size 5" 5 (Structure.size (Homomorphism.core (undirected_cycle 5))));
-    Alcotest.test_case "core of disjoint union of K2 and K3 is K3" `Quick (fun () ->
-        let g = Structure.disjoint_union k2 (clique 3) in
-        check_int "size 3" 3 (Structure.size (Homomorphism.core g)));
     Alcotest.test_case "isomorphism checks" `Quick (fun () ->
         check "C4 iso to itself" true
           (Homomorphism.isomorphic (undirected_cycle 4) (undirected_cycle 4));
@@ -277,19 +270,6 @@ let core_tests =
         check "collapse is not iso" false
           (Homomorphism.is_isomorphism (undirected_cycle 4) (undirected_cycle 4)
              [| 0; 1; 0; 1 |]));
-    Alcotest.test_case "cores are unique up to isomorphism" `Quick (fun () ->
-        (* core(A + A) must be isomorphic to core(A). *)
-        List.iter
-          (fun a ->
-            let c1 = Homomorphism.core a in
-            let c2 = Homomorphism.core (Structure.disjoint_union a a) in
-            check "isomorphic cores" true (Homomorphism.isomorphic c1 c2))
-          [ undirected_cycle 5; path 4; Structure.disjoint_union k2 (clique 3) ]);
-    Alcotest.test_case "core_with_map returns a retraction" `Quick (fun () ->
-        let g = Structure.disjoint_union (path 3) (digraph ~size:1 [ (0, 0) ]) in
-        let c, r = Homomorphism.core_with_map g in
-        check_int "core is the loop" 1 (Structure.size c);
-        check "retraction is a hom" true (Homomorphism.is_homomorphism g c r));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -397,17 +377,6 @@ let property_tests =
           let proj1 = Array.init (Structure.size p) (fun x -> x / m) in
           let proj2 = Array.init (Structure.size p) (fun x -> x mod m) in
           Homomorphism.is_homomorphism p a proj1 && Homomorphism.is_homomorphism p b proj2);
-    qtest ~count:50 "cores of hom-equivalent structures are isomorphic"
-      (arbitrary_structure ~max_size:3 ~max_tuples:3 ())
-      (fun a ->
-        let doubled = Structure.disjoint_union a a in
-        Homomorphism.isomorphic (Homomorphism.core a) (Homomorphism.core doubled));
-    qtest ~count:60 "core is hom-equivalent and minimal-idempotent"
-      (arbitrary_structure ~max_size:4 ~max_tuples:4 ())
-      (fun a ->
-        let c = Homomorphism.core a in
-        Homomorphism.hom_equivalent a c
-        && Structure.size (Homomorphism.core c) = Structure.size c);
     qtest ~count:150 "arc-consistency wipeout implies no hom" (arbitrary_pair ())
       (fun (a, b) ->
         let ctx = Arc_consistency.create a b in

@@ -293,35 +293,6 @@ let ghw_tests =
         || Structure.size a = 0);
   ]
 
-let nice_tests =
-  [
-    Alcotest.test_case "normalizing a cycle decomposition" `Quick (fun () ->
-        let g = cycle_graph 6 in
-        let nice = Nice_decomposition.of_decomposition (Elimination.decomposition g) in
-        check "valid" true (Nice_decomposition.validate nice);
-        check "covers" true (Nice_decomposition.covers nice g);
-        check_int "width preserved" 2 (Nice_decomposition.width nice));
-    Alcotest.test_case "root bag is empty and leaves exist" `Quick (fun () ->
-        let g = grid_graph 2 3 in
-        let nice = Nice_decomposition.of_decomposition (Elimination.decomposition g) in
-        check "root empty" true
-          (nice.Nice_decomposition.bags.(nice.Nice_decomposition.root) = []);
-        check "has a leaf" true
-          (Array.exists (fun n -> n = Nice_decomposition.Leaf) nice.Nice_decomposition.nodes));
-    qtest ~count:100 "normalization preserves width and coverage"
-      (QCheck.make
-         QCheck.Gen.(
-           let* size = 1 -- 7 in
-           let+ edges = list_size (0 -- 10) (pair (0 -- (size - 1)) (0 -- (size - 1))) in
-           Graph.of_edges ~size edges))
-      (fun g ->
-        let td = Elimination.decomposition g in
-        let nice = Nice_decomposition.of_decomposition td in
-        Nice_decomposition.validate nice
-        && Nice_decomposition.covers nice g
-        && Nice_decomposition.width nice = Tree_decomposition.width td);
-  ]
-
 let () =
   Alcotest.run "treewidth"
     [
@@ -331,6 +302,5 @@ let () =
       ("acyclic", acyclic_tests);
       ("incidence", incidence_tests);
       ("counting", count_tests);
-      ("nice", nice_tests);
       ("ghw", ghw_tests);
     ]
