@@ -1608,6 +1608,32 @@ let blown_cycle m copies =
   Structure.of_relations Core.Workloads.graph_vocab ~size:(m * cls)
     [ ("E", !edges) ]
 
+(* A random bipartite graph: each of the [n] vertices draws a side, and
+   each pair across the sides is an edge with probability [p]. *)
+let bipartite_gnp ~seed n p =
+  let st = Random.State.make [| seed |] in
+  let side = Array.init n (fun _ -> Random.State.int st 2) in
+  let edges = ref [] in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if side.(u) <> side.(v) && Random.State.float st 1.0 < p then
+        edges := [| u; v |] :: [| v; u |] :: !edges
+    done
+  done;
+  Structure.of_relations Core.Workloads.graph_vocab ~size:n [ ("E", !edges) ]
+
+(* A random tree: vertex [i > 0] hangs off a uniform earlier vertex. *)
+let random_tree ~seed n =
+  let st = Random.State.make [| seed |] in
+  let edges =
+    List.concat_map
+      (fun i ->
+        let p = Random.State.int st i in
+        [ [| i; p |]; [| p; i |] ])
+      (List.init (n - 1) (fun i -> i + 1))
+  in
+  Structure.of_relations Core.Workloads.graph_vocab ~size:n [ ("E", edges) ]
+
 let e19 () =
   Util.header
     "E19 Structural preprocessing: certified shrinking ahead of the portfolio";
@@ -1686,10 +1712,39 @@ let e19 () =
         ((m, tp /. tr), record "preprocess-overhead" ~k:m a a vp tp vr tr))
       [ 11; 21; 41 ]
   in
+  (* Family 4: head routes.  A bipartite G(46, 0.1) into K2 and a random
+     56-vertex tree into K3 are decided on the raw source ahead of the
+     preprocessing boundary, so the shrink must add nothing: the ratio of
+     the preprocessed to the raw solve is ~1.0 by construction.  Each
+     timing covers a batch of solves, since one raw solve takes well
+     under a millisecond. *)
+  let batch = 20 in
+  let head_time ~preprocess a b =
+    let v, t =
+      Util.time ~repeat:7 (fun () ->
+          List.init batch (fun _ ->
+              Preprocess.memo_reset ();
+              (Core.Solver.solve ~preprocess a b).Core.Solver.verdict)
+          |> List.hd)
+    in
+    (v, t /. float_of_int batch)
+  in
+  let head =
+    List.map
+      (fun (a, b) ->
+        let vp, tp = head_time ~preprocess:true a b in
+        let vr, tr = head_time ~preprocess:false a b in
+        let n = Structure.size a in
+        (tp /. tr, record "preprocess-head" ~k:n a b vp tp vr tr))
+      [
+        (bipartite_gnp ~seed:46 46 0.1, Core.Workloads.k2);
+        (random_tree ~seed:56 56, Core.Workloads.clique 3);
+      ]
+  in
   Util.table
     ~columns:
       [ "family"; "k"; "size"; "shrunk"; "verdict"; "pre"; "raw"; "speedup" ]
-    (List.map snd padded @ multi @ List.map snd overhead);
+    (List.map snd padded @ multi @ List.map snd overhead @ List.map snd head);
   let core_shrink_speedup =
     match List.rev padded with ((_, s), _) :: _ -> s | [] -> nan
   in
@@ -1717,12 +1772,19 @@ let e19 () =
       "WARNING: overhead %.2fx exceeds the 1.1x target (timing noise, or a \
        real regression — see the perf_guard verdict)."
       overhead_ratio;
+  (* The worse of the two head instances. *)
+  let head_ratio = List.fold_left (fun acc (r, _) -> Float.max acc r) 0.0 head in
+  Util.note
+    "preprocess cost on head-decided instances: %.2fx the raw solve (target \
+     ~1.0x; guarded < 2x of baseline)."
+    head_ratio;
   append_perf_json (List.rev !json);
   Util.note "merged E19 rows into BENCH_perf.json.";
   perf_guard ~experiment:"E19"
     [
       ("core_shrink_speedup", core_shrink_speedup, true);
       ("preprocess_overhead_ratio", overhead_ratio, false);
+      ("preprocess_head_ratio", head_ratio, false);
     ]
 
 (* ------------------------------------------------------------------ *)

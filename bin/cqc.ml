@@ -148,13 +148,15 @@ let no_preprocess_term =
     value & flag
     & info [ "no-preprocess" ]
         ~doc:
-          "Skip the structural preprocessing pipeline (connected-component \
-           decomposition, dominated-element folding, certified core \
-           minimization) and hand the raw instance straight to the route \
-           portfolio.  Preprocessing never changes a verdict — every shrink \
-           is certified and replayed by the checker — so this flag exists \
-           for differential testing and for measuring the pipeline's own \
-           overhead.")
+          "Never shrink the source.  By default, when no route ahead of the \
+           preprocessing boundary (Schaefer-direct, Hell-Nesetril, \
+           Booleanization, acyclic) decides the raw instance, the source is \
+           split into connected components, its dominated elements folded \
+           and each piece cored before the remaining routes run; with this \
+           flag those routes run on the raw instance.  Preprocessing never \
+           changes a verdict — every shrink is certified and replayed by \
+           the checker — so this flag exists for differential testing and \
+           for measuring the pipeline's own overhead.")
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry flags                                                      *)

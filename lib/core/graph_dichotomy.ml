@@ -26,8 +26,8 @@ let has_loop g =
 (* 2-colour the symmetrized edge relation by BFS.  A loop [x] blocks it
    with the walk [x; x]; a BFS edge between two same-coloured vertices
    with the two tree paths up to their common root, a closed walk of odd
-   length. *)
-let two_colouring g =
+   length.  One tick of [budget] per vertex the BFS visits. *)
+let colour_bfs ~budget g =
   let n = Structure.size g in
   let adj = Array.make (max n 1) [] in
   let loop = ref None in
@@ -51,6 +51,7 @@ let two_colouring g =
         colour.(start) <- 0;
         Queue.add start queue;
         while !conflict = None && not (Queue.is_empty queue) do
+          Budget.tick budget;
           let u = Queue.pop queue in
           List.iter
             (fun v ->
@@ -71,6 +72,8 @@ let two_colouring g =
       let rec to_root x = if x < 0 then [] else x :: to_root parent.(x) in
       Error (List.rev (to_root u) @ to_root v))
 
+let two_colouring g = colour_bfs ~budget:Budget.unlimited g
+
 let is_bipartite g = Result.is_ok (two_colouring g)
 
 type verdict = Polynomial | Np_complete
@@ -82,7 +85,7 @@ let complexity h =
 (* [Error] carries the refutation: a childless split on element 0 for an
    empty target, the empty edge relation cited by any edge of [g], or an
    odd closed walk of [g] against [h]'s 2-colouring. *)
-let solve g h =
+let solve ?(budget = Budget.unlimited) g h =
   let symbol = require_graph h in
   let edge_rel = Structure.relation h symbol in
   let n = Structure.size g in
@@ -103,7 +106,7 @@ let solve g h =
         invalid_arg "Graph_dichotomy.solve: target is NP-complete (Hell-Nesetril)"
       | Ok colouring -> (
         (* Bipartite target with an edge: G -> H iff G is 2-colourable. *)
-        match (two_colouring g, Relation.choose edge_rel) with
+        match (colour_bfs ~budget g, Relation.choose edge_rel) with
         | Error walk, _ -> Error (Certificate.Odd_walk { symbol; walk; colouring })
         | Ok colour, Some edge ->
           Ok

@@ -32,11 +32,15 @@ val complexity : Structure.t -> verdict
 (** @raise Invalid_argument if the structure is not an undirected graph. *)
 
 val solve :
-  Structure.t -> Structure.t -> (Homomorphism.mapping, Certificate.t) result
+  ?budget:Budget.t ->
+  Structure.t ->
+  Structure.t ->
+  (Homomorphism.mapping, Certificate.t) result
 (** Uniform polynomial algorithm for tractable targets.  A refutation is
     built from the colourings the algorithm computes: an odd closed walk of
     the source against a proper 2-colouring of the target, or, for an
     edgeless or empty target, an empty-relation fact or a childless case
-    split.
+    split.  The source's 2-colouring ticks [budget] once per vertex.
     @raise Invalid_argument if the target is not an undirected graph in one
-    of the tractable cases. *)
+    of the tractable cases.
+    @raise Budget.Exhausted when [budget] runs out. *)

@@ -76,12 +76,17 @@ let verdict_name = function
     Printf.sprintf "unknown (%s)" (Budget.reason_to_string reason)
 
 (* The route table: one entry per tractable case of the paper, in
-   dispatch order.  A driver runs an entry's guard only when it reaches
-   the entry; the guard either rejects the instance (no attempt is
-   recorded) or names the concrete route and a budgeted [run].  Two
-   drivers read the one table: [fold] tries the entries in order
-   (threads = 1), and [race] runs every independent entry concurrently
-   next to a [fold] over the chained suffix (threads > 1). *)
+   dispatch order, cut in two at the preprocessing boundary.  The head
+   ([head]) decides the raw source: its guards read only the template
+   and the vocabularies, or the source's shape (acyclic), so shrinking
+   first buys them nothing.  When no head entry decides, the source is
+   shrunk and the tail ([tail]) runs on each shrunk part.  A driver runs
+   an entry's guard only when it reaches the entry; the guard either
+   rejects the instance (no attempt is recorded) or names the concrete
+   route and a budgeted [run].  Two drivers read either half: [fold]
+   tries the entries in order (threads = 1), and [race] runs every
+   independent entry concurrently next to a [fold] over the chained
+   suffix (threads > 1). *)
 
 (* What a route's run reports.  [Refuted] carries the checkable
    certificate the run built from its own data, under its own budget.
@@ -220,10 +225,32 @@ let refute_by_search ~budget a b =
     | exception Found_hom -> None
   end
 
-let table ~max_treewidth ~consistency_k ~booleanize_threshold a b =
-  let independent share guard = { share; chained = false; guard }
-  and chained share guard = { share; chained = true; guard } in
-  let plain f _ s = (f s, []) in
+let independent share guard = { share; chained = false; guard }
+let chained share guard = { share; chained = true; guard }
+let plain f _ s = (f s, [])
+
+(* Acyclic source: Yannakakis semi-joins (querywidth 1) over the GYO
+   join forest, which also certifies a refutation: the checker re-runs
+   the semi-joins on it. *)
+let acyclic a b =
+  independent All (fun () ->
+      Option.map
+        (fun (forest : Treewidth.Hypergraph.join_forest) ->
+          ( Acyclic,
+            plain (fun s ->
+                Budget.check s;
+                match Treewidth.Hypergraph.solve_with_forest ~budget:s forest a b with
+                | Some h -> Found h
+                | None ->
+                  let facts =
+                    Array.map (fun (symbol, fact) -> { Certificate.symbol; fact }) forest.facts
+                  in
+                  Refuted
+                    (or_empty_target a b
+                       (Certificate.Semijoin_empty { facts; parent = forest.parent }))) ))
+        (Treewidth.Hypergraph.join_forest a))
+
+let head ~booleanize_threshold a b =
   [
     (* Boolean Schaefer target: the direct algorithms of Theorem 3.4. *)
     independent All (fun () ->
@@ -251,7 +278,7 @@ let table ~max_treewidth ~consistency_k ~booleanize_threshold a b =
             ( Graph_target Graph_dichotomy.Polynomial,
               plain (fun s ->
                   Budget.check s;
-                  match Graph_dichotomy.solve a b with
+                  match Graph_dichotomy.solve ~budget:s a b with
                   | Ok h -> Found h
                   | Error cert -> Refuted cert) )
         else None);
@@ -277,28 +304,15 @@ let table ~max_treewidth ~consistency_k ~booleanize_threshold a b =
                     | Schaefer.Booleanize.No_hom ->
                       certified route (Schaefer.Booleanize.refute ~budget:s a b)
                     | Schaefer.Booleanize.Not_schaefer _ -> Declined) ));
-    (* Acyclic source: Yannakakis semi-joins (querywidth 1) over the GYO
-       join forest, which also certifies a refutation: the checker re-runs
-       the semi-joins on it. *)
-    independent All (fun () ->
-        Option.map
-          (fun (forest : Treewidth.Hypergraph.join_forest) ->
-            ( Acyclic,
-              plain (fun s ->
-                  Budget.check s;
-                  match Treewidth.Hypergraph.solve_with_forest forest a b with
-                  | Some h -> Found h
-                  | None ->
-                    let facts =
-                      Array.map
-                        (fun (symbol, fact) -> { Certificate.symbol; fact })
-                        forest.facts
-                    in
-                    Refuted
-                      (or_empty_target a b
-                         (Certificate.Semijoin_empty { facts; parent = forest.parent })))
-            ))
-          (Treewidth.Hypergraph.join_forest a));
+    acyclic a b;
+  ]
+
+(* [reshaped]: the part is not the raw source, so its shape may differ
+   from the one the head's acyclic guard rejected (a cyclic source can
+   fold or split into acyclic parts). *)
+let tail ~max_treewidth ~consistency_k ~reshaped a b =
+  (if reshaped then [ acyclic a b ] else [])
+  @ [
     (* Bounded-treewidth source: dynamic programming (Theorem 5.4).  A
        refutation hands the checker the bags, rooted exactly as the DP
        roots them, so it recomputes the very same bottom-up tables. *)
@@ -452,7 +466,10 @@ let race ~budget ~threads a b entries =
               let at, verdict = attempt (ref None) s route run in
               ([ at ], Option.map (fun v -> (v, route)) verdict)))
       independent
-    @ [
+    @
+    if chain = [] then []
+    else
+      [
         task (fun s ->
             let r = fold ~budget:s chain in
             (r.attempts, Some (r.verdict, r.route)));
@@ -500,29 +517,16 @@ let race ~budget ~threads a b entries =
   in
   { verdict; route; attempts = List.rev !attempts }
 
-let solve_inner ~max_treewidth ~consistency_k ~booleanize_threshold ~budget
-    ~threads a b =
-  let entries = table ~max_treewidth ~consistency_k ~booleanize_threshold a b in
-  let span = Telemetry.begin_span "solver.solve" in
-  let r, fields =
-    if threads <= 1 then (fold ~budget entries, [])
-    else (race ~budget ~threads a b entries, [ ("threads", Telemetry.Int threads) ])
-  in
-  ignore
-    (Telemetry.end_span span
-       ~fields:
-         (("verdict", Telemetry.String (verdict_name r.verdict))
-         :: ("route", Telemetry.String (route_name r.route))
-         :: fields));
-  r
+let drive ~budget ~threads a b entries =
+  if threads <= 1 then fold ~budget entries else race ~budget ~threads a b entries
 
 (* ------------------------------------------------------------------ *)
-(* Structural preprocessing (DESIGN.md section 16).                     *)
+(* The preprocessing boundary and the tail (DESIGN.md section 16).      *)
 (*                                                                      *)
-(* Ahead of the portfolio the source is decomposed into connected       *)
-(* components (textually identical ones deduplicated), each component   *)
-(* folded and cored by [Preprocess.shrink_source], and each shrunk      *)
-(* piece solved independently against [B] — sequentially, or raced with *)
+(* Past the head, the source is decomposed into connected components    *)
+(* (textually identical ones deduplicated), each component folded and   *)
+(* cored by [Preprocess.shrink_source], and each shrunk part solved     *)
+(* independently on the tail — sequentially, or raced with              *)
 (* [Parallel.Race] under racer budgets when [threads > 1] supplies more *)
 (* than one part.  Verdicts conjoin: any part's refutation refutes the  *)
 (* whole (wrapped in [Certificate.Via_preprocess] so the trusted        *)
@@ -531,64 +535,84 @@ let solve_inner ~max_treewidth ~consistency_k ~booleanize_threshold ~budget
 (* here before it is returned.  Budget exhaustion inside the shrink     *)
 (* pipeline degrades to the unshrunk instance (the verdict never        *)
 (* changes, only the work to reach it), surfaced in the                 *)
-(* [preprocess.bailouts] counter of the leading attempt record.         *)
+(* [preprocess.bailouts] counter of the [Preprocess] attempt record.    *)
+(* Without preprocessing the boundary hands the raw source on as the    *)
+(* one part.                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let preprocess_attempt ?(extra = []) ~nodes ~outcome stats =
-  { route = Preprocess; nodes; outcome; counters = extra @ Preprocess.counters stats }
+let decided_by_preprocess ~counters verdict =
+  {
+    verdict;
+    route = Preprocess;
+    attempts = [ { route = Preprocess; nodes = 0; outcome = Decided; counters } ];
+  }
 
-let solve_preprocessed ~max_treewidth ~consistency_k ~booleanize_threshold
-    ~budget ~threads a b =
-  let decided_by_preprocess ~counters verdict =
-    {
-      verdict;
-      route = Preprocess;
-      attempts = [ { route = Preprocess; nodes = 0; outcome = Decided; counters } ];
-    }
-  in
-  (* A fact over an empty, absent or arity-clashing relation refutes
-     outright.  This also keeps the per-component conjunction sound for
-     nullary facts, which survive [Structure.induced] into every part. *)
+(* One part on the tail.  With preprocessing, the AC-4 singleton-domain
+   substitution decides [Sat] outright when propagation forces a unique
+   certified assignment; otherwise (or when the budget is already spent
+   — the table reports exhaustion uniformly) the tail entries run. *)
+let solve_part ~max_treewidth ~consistency_k ~budget ~threads ~preprocess ~reshaped
+    piece b =
+  match
+    if preprocess then Preprocess.ac_singleton_witness ~budget piece b else None
+  with
+  | Some h -> decided_by_preprocess ~counters:[ ("preprocess.ac_singleton", 1) ] (Sat h)
+  | None | (exception Budget.Exhausted _) ->
+    drive ~budget ~threads piece b (tail ~max_treewidth ~consistency_k ~reshaped piece b)
+
+(* The boundary's shortcuts.  A fact over an empty, absent or
+   arity-clashing relation refutes outright; this also keeps the
+   per-component conjunction sound for nullary facts, which survive
+   [Structure.induced] into every part. *)
+let shortcut a b =
   match Schaefer.Uniform.empty_relation_refutation a b with
   | Some cert ->
-    decided_by_preprocess
-      ~counters:[ ("preprocess.empty_relation", 1) ]
-      (Unsat cert)
+    Some
+      (decided_by_preprocess ~counters:[ ("preprocess.empty_relation", 1) ] (Unsat cert))
   | None when Structure.size a = 0 ->
     (* No elements and every nullary fact present in [B] (the shortcut
        above just checked): the empty map is a witness. *)
-    decided_by_preprocess ~counters:[ ("preprocess.empty_source", 1) ] (Sat [||])
+    Some (decided_by_preprocess ~counters:[ ("preprocess.empty_source", 1) ] (Sat [||]))
+  | None -> None
+
+(* The shrink dropped elements or split the source: no part is the raw
+   source itself. *)
+let reshaped (src : Preprocess.source) =
+  let stats = src.Preprocess.stats in
+  stats.Preprocess.shrunk_elements < stats.Preprocess.raw_elements
+  || stats.Preprocess.components > 1
+
+(* The boundary's shrink, and its attempt record. *)
+let shrink ~budget a =
+  let before = Budget.spent budget in
+  let src =
+    Telemetry.with_span "solver.preprocess" (fun () -> Preprocess.shrink_source ~budget a)
+  in
+  let stats = src.Preprocess.stats in
+  let outcome : attempt_outcome = if reshaped src then Pruned else Inapplicable in
+  ( src,
+    [
+      {
+        route = Preprocess;
+        nodes = Budget.spent budget - before;
+        outcome;
+        counters = Preprocess.counters stats;
+      };
+    ] )
+
+let solve_tail ~max_treewidth ~consistency_k ~budget ~threads ~preprocess a b =
+  match if preprocess then shortcut a b else None with
+  | Some r -> r
   | None ->
-    let before = Budget.spent budget in
-    let src =
-      Telemetry.with_span "solver.preprocess" (fun () ->
-          Preprocess.shrink_source ~budget a)
-    in
-    let stats = src.Preprocess.stats in
-    let pre_attempt =
-      preprocess_attempt
-        ~nodes:(Budget.spent budget - before)
-        ~outcome:
-          (if
-             stats.Preprocess.shrunk_elements < stats.Preprocess.raw_elements
-             || stats.Preprocess.components > 1
-           then Pruned
-           else Inapplicable)
-        stats
+    let src, pre_attempts =
+      if preprocess then shrink ~budget a else (Preprocess.whole a, [])
     in
     let parts = src.Preprocess.parts in
     let nparts = Array.length parts in
-    (* Solve one shrunk piece: the AC-4 singleton-domain substitution
-       decides [Sat] outright when propagation forces a unique certified
-       assignment; otherwise (or when the budget is already spent — the
-       portfolio reports exhaustion uniformly) the full dispatcher runs. *)
-    let solve_piece ~threads ~budget piece =
-      match Preprocess.ac_singleton_witness ~budget piece b with
-      | Some h ->
-        decided_by_preprocess ~counters:[ ("preprocess.ac_singleton", 1) ] (Sat h)
-      | None | (exception Budget.Exhausted _) ->
-        solve_inner ~max_treewidth ~consistency_k ~booleanize_threshold ~budget
-          ~threads piece b
+    let reshaped = reshaped src in
+    let solve_part ~threads ~budget (p : Preprocess.part) =
+      solve_part ~max_treewidth ~consistency_k ~budget ~threads ~preprocess ~reshaped
+        p.Preprocess.shrink.Preprocess.structure b
     in
     let results = Array.make nparts None in
     if threads > 1 && nparts > 1 then begin
@@ -597,12 +621,7 @@ let solve_preprocessed ~max_treewidth ~consistency_k ~booleanize_threshold
       let cancel = ref false in
       let budgets = Array.init nparts (fun _ -> Budget.racer budget ~cancel) in
       Parallel.Race.run ~threads
-        ~tasks:
-          (Array.mapi
-             (fun i p () ->
-               solve_piece ~threads:1 ~budget:budgets.(i)
-                 p.Preprocess.shrink.Preprocess.structure)
-             parts)
+        ~tasks:(Array.mapi (fun i p () -> solve_part ~threads:1 ~budget:budgets.(i) p) parts)
         ~consume:(fun { Parallel.Race.index; value = r } ->
           results.(index) <- Some r;
           match r.verdict with Unsat _ -> cancel := true | _ -> ());
@@ -612,18 +631,16 @@ let solve_preprocessed ~max_treewidth ~consistency_k ~booleanize_threshold
       (try
          Array.iteri
            (fun i p ->
-             results.(i) <-
-               Some (solve_piece ~threads ~budget p.Preprocess.shrink.Preprocess.structure);
-             match results.(i) with
-             | Some { verdict = Unsat _; _ } -> raise Exit
-             | _ -> ())
+             let r = solve_part ~threads ~budget p in
+             results.(i) <- Some r;
+             match r.verdict with Unsat _ -> raise Exit | _ -> ())
            parts
        with Exit -> ());
     let attempts =
-      pre_attempt
-      :: List.concat_map
-           (function Some (r : result) -> r.attempts | None -> [])
-           (Array.to_list results)
+      pre_attempts
+      @ List.concat_map
+          (function Some (r : result) -> r.attempts | None -> [])
+          (Array.to_list results)
     in
     let finish verdict route = { verdict; route; attempts } in
     let refuted = ref None
@@ -635,11 +652,10 @@ let solve_preprocessed ~max_treewidth ~consistency_k ~booleanize_threshold
           refuted := Some (i, c, route)
         | Some { verdict = Unknown reason; route; _ } when !unknown = None ->
           unknown := Some (reason, route)
-        | None when !unknown = None ->
-          (* A part skipped after an earlier refutation decided the
-             conjunction; never reached without one. *)
-          ()
-        | _ -> ())
+        | _ ->
+          (* A part skipped ([None]) after an earlier refutation decided
+             the conjunction. *)
+          ())
       results;
     (match !refuted with
     | Some (i, cert, route) ->
@@ -648,17 +664,12 @@ let solve_preprocessed ~max_treewidth ~consistency_k ~booleanize_threshold
       match !unknown with
       | Some (reason, route) -> finish (Unknown (global_reason budget reason)) route
       | None ->
-        let witnesses =
-          Array.map
-            (function
-              | Some r -> (
-                match answer r with
-                | Some h -> h
-                | None -> assert false (* neither refuted nor unknown *))
-              | None -> assert false)
-            results
+        let witness i =
+          match Option.map answer results.(i) with
+          | Some (Some h) -> h
+          | _ -> assert false (* neither refuted nor unknown *)
         in
-        let h = Preprocess.assemble_witness src (fun i -> witnesses.(i)) in
+        let h = Preprocess.assemble_witness src witness in
         if not (Homomorphism.is_homomorphism a b h) then
           Error.internal
             "preprocess witness reassembly produced a non-homomorphism \
@@ -670,12 +681,24 @@ let solve_preprocessed ~max_treewidth ~consistency_k ~booleanize_threshold
 
 let solve ?(max_treewidth = 3) ?(consistency_k = 2) ?(booleanize_threshold = 4)
     ?(budget = Budget.unlimited) ?(threads = 1) ?(preprocess = true) a b =
-  if preprocess then
-    solve_preprocessed ~max_treewidth ~consistency_k ~booleanize_threshold
-      ~budget ~threads a b
-  else
-    solve_inner ~max_treewidth ~consistency_k ~booleanize_threshold ~budget
-      ~threads a b
+  let span = Telemetry.begin_span "solver.solve" in
+  let head = drive ~budget ~threads a b (head ~booleanize_threshold a b) in
+  let r =
+    match head.verdict with
+    | Sat _ | Unsat _ -> head
+    | Unknown _ ->
+      let r =
+        solve_tail ~max_treewidth ~consistency_k ~budget ~threads ~preprocess a b
+      in
+      { r with attempts = head.attempts @ r.attempts }
+  in
+  ignore
+    (Telemetry.end_span span
+       ~fields:
+         (("verdict", Telemetry.String (verdict_name r.verdict))
+         :: ("route", Telemetry.String (route_name r.route))
+         :: (if threads > 1 then [ ("threads", Telemetry.Int threads) ] else [])));
+  r
 
 let lift_target (r : Preprocess.retraction) (res : result) =
   match Preprocess.target_step r with

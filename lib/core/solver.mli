@@ -10,7 +10,14 @@ open Relational
     Lemma 3.5; acyclic and bounded-treewidth sources, Theorem 5.4;
     k-consistency, Theorems 4.7–4.9), ending in MAC backtracking.  Each
     entry's guard decides whether it applies; the sequential and the
-    racing driver both read the same table.
+    racing driver both read the same table.  The table has one
+    boundary: the head (Schaefer-direct, Hell–Nešetřil, Booleanization,
+    acyclic) decides the raw source, and only when none of it does is
+    the source shrunk ({!Preprocess}) and the tail (the AC-4 singleton
+    shortcut; acyclic again, on a part the shrink folded or split off;
+    bounded treewidth, k-consistency, backtracking) run on each shrunk
+    part.  Without preprocessing the tail runs on the raw source as its
+    one part, with neither the shortcut nor the repeated acyclic entry.
 
     All routes agree on the answer; the benches measure how much each one
     saves on its own instance class.
@@ -47,9 +54,11 @@ open Relational
 
 type route =
   | Preprocess
-      (** The shrinking pipeline itself decided (empty/mismatched target
-          relation, empty source, or AC-4 singleton-domain substitution)
-          — or, on an [Unknown], nothing past it got to run. *)
+      (** A preprocessing shortcut decided: the boundary's empty or
+          mismatched target relation or empty source, or the AC-4
+          singleton-domain substitution that opens the tail (both only
+          with preprocessing on).  Also the
+          route of the shrink's own attempt record. *)
   | Schaefer_direct of Schaefer.Classify.schaefer_class
   | Booleanized of Schaefer.Classify.schaefer_class
   | Graph_target of Graph_dichotomy.verdict
@@ -137,21 +146,24 @@ val solve :
   Structure.t ->
   Structure.t ->
   result
-(** [preprocess] (default [true]) runs the certified shrinking pipeline
-    of {!Preprocess} ahead of the portfolio: connected-component
-    decomposition of the source (identical components deduplicated, each
-    piece solved independently and the verdicts conjoined),
+(** The head routes run first, on the raw source.  When none decides,
+    [preprocess] (default [true]) runs the certified shrinking pipeline
+    of {!Preprocess} at the boundary: the empty-relation and
+    empty-source shortcuts, then connected-component decomposition of
+    the source (identical components deduplicated, each piece solved
+    independently on the tail and the verdicts conjoined), with
     dominated-element folding and budget-capped core computation per
-    piece, plus the empty-relation and AC-4 singleton-domain shortcuts.
-    Refutations found on a shrunk piece are wrapped in
+    piece.  Refutations found on a shrunk piece are wrapped in
     [Certificate.Via_preprocess] so they still check against the raw
     instance; per-part witnesses are reassembled through the fold maps
-    and re-verified.  The leading [Preprocess] attempt in
-    {!result.attempts} carries the [preprocess.*] shrink counters.
+    and re-verified.  The [Preprocess] attempt after the head's attempts
+    in {!result.attempts} carries the [preprocess.*] shrink counters.
     Shrink-stage budget exhaustion degrades to the unshrunk instance
     ([preprocess.bailouts]); it never changes a verdict.  With
-    [threads > 1] and several parts, parts race through [Parallel.Race]
-    under {!Budget.racer} budgets (first refutation cancels the rest).
+    [preprocess = false] the boundary never shrinks: the tail runs on
+    the raw source as its one part.  With [threads > 1] and several
+    parts, parts race through [Parallel.Race] under {!Budget.racer}
+    budgets (first refutation cancels the rest).
 
     [max_treewidth] (default 3) caps the decomposition width the DP route
     accepts; [consistency_k] (default 2) is the pebble count of the
@@ -161,7 +173,9 @@ val solve :
     surfaces as an [Unknown] verdict.
 
     [threads] (default 1) selects portfolio racing: with [threads > 1]
-    every applicable route runs concurrently on its own domain under a
+    the head entries race on the raw source, then the tail entries race
+    on each part (or the parts race each other), and each applicable
+    route runs concurrently on its own domain under a
     private {!Budget.racer}, and the first finisher whose claim passes
     the trusted [Certificate.check] wins; accepting a claim raises a
     shared cancellation flag that aborts the losers, recorded as
@@ -171,8 +185,7 @@ val solve :
     route never contributes a verdict, and verdicts agree with
     [threads = 1] (k-consistency and backtracking run in order inside
     one racer, so the pruning survives).  Total spend is merged back
-    into [budget].  [threads = 1] is the sequential dispatcher,
-    bit-identical to previous releases. *)
+    into [budget].  [threads = 1] is the sequential dispatcher. *)
 
 val exists : Structure.t -> Structure.t -> bool
 (** Unbudgeted existence (always definitive). *)

@@ -84,12 +84,10 @@ let count_connected ~max_width ~budget piece b =
 let count ?(max_width = 3) ?(budget = Budget.unlimited) a b =
   Budget.check budget;
   (* A source without elements has no parts to multiply over, so its
-     nullary facts are checked here.  Only the count-compatible shrink is
-     used: component decomposition with textual dedup ([#hom] factors
-     exactly over components, and a deduplicated component contributes
-     its count once per copy).  The per-part fold/core retraction in
-     [shrink] is deliberately ignored — retraction preserves existence,
-     not counts. *)
+     nullary facts are checked here.  Only the component stage runs:
+     [#hom] factors exactly over components, and a deduplicated
+     component contributes its count once per copy.  Fold and core
+     would preserve existence, not counts. *)
   if not (Homomorphism.nullary_facts_hold a b) then 0
   else
     Array.fold_left
@@ -98,4 +96,4 @@ let count ?(max_width = 3) ?(budget = Budget.unlimited) a b =
         else
           let piece = count_connected ~max_width ~budget part.piece b in
           Homomorphism.checked_mul acc (Homomorphism.checked_pow piece part.copies))
-      1 (Preprocess.shrink_source ~budget a).parts
+      1 (Preprocess.components a).parts

@@ -28,9 +28,9 @@ open Relational
     force each node at most once.
 
     {b Preprocessing:} enumeration and counting bypass the
-    {!Preprocess} shrinking pipeline entirely except for the one shrink
-    that is count-compatible: connected-component decomposition with
-    textual deduplication.  Homomorphism counts are {e not} invariant
+    {!Preprocess} shrinking pipeline entirely except for its component
+    stage ({!Preprocess.components}), the one count-compatible step:
+    connected-component decomposition with textual deduplication.  Homomorphism counts are {e not} invariant
     under core retraction (folding an element can merge distinct
     witnesses), but a disconnected source factors exactly:
     [#hom(A, B) = Π_parts #hom(piece, B) ^ copies], each factor and

@@ -322,77 +322,89 @@ let component_elements a =
   let roots = List.sort compare (Hashtbl.fold (fun r _ acc -> r :: acc) groups []) in
   List.map (fun r -> Hashtbl.find groups r) roots
 
-let shrink_source ?(budget = Budget.unlimited) ?core_nodes a =
+let stats_of ~raw_elements ~components parts =
+  {
+    raw_elements;
+    shrunk_elements =
+      Array.fold_left (fun acc p -> acc + Structure.size p.shrink.structure) 0 parts;
+    components;
+    distinct_parts = Array.length parts;
+    folded = 0;
+    core_dropped = 0;
+    bailouts = 0;
+    memo_hits = 0;
+  }
+
+let whole a =
   let n = Structure.size a in
-  let comps = component_elements a in
-  let by_text = Hashtbl.create 8 in
-  let copies_tbl = Hashtbl.create 8 in
-  let nparts = ref 0 in
-  let rev_reps = ref [] in
-  (* A single component spanning the whole universe IS the input: skip
-     the induced copy (and its canonical print) so the downstream solve
-     runs on the original structure, warm lazy indexes and all. *)
-  let spanning = match comps with [ e ] -> List.length e = n | _ -> false in
-  let assigned =
-    List.map
-      (fun elems ->
-        let piece = if spanning then a else Structure.induced a elems in
-        let key = if spanning then "" else Structure_text.print piece in
-        match Hashtbl.find_opt by_text key with
-        | Some pi ->
-          Hashtbl.replace copies_tbl pi (1 + Hashtbl.find copies_tbl pi);
-          (elems, pi)
-        | None ->
-          let pi = !nparts in
-          incr nparts;
-          Hashtbl.add by_text key pi;
-          Hashtbl.add copies_tbl pi 1;
-          rev_reps := (elems, piece) :: !rev_reps;
-          (elems, pi))
-      comps
-  in
-  let folded = ref 0
-  and core_dropped = ref 0
-  and bailouts = ref 0
-  and memo_hits = ref 0 in
   let parts =
-    Array.of_list (List.rev !rev_reps)
-    |> Array.mapi (fun pi (elems, piece) ->
-           let shrink, info = shrink_structure ~budget ?core_nodes piece in
-           folded := !folded + info.i_folded;
-           core_dropped := !core_dropped + info.i_core_dropped;
-           if info.i_bailed then incr bailouts;
-           if info.i_memo_hit then incr memo_hits;
-           {
-             piece;
-             piece_embed = Array.of_list elems;
-             shrink;
-             copies = Hashtbl.find copies_tbl pi;
-           })
+    [| { piece = a; piece_embed = Array.init n Fun.id; shrink = identity_retraction a; copies = 1 } |]
   in
-  let assign = Array.make n (0, 0) in
-  List.iter
-    (fun (elems, pi) ->
-      List.iteri (fun local e -> assign.(e) <- (pi, local)) elems)
-    assigned;
-  let shrunk_elements =
-    Array.fold_left (fun acc p -> acc + Structure.size p.shrink.structure) 0 parts
-  in
+  { parts; assign = Array.init n (fun e -> (0, e)); stats = stats_of ~raw_elements:n ~components:1 parts }
+
+let components a =
+  let n = Structure.size a in
+  match component_elements a with
+  | [ elems ] when List.length elems = n ->
+    (* A single component spanning the whole universe IS the input: skip
+       the induced copy (and its canonical print) so the downstream solve
+       runs on the original structure, warm lazy indexes and all. *)
+    whole a
+  | comps ->
+    let by_text = Hashtbl.create 8 and reps = ref [] in
+    let assign = Array.make n (0, 0) in
+    List.iter
+      (fun elems ->
+        let piece = Structure.induced a elems in
+        let key = Structure_text.print piece in
+        let pi =
+          match Hashtbl.find_opt by_text key with
+          | Some (pi, copies) ->
+            incr copies;
+            pi
+          | None ->
+            let pi = Hashtbl.length by_text and copies = ref 1 in
+            Hashtbl.add by_text key (pi, copies);
+            reps := (elems, piece, copies) :: !reps;
+            pi
+        in
+        List.iteri (fun local e -> assign.(e) <- (pi, local)) elems)
+      comps;
+    let parts =
+      Array.of_list
+        (List.rev_map
+           (fun (elems, piece, copies) ->
+             {
+               piece;
+               piece_embed = Array.of_list elems;
+               shrink = identity_retraction piece;
+               copies = !copies;
+             })
+           !reps)
+    in
+    { parts; assign; stats = stats_of ~raw_elements:n ~components:(List.length comps) parts }
+
+let shrink_parts ?(budget = Budget.unlimited) ?core_nodes src =
+  let shrunk = Array.map (fun p -> shrink_structure ~budget ?core_nodes p.piece) src.parts in
+  let parts = Array.map2 (fun p (shrink, _) -> { p with shrink }) src.parts shrunk in
+  let sum f = Array.fold_left (fun acc (_, info) -> acc + f info) 0 shrunk in
   let stats =
     {
-      raw_elements = n;
-      shrunk_elements;
-      components = List.length comps;
-      distinct_parts = Array.length parts;
-      folded = !folded;
-      core_dropped = !core_dropped;
-      bailouts = !bailouts;
-      memo_hits = !memo_hits;
+      (stats_of ~raw_elements:src.stats.raw_elements ~components:src.stats.components parts)
+      with
+      folded = sum (fun i -> i.i_folded);
+      core_dropped = sum (fun i -> i.i_core_dropped);
+      bailouts = sum (fun i -> Bool.to_int i.i_bailed);
+      memo_hits = sum (fun i -> Bool.to_int i.i_memo_hit);
     }
   in
-  if shrunk_elements < n then
-    Telemetry.count "preprocess.elements_dropped" (n - shrunk_elements);
-  { parts; assign; stats }
+  if stats.shrunk_elements < stats.raw_elements then
+    Telemetry.count "preprocess.elements_dropped"
+      (stats.raw_elements - stats.shrunk_elements);
+  { src with parts; stats }
+
+let shrink_source ?budget ?core_nodes a =
+  shrink_parts ?budget ?core_nodes (components a)
 
 (* ------------------------------------------------------------------ *)
 (* AC-4 singleton-domain substitution.                                  *)

@@ -1,11 +1,13 @@
 open Relational
 
-(** Certified instance shrinking ahead of the solver portfolio.
+(** Certified instance shrinking.  [Solver.solve] shrinks the source
+    only when no route ahead of its preprocessing boundary decides the
+    raw instance, ahead of the width-bounded and exponential routes.
 
     Every structure is homomorphically equivalent to its core, and a
-    disconnected source solves component by component; both facts let the
-    portfolio run on a (sometimes dramatically) smaller instance without
-    changing the verdict.  The pipeline here applies, in order:
+    disconnected source solves component by component; both facts let
+    those routes run on a (sometimes dramatically) smaller instance
+    without changing the verdict.  The pipeline here applies, in order:
 
     + connected-component decomposition of the source, with
       textually-identical components deduplicated down to one
@@ -77,11 +79,23 @@ type source = {
   stats : stats;
 }
 
+val components : Structure.t -> source
+(** The component stage alone: split the source into connected
+    components and deduplicate textually identical ones.  Every part's
+    [shrink] is the identity on its [piece].  A connected input yields
+    {!whole}.  Ticks no budget; [Enumerate.count] uses only
+    this stage (fold and core preserve existence, not counts). *)
+
 val shrink_source :
   ?budget:Budget.t -> ?core_nodes:int -> Structure.t -> source
-(** Full pipeline on a source structure.  A connected, unshrinkable
-    input yields one part whose [piece] is the input itself (identity
-    embed) and whose [shrink] is trivial. *)
+(** Full pipeline on a source structure: {!components}, then fold and
+    core of each part's [piece], memoized by canonical text.  A connected, unshrinkable input yields one part
+    whose [piece] is the input itself (identity embed) and whose
+    [shrink] is trivial. *)
+
+val whole : Structure.t -> source
+(** The input as one part with the identity shrink: what the solver
+    works on when preprocessing is off. *)
 
 val target_core : ?budget:Budget.t -> ?core_nodes:int -> Structure.t -> retraction
 (** Fold + core shrink of a target (serve template) structure.  Memoized

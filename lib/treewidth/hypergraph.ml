@@ -11,57 +11,88 @@ let structure_facts a =
   Array.of_list
     (List.rev (Structure.fold_tuples (fun name t acc -> (name, t) :: acc) a []))
 
-(* GYO reduction.  Repeatedly (a) delete vertices private to a single
-   hyperedge, (b) delete a hyperedge whose vertex set is contained in
-   another live hyperedge, recording the container as its parent.  The
-   hypergraph is acyclic iff at most one hyperedge survives. *)
+(* [s] is a subset of [t]; both sorted ascending without repeats. *)
+let subset s t =
+  let ns = Array.length s and nt = Array.length t in
+  let rec go i j =
+    i = ns
+    || (j < nt && if s.(i) = t.(j) then go (i + 1) (j + 1) else s.(i) > t.(j) && go i (j + 1))
+  in
+  go 0 0
+
+(* GYO reduction.  Each round (a) deletes the vertices private to one
+   live hyperedge, then (b) visits the live hyperedges in index order
+   and folds each into the lowest-index other live hyperedge containing
+   it, recording that container as its parent.  The hypergraph is
+   acyclic iff at most one hyperedge survives.
+
+   The rounds are the textbook full scan ([Oracle.Gyo]) made
+   incremental, with the same output.  A container of a nonempty
+   hyperedge holds its minimum vertex, so the search reads only the
+   hyperedges indexed under that vertex, ascending.  A vertex turns
+   private only when a hyperedge holding it is folded away, so (a)
+   reads a worklist of such vertices.  A hyperedge that found no
+   container gets one later only if it loses vertices (containers never
+   grow), so (b) revisits only the hyperedges (a) shrank. *)
 let join_forest a =
   let facts = structure_facts a in
-  let nfacts = Array.length facts in
-  let sets = Array.map (fun (_, t) -> Iset.of_list (Tuple.elements t)) facts in
-  let alive = Array.make nfacts true in
-  let parent = Array.make nfacts (-1) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    (* (a) Remove private vertices. *)
-    let occurrences = Hashtbl.create 64 in
-    Array.iteri
-      (fun i s ->
-        if alive.(i) then
-          Iset.iter
-            (fun v ->
-              Hashtbl.replace occurrences v
-                (1 + Option.value ~default:0 (Hashtbl.find_opt occurrences v)))
-            s)
-      sets;
-    Array.iteri
-      (fun i s ->
-        if alive.(i) then begin
-          let s' = Iset.filter (fun v -> Hashtbl.find occurrences v > 1) s in
-          if not (Iset.equal s s') then begin
-            sets.(i) <- s';
-            changed := true
-          end
-        end)
-      sets;
-    (* (b) Remove contained hyperedges. *)
-    for e = 0 to nfacts - 1 do
-      if alive.(e) then begin
-        let container = ref (-1) in
-        for f = 0 to nfacts - 1 do
-          if !container < 0 && f <> e && alive.(f) && Iset.subset sets.(e) sets.(f)
-          then container := f
-        done;
-        if !container >= 0 then begin
-          alive.(e) <- false;
-          parent.(e) <- !container;
-          changed := true
-        end
-      end
-    done
+  let nfacts = Array.length facts and n = Structure.size a in
+  let sets =
+    Array.map (fun (_, t) -> Array.of_list (List.sort_uniq Int.compare (Array.to_list t))) facts
+  in
+  let alive = Array.make nfacts true and parent = Array.make nfacts (-1) in
+  (* [live.(v)]: live hyperedges holding [v]; [holders.(v)]: every
+     hyperedge that held [v] at the start, ascending. *)
+  let live = Array.make n 0 and holders = Array.make n [] in
+  for f = nfacts - 1 downto 0 do
+    Array.iter
+      (fun v ->
+        live.(v) <- live.(v) + 1;
+        holders.(v) <- f :: holders.(v))
+      sets.(f)
   done;
-  let survivors = Array.to_list alive |> List.filter Fun.id |> List.length in
+  let private_ = ref (List.filter (fun v -> live.(v) = 1) (List.init n Fun.id)) in
+  let rec alive_from f = if f < nfacts && not alive.(f) then alive_from (f + 1) else f in
+  let lowest = ref 0 in
+  let container e =
+    match sets.(e) with
+    | [||] ->
+      (* Every live hyperedge contains the empty one. *)
+      lowest := alive_from !lowest;
+      let f = if !lowest = e then alive_from (e + 1) else !lowest in
+      if f < nfacts then Some f else None
+    | s -> List.find_opt (fun f -> f <> e && alive.(f) && subset s sets.(f)) holders.(s.(0))
+  in
+  let fold_into e f =
+    alive.(e) <- false;
+    parent.(e) <- f;
+    Array.iter
+      (fun v ->
+        live.(v) <- live.(v) - 1;
+        if live.(v) = 1 then private_ := v :: !private_)
+      sets.(e)
+  in
+  let rec round visit =
+    let shrunk =
+      List.filter_map
+        (fun v ->
+          if live.(v) <> 1 then None
+          else begin
+            let f = List.find (fun f -> alive.(f) && Array.mem v sets.(f)) holders.(v) in
+            sets.(f) <- Array.of_list (List.filter (( <> ) v) (Array.to_list sets.(f)));
+            live.(v) <- 0;
+            Some f
+          end)
+        !private_
+    in
+    private_ := [];
+    List.iter
+      (fun e -> if alive.(e) then Option.iter (fold_into e) (container e))
+      (List.sort_uniq Int.compare (shrunk @ visit));
+    if !private_ <> [] then round []
+  in
+  round (List.init nfacts Fun.id);
+  let survivors = Array.fold_left (fun acc l -> if l then acc + 1 else acc) 0 alive in
   (* Every removed hyperedge recorded the container it was folded into as
      its parent; removal times order the chains, so this is a forest whose
      roots are the survivors.  This is the textbook GYO join tree. *)
@@ -69,7 +100,10 @@ let join_forest a =
 
 let is_acyclic a = join_forest a <> None
 
-let solve_with_forest { facts; parent } a b =
+let solve_with_forest ?(budget = Budget.unlimited) { facts; parent } a b =
+  (* One tick per semi-join, charged up front: the forest has one node
+     per fact. *)
+  Array.iter (fun _ -> Budget.tick budget) facts;
   match fst (Join_eval.solve (Join_eval.of_forest a ~facts ~parent b)) with
   | Some h when not (Homomorphism.is_homomorphism a b h) ->
     (* The running-intersection property should make this impossible;

@@ -24,8 +24,15 @@ val solve_acyclic : Structure.t -> Structure.t -> Homomorphism.mapping option
     @raise Invalid_argument if the source is not acyclic. *)
 
 val solve_with_forest :
-  join_forest -> Structure.t -> Structure.t -> Homomorphism.mapping option
-(** {!solve_acyclic} over a join forest of the source already in hand. *)
+  ?budget:Budget.t ->
+  join_forest ->
+  Structure.t ->
+  Structure.t ->
+  Homomorphism.mapping option
+(** {!solve_acyclic} over a join forest of the source already in hand.
+    Charges [budget] one tick per fact (one semi-join each) before the
+    pass.
+    @raise Budget.Exhausted when it runs out. *)
 
 val exists_acyclic : Structure.t -> Structure.t -> bool
 

@@ -184,6 +184,51 @@ let solver_tests =
           Alcotest.failf "booleanized attempt %s after %d nodes"
             (Solver.outcome_name at.outcome) at.nodes
         | None -> Alcotest.fail "no booleanized attempt");
+    Alcotest.test_case "head routes decide the raw source unshrunk" `Quick (fun () ->
+        (* A tractable template or an acyclic source decides before the
+           boundary, so no [Preprocess] attempt is recorded. *)
+        let two_sat =
+          Structure_text.parse
+            "size 4\nrel A 2\nrel B 2\nrel C 2\nA 0 1\nB 1 2\nC 2 3\nB 3 0\nA 3 1\n"
+        and sat2 =
+          Structure_text.parse
+            "size 2\nrel A 2\nrel B 2\nrel C 2\nA 0 1\nA 1 0\nA 1 1\nB 0 0\nB 1 0\n\
+             B 1 1\nC 0 0\nC 0 1\nC 1 0\n"
+        and tree =
+          let edges = [ (0, 1); (0, 2); (1, 3); (1, 4); (2, 5); (5, 6) ] in
+          digraph ~size:7 (edges @ List.map (fun (u, v) -> (v, u)) edges)
+        in
+        List.iter
+          (fun (name, a, b, sat) ->
+            let r = Solver.solve a b in
+            check (name ^ ": verdict") true (certified_verdict a b r = Some sat);
+            check (name ^ ": no preprocess attempt") true
+              (List.for_all
+                 (fun (at : Solver.attempt) -> at.route <> Solver.Preprocess)
+                 r.Solver.attempts))
+          [
+            ("bipartite grid -> K2", Workloads.grid 3 4, Workloads.k2, true);
+            ("tree -> K3", tree, Workloads.clique 3, true);
+            ("2-SAT", two_sat, sat2, true);
+          ]);
+    Alcotest.test_case "acyclic route on a reshaped part" `Quick (fun () ->
+        (* C4 is cyclic and K3 is an NP-complete template, so no head
+           route decides; C4 folds onto one edge, which the tail's
+           acyclic entry decides.  Unshrunk, the tail has no acyclic
+           entry. *)
+        let c4 = Workloads.undirected_cycle 4 and k3 = Workloads.clique 3 in
+        List.iter
+          (fun (preprocess, route) ->
+            let r = Solver.solve ~preprocess c4 k3 in
+            let label = Printf.sprintf "preprocess=%b" preprocess in
+            check (label ^ ": verdict") true (certified_verdict c4 k3 r = Some true);
+            check (label ^ ": route") true (r.Solver.route = route);
+            check_int (label ^ ": acyclic attempts") (if preprocess then 1 else 0)
+              (List.length
+                 (List.filter
+                    (fun (at : Solver.attempt) -> at.route = Solver.Acyclic)
+                    r.Solver.attempts)))
+          [ (true, Solver.Acyclic); (false, Solver.Bounded_treewidth 2) ]);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -193,16 +193,12 @@ let test_cancelled_never_contributes () =
     | Core.Solver.Unknown _ -> ()
   done
 
-(* Part racing: a disconnected source splits into one part per distinct
-   component, and with [threads > 1] the parts race through
-   [Parallel.Race], each on its own racer budget.  Verdicts agree across
-   thread counts, every certificate checks, the racers' spend is charged
-   back into the caller's budget, and a budget too small to finish
-   degrades to [Unknown] instead of raising. *)
-let test_part_race () =
-  let ( ++ ) = Structure.disjoint_union in
-  let unsat = undirected_cycle 4 ++ undirected_cycle 5 ++ undirected_cycle 6 in
-  let sat = undirected_cycle 4 ++ undirected_cycle 6 in
+(* Solve each [(name, a, expect_sat)] into [b] at threads 1, 2 and 3:
+   the verdict is the expected one and its certificate checks, the
+   racers' spend is charged back into the caller's budget, [split] holds
+   of the attempts, and a one-node budget degrades [unsat] to [Unknown]
+   instead of raising. *)
+let check_races ?(split = fun _ -> true) b cases unsat =
   List.iter
     (fun (name, a, expect_sat) ->
       List.iter
@@ -211,15 +207,16 @@ let test_part_race () =
           (* A node limit makes route slices tick through to this budget,
              so its spend must cover every attempt's nodes. *)
           let budget = Budget.create ~max_nodes:1_000_000 () in
-          let r = Core.Solver.solve ~budget ~threads a k2 in
+          let r = Core.Solver.solve ~budget ~threads a b in
+          check (label "split") true (split r.Core.Solver.attempts);
           (match r.Core.Solver.verdict with
           | Core.Solver.Sat h ->
             check (label "sat") expect_sat true;
             check (label "witness certified") true
-              (Certificate.check a k2 (Certificate.Witness h))
+              (Certificate.check a b (Certificate.Witness h))
           | Core.Solver.Unsat c ->
             check (label "sat") expect_sat false;
-            check (label "refutation certified") true (Certificate.check a k2 c)
+            check (label "refutation certified") true (Certificate.check a b c)
           | Core.Solver.Unknown _ -> Alcotest.failf "%s" (label "unexpected unknown"));
           let attempted =
             List.fold_left
@@ -230,16 +227,44 @@ let test_part_race () =
           check (label "parent spend covers every attempt") true
             (Budget.spent budget >= attempted))
         [ 1; 2; 3 ])
-    [ ("C4+C5+C6 -> K2", unsat, false); ("C4+C6 -> K2", sat, true) ];
+    cases;
   List.iter
     (fun threads ->
       match
-        (Core.Solver.solve ~budget:(Budget.create ~max_nodes:1 ()) ~threads unsat k2)
+        (Core.Solver.solve ~budget:(Budget.create ~max_nodes:1 ()) ~threads unsat b)
           .Core.Solver.verdict
       with
       | Core.Solver.Unknown _ -> ()
       | _ -> Alcotest.failf "max_nodes=1, threads=%d: expected unknown" threads)
     [ 1; 2; 3 ]
+
+(* Part racing: a disconnected source splits into one part per distinct
+   component, and with [threads > 1] the parts race through
+   [Parallel.Race], each on its own racer budget.  Into K2 the head's
+   polynomial routes race on the raw source first (hell-nesetril
+   2-colours it), so with one node they too must run out at every
+   thread count. *)
+let test_part_race () =
+  let ( ++ ) = Structure.disjoint_union in
+  let unsat = undirected_cycle 4 ++ undirected_cycle 5 ++ undirected_cycle 6 in
+  let sat = undirected_cycle 4 ++ undirected_cycle 6 in
+  check_races k2 [ ("C4+C5+C6 -> K2", unsat, false); ("C4+C6 -> K2", sat, true) ] unsat
+
+(* K3 is an NP-complete graph template and the sources are cyclic, so
+   no head route decides: every solve splits at the preprocessing
+   boundary into three parts, which race over the tail. *)
+let test_three_part_race () =
+  let ( ++ ) = Structure.disjoint_union in
+  let unsat = undirected_cycle 4 ++ clique 4 ++ undirected_cycle 6 in
+  let sat = undirected_cycle 4 ++ undirected_cycle 5 ++ undirected_cycle 6 in
+  let three_parts =
+    List.exists (fun (at : Core.Solver.attempt) ->
+        at.route = Core.Solver.Preprocess
+        && List.assoc_opt "preprocess.components" at.counters = Some 3)
+  in
+  check_races ~split:three_parts (clique 3)
+    [ ("C4+K4+C6 -> K3", unsat, false); ("C4+C5+C6 -> K3", sat, true) ]
+    unsat
 
 let () =
   Alcotest.run "parallel"
@@ -265,5 +290,8 @@ let () =
             test_cancelled_never_contributes;
         ] );
       ( "racing disconnected",
-        [ Alcotest.test_case "part race" `Quick test_part_race ] );
+        [
+          Alcotest.test_case "part race" `Quick test_part_race;
+          Alcotest.test_case "three-part race" `Quick test_three_part_race;
+        ] );
     ]

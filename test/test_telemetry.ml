@@ -249,7 +249,7 @@ let json_tests =
    the per-route attempt reports including engine counters — compared
    structurally across telemetry modes. *)
 (* The preprocess shrink memo persists across solves and shows up in the
-   leading attempt's counters and node count, so each compared run must
+   preprocess attempt's counters and node count, so each compared run must
    start memo-cold or the second run would differ from the first for
    reasons unrelated to the sink. *)
 let solve_result (a, b) =

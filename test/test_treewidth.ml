@@ -191,6 +191,31 @@ let acyclic_tests =
         match Hypergraph.solve_acyclic a b with
         | Some h -> Homomorphism.is_homomorphism a b h && brute_force_exists a b
         | None -> not (brute_force_exists a b));
+    qtest ~count:1000 "join forest matches the full-scan GYO oracle"
+      (QCheck.make
+         ~print:(fun a -> Structure_text.print a)
+         QCheck.Gen.(
+           let* arities = list_size (1 -- 3) (0 -- 4) in
+           let* size = 1 -- 8 in
+           let vocab =
+             Vocabulary.create (List.mapi (fun i k -> (Printf.sprintf "R%d" i, k)) arities)
+           in
+           let+ rels =
+             flatten_l
+               (List.mapi
+                  (fun i k ->
+                    let+ tuples =
+                      list_size (0 -- 6) (fun st -> gen_tuple ~arity:k ~size st)
+                    in
+                    (Printf.sprintf "R%d" i, tuples))
+                  arities)
+           in
+           Structure.of_relations vocab ~size rels))
+      (fun a ->
+        Option.map
+          (fun (f : Hypergraph.join_forest) -> (f.facts, f.parent))
+          (Hypergraph.join_forest a)
+        = Oracle.Gyo.join_forest a);
   ]
 
 
