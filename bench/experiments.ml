@@ -721,10 +721,11 @@ let ablations () =
       let g =
         Treewidth.Graph.of_edges ~size:(Structure.size s) (Structure.gaifman_edges s)
       in
-      let w_fill = Treewidth.Elimination.width_of_order g (Treewidth.Elimination.min_fill_order g) in
-      let w_deg =
-        Treewidth.Elimination.width_of_order g (Treewidth.Elimination.min_degree_order g)
+      let width heuristic =
+        Treewidth.Tree_decomposition.width
+          (Option.get (Treewidth.Elimination.decomposition ~heuristic g))
       in
+      let w_fill = width `Min_fill and w_deg = width `Min_degree in
       rows := [ Printf.sprintf "partial %d-tree, n=%d" k n; int k; int w_fill; int w_deg ] :: !rows)
     [ (1, 40, 2); (2, 40, 3); (3, 60, 2); (4, 60, 3); (5, 80, 4) ];
   Util.note "";

@@ -315,26 +315,24 @@ let tail ~max_treewidth ~consistency_k ~reshaped a b =
   @ [
     (* Bounded-treewidth source: dynamic programming (Theorem 5.4).  A
        refutation hands the checker the bags, rooted exactly as the DP
-       roots them, so it recomputes the very same bottom-up tables. *)
+       roots them, so it recomputes the very same bottom-up tables.  The
+       guard's decomposition stops as soon as its width passes the cap. *)
     independent Quarter (fun () ->
-        let td = Treewidth.Td_solver.decompose a in
-        let w = Treewidth.Tree_decomposition.width td in
-        if w > max_treewidth then None
-        else
-          Some
-            ( Bounded_treewidth w,
-              plain (fun s ->
-                  match Treewidth.Td_solver.solve_with_decomposition ~budget:s td a b with
-                  | Some h -> Found h
-                  | None ->
-                    let bags =
-                      Array.map (List.sort_uniq Int.compare)
-                        td.Treewidth.Tree_decomposition.bags
-                    in
-                    Refuted
-                      (or_empty_target a b
-                         (Certificate.Dp_empty
-                            { bags; parent = Treewidth.Join_eval.rooted td }))) ));
+        Treewidth.Td_solver.decompose ~cap:max_treewidth a
+        |> Option.map (fun td ->
+               ( Bounded_treewidth (Treewidth.Tree_decomposition.width td),
+                 plain (fun s ->
+                     match Treewidth.Td_solver.solve_with_decomposition ~budget:s td a b with
+                     | Some h -> Found h
+                     | None ->
+                       let bags =
+                         Array.map (List.sort_uniq Int.compare)
+                           td.Treewidth.Tree_decomposition.bags
+                       in
+                       Refuted
+                         (or_empty_target a b
+                            (Certificate.Dp_empty
+                               { bags; parent = Treewidth.Join_eval.rooted td }))) )));
     (* k-consistency, the existential k-pebble game (Theorems 4.7–4.9):
        refutes outright with the game's log of forth failures as a
        Spoiler-win derivation, or prunes soundly — a pair [(x, v)] whose

@@ -37,18 +37,16 @@ let plan ?(max_width = 3) ?(budget = Budget.unlimited) a b =
   | Some { facts; parent } ->
     let tree () = Join_eval.of_forest ~budget a ~facts ~parent b in
     { route = Acyclic; seq = metered Acyclic (stream_of ~budget tree a b) }
-  | None ->
-    let td = Td_solver.decompose a in
-    let w = Tree_decomposition.width td in
-    if w <= max_width then
+  | None -> (
+    match Td_solver.decompose ~cap:max_width a with
+    | Some td ->
+      let route = Bounded_treewidth (Tree_decomposition.width td) in
       let tree () = Join_eval.of_decomposition ~budget td a b in
-      { route = Bounded_treewidth w;
-        seq = metered (Bounded_treewidth w) (stream_of ~budget tree a b)
-      }
-    else
+      { route; seq = metered route (stream_of ~budget tree a b) }
+    | None ->
       { route = Backtracking;
         seq = metered Backtracking (Homomorphism.search_seq ~budget a b)
-      }
+      })
 
 let stream ?max_width ?limit ?budget a b =
   let { seq; _ } = plan ?max_width ?budget a b in
@@ -75,11 +73,10 @@ let count_connected ~max_width ~budget piece b =
   match Hypergraph.join_forest piece with
   | Some { facts; parent } ->
     Join_eval.count (Join_eval.of_forest ~budget piece ~facts ~parent b)
-  | None ->
-    let td = Td_solver.decompose piece in
-    if Tree_decomposition.width td <= max_width then
-      Td_solver.count ~budget piece b
-    else Homomorphism.count ~budget piece b
+  | None -> (
+    match Td_solver.decompose ~cap:max_width piece with
+    | Some td -> Join_eval.count (Join_eval.of_decomposition ~budget td piece b)
+    | None -> Homomorphism.count ~budget piece b)
 
 let count ?(max_width = 3) ?(budget = Budget.unlimited) a b =
   Budget.check budget;

@@ -5,7 +5,7 @@ let sentence_of_structure ?decomposition a =
   let td =
     match decomposition with
     | Some td -> td
-    | None -> Td_solver.decompose a
+    | None -> Option.get (Td_solver.decompose a)
   in
   if not (Tree_decomposition.validate_structure a td) then
     invalid_arg "Translate.sentence_of_structure: invalid decomposition";

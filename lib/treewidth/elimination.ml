@@ -1,53 +1,98 @@
-let greedy_order score g =
-  let n = Graph.size g in
-  let current = ref g in
-  let remaining = ref (List.init n Fun.id) in
-  let order = ref [] in
-  while !remaining <> [] do
-    let best =
-      List.fold_left
-        (fun best v ->
-          match best with
-          | None -> Some (v, score !current v)
-          | Some (_, s) ->
-            let s' = score !current v in
-            if s' < s then Some (v, s') else best)
-        None !remaining
-    in
-    match best with
-    | None -> assert false
-    | Some (v, _) ->
-      order := v :: !order;
-      remaining := List.filter (fun u -> u <> v) !remaining;
-      current := Graph.eliminate_vertex !current v
-  done;
-  List.rev !order
+module Iset = Set.Make (Int)
 
-let min_degree_order g = greedy_order Graph.degree g
-
-let fill_count g v =
-  let nbrs = Graph.neighbors g v in
+(* The elimination scores.  [fill] counts the missing edges among the
+   neighbors of [v], but only up to [stop]: the pass keeps a vertex only
+   when it beats the best score so far, so counting further is waste. *)
+let fill adj ~stop v =
+  let nbrs = adj.(v) in
   let missing = ref 0 in
-  List.iter
-    (fun u ->
-      List.iter (fun w -> if u < w && not (Graph.mem_edge g u w) then incr missing) nbrs)
-    nbrs;
+  (try
+     Iset.iter
+       (fun u ->
+         let near = adj.(u) in
+         Iset.iter
+           (fun w ->
+             if u < w && not (Iset.mem w near) then begin
+               incr missing;
+               if !missing >= stop then raise_notrace Exit
+             end)
+           nbrs)
+       nbrs
+   with Exit -> ());
   !missing
 
-let min_fill_order g = greedy_order fill_count g
+let degree adj ~stop:_ v = Iset.cardinal adj.(v)
 
-let width_of_order g order =
-  let current = ref g in
-  let width = ref (-1) in
-  List.iter
-    (fun v ->
-      width := max !width (Graph.degree !current v);
-      current := Graph.eliminate_vertex !current v)
-    order;
-  !width
+(* The one elimination pass, over a mutable copy of the adjacency.  Each
+   step picks the remaining vertex of least score, the lowest index among
+   ties, and makes its neighbors a clique.  The bag of [v] is [v] plus its
+   neighbors when it goes; its tree parent is the one of those neighbors
+   eliminated first, or the next vertex in the order if it has none.  The
+   width is the largest degree at elimination, so the pass stops at the
+   first pick whose degree exceeds [cap], and that decline is exact. *)
+let eliminate ~score ~cap g =
+  let n = Graph.size g in
+  let adj = Graph.adjacency g in
+  let alive = Array.make n true in
+  let order = Array.make n 0 and pos = Array.make n 0 in
+  let later = Array.make n Iset.empty in
+  let rec step i =
+    i = n
+    ||
+    let best = ref (-1) and best_score = ref max_int and u = ref 0 in
+    while !u < n && !best_score > 0 do
+      if alive.(!u) then begin
+        let s = score adj ~stop:!best_score !u in
+        if s < !best_score then begin
+          best := !u;
+          best_score := s
+        end
+      end;
+      incr u
+    done;
+    let v = !best in
+    let nbrs = adj.(v) in
+    Iset.cardinal nbrs <= cap
+    && begin
+         Iset.iter
+           (fun u -> adj.(u) <- Iset.union (Iset.remove v adj.(u)) (Iset.remove u nbrs))
+           nbrs;
+         adj.(v) <- Iset.empty;
+         alive.(v) <- false;
+         order.(i) <- v;
+         pos.(v) <- i;
+         later.(v) <- nbrs;
+         step (i + 1)
+       end
+  in
+  if not (step 0) then None
+  else begin
+    let bags = Array.make (max n 1) [] in
+    Array.iteri (fun v nbrs -> bags.(v) <- Iset.elements (Iset.add v nbrs)) later;
+    let parent v i =
+      if Iset.is_empty later.(v) then order.(i + 1)
+      else
+        Iset.fold
+          (fun u best -> if pos.(u) < pos.(best) then u else best)
+          later.(v) (Iset.min_elt later.(v))
+    in
+    let tree_edges =
+      List.init (max 0 (n - 1)) (fun i ->
+          let v = order.(i) in
+          (v, parent v i))
+    in
+    Some { Tree_decomposition.bags; tree_edges }
+  end
+
+let decomposition ?(heuristic = `Min_fill) ?(cap = max_int) g =
+  let score = match heuristic with `Min_degree -> degree | `Min_fill -> fill in
+  eliminate ~score ~cap g
 
 let treewidth_upper_bound g =
-  min (width_of_order g (min_degree_order g)) (width_of_order g (min_fill_order g))
+  let width heuristic =
+    Tree_decomposition.width (Option.get (decomposition ~heuristic g))
+  in
+  min (width `Min_degree) (width `Min_fill)
 
 (* Exact treewidth: f(S) = best width over orders that eliminate exactly the
    vertices of S first, where the elimination degree of v after S is the
@@ -97,11 +142,3 @@ let treewidth_exact g =
     in
     f ((1 lsl n) - 1)
   end
-
-let decomposition ?(heuristic = `Min_fill) g =
-  let order =
-    match heuristic with
-    | `Min_degree -> min_degree_order g
-    | `Min_fill -> min_fill_order g
-  in
-  Tree_decomposition.of_elimination_order g order

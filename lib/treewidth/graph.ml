@@ -11,19 +11,20 @@ let size g = g.size
 let check g v =
   if v < 0 || v >= g.size then invalid_arg "Graph: vertex out of range"
 
-let add_edge g u v =
-  check g u;
-  check g v;
-  if u = v then g
-  else begin
-    let adj = Array.copy g.adj in
-    adj.(u) <- Iset.add v adj.(u);
-    adj.(v) <- Iset.add u adj.(v);
-    { g with adj }
-  end
-
 let of_edges ~size edges =
-  List.fold_left (fun g (u, v) -> add_edge g u v) (create size) edges
+  let g = create size in
+  List.iter
+    (fun (u, v) ->
+      check g u;
+      check g v;
+      if u <> v then begin
+        g.adj.(u) <- Iset.add v g.adj.(u);
+        g.adj.(v) <- Iset.add u g.adj.(v)
+      end)
+    edges;
+  g
+
+let adjacency g = Array.sub g.adj 0 g.size
 
 let mem_edge g u v =
   check g u;
@@ -48,34 +49,12 @@ let edges g =
   done;
   List.sort compare !acc
 
-let remove_vertex g v =
-  check g v;
-  let adj = Array.map (Iset.remove v) g.adj in
-  adj.(v) <- Iset.empty;
-  { g with adj }
-
-let eliminate_vertex g v =
-  check g v;
-  let nbrs = neighbors g v in
-  let g =
-    List.fold_left
-      (fun g u -> List.fold_left (fun g w -> if u < w then add_edge g u w else g) g nbrs)
-      g nbrs
-  in
-  remove_vertex g v
-
 let is_clique g vs =
   List.for_all (fun u -> List.for_all (fun v -> u = v || mem_edge g u v) vs) vs
 
 let complete n =
-  let g = create n in
-  let acc = ref g in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      acc := add_edge !acc u v
-    done
-  done;
-  !acc
+  of_edges ~size:n
+    (List.concat (List.init n (fun u -> List.init (n - u - 1) (fun i -> (u, u + i + 1)))))
 
 let components g =
   let seen = Array.make (max g.size 1) false in
@@ -101,12 +80,3 @@ let components g =
     end
   done;
   List.rev !comps
-
-let equal g h = g.size = h.size && Array.for_all2 Iset.equal g.adj h.adj
-
-let pp ppf g =
-  Format.fprintf ppf "graph(%d){%a}" g.size
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       (fun ppf (u, v) -> Format.fprintf ppf "%d-%d" u v))
-    (edges g)

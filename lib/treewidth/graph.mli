@@ -15,22 +15,17 @@ val edge_count : t -> int
 
 val mem_edge : t -> int -> int -> bool
 
-val add_edge : t -> int -> int -> t
-
 val neighbors : t -> int -> int list
 (** Sorted. *)
+
+val adjacency : t -> Set.Make(Int).t array
+(** A fresh array of the [size] neighbor sets, for callers that rewire
+    the graph in place (the elimination engine). *)
 
 val degree : t -> int -> int
 
 val edges : t -> (int * int) list
 (** Pairs [(u, v)] with [u < v], sorted. *)
-
-val remove_vertex : t -> int -> t
-(** Keeps the vertex numbering; the vertex just loses all its edges. *)
-
-val eliminate_vertex : t -> int -> t
-(** Remove the vertex and connect its neighbors into a clique (the
-    elimination step behind tree decompositions). *)
 
 val is_clique : t -> int list -> bool
 
@@ -38,7 +33,3 @@ val complete : int -> t
 
 val components : t -> int list list
 (** Connected components, each sorted. *)
-
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

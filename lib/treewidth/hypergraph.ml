@@ -123,7 +123,7 @@ let generalized_hypertree_width_upper a =
   if n = 0 then 0
   else begin
     let g = Graph.of_edges ~size:n (Structure.gaifman_edges a) in
-    let td = Elimination.decomposition g in
+    let td = Option.get (Elimination.decomposition g) in
     let edge_sets =
       List.rev
         (Structure.fold_tuples

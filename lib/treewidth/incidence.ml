@@ -10,7 +10,7 @@ let graph a =
   let n, edges = Structure.incidence_edges a in
   Graph.of_edges ~size:n edges
 
-let decomposition a = Elimination.decomposition (graph a)
+let decomposition a = Option.get (Elimination.decomposition (graph a))
 
 let treewidth_upper a = Tree_decomposition.width (decomposition a)
 

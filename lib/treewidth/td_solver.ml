@@ -2,9 +2,11 @@ open Relational
 
 type stats = { width : int; tables : int }
 
-let decompose a =
-  let g = Graph.of_edges ~size:(Structure.size a) (Structure.gaifman_edges a) in
-  Elimination.decomposition g
+let decompose ?cap a =
+  Elimination.decomposition ?cap
+    (Graph.of_edges ~size:(Structure.size a) (Structure.gaifman_edges a))
+
+let uncapped a = Option.get (decompose a)
 
 let solve_with_decomposition_stats ?budget td a b =
   Option.iter Budget.check budget;
@@ -16,12 +18,12 @@ let solve_with_decomposition_stats ?budget td a b =
 let solve_with_decomposition ?budget td a b =
   fst (solve_with_decomposition_stats ?budget td a b)
 
-let solve ?budget a b = solve_with_decomposition ?budget (decompose a) a b
+let solve ?budget a b = solve_with_decomposition ?budget (uncapped a) a b
 
 let exists a b = solve a b <> None
 
-let solve_with_stats ?budget a b = solve_with_decomposition_stats ?budget (decompose a) a b
+let solve_with_stats ?budget a b = solve_with_decomposition_stats ?budget (uncapped a) a b
 
 let count ?budget a b =
   Option.iter Budget.check budget;
-  Join_eval.count (Join_eval.of_decomposition ?budget (decompose a) a b)
+  Join_eval.count (Join_eval.of_decomposition ?budget (uncapped a) a b)

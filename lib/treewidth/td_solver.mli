@@ -15,8 +15,10 @@ open Relational
     enumerated bag assignment; on exhaustion they raise
     [Budget.Exhausted]. *)
 
-val decompose : Structure.t -> Tree_decomposition.t
-(** Min-fill decomposition of the Gaifman graph of a structure. *)
+val decompose : ?cap:int -> Structure.t -> Tree_decomposition.t option
+(** Min-fill decomposition of the Gaifman graph of a structure;
+    [None] exactly when [cap] is given and the width exceeds it (see
+    {!Elimination.decomposition}). *)
 
 val solve_with_decomposition :
   ?budget:Budget.t ->
@@ -29,7 +31,7 @@ val solve_with_decomposition :
     @raise Budget.Exhausted when [budget] runs out. *)
 
 val solve : ?budget:Budget.t -> Structure.t -> Structure.t -> Homomorphism.mapping option
-(** [solve_with_decomposition] over {!decompose}. *)
+(** [solve_with_decomposition] over the uncapped {!decompose}. *)
 
 val exists : Structure.t -> Structure.t -> bool
 

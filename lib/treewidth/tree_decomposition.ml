@@ -7,36 +7,6 @@ let node_count td = Array.length td.bags
 let width td =
   Array.fold_left (fun acc bag -> max acc (List.length bag - 1)) (-1) td.bags
 
-let of_elimination_order g order =
-  let n = Graph.size g in
-  if List.sort Int.compare order <> List.init n Fun.id then
-    invalid_arg "Tree_decomposition.of_elimination_order: not a permutation";
-  let pos = Array.make (max n 1) 0 in
-  List.iteri (fun i v -> pos.(v) <- i) order;
-  let bags = Array.make (max n 1) [] in
-  let current = ref g in
-  List.iter
-    (fun v ->
-      bags.(v) <- List.sort Int.compare (v :: Graph.neighbors !current v);
-      current := Graph.eliminate_vertex !current v)
-    order;
-  let order_array = Array.of_list order in
-  let edges = ref [] in
-  List.iter
-    (fun v ->
-      if pos.(v) < n - 1 then begin
-        let later = List.filter (fun u -> u <> v) bags.(v) in
-        let parent =
-          match later with
-          | [] -> order_array.(pos.(v) + 1)
-          | u :: rest ->
-            List.fold_left (fun best w -> if pos.(w) < pos.(best) then w else best) u rest
-        in
-        edges := (v, parent) :: !edges
-      end)
-    order;
-  { bags; tree_edges = List.rev !edges }
-
 let adjacency td =
   let adj = Array.make (max (node_count td) 1) [] in
   List.iter
@@ -70,38 +40,37 @@ let is_tree td =
      done;
      !count = n)
 
-let vertex_connected td ~vertices v =
-  (* Nodes whose bags contain v must induce a connected subtree. *)
-  let holding = List.filter (fun t -> List.mem v td.bags.(t)) vertices in
-  match holding with
-  | [] -> false
-  | start :: _ ->
-    let adj = adjacency td in
-    let in_holding t = List.mem t holding in
-    let seen = Hashtbl.create 16 in
-    let queue = Queue.create () in
-    Queue.add start queue;
-    Hashtbl.replace seen start ();
-    while not (Queue.is_empty queue) do
-      let t = Queue.pop queue in
-      List.iter
-        (fun u ->
-          if in_holding u && not (Hashtbl.mem seen u) then begin
-            Hashtbl.replace seen u ();
-            Queue.add u queue
-          end)
-        adj.(t)
-    done;
-    List.for_all (Hashtbl.mem seen) holding
-
+(* One pass over the bags instead of a search per vertex.  Once the tree
+   is a tree, the nodes holding a vertex induce a forest, which is
+   connected exactly when it has one edge fewer than nodes; an edge
+   counts for [v] when both of its ends hold [v].  A group is looked up
+   only among the nodes holding its least-held element. *)
 let validate_common ~size ~covers td =
-  let nodes = List.init (node_count td) Fun.id in
   is_tree td
-  && List.for_all (fun v -> vertex_connected td ~vertices:nodes v) (List.init size Fun.id)
-  && covers (fun group ->
-         List.exists
-           (fun t -> List.for_all (fun v -> List.mem v td.bags.(t)) group)
-           nodes)
+  &&
+  let bags =
+    Array.map
+      (fun bag -> List.sort_uniq Int.compare (List.filter (fun v -> v >= 0 && v < size) bag))
+      td.bags
+  in
+  let holders = Array.make size [] in
+  Array.iteri (fun t bag -> List.iter (fun v -> holders.(v) <- t :: holders.(v)) bag) bags;
+  let held = Array.map List.length holders in
+  let links = Array.make size 0 and mark = Array.make size (-1) in
+  List.iteri
+    (fun i (s, t) ->
+      List.iter (fun v -> mark.(v) <- i) bags.(s);
+      List.iter (fun v -> if mark.(v) = i then links.(v) <- links.(v) + 1) bags.(t))
+    td.tree_edges;
+  let rec connected v =
+    v = size || (held.(v) > 0 && links.(v) = held.(v) - 1 && connected (v + 1))
+  in
+  connected 0
+  && covers (function
+       | [] -> node_count td > 0
+       | v :: rest as group ->
+         let v = List.fold_left (fun v u -> if held.(u) < held.(v) then u else v) v rest in
+         List.exists (fun t -> List.for_all (fun u -> List.mem u bags.(t)) group) holders.(v))
 
 let validate_graph g td =
   validate_common ~size:(Graph.size g) td ~covers:(fun has_bag ->

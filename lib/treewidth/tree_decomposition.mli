@@ -14,12 +14,6 @@ val node_count : t -> int
 val width : t -> int
 (** Max bag size minus one; [-1] for the empty decomposition. *)
 
-val of_elimination_order : Graph.t -> int list -> t
-(** The standard decomposition induced by an elimination order: the bag of
-    [v] is [v] plus its neighborhood in the fill-in graph at elimination
-    time.  @raise Invalid_argument if the order is not a permutation of the
-    vertices. *)
-
 val validate_graph : Graph.t -> t -> bool
 (** All three conditions, plus the tree actually being a tree. *)
 

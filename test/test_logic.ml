@@ -124,7 +124,7 @@ let translate_tests =
     qtest ~count:100 "width bound of Lemma 5.2"
       (arbitrary_structure ~max_size:5 ~max_tuples:5 ())
       (fun a ->
-        let td = Treewidth.Td_solver.decompose a in
+        let td = Option.get (Treewidth.Td_solver.decompose a) in
         let f = Translate.sentence_of_structure ~decomposition:td a in
         Formula.is_existential_positive f
         && Formula.width f <= Treewidth.Tree_decomposition.width td + 1);

@@ -35,11 +35,6 @@ let graph_tests =
         check "not mem" false (Graph.mem_edge g 0 2));
     Alcotest.test_case "self-loops ignored" `Quick (fun () ->
         check_int "none" 0 (Graph.edge_count (Graph.of_edges ~size:2 [ (1, 1) ])));
-    Alcotest.test_case "eliminate_vertex fills neighborhood" `Quick (fun () ->
-        let g = path_graph 3 in
-        let g' = Graph.eliminate_vertex g 1 in
-        check "fill edge" true (Graph.mem_edge g' 0 2);
-        check_int "vertex gone" 0 (Graph.degree g' 1));
     Alcotest.test_case "components" `Quick (fun () ->
         let g = Graph.of_edges ~size:5 [ (0, 1); (3, 4) ] in
         Alcotest.(check (list (list int)))
@@ -52,6 +47,107 @@ let graph_tests =
 (* ------------------------------------------------------------------ *)
 (* Treewidth                                                            *)
 (* ------------------------------------------------------------------ *)
+
+let decompose = Elimination.decomposition
+
+let width ?heuristic g = Tree_decomposition.width (Option.get (decompose ?heuristic g))
+
+let gaifman s = Graph.of_edges ~size:(Structure.size s) (Structure.gaifman_edges s)
+
+(* The three conditions of a tree decomposition read straight off the
+   definition, against which the linear-time check is compared. *)
+let valid_by_definition g (td : Tree_decomposition.t) =
+  let nodes = Tree_decomposition.node_count td in
+  let adj = Tree_decomposition.adjacency td in
+  let holds v t = List.mem v td.bags.(t) in
+  let reached start inside =
+    let seen = Array.make nodes false in
+    let rec visit t =
+      if inside t && not seen.(t) then begin
+        seen.(t) <- true;
+        List.iter visit adj.(t)
+      end
+    in
+    visit start;
+    seen
+  in
+  let all_nodes = List.init nodes Fun.id in
+  let is_tree =
+    List.length td.tree_edges = nodes - 1
+    && (nodes = 0 || Array.for_all Fun.id (reached 0 (fun _ -> true)))
+  in
+  let connected v =
+    match List.filter (holds v) all_nodes with
+    | [] -> false
+    | start :: _ as holding ->
+      let seen = reached start (holds v) in
+      List.for_all (fun t -> seen.(t)) holding
+  in
+  is_tree
+  && List.for_all connected (List.init (Graph.size g) Fun.id)
+  && List.for_all
+       (fun (u, v) -> List.exists (fun t -> holds u t && holds v t) all_nodes)
+       (Graph.edges g)
+
+let small_graph =
+  QCheck.Gen.(
+    let* size = 1 -- 8 in
+    let+ edges = list_size (0 -- 14) (pair (0 -- (size - 1)) (0 -- (size - 1))) in
+    Graph.of_edges ~size edges)
+
+(* A decomposition from the engine, or a copy with one bag entry dropped
+   or moved to another node. *)
+let arbitrary_decomposition =
+  QCheck.make
+    ~print:(fun (g, td) ->
+      Format.asprintf "%a@.%a" Fmt.(list (pair int int)) (Graph.edges g)
+        Tree_decomposition.pp td)
+    QCheck.Gen.(
+      let* g = small_graph in
+      let* heuristic = oneofl [ `Min_fill; `Min_degree ] in
+      let td = Option.get (decompose ~heuristic g) in
+      let bags = Array.copy td.Tree_decomposition.bags in
+      let nodes = Array.length bags in
+      let* mutation = 0 -- 2 and* t = 0 -- (nodes - 1) and* t' = 0 -- (nodes - 1) in
+      let* i = 0 -- max 0 (List.length bags.(t) - 1) in
+      (match (mutation, List.nth_opt bags.(t) i) with
+      | 0, _ | _, None -> ()
+      | _, Some v ->
+        bags.(t) <- List.filteri (fun j _ -> j <> i) bags.(t);
+        if mutation = 2 then bags.(t') <- List.sort Int.compare (v :: bags.(t')));
+      return (g, { td with bags }))
+
+(* Seeded G(n, p) graphs and partial k-trees, n <= 40 and k <= 4. *)
+let arbitrary_seeded_graph =
+  QCheck.make
+    ~print:(fun (name, _) -> name)
+    QCheck.Gen.(
+      let* seed = 0 -- 100_000 and* k = 1 -- 4 in
+      let* n = (k + 1) -- 40 in
+      let* pick = bool in
+      if pick then
+        let+ p = float_range 0.05 0.5 in
+        ( Printf.sprintf "G(%d, %.3f) seed %d" n p seed,
+          gaifman (Core.Workloads.erdos_renyi ~seed ~n ~p) )
+      else
+        let+ keep = float_range 0.5 1.0 in
+        ( Printf.sprintf "partial %d-tree n=%d keep %.3f seed %d" k n keep seed,
+          gaifman (Core.Workloads.random_partial_ktree ~seed ~n ~k ~keep) ))
+
+let pinned name g ~bags ~tree =
+  Alcotest.test_case name `Quick (fun () ->
+      let td = Option.get (decompose g) in
+      Alcotest.(check (array (list int))) "bags" bags td.Tree_decomposition.bags;
+      Alcotest.(check (list (pair int int))) "tree" tree td.tree_edges)
+
+(* A partial 3-tree (seed 54, n = 14, keep 0.85) of treewidth 3 on which
+   min-fill reaches width 4. *)
+let min_fill_overshoot =
+  Graph.of_edges ~size:14
+    [ (0, 1); (0, 2); (0, 3); (0, 5); (0, 6); (0, 9); (0, 10); (0, 11); (1, 2); (1, 4);
+      (1, 7); (1, 9); (1, 11); (1, 12); (2, 3); (2, 4); (2, 5); (2, 6); (2, 13); (3, 4);
+      (3, 6); (3, 8); (3, 12); (5, 7); (5, 9); (5, 10); (6, 8); (6, 13); (7, 10);
+      (11, 12) ]
 
 let treewidth_tests =
   [
@@ -66,47 +162,72 @@ let treewidth_tests =
         List.iter
           (fun g ->
             let exact = Elimination.treewidth_exact g in
-            check "min-degree >= exact" true
-              (Elimination.width_of_order g (Elimination.min_degree_order g) >= exact);
-            check "min-fill >= exact" true
-              (Elimination.width_of_order g (Elimination.min_fill_order g) >= exact))
+            check "min-degree >= exact" true (width ~heuristic:`Min_degree g >= exact);
+            check "min-fill >= exact" true (width ~heuristic:`Min_fill g >= exact))
           [ path_graph 5; cycle_graph 7; grid_graph 3 3; Graph.complete 4 ]);
     Alcotest.test_case "heuristics are exact on simple families" `Quick (fun () ->
-        check_int "cycle via min-fill" 2
-          (Elimination.width_of_order (cycle_graph 8)
-             (Elimination.min_fill_order (cycle_graph 8)));
-        check_int "path via min-degree" 1
-          (Elimination.width_of_order (path_graph 8)
-             (Elimination.min_degree_order (path_graph 8))));
+        check_int "cycle via min-fill" 2 (width ~heuristic:`Min_fill (cycle_graph 8));
+        check_int "path via min-degree" 1 (width ~heuristic:`Min_degree (path_graph 8)));
     Alcotest.test_case "decomposition validates" `Quick (fun () ->
         List.iter
           (fun g ->
-            let td = Elimination.decomposition g in
+            let td = Option.get (decompose g) in
             check "valid" true (Tree_decomposition.validate_graph g td))
           [ path_graph 6; cycle_graph 5; grid_graph 2 3; Graph.complete 4; Graph.create 3 ]);
-    Alcotest.test_case "bad order rejected" `Quick (fun () ->
-        check "raises" true
-          (try
-             ignore (Tree_decomposition.of_elimination_order (path_graph 3) [ 0; 1 ]);
-             false
-           with Invalid_argument _ -> true));
-    Alcotest.test_case "decomposition width equals order width" `Quick (fun () ->
-        let g = grid_graph 2 4 in
-        let order = Elimination.min_fill_order g in
-        check_int "match"
-          (Elimination.width_of_order g order)
-          (Tree_decomposition.width (Tree_decomposition.of_elimination_order g order)));
+    Alcotest.test_case "bags hold the fill-in neighborhood" `Quick (fun () ->
+        (* C4: eliminating 0 joins 1 and 3, so the fill edge 1-3 lies in
+           the bag of 1. *)
+        let td = Option.get (decompose (cycle_graph 4)) in
+        Alcotest.(check (array (list int)))
+          "bags" [| [ 0; 1; 3 ]; [ 1; 2; 3 ]; [ 2; 3 ]; [ 3 ] |] td.bags);
+    pinned "min-fill bags of the 3x3 grid" (grid_graph 3 3)
+      ~bags:
+        [| [ 0; 1; 3 ]; [ 1; 3; 4; 5 ]; [ 1; 2; 5 ]; [ 3; 4; 5; 7 ]; [ 4; 5; 7 ]; [ 5; 7; 8 ];
+           [ 3; 6; 7 ]; [ 7; 8 ]; [ 8 ] |]
+      ~tree:[ (0, 1); (2, 1); (1, 3); (6, 3); (3, 4); (4, 5); (5, 7); (7, 8) ];
+    pinned "min-fill bags of C8" (cycle_graph 8)
+      ~bags:
+        [| [ 0; 1; 7 ]; [ 1; 2; 7 ]; [ 2; 3; 7 ]; [ 3; 4; 7 ]; [ 4; 5; 7 ]; [ 5; 6; 7 ];
+           [ 6; 7 ]; [ 7 ] |]
+      ~tree:[ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 6); (6, 7) ];
+    pinned "min-fill bags of a width-4 partial 3-tree" min_fill_overshoot
+      ~bags:
+        [| [ 0; 1; 3; 11 ]; [ 1; 3; 11; 12 ]; [ 0; 1; 2; 3; 5 ]; [ 3; 11; 12 ]; [ 1; 2; 3; 4 ];
+           [ 0; 1; 3; 5 ]; [ 0; 2; 3; 6 ]; [ 1; 5; 7; 10 ]; [ 3; 6; 8 ]; [ 0; 1; 5; 9 ];
+           [ 0; 1; 5; 10 ]; [ 11; 12 ]; [ 12 ]; [ 2; 6; 13 ] |]
+      ~tree:
+        [ (8, 6); (13, 6); (6, 2); (4, 2); (9, 5); (2, 5); (7, 10); (10, 5); (5, 0); (0, 1);
+          (1, 3); (3, 11); (11, 12) ];
+    Alcotest.test_case "the cap declines past the min-fill width" `Quick (fun () ->
+        check_int "treewidth 3" 3 (Elimination.treewidth_exact min_fill_overshoot);
+        check "declined at 3" true (decompose ~cap:3 min_fill_overshoot = None);
+        check "kept at 4" true (decompose ~cap:4 min_fill_overshoot = decompose min_fill_overshoot));
+    qtest ~count:300 "capped decomposition is exact" arbitrary_seeded_graph (fun (_, g) ->
+        List.for_all
+          (fun heuristic ->
+            let full = Option.get (decompose ~heuristic g) in
+            let w = Tree_decomposition.width full in
+            Tree_decomposition.validate_graph g full
+            && (Graph.size g > 14 || w >= Elimination.treewidth_exact g)
+            && List.for_all
+                 (fun cap ->
+                   match decompose ~heuristic ~cap g with
+                   | None -> w > cap
+                   | Some td -> w <= cap && td = full)
+                 (List.init 8 (fun i -> w - 4 + i)))
+          [ `Min_fill; `Min_degree ]);
     qtest ~count:100 "random decompositions are valid"
-      (QCheck.make
-         QCheck.Gen.(
-           let* size = 1 -- 7 in
-           let+ edges = list_size (0 -- 10) (pair (0 -- (size - 1)) (0 -- (size - 1))) in
-           Graph.of_edges ~size edges))
+      (QCheck.make small_graph)
       (fun g ->
-        Tree_decomposition.validate_graph g
-          (Elimination.decomposition ~heuristic:`Min_degree g)
-        && Tree_decomposition.validate_graph g
-             (Elimination.decomposition ~heuristic:`Min_fill g));
+        Tree_decomposition.validate_graph g (Option.get (decompose ~heuristic:`Min_degree g))
+        && Tree_decomposition.validate_graph g (Option.get (decompose ~heuristic:`Min_fill g)));
+    qtest ~count:500 "validation matches the definition" arbitrary_decomposition
+      (fun (g, td) -> Tree_decomposition.validate_graph g td = valid_by_definition g td);
+    Alcotest.test_case "G(1200, 3000) is declined at cap 3" `Quick (fun () ->
+        let g1200 =
+          Structure_text.parse (In_channel.with_open_text "cli/g1200.st" In_channel.input_all)
+        in
+        check "declined" true (Td_solver.decompose ~cap:3 g1200 = None));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -127,7 +248,7 @@ let td_solver_tests =
         let s =
           Structure.of_relations v ~size:4 [ ("T", [ [| 0; 1; 2 |]; [| 1; 2; 3 |] ]) ]
         in
-        let td = Td_solver.decompose s in
+        let td = Option.get (Td_solver.decompose s) in
         check "valid" true (Tree_decomposition.validate_structure s td);
         check_int "width 2 (3-cliques in Gaifman graph)" 2 (Tree_decomposition.width td));
     Alcotest.test_case "stats report width" `Quick (fun () ->
@@ -311,8 +432,7 @@ let ghw_tests =
     qtest ~count:100 "bounded by treewidth + 1"
       (arbitrary_structure ~max_size:5 ~max_tuples:5 ())
       (fun a ->
-        let g = Graph.of_edges ~size:(Structure.size a) (Structure.gaifman_edges a) in
-        let td = Elimination.decomposition g in
+        let td = Option.get (decompose (gaifman a)) in
         Hypergraph.generalized_hypertree_width_upper a
         <= Tree_decomposition.width td + 1
         || Structure.size a = 0);
