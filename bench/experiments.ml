@@ -159,7 +159,7 @@ let e3_case label target sizes =
   List.iter
     (fun tuples ->
       let a =
-        Core.Workloads.random_structure ~seed:(tuples * 7) vocab
+        Testkit.Workloads.random_structure ~seed:(tuples * 7) vocab
           ~size:(max 4 (tuples / 4)) ~tuples
       in
       let r1, t_formula = Util.time (fun () -> Schaefer.Uniform.solve a target) in
@@ -207,8 +207,8 @@ let e4 () =
   let rows = ref [] in
   List.iter
     (fun n ->
-      let a = Core.Workloads.random_structure ~seed:n vocab ~size:20 ~tuples:200 in
-      let b = Core.Workloads.random_structure ~seed:(n + 1) vocab ~size:n ~tuples:(n * n / 2) in
+      let a = Testkit.Workloads.random_structure ~seed:n vocab ~size:20 ~tuples:200 in
+      let b = Testkit.Workloads.random_structure ~seed:(n + 1) vocab ~size:n ~tuples:(n * n / 2) in
       let (ab, bb), t = Util.time (fun () -> Schaefer.Booleanize.encode_pair a b) in
       let bits = Schaefer.Booleanize.bits_needed n in
       assert (Homomorphism.exists a b = Homomorphism.exists ab bb);
@@ -238,14 +238,14 @@ let e5 () =
   List.iter
     (fun predicates ->
       let q1 =
-        Core.Workloads.random_two_atom_query ~seed:predicates ~predicates ~arity:2
+        Testkit.Workloads.random_two_atom_query ~seed:predicates ~predicates ~arity:2
           ~variables:(predicates * 2)
       in
       let preds =
         List.init predicates (fun i -> (Printf.sprintf "P%d" i, 2))
       in
       let q2 =
-        Core.Workloads.random_query ~seed:(predicates * 3) ~predicates:preds
+        Testkit.Workloads.random_query ~seed:(predicates * 3) ~predicates:preds
           ~variables:4 ~atoms:6
       in
       let r_fast, t_fast = Util.time (fun () -> Cq.Containment.contained_two_atom q1 q2) in
@@ -278,17 +278,17 @@ let e6 () =
   let rows = ref [] in
   List.iter
     (fun n ->
-      let g = Core.Workloads.undirected_cycle n in
+      let g = Testkit.Workloads.undirected_cycle n in
       let answer, t =
         Util.time (fun () ->
-            match Schaefer.Booleanize.solve g Core.Workloads.k2 with
+            match Schaefer.Booleanize.solve g Testkit.Workloads.k2 with
             | Schaefer.Booleanize.Hom _ -> true
             | Schaefer.Booleanize.No_hom -> false
             | Schaefer.Booleanize.Not_schaefer _ -> assert false)
       in
       assert (answer = (n mod 2 = 0));
-      let c = Core.Workloads.directed_cycle n in
-      let c4 = Core.Workloads.directed_cycle 4 in
+      let c = Testkit.Workloads.directed_cycle n in
+      let c4 = Testkit.Workloads.directed_cycle 4 in
       let answer4, t4 =
         Util.time (fun () ->
             match Schaefer.Booleanize.solve c c4 with
@@ -323,10 +323,10 @@ let e7 () =
   let rows = ref [] and series2 = ref [] in
   List.iter
     (fun n ->
-      let g = Core.Workloads.undirected_cycle n in
+      let g = Testkit.Workloads.undirected_cycle n in
       let { Pebble.Game.family; stats; _ }, t =
         Util.time ~repeat:1 (fun () ->
-            Option.get (Pebble.Game.run ~k:2 g Core.Workloads.k2))
+            Option.get (Pebble.Game.run ~k:2 g Testkit.Workloads.k2))
       in
       let wins = Pebble.Game.mem family [] in
       assert wins;
@@ -338,10 +338,10 @@ let e7 () =
     [ 8; 16; 32; 64 ];
   List.iter
     (fun n ->
-      let g = Core.Workloads.undirected_cycle n in
+      let g = Testkit.Workloads.undirected_cycle n in
       let { Pebble.Game.family; stats; _ }, t =
         Util.time ~repeat:1 (fun () ->
-            Option.get (Pebble.Game.run ~k:3 g Core.Workloads.k2))
+            Option.get (Pebble.Game.run ~k:3 g Testkit.Workloads.k2))
       in
       let wins = Pebble.Game.mem family [] in
       (* 3 pebbles decide 2-colorability exactly (Theorem 4.8 for K2). *)
@@ -365,8 +365,8 @@ let e7 () =
 let e8 () =
   Util.header "E8  rho_B: the game as a k-Datalog program (Theorem 4.7(2))";
   let rows = ref [] in
-  let program2 = Datalog.Rho.build Core.Workloads.k2 ~k:2 in
-  let program3 = Datalog.Rho.build Core.Workloads.k2 ~k:3 in
+  let program2 = Datalog.Rho.build Testkit.Workloads.k2 ~k:2 in
+  let program3 = Datalog.Rho.build Testkit.Workloads.k2 ~k:3 in
   Util.note "rho_K2 with k=2: %d rules (width %d); with k=3: %d rules (width %d)"
     (List.length program2.Datalog.Program.rules)
     (Datalog.Program.width program2)
@@ -374,12 +374,12 @@ let e8 () =
     (Datalog.Program.width program3);
   List.iter
     (fun n ->
-      let g = Core.Workloads.undirected_cycle n in
+      let g = Testkit.Workloads.undirected_cycle n in
       let datalog_answer, t_datalog =
         Util.time ~repeat:1 (fun () -> Datalog.Eval.goal_holds program3 g)
       in
       let game_answer, t_game =
-        Util.time ~repeat:1 (fun () -> Pebble.Game.spoiler_wins ~k:3 g Core.Workloads.k2)
+        Util.time ~repeat:1 (fun () -> Pebble.Game.spoiler_wins ~k:3 g Testkit.Workloads.k2)
       in
       assert (datalog_answer = game_answer);
       assert (game_answer = (n mod 2 = 1));
@@ -395,7 +395,7 @@ let e8 () =
   let rows = ref [] in
   List.iter
     (fun n ->
-      let g = Core.Workloads.undirected_cycle n in
+      let g = Testkit.Workloads.undirected_cycle n in
       let a1, t_naive =
         Util.time ~repeat:1 (fun () ->
             Datalog.Eval.goal_holds ~strategy:Datalog.Eval.Naive
@@ -427,8 +427,8 @@ let e9 () =
     (fun k ->
       List.iter
         (fun n ->
-          let a = Core.Workloads.random_partial_ktree ~seed:(n + k) ~n ~k ~keep:0.9 in
-          let b = Core.Workloads.clique (k + 1) in
+          let a = Testkit.Workloads.random_partial_ktree ~seed:(n + k) ~n ~k ~keep:0.9 in
+          let b = Testkit.Workloads.clique (k + 1) in
           let dp, t_dp =
             Util.time ~repeat:1 (fun () -> Treewidth.Td_solver.solve_with_stats a b)
           in
@@ -462,9 +462,9 @@ let e9 () =
   let rows = ref [] in
   List.iter
     (fun len ->
-      let q2 = Core.Workloads.chain_query len in
+      let q2 = Testkit.Workloads.chain_query len in
       let q1 =
-        Core.Workloads.random_query ~seed:len ~predicates:[ ("E", 2) ]
+        Testkit.Workloads.random_query ~seed:len ~predicates:[ ("E", 2) ]
           ~variables:(len / 2) ~atoms:len
       in
       let d1, _ = Cq.Canonical.database q1 in
@@ -489,7 +489,7 @@ let e10 () =
   let rows = ref [] and series = ref [] in
   List.iter
     (fun m ->
-      let a = Core.Workloads.clique (m + 1) and b = Core.Workloads.clique m in
+      let a = Testkit.Workloads.clique (m + 1) and b = Testkit.Workloads.clique m in
       let (answer, stats), t =
         Util.time ~repeat:1 (fun () -> Homomorphism.find_with_stats a b)
       in
@@ -524,9 +524,9 @@ let e10 () =
   in
   List.iter
     (fun vars ->
-      let b = Core.Workloads.one_in_three_target in
+      let b = Testkit.Workloads.one_in_three_target in
       let a =
-        Core.Workloads.random_structure ~seed:vars (Structure.vocabulary b) ~size:vars
+        Testkit.Workloads.random_structure ~seed:vars (Structure.vocabulary b) ~size:vars
           ~tuples:(vars * 2)
       in
       let r_brute, t_brute = Util.time ~repeat:1 (fun () -> brute a b) in
@@ -552,17 +552,17 @@ let e10 () =
 let e11 () =
   Util.header "E11 One query, three renderings: game, k-Datalog, LFP (Thm 4.7)";
   let rows = ref [] in
-  let rho2 = Datalog.Rho.build Core.Workloads.k2 ~k:2 in
+  let rho2 = Datalog.Rho.build Testkit.Workloads.k2 ~k:2 in
   List.iter
     (fun n ->
-      let g = Core.Workloads.undirected_cycle n in
+      let g = Testkit.Workloads.undirected_cycle n in
       let a1, t_game =
-        Util.time ~repeat:1 (fun () -> Pebble.Game.spoiler_wins ~k:2 g Core.Workloads.k2)
+        Util.time ~repeat:1 (fun () -> Pebble.Game.spoiler_wins ~k:2 g Testkit.Workloads.k2)
       in
       let a2, t_rho = Util.time ~repeat:1 (fun () -> Datalog.Eval.goal_holds rho2 g) in
       let a3, t_lfp =
         Util.time ~repeat:1 (fun () ->
-            Folog.Game_sentence.spoiler_wins ~k:2 g Core.Workloads.k2)
+            Folog.Game_sentence.spoiler_wins ~k:2 g Testkit.Workloads.k2)
       in
       assert (a1 = a2 && a2 = a3);
       rows := [ int n; string_of_bool a1; f2s t_game; f2s t_rho; f2s t_lfp ] :: !rows)
@@ -586,8 +586,8 @@ let e12 () =
   let rows = ref [] and dp_series = ref [] and enum_series = ref [] in
   List.iter
     (fun n ->
-      let a = Core.Workloads.path n in
-      let b = Core.Workloads.clique 3 in
+      let a = Testkit.Workloads.path n in
+      let b = Testkit.Workloads.clique 3 in
       let count_dp, t_dp = Util.time ~repeat:1 (fun () -> Treewidth.Td_solver.count a b) in
       let count_enum, t_enum = Util.time ~repeat:1 (fun () -> Homomorphism.count a b) in
       assert (count_dp = count_enum);
@@ -625,7 +625,7 @@ let e13 () =
     (fun arity ->
       let a = wide_chain ~arity ~facts:6 in
       let vocab = Structure.vocabulary a in
-      let b = Core.Workloads.random_structure ~seed:arity vocab ~size:3 ~tuples:9 in
+      let b = Testkit.Workloads.random_structure ~seed:arity vocab ~size:3 ~tuples:9 in
       let gaifman_w =
         (snd (Treewidth.Td_solver.solve_with_stats a b)).Treewidth.Td_solver.width
       in
@@ -717,7 +717,7 @@ let ablations () =
   let rows = ref [] in
   List.iter
     (fun (seed, n, k) ->
-      let s = Core.Workloads.random_partial_ktree ~seed ~n ~k ~keep:0.85 in
+      let s = Testkit.Workloads.random_partial_ktree ~seed ~n ~k ~keep:0.85 in
       let g =
         Treewidth.Graph.of_edges ~size:(Structure.size s) (Structure.gaifman_edges s)
       in
@@ -737,7 +737,7 @@ let ablations () =
   let rows = ref [] in
   List.iter
     (fun m ->
-      let a = Core.Workloads.clique (m + 1) and b = Core.Workloads.clique m in
+      let a = Testkit.Workloads.clique (m + 1) and b = Testkit.Workloads.clique m in
       let (r_mrv, s_mrv), t_mrv =
         Util.time ~repeat:1 (fun () -> Homomorphism.find_with_stats ~ordering:`Mrv a b)
       in
@@ -767,8 +767,8 @@ let e14 () =
   let rows = ref [] in
   List.iter
     (fun len ->
-      let query = Core.Workloads.chain_query len in
-      let db = Core.Workloads.erdos_renyi ~seed:len ~n:40 ~p:0.07 in
+      let query = Testkit.Workloads.chain_query len in
+      let db = Testkit.Workloads.erdos_renyi ~seed:len ~n:40 ~p:0.07 in
       let a_alg, t_alg =
         Util.time ~repeat:1 (fun () -> Cq.Algebra.evaluate_query query db)
       in
@@ -900,16 +900,16 @@ let certify () =
       (let a, b = affine_pairs 120 in
        ("schaefer-direct", a, b, fun () ->
            ignore (Schaefer.Uniform.solve_direct a b)));
-      (let a = Core.Workloads.undirected_cycle 401 and b = Core.Workloads.k2 in
+      (let a = Testkit.Workloads.undirected_cycle 401 and b = Testkit.Workloads.k2 in
        ("schaefer-direct", a, b, fun () ->
            ignore (Schaefer.Uniform.solve_direct a b)));
-      (let a = Core.Workloads.undirected_cycle 401
-       and b = Core.Workloads.complete_bipartite 2 2 in
+      (let a = Testkit.Workloads.undirected_cycle 401
+       and b = Testkit.Workloads.complete_bipartite 2 2 in
        ("hell-nesetril", a, b, fun () -> ignore (Core.Graph_dichotomy.solve a b)));
-      (let a = Core.Workloads.directed_cycle 402
-       and b = Core.Workloads.directed_cycle 4 in
+      (let a = Testkit.Workloads.directed_cycle 402
+       and b = Testkit.Workloads.directed_cycle 4 in
        ("booleanized", a, b, fun () -> ignore (Schaefer.Booleanize.solve a b)));
-      (let a = Core.Workloads.path 200 and b = Core.Workloads.path 50 in
+      (let a = Testkit.Workloads.path 200 and b = Testkit.Workloads.path 50 in
        ("acyclic-yannakakis", a, b, fun () ->
            ignore (Treewidth.Hypergraph.solve_acyclic a b)));
       (let a = marked_cycle 60 and b = marked_triangle in
@@ -917,7 +917,7 @@ let certify () =
       (let a = marked_clique 5 and b = marked_triangle in
        ("2-consistency", a, b, fun () ->
            ignore (Pebble.Game.spoiler_wins ~k:2 a b)));
-      (let a = Core.Workloads.clique 5 and b = Core.Workloads.undirected_cycle 7 in
+      (let a = Testkit.Workloads.clique 5 and b = Testkit.Workloads.undirected_cycle 7 in
        ("backtracking", a, b, fun () -> ignore (Homomorphism.decide a b)));
     ]
   in
@@ -953,7 +953,7 @@ let certify () =
         :: !entries)
     cases;
   (* The positive side: a witness is its own certificate. *)
-  let a = Core.Workloads.path 120 and b = Core.Workloads.clique 3 in
+  let a = Testkit.Workloads.path 120 and b = Testkit.Workloads.clique 3 in
   let r, t_solve = Util.time ~repeat:1 (fun () -> Core.Solver.solve a b) in
   (match r.Core.Solver.verdict with
   | Core.Solver.Sat h ->
@@ -1045,9 +1045,9 @@ let perf_guard ~experiment metrics =
    per wave over ~s waves -- so the naive engine re-scans the whole target
    relation Theta(s) times per atom, while AC-4 pays each support exactly
    once. *)
-let dense_floor s = Structure.add_tuple (Core.Workloads.staircase_dag s) "E" [| 0; 0 |]
+let dense_floor s = Structure.add_tuple (Testkit.Workloads.staircase_dag s) "E" [| 0; 0 |]
 
-let sparse_floor s = Structure.add_tuple (Core.Workloads.path s) "E" [| 0; 0 |]
+let sparse_floor s = Structure.add_tuple (Testkit.Workloads.path s) "E" [| 0; 0 |]
 
 (* BENCH_perf.json accumulates rows from both E16 and E17, keyed by
    (family, k, size): merging replaces rows whose key matches an incoming
@@ -1162,12 +1162,12 @@ let e16 () =
   in
   (* Family 1: dense target (s(s-1)/2 + 1 tuples). *)
   let dense =
-    measure "dense-floor" (fun s -> Core.Workloads.path (2 * s)) dense_floor
+    measure "dense-floor" (fun s -> Testkit.Workloads.path (2 * s)) dense_floor
       [ 16; 24; 32; 48; 64; 96 ]
   in
   (* Family 2: sparse target (||B|| linear in s), same cascade shape. *)
   let sparse =
-    measure "sparse-floor" (fun s -> Core.Workloads.path (4 * s)) sparse_floor
+    measure "sparse-floor" (fun s -> Testkit.Workloads.path (4 * s)) sparse_floor
       [ 32; 64; 128 ]
   in
   Util.table
@@ -1197,8 +1197,8 @@ let e16 () =
   let yk_series =
     List.map
       (fun s ->
-        let a = Core.Workloads.path s in
-        let b = Core.Workloads.staircase_dag s in
+        let a = Testkit.Workloads.path s in
+        let b = Testkit.Workloads.staircase_dag s in
         let h, t = Util.time ~repeat:3 (fun () -> Treewidth.Hypergraph.solve_acyclic a b) in
         (match h with
         | Some h -> assert (Homomorphism.is_homomorphism a b h)
@@ -1320,7 +1320,7 @@ let e17 () =
      reached wave by wave and both engines do their worst-case pruning. *)
   let cascade =
     measure "cascade-k2" ~k:2
-      (fun s -> Core.Workloads.path (2 * s))
+      (fun s -> Testkit.Workloads.path (2 * s))
       dense_floor [ 4; 6; 8; 10; 12 ]
   in
   (* Family 2 (k=3): odd cycles vs K2 — the Spoiler wins (no 2-colouring),
@@ -1328,8 +1328,8 @@ let e17 () =
      configuration. *)
   let odd =
     measure "odd-cycle-k3" ~k:3
-      (fun s -> Core.Workloads.undirected_cycle ((2 * s) + 1))
-      (fun _ -> Core.Workloads.k2)
+      (fun s -> Testkit.Workloads.undirected_cycle ((2 * s) + 1))
+      (fun _ -> Testkit.Workloads.k2)
       [ 2; 3; 4; 5 ]
   in
   Util.table
@@ -1392,7 +1392,7 @@ let e17 () =
   let tc_results =
     List.map
       (fun n ->
-        let a = Core.Workloads.path n in
+        let a = Testkit.Workloads.path n in
         let (_, stats), t =
           Util.time ~repeat:3 (fun () ->
               Datalog.Eval.fixpoint_with_stats tc_program a)
@@ -1458,22 +1458,22 @@ let e18 () =
       ]
   in
   let workload () =
-    let r1 = Core.Solver.solve (Core.Workloads.path 48) (dense_floor 24) in
+    let r1 = Core.Solver.solve (Testkit.Workloads.path 48) (dense_floor 24) in
     let family =
       Pebble.Game.configs
         (Option.get
-           (Pebble.Game.run ~k:3 (Core.Workloads.undirected_cycle 9) Core.Workloads.k2))
+           (Pebble.Game.run ~k:3 (Testkit.Workloads.undirected_cycle 9) Testkit.Workloads.k2))
           .family
     in
     let arc =
       let ctx =
-        Arc_consistency.create (Core.Workloads.path 96)
+        Arc_consistency.create (Testkit.Workloads.path 96)
           (dense_floor 32)
       in
       Arc_consistency.establish ctx
     in
     let _, stats =
-      Datalog.Eval.fixpoint_with_stats tc_program (Core.Workloads.path 64)
+      Datalog.Eval.fixpoint_with_stats tc_program (Testkit.Workloads.path 64)
     in
     ( Core.Solver.verdict_name r1.Core.Solver.verdict,
       List.map
@@ -1606,7 +1606,7 @@ let blown_cycle m copies =
       done
     done
   done;
-  Structure.of_relations Core.Workloads.graph_vocab ~size:(m * cls)
+  Structure.of_relations Testkit.Workloads.graph_vocab ~size:(m * cls)
     [ ("E", !edges) ]
 
 (* A random bipartite graph: each of the [n] vertices draws a side, and
@@ -1621,7 +1621,7 @@ let bipartite_gnp ~seed n p =
         edges := [| u; v |] :: [| v; u |] :: !edges
     done
   done;
-  Structure.of_relations Core.Workloads.graph_vocab ~size:n [ ("E", !edges) ]
+  Structure.of_relations Testkit.Workloads.graph_vocab ~size:n [ ("E", !edges) ]
 
 (* A random tree: vertex [i > 0] hangs off a uniform earlier vertex. *)
 let random_tree ~seed n =
@@ -1633,13 +1633,13 @@ let random_tree ~seed n =
         [ [| i; p |]; [| p; i |] ])
       (List.init (n - 1) (fun i -> i + 1))
   in
-  Structure.of_relations Core.Workloads.graph_vocab ~size:n [ ("E", edges) ]
+  Structure.of_relations Testkit.Workloads.graph_vocab ~size:n [ ("E", edges) ]
 
 let e19 () =
   Util.header
     "E19 Structural preprocessing: certified shrinking ahead of the portfolio";
   let json = ref [] in
-  let c7 = Core.Workloads.undirected_cycle 7 in
+  let c7 = Testkit.Workloads.undirected_cycle 7 in
   (* End-to-end timing, memo-cold on every run: the solve-time pipeline
      memoizes shrinks by canonical text, which is exactly what the serve
      daemon wants and exactly what an honest one-shot timing does not. *)
@@ -1707,7 +1707,7 @@ let e19 () =
   let overhead =
     List.map
       (fun m ->
-        let a = Core.Workloads.undirected_cycle m in
+        let a = Testkit.Workloads.undirected_cycle m in
         let vp, tp = solve_time ~preprocess:true a a in
         let vr, tr = solve_time ~preprocess:false a a in
         ((m, tp /. tr), record "preprocess-overhead" ~k:m a a vp tp vr tr))
@@ -1738,8 +1738,8 @@ let e19 () =
         let n = Structure.size a in
         (tp /. tr, record "preprocess-head" ~k:n a b vp tp vr tr))
       [
-        (bipartite_gnp ~seed:46 46 0.1, Core.Workloads.k2);
-        (random_tree ~seed:56 56, Core.Workloads.clique 3);
+        (bipartite_gnp ~seed:46 46 0.1, Testkit.Workloads.k2);
+        (random_tree ~seed:56 56, Testkit.Workloads.clique 3);
       ]
   in
   Util.table
@@ -1847,24 +1847,24 @@ let e20 () =
   in
   (* Embedded differential: on a small instance the streamed answer set
      must equal the naive materializing enumerator's, as sets. *)
-  let a0 = Core.Workloads.path 4 and b0 = Core.Workloads.clique 4 in
+  let a0 = Testkit.Workloads.path 4 and b0 = Testkit.Workloads.clique 4 in
   let sorted l = List.sort compare (List.map Array.to_list l) in
   assert (
     sorted (List.of_seq (Enumerate.stream a0 b0))
-    = sorted (Homomorphism.enumerate a0 b0));
-  let k4 = Core.Workloads.clique 4 in
+    = sorted (List.of_seq (Homomorphism.search_seq a0 b0)));
+  let k4 = Testkit.Workloads.clique 4 in
   (* Acyclic route: directed paths into K4, 4*3^k answers — the answer
      set grows geometrically while the per-answer delay must not. *)
   let acyclic =
     List.map
-      (fun k -> row "enum-acyclic-path" ~k (Core.Workloads.path k) k4)
+      (fun k -> row "enum-acyclic-path" ~k (Testkit.Workloads.path k) k4)
       [ 4; 6; 8 ]
   in
   (* Treewidth route: undirected cycles (width 2) into K4. *)
   let tw =
     List.map
       (fun k ->
-        row "enum-treewidth-cycle" ~k (Core.Workloads.undirected_cycle k) k4)
+        row "enum-treewidth-cycle" ~k (Testkit.Workloads.undirected_cycle k) k4)
       [ 4; 6; 8 ]
   in
   (* Backtracking fallback on the same cycles ([max_width:0] disables
@@ -1874,7 +1874,7 @@ let e20 () =
     List.map
       (fun k ->
         row "enum-backtracking-cycle" ~max_width:0 ~k
-          (Core.Workloads.undirected_cycle k) k4)
+          (Testkit.Workloads.undirected_cycle k) k4)
       [ 4; 6; 8 ]
   in
   Util.table

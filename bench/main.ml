@@ -15,24 +15,24 @@ let micro_tests =
   let downset = Experiments.downset_relation ~arity:12 ~bits:6 in
   let horn_target = Experiments.boolean_target "R" Experiments.horn_only_relation in
   let horn_source =
-    Core.Workloads.random_structure ~seed:11
+    Testkit.Workloads.random_structure ~seed:11
       (Structure.vocabulary horn_target) ~size:100 ~tuples:400
   in
-  let c4 = Core.Workloads.directed_cycle 4 in
-  let c64 = Core.Workloads.undirected_cycle 64 in
-  let c16 = Core.Workloads.undirected_cycle 16 in
+  let c4 = Testkit.Workloads.directed_cycle 4 in
+  let c64 = Testkit.Workloads.undirected_cycle 64 in
+  let c16 = Testkit.Workloads.undirected_cycle 16 in
   let q1 =
-    Core.Workloads.random_two_atom_query ~seed:5 ~predicates:16 ~arity:2 ~variables:24
+    Testkit.Workloads.random_two_atom_query ~seed:5 ~predicates:16 ~arity:2 ~variables:24
   in
   let q2 =
-    Core.Workloads.random_query ~seed:6
+    Testkit.Workloads.random_query ~seed:6
       ~predicates:(List.init 16 (fun i -> (Printf.sprintf "P%d" i, 2)))
       ~variables:4 ~atoms:6
   in
-  let rho3 = Datalog.Rho.build Core.Workloads.k2 ~k:3 in
-  let ktree = Core.Workloads.random_partial_ktree ~seed:3 ~n:30 ~k:2 ~keep:0.9 in
-  let k3 = Core.Workloads.clique 3 in
-  let k5 = Core.Workloads.clique 5 and k4 = Core.Workloads.clique 4 in
+  let rho3 = Datalog.Rho.build Testkit.Workloads.k2 ~k:3 in
+  let ktree = Testkit.Workloads.random_partial_ktree ~seed:3 ~n:30 ~k:2 ~keep:0.9 in
+  let k3 = Testkit.Workloads.clique 3 in
+  let k5 = Testkit.Workloads.clique 5 and k4 = Testkit.Workloads.clique 4 in
   Test.make_grouped ~name:"experiments"
     [
       Test.make ~name:"e1-classify-box" (Staged.stage (fun () ->
@@ -44,15 +44,15 @@ let micro_tests =
       Test.make ~name:"e3-direct-route" (Staged.stage (fun () ->
           Schaefer.Uniform.solve_direct horn_source horn_target));
       Test.make ~name:"e4-booleanize-c4" (Staged.stage (fun () ->
-          Schaefer.Booleanize.solve (Core.Workloads.directed_cycle 32) c4));
+          Schaefer.Booleanize.solve (Testkit.Workloads.directed_cycle 32) c4));
       Test.make ~name:"e5-two-atom-containment" (Staged.stage (fun () ->
           Cq.Containment.contained_two_atom q1 q2));
       Test.make ~name:"e6-2color-c64" (Staged.stage (fun () ->
-          Schaefer.Booleanize.solve c64 Core.Workloads.k2));
+          Schaefer.Booleanize.solve c64 Testkit.Workloads.k2));
       Test.make ~name:"e7-pebble-k2-c16" (Staged.stage (fun () ->
-          Pebble.Game.duplicator_wins ~k:2 c16 Core.Workloads.k2));
+          Pebble.Game.duplicator_wins ~k:2 c16 Testkit.Workloads.k2));
       Test.make ~name:"e8-rho-k3-c8" (Staged.stage (fun () ->
-          Datalog.Eval.goal_holds rho3 (Core.Workloads.undirected_cycle 8)));
+          Datalog.Eval.goal_holds rho3 (Testkit.Workloads.undirected_cycle 8)));
       Test.make ~name:"e9-treewidth-dp" (Staged.stage (fun () ->
           Treewidth.Td_solver.exists ktree k3));
       Test.make ~name:"e10-mac-k5-k4" (Staged.stage (fun () ->

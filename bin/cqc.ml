@@ -751,22 +751,22 @@ let check_cmd =
 let selfcheck count seed max_nodes threads metrics_json trace_out =
   run (fun () ->
       with_telemetry ~command:"selfcheck" ~metrics_json ~trace_out @@ fun () ->
-      let report = Core.Selfcheck.run ~max_nodes ~count ~seed ~threads () in
+      let report = Testkit.Selfcheck.run ~max_nodes ~count ~seed ~threads () in
       Format.printf
         "%d instance(s): %d decided by at least one route, %d skipped@."
-        report.Core.Selfcheck.instances report.Core.Selfcheck.checked
-        report.Core.Selfcheck.skipped;
-      match report.Core.Selfcheck.issues with
+        report.Testkit.Selfcheck.instances report.Testkit.Selfcheck.checked
+        report.Testkit.Selfcheck.skipped;
+      match report.Testkit.Selfcheck.issues with
       | [] ->
         Format.printf "no disagreements, no rejected certificates@.";
         0
       | issues ->
         List.iter
-          (fun { Core.Selfcheck.seed; what } ->
+          (fun { Testkit.Selfcheck.seed; what } ->
             Format.printf "  seed %d: %s@." seed what)
           issues;
         Core.Error.internal "self-check failed on %d of %d instance(s)"
-          (List.length issues) report.Core.Selfcheck.instances)
+          (List.length issues) report.Testkit.Selfcheck.instances)
 
 let selfcheck_cmd =
   let count =

@@ -32,16 +32,16 @@ let () =
   Format.printf "hom(D_Q2 -> D_Q1) exists? %b@." (Homomorphism.exists d2 d1);
 
   section "The same machinery solves CSPs: 2-colorability";
-  let even = Core.Workloads.undirected_cycle 8 in
-  let odd = Core.Workloads.undirected_cycle 7 in
-  let k2 = Core.Workloads.k2 in
+  let even = Testkit.Workloads.undirected_cycle 8 in
+  let odd = Testkit.Workloads.undirected_cycle 7 in
+  let k2 = Testkit.Workloads.k2 in
   Format.printf "C8 -> K2 (2-colorable)? %b@." (Homomorphism.exists even k2);
   Format.printf "C7 -> K2 (2-colorable)? %b@." (Homomorphism.exists odd k2);
 
   section "Paper Example 3.8: CSP(C4) via Booleanization";
-  let c4 = Core.Workloads.directed_cycle 4 in
-  let c8 = Core.Workloads.directed_cycle 8 in
-  let c6 = Core.Workloads.directed_cycle 6 in
+  let c4 = Testkit.Workloads.directed_cycle 4 in
+  let c8 = Testkit.Workloads.directed_cycle 8 in
+  let c6 = Testkit.Workloads.directed_cycle 6 in
   let bb = Schaefer.Booleanize.encode_target c4 in
   Format.printf "Booleanized C4 classes: %s@."
     (String.concat ", "
@@ -63,6 +63,6 @@ let () =
       (Core.Solver.answer r <> None)
   in
   print_route c8 c4;
-  print_route (Core.Workloads.path 10) (Core.Workloads.clique 3);
-  print_route (Core.Workloads.undirected_cycle 9) (Core.Workloads.clique 3);
+  print_route (Testkit.Workloads.path 10) (Testkit.Workloads.clique 3);
+  print_route (Testkit.Workloads.undirected_cycle 9) (Testkit.Workloads.clique 3);
   Format.printf "@.Done.@."

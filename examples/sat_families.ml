@@ -41,9 +41,9 @@ let () =
 
   Format.printf "@.== Uniform solving (Theorems 3.3 / 3.4) ==@.@.";
   let solve_one cls seed =
-    let b = Core.Workloads.random_schaefer_target ~seed cls ~arities:[ 2; 3 ] in
+    let b = Testkit.Workloads.random_schaefer_target ~seed cls ~arities:[ 2; 3 ] in
     let a =
-      Core.Workloads.random_structure ~seed:(seed * 17) (Structure.vocabulary b)
+      Testkit.Workloads.random_structure ~seed:(seed * 17) (Structure.vocabulary b)
         ~size:8 ~tuples:7
     in
     let formula = Uniform.solve a b and direct = Uniform.solve_direct a b in
@@ -64,9 +64,9 @@ let () =
       Classify.Bijunctive; Classify.Affine ];
 
   Format.printf "@.== The NP-complete side ==@.@.";
-  let b = Core.Workloads.one_in_three_target in
+  let b = Testkit.Workloads.one_in_three_target in
   let a =
-    Core.Workloads.random_structure ~seed:99 (Structure.vocabulary b) ~size:6 ~tuples:5
+    Testkit.Workloads.random_structure ~seed:99 (Structure.vocabulary b) ~size:6 ~tuples:5
   in
   (match Uniform.solve a b with
   | Uniform.Not_applicable why -> Format.printf "uniform route refuses: %s@." why
@@ -77,9 +77,9 @@ let () =
     (match Core.Solver.answer r with Some _ -> "sat" | None -> "unsat");
 
   Format.printf "@.== Booleanization in action (Lemma 3.5 / Example 3.7) ==@.@.";
-  let k2 = Core.Workloads.k2 in
-  let even = Core.Workloads.undirected_cycle 10 in
-  let odd = Core.Workloads.undirected_cycle 9 in
+  let k2 = Testkit.Workloads.k2 in
+  let even = Testkit.Workloads.undirected_cycle 10 in
+  let odd = Testkit.Workloads.undirected_cycle 9 in
   let describe name g =
     match Booleanize.solve g k2 with
     | Booleanize.Hom _ -> Format.printf "%s 2-colorable: yes@." name

@@ -20,7 +20,7 @@ open Relational
     The converse is not required — the checker may reject a malformed or
     merely unconvincing certificate — but every certificate produced by
     [Core.Solver] is accepted by construction (the differential oracle in
-    [Core.Selfcheck] enforces this on random instances). *)
+    [Testkit.Selfcheck] enforces this on random instances). *)
 
 type origin = { symbol : string; fact : Tuple.t }
 (** A fact of the source structure [A] that justifies a constraint. *)

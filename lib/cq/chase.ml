@@ -165,9 +165,9 @@ let chase ?(max_steps = 1000) tgds db =
     List.iter
       (fun t ->
         let body_db, body_index, full_db, full_index = tgd_structures t in
-        (* All body matches in the current database. *)
-        let matches = Homomorphism.enumerate body_db !current in
-        List.iter
+        (* All body matches in the current database, streamed: the search
+           reads the snapshot it started on, whatever the triggers add. *)
+        Seq.iter
           (fun h ->
             let assignment =
               List.map (fun (v, i) -> (v, h.(i))) body_index
@@ -189,7 +189,7 @@ let chase ?(max_steps = 1000) tgds db =
               current := apply_trigger !current t ~assignment;
               progress := true
             end)
-          matches)
+          (Homomorphism.search_seq body_db !current))
       tgds
   done;
   !current

@@ -62,9 +62,7 @@ let evaluate q ~binding db =
   let marked_body = with_markers (body, index) in
   let marked_db = mark_database q ~binding db in
   let head_elements = Array.map (fun v -> List.assoc v index) q.Query.head in
-  let answers =
-    List.map
-      (fun h -> Array.map (fun e -> h.(e)) head_elements)
-      (Homomorphism.enumerate marked_body marked_db)
-  in
-  List.sort_uniq Tuple.compare answers
+  Homomorphism.search_seq marked_body marked_db
+  |> Seq.map (fun h -> Array.map (fun e -> h.(e)) head_elements)
+  |> List.of_seq
+  |> List.sort_uniq Tuple.compare

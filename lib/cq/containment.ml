@@ -29,12 +29,10 @@ let equivalent q1 q2 = contained q1 q2 && contained q2 q1
 let evaluate q db =
   let body, index = Canonical.database_no_head q in
   let head_elements = Array.map (fun v -> List.assoc v index) q.Query.head in
-  let answers =
-    List.map
-      (fun h -> Array.map (fun e -> h.(e)) head_elements)
-      (Homomorphism.enumerate body db)
-  in
-  List.sort_uniq Tuple.compare answers
+  Homomorphism.search_seq body db
+  |> Seq.map (fun h -> Array.map (fun e -> h.(e)) head_elements)
+  |> List.of_seq
+  |> List.sort_uniq Tuple.compare
 
 let contained_via_evaluation q1 q2 =
   check_arities q1 q2;

@@ -4,7 +4,7 @@
     relation of [B] — [O(removals * ||B||)] worst case — with none of
     {!Relational.Arc_consistency}'s support counters or trail.  The
     arc-consistent closure is unique, so the two must agree domain for
-    domain; [Core.Selfcheck] and the test suites compare them, and bench
+    domain; [Testkit.Selfcheck] and the test suites compare them, and bench
     E16 times this engine as the naive baseline. *)
 
 val closure :

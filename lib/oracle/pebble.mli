@@ -4,7 +4,7 @@
     hash set, then deletes configurations that lack the forth property,
     cascading removals to supersets and rechecking restrictions.  It
     computes the same greatest fixpoint as [Pebble.Game.run], which
-    [Core.Selfcheck] and the test suites check configuration for
+    [Testkit.Selfcheck] and the test suites check configuration for
     configuration; bench E17 times it as the naive baseline. *)
 
 type config = (int * int) list

@@ -14,66 +14,59 @@ type stats = {
 (* Dense integer encoding of configurations                             *)
 (* ------------------------------------------------------------------ *)
 
-(* A configuration is a domain subset S of A (|S| <= k, sorted) together
-   with an image tuple over B.  Subsets are enumerated in DFS preorder
-   (each subset extends its parent by one element larger than all current
-   ones), so a subset's id is always greater than that of the subset
-   obtained by dropping its maximum.  A configuration's code is
-   [offset.(sid) + sum_j image_j * m^j] where [j] is the element's rank
-   within the sorted domain — mixed radix, least-significant digit for the
-   smallest pebbled element. *)
+(* A configuration is a domain subset S = {s_0 < ... < s_{d-1}} of A
+   (d <= k) together with an image tuple over B.  Subsets are numbered by
+   size block, and within a block by colex rank r(S) = sum_j C(s_j, j+1),
+   a bijection onto [0, C(n,d)).  A configuration's code is
+   [code_base.(d) + r(S) * m^d + t] with [t = sum_j image_j * m^j] — mixed
+   radix, least-significant digit for the smallest pebbled element.  Every
+   neighbour of a configuration (drop a pebble, add one) is O(k)
+   arithmetic on the binomial table, so nothing is laid out per subset. *)
 module Encoding = struct
   type t = {
     n : int;
     m : int;
     k : int;
     pow : int array;  (* pow.(j) = m^j for j <= k *)
-    elems : int array array;  (* sid -> sorted domain *)
-    offset : int array;  (* sid -> first code of the subset's block *)
-    total : int;  (* codes ranked overall *)
-    sid_of : (int list, int) Hashtbl.t;
-    parent_sid : int array array;  (* sid -> j -> sid of S minus its j-th element *)
-    ext_sid : int array array;  (* sid -> x -> sid of S + x, or -1 *)
-    ext_pos : int array array;  (* sid -> x -> insertion rank of x in S + x *)
-    free : int array array;  (* sid -> elements outside S, ascending; [||] at |S| = k *)
-    free_idx : int array array;  (* sid -> x -> index into free, or -1 *)
-    cnt_base : int array;  (* sid -> first counter slot, or -1 *)
-    counter_slots : int;
+    binom : int array;  (* binom.(c * (k + 1) + j) = C(c, j) for c <= n, j <= k *)
+    code_base : int array;  (* d -> first code of size block d; .(k + 1) = all codes *)
+    cnt_base : int array;  (* d -> first counter slot of size block d; .(k) = all slots *)
   }
 
-  (* Beyond this many ranked codes, counter slots or per-subset extension
-     slots the flat arrays stop being an optimisation and start being an
-     allocation hazard; such layouts are refused. *)
+  (* Beyond this many ranked codes or counter slots the flat arrays stop
+     being an optimisation and start being an allocation hazard; such
+     encodings are refused. *)
   let capacity = 1 lsl 26
 
   let sat_add a b = if a > max_int - b then max_int else a + b
 
   let sat_mul a b = if a <> 0 && b > max_int / a then max_int else a * b
 
-  (* Whether the layout stays within capacity, decided before any subset
-     is enumerated: the ranked codes sum C(n,d)*m^d over d <= k, the
-     counter slots C(n,d)*m^d*(n-d) over d < k, and the n-sized extension
-     tables C(n,d)*n over d < k, all in saturating arithmetic.  Requires
-     [k <= n]. *)
+  (* Whether the encoding stays within capacity: the ranked codes sum
+     C(n,d)*m^d over d <= k and the counter slots C(n,d)*m^d*(n-d) over
+     d < k, in saturating arithmetic.  Every binomial and power the
+     encoding stores is bounded by a code block, so none overflows.
+     Requires [k <= n]. *)
   let fits ~n ~m ~k =
-    let rec sum d binom pw codes counters exts =
+    let rec sum d binom pw codes counters =
       let block = sat_mul binom pw in
       let codes = sat_add codes block in
-      let counters, exts =
-        if d < k then
-          (sat_add counters (sat_mul block (n - d)), sat_add exts (sat_mul binom n))
-        else (counters, exts)
+      let counters =
+        if d < k then sat_add counters (sat_mul block (n - d)) else counters
       in
-      if codes > capacity || counters > capacity || exts > capacity then false
+      if codes > capacity || counters > capacity then false
       else
         d = k
-        || sum (d + 1)
-             (sat_mul binom (n - d) / (d + 1))
-             (sat_mul pw m) codes counters exts
+        || sum (d + 1) (sat_mul binom (n - d) / (d + 1)) (sat_mul pw m) codes counters
     in
-    sum 0 1 1 0 0 0
+    sum 0 1 1 0 0
 
-  let create ?(budget = Budget.unlimited) ~n ~m ~k () =
+  (* C(c, j).  Every caller passes c <= n and j <= k (an element of A
+     and a position within a subset of size at most k), so the table
+     lookup skips its bounds check on the propagation hot path. *)
+  let choose enc c j = Array.unsafe_get enc.binom ((c * (enc.k + 1)) + j)
+
+  let create ~n ~m ~k =
     if n <= 0 || m <= 0 || k < 1 then invalid_arg "Game.Encoding.create";
     let k = min k n in
     if not (fits ~n ~m ~k) then None
@@ -82,131 +75,141 @@ module Encoding = struct
       for j = 1 to k do
         pow.(j) <- pow.(j - 1) * m
       done;
-      (* Enumerate subsets in DFS preorder. *)
-      let subsets = ref [] in
-      let rec extend subset d start =
-        Budget.tick budget;
-        subsets := subset :: !subsets;
-        if d < k then
-          for x = start to n - 1 do
-            extend (subset @ [ x ]) (d + 1) (x + 1)
-          done
-      in
-      extend [] 0 0;
-      let elems = Array.of_list (List.rev_map Array.of_list !subsets) in
-      let nsubsets = Array.length elems in
-      let sid_of = Hashtbl.create (2 * nsubsets) in
-      Array.iteri (fun sid s -> Hashtbl.replace sid_of (Array.to_list s) sid) elems;
-      let offset = Array.make nsubsets 0 in
-      let cnt_base = Array.make nsubsets (-1) in
-      let acc = ref 0 and cacc = ref 0 in
-      for sid = 0 to nsubsets - 1 do
-        let d = Array.length elems.(sid) in
-        offset.(sid) <- !acc;
-        acc := !acc + pow.(d);
-        if d < k then begin
-          cnt_base.(sid) <- !cacc;
-          cacc := !cacc + (pow.(d) * (n - d))
-        end
+      (* Pascal's rule, row by row. *)
+      let binom = Array.make ((n + 1) * (k + 1)) 0 in
+      for c = 0 to n do
+        binom.(c * (k + 1)) <- 1;
+        for j = 1 to min c k do
+          binom.((c * (k + 1)) + j) <-
+            binom.(((c - 1) * (k + 1)) + j - 1) + binom.(((c - 1) * (k + 1)) + j)
+        done
       done;
-      let parent_sid =
-        Array.map
-          (fun s ->
-            Array.init (Array.length s) (fun j ->
-                Hashtbl.find sid_of (List.filteri (fun i _ -> i <> j) (Array.to_list s))))
-          elems
-      in
-      (* The n-sized extension tables exist only below size k; the
-         dominant |S| = k subsets never consult them, so they all share
-         the one empty array the rows were initialised with. *)
-      let ext_sid = Array.make nsubsets [||] and ext_pos = Array.make nsubsets [||] in
-      let free = Array.make nsubsets [||] and free_idx = Array.make nsubsets [||] in
-      Array.iteri
-        (fun sid s ->
-          Budget.tick budget;
-          let d = Array.length s in
-          if d < k then begin
-            let esid = Array.make n (-1) and epos = Array.make n (-1) in
-            let fidx = Array.make n (-1) in
-            let fr = ref [] in
-            for x = n - 1 downto 0 do
-              if not (Array.exists (( = ) x) s) then begin
-                let bigger = List.sort compare (x :: Array.to_list s) in
-                esid.(x) <- Hashtbl.find sid_of bigger;
-                let pos = ref 0 in
-                List.iteri (fun i e -> if e = x then pos := i) bigger;
-                epos.(x) <- !pos;
-                fr := x :: !fr
-              end
-            done;
-            let fr = Array.of_list !fr in
-            Array.iteri (fun i x -> fidx.(x) <- i) fr;
-            free.(sid) <- fr;
-            ext_sid.(sid) <- esid;
-            ext_pos.(sid) <- epos;
-            free_idx.(sid) <- fidx
-          end)
-        elems;
-      Some
-        {
-          n;
-          m;
-          k;
-          pow;
-          elems;
-          offset;
-          total = !acc;
-          sid_of;
-          parent_sid;
-          ext_sid;
-          ext_pos;
-          free;
-          free_idx;
-          cnt_base;
-          counter_slots = !cacc;
-        }
+      let code_base = Array.make (k + 2) 0 and cnt_base = Array.make (k + 1) 0 in
+      for d = 0 to k do
+        let block = binom.((n * (k + 1)) + d) * pow.(d) in
+        code_base.(d + 1) <- code_base.(d) + block;
+        if d < k then cnt_base.(d + 1) <- cnt_base.(d) + (block * (n - d))
+      done;
+      Some { n; m; k; pow; binom; code_base; cnt_base }
     end
 
-  let configs enc = enc.total
+  let configs enc = enc.code_base.(enc.k + 1)
+
+  let code_of enc d r t = enc.code_base.(d) + (r * enc.pow.(d)) + t
+
+  (* The counter of configuration (S, t), |S| = d < k, for the free
+     element of index [fi] among those outside S in ascending order: an
+     element x has index x - |{s in S : s < x}|. *)
+  let slot enc d r t fi =
+    enc.cnt_base.(d) + (((r * enc.pow.(d)) + t) * (enc.n - d)) + fi
+
+  (* The image tuple without digit [j], and with a zero digit inserted at
+     [j]. *)
+  let narrow enc t j = (t / enc.pow.(j + 1) * enc.pow.(j)) + (t mod enc.pow.(j))
+
+  let widen enc t j = (t / enc.pow.(j) * enc.pow.(j + 1)) + (t mod enc.pow.(j))
+
+  (* The rank of s.(0 .. d-1) without its j-th element: the elements
+     above it move down one position. *)
+  let drop_rank enc s d j =
+    let r = ref 0 in
+    for i = 0 to d - 1 do
+      if i < j then r := !r + choose enc s.(i) (i + 1)
+      else if i > j then r := !r + choose enc s.(i) i
+    done;
+    !r
+
+  (* [f x p r'] for each element x outside s.(0 .. d-1), d < k, in
+     ascending order, with x's insertion position p and the rank r' of
+     the subset plus x: the elements below x keep their terms, those
+     above move up one position. *)
+  let iter_extensions enc s d f =
+    let low = ref 0 and high = ref 0 in
+    for i = 0 to d - 1 do
+      high := !high + choose enc s.(i) (i + 2)
+    done;
+    let p = ref 0 in
+    for x = 0 to enc.n - 1 do
+      if !p < d && s.(!p) = x then begin
+        low := !low + choose enc x (!p + 1);
+        high := !high - choose enc x (!p + 2);
+        incr p
+      end
+      else f x !p (!low + choose enc x (!p + 1) + !high)
+    done
+
+  (* Fill s.(0 .. d-1) with the subset of rank r: from the top, each
+     element is the largest c with C(c, j+1) at most what is left, and
+     the last one is what is left, since C(c, 1) = c. *)
+  let unrank_subset enc d r s =
+    let r = ref r and hi = ref (enc.n - 1) in
+    for j = d - 1 downto 1 do
+      let lo = ref j in
+      while !lo < !hi do
+        let mid = (!lo + !hi + 1) / 2 in
+        if choose enc mid (j + 1) <= !r then lo := mid else hi := mid - 1
+      done;
+      s.(j) <- !lo;
+      r := !r - choose enc !lo (j + 1);
+      hi := !lo - 1
+    done;
+    if d > 0 then s.(0) <- !r
+
+  (* [f s r] for each subset of size d in rank order; [s] is reused. *)
+  let iter_block enc d f =
+    let s = Array.init d Fun.id in
+    let r = ref 0 and more = ref true in
+    while !more do
+      f s !r;
+      incr r;
+      (* The colex successor: bump the lowest element with room above
+         it and reset those below. *)
+      let j = ref 0 in
+      while !j < d && s.(!j) + 1 = if !j + 1 < d then s.(!j + 1) else enc.n do
+        incr j
+      done;
+      if !j = d then more := false
+      else begin
+        s.(!j) <- s.(!j) + 1;
+        for i = 0 to !j - 1 do
+          s.(i) <- i
+        done
+      end
+    done
+
+  (* The size block holding a code. *)
+  let size_of enc code =
+    let d = ref 0 in
+    while code >= enc.code_base.(!d + 1) do
+      incr d
+    done;
+    !d
 
   (* The code of a well-formed configuration; [None] for an unsorted or
-     repeated domain, an image out of range, or a domain outside the
-     ranked subsets. *)
+     repeated domain, an element or image out of range, or a domain larger
+     than k. *)
   let code enc config =
-    let dom = List.map fst config in
-    if
-      List.sort_uniq Int.compare dom <> dom
-      || List.exists (fun (_, v) -> v < 0 || v >= enc.m) config
-    then None
-    else
-      Option.map
-        (fun sid ->
-          List.fold_left ( + ) enc.offset.(sid)
-            (List.mapi (fun j (_, v) -> v * enc.pow.(j)) config))
-        (Hashtbl.find_opt enc.sid_of dom)
+    let d = List.length config in
+    let rec go j prev r t = function
+      | [] -> Some (code_of enc d r t)
+      | (x, v) :: rest ->
+        if x <= prev || x >= enc.n || v < 0 || v >= enc.m then None
+        else go (j + 1) x (r + choose enc x (j + 1)) (t + (v * enc.pow.(j))) rest
+    in
+    if d > enc.k then None else go 0 (-1) 0 0 config
 
   let rank enc config =
     match code enc config with
     | Some c -> c
     | None -> invalid_arg "Game.Encoding.rank: malformed configuration"
 
-  (* The subset owning a code, by binary search over the block offsets. *)
-  let sid_of_code enc code =
-    let lo = ref 0 and hi = ref (Array.length enc.offset - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if enc.offset.(mid) <= code then lo := mid else hi := mid - 1
-    done;
-    !lo
-
-  let decode enc sid t =
-    let s = enc.elems.(sid) in
-    List.init (Array.length s) (fun j -> (s.(j), t / enc.pow.(j) mod enc.m))
-
   let unrank enc code =
-    if code < 0 || code >= enc.total then invalid_arg "Game.Encoding.unrank";
-    let sid = sid_of_code enc code in
-    decode enc sid (code - enc.offset.(sid))
+    if code < 0 || code >= configs enc then invalid_arg "Game.Encoding.unrank";
+    let d = size_of enc code in
+    let off = code - enc.code_base.(d) in
+    let s = Array.make d 0 and t = off mod enc.pow.(d) in
+    unrank_subset enc d (off / enc.pow.(d)) s;
+    List.init d (fun j -> (s.(j), t / enc.pow.(j) mod enc.m))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -227,10 +230,10 @@ end
    certificate checker finds the forth-removed subset). *)
 let run_counting ?(verify = false) ~budget enc a b =
   let open Encoding in
-  let n = enc.n and m = enc.m in
-  let k = enc.k in
-  let nsubsets = Array.length enc.elems in
-  let alive = Bytes.make (max 1 enc.total) '\000' in
+  let n = enc.n and m = enc.m and k = enc.k in
+  let pow = enc.pow in
+  let total = configs enc in
+  let alive = Bytes.make (max 1 total) '\000' in
   let get id = Bytes.unsafe_get alive id <> '\000' in
   let set id = Bytes.unsafe_set alive id '\001' in
   let clear id = Bytes.unsafe_set alive id '\000' in
@@ -271,14 +274,14 @@ let run_counting ?(verify = false) ~budget enc a b =
       {
         initial_configs = 0;
         removed = 0;
-        configs_ranked = enc.total;
+        configs_ranked = total;
         supports_built = 0;
         deaths_propagated = 0;
       },
       true )
   else
-  (* The constraining tuples of A newly within subset [sid]: those
-     containing its maximum element with every component inside the
+  (* The constraining tuples of A newly within subset [s] of size [d]:
+     those containing its maximum element with every component inside the
      subset.  Gathered through the per-(position, value) indexes of A, so
      each relation is scanned once per (max element, position) rather than
      in full per subset.  Each constraint is compiled to the digit ranks
@@ -286,15 +289,12 @@ let run_counting ?(verify = false) ~budget enc a b =
      subsets inherit the verdict through the parent bit. *)
   let in_subset = Array.make n false in
   let rank_in = Array.make n (-1) in
-  let new_constraints sid =
-    let s = enc.elems.(sid) in
-    let d = Array.length s in
+  let new_constraints s d =
     let x = s.(d - 1) in
-    Array.iteri
-      (fun j e ->
-        in_subset.(e) <- true;
-        rank_in.(e) <- j)
-      s;
+    for j = 0 to d - 1 do
+      in_subset.(s.(j)) <- true;
+      rank_in.(s.(j)) <- j
+    done;
     let cons = ref [] in
     List.iter
       (fun (name, arity, target) ->
@@ -314,157 +314,134 @@ let run_counting ?(verify = false) ~budget enc a b =
             (Relation.Index.matching ix ~pos ~value:x)
         done)
       target_index;
-    Array.iter
-      (fun e ->
-        in_subset.(e) <- false;
-        rank_in.(e) <- (-1))
-      s;
+    for j = 0 to d - 1 do
+      in_subset.(s.(j)) <- false;
+      rank_in.(s.(j)) <- -1
+    done;
     !cons
   in
   (* Phase 1: validity.  A configuration is alive iff its restriction by
      the maximum pebble is alive and the newly-covered tuples of A land in
-     the corresponding relations of B. *)
-  let validate_subset sid =
-    let d = Array.length enc.elems.(sid) in
-    let cons = new_constraints sid in
-    let psid = enc.parent_sid.(sid).(d - 1) in
-    let base = enc.offset.(sid) and pbase = enc.offset.(psid) in
-    let block = enc.pow.(d - 1) in
-    let found = ref 0 in
-    for t = 0 to enc.pow.(d) - 1 do
-      Budget.tick budget;
-      if get (pbase + (t mod block)) then begin
-        let ok =
-          List.for_all
-            (fun (ranks, target, img) ->
-              match target with
-              | None -> false
-              | Some ix ->
-                Array.iteri (fun i j -> img.(i) <- t / enc.pow.(j) mod m) ranks;
-                Relation.Index.mem ix img)
-            cons
-        in
-        if ok then begin
-          set (base + t);
-          incr found
-        end
-      end
-    done;
-    !found
-  in
-  let initial = ref 0 in
+     the corresponding relations of B.  Dropping the maximum keeps the
+     other elements' rank terms, and lands in the previous size block,
+     which is decided first. *)
+  let initial = ref 1 in
   set 0;
-  incr initial;
-  for sid = 1 to nsubsets - 1 do
-    initial := !initial + validate_subset sid
+  for d = 1 to k do
+    iter_block enc d (fun s r ->
+        let cons = new_constraints s d in
+        let base = code_of enc d r 0 in
+        let pbase = code_of enc (d - 1) (r - choose enc s.(d - 1) d) 0 in
+        for t = 0 to pow.(d) - 1 do
+          Budget.tick budget;
+          if get (pbase + (t mod pow.(d - 1))) then begin
+            let ok =
+              List.for_all
+                (fun (ranks, target, img) ->
+                  match target with
+                  | None -> false
+                  | Some ix ->
+                    Array.iteri (fun i j -> img.(i) <- t / pow.(j) mod m) ranks;
+                    Relation.Index.mem ix img)
+                cons
+            in
+            if ok then begin
+              set (base + t);
+              incr initial
+            end
+          end
+        done)
   done;
   (* Phase 2: support counters, one increment per (alive configuration,
      pebble) pair.  Restrictions of a partial homomorphism are partial
-     homomorphisms, so every counted parent is alive. *)
-  let counters = Array.make (max 1 enc.counter_slots) 0 in
+     homomorphisms, so every counted parent is alive.  Element s_j has
+     free index s_j - j in the restriction that drops it. *)
+  let counters = Array.make (max 1 enc.cnt_base.(k)) 0 in
   let supports = ref 0 in
-  for sid = 1 to nsubsets - 1 do
-    let s = enc.elems.(sid) in
-    let d = Array.length s in
-    let base = enc.offset.(sid) in
-    for t = 0 to enc.pow.(d) - 1 do
-      if get (base + t) then begin
-        Budget.tick budget;
+  let parent = Array.make k 0 in
+  for d = 1 to k do
+    iter_block enc d (fun s r ->
         for j = 0 to d - 1 do
-          let psid = enc.parent_sid.(sid).(j) in
-          let pcode = (t / enc.pow.(j + 1) * enc.pow.(j)) + (t mod enc.pow.(j)) in
-          let nfree = Array.length enc.free.(psid) in
-          let fi = enc.free_idx.(psid).(s.(j)) in
-          let slot = enc.cnt_base.(psid) + (pcode * nfree) + fi in
-          counters.(slot) <- counters.(slot) + 1;
-          incr supports
-        done
-      end
-    done
+          parent.(j) <- drop_rank enc s d j
+        done;
+        let base = code_of enc d r 0 in
+        for t = 0 to pow.(d) - 1 do
+          if get (base + t) then begin
+            Budget.tick budget;
+            for j = 0 to d - 1 do
+              let c = slot enc (d - 1) parent.(j) (narrow enc t j) (s.(j) - j) in
+              counters.(c) <- counters.(c) + 1;
+              incr supports
+            done
+          end
+        done)
   done;
   (* Deaths. *)
   let removed = ref 0 and propagated = ref 0 in
   let trace = ref [] in
   let spoiler = ref false in
-  (* Zero-counter scan over one subset: the first free element with no
-     alive extension is the forth failure's pivot. *)
-  let zero_pivot sid t =
-    let nfree = Array.length enc.free.(sid) in
-    let fi = ref 0 and pivot = ref (-1) in
-    while !pivot < 0 && !fi < nfree do
-      if counters.(enc.cnt_base.(sid) + (t * nfree) + !fi) = 0 then
-        pivot := enc.free.(sid).(!fi);
-      incr fi
-    done;
-    !pivot
-  in
   let queue = Queue.create () in
-  let kill ?pivot sid t =
-    let id = enc.offset.(sid) + t in
+  let kill ?pivot id =
     if get id then begin
       clear id;
       incr removed;
       (match pivot with
-      | Some x -> trace := (sid, t, x) :: !trace
+      | Some x -> trace := (id, x) :: !trace
       | None -> ());
-      if Array.length enc.elems.(sid) = 0 then spoiler := true;
-      Queue.add (sid, t) queue
+      (* Code 0 is the empty configuration. *)
+      if id = 0 then spoiler := true;
+      Queue.add id queue
     end
   in
   (* Initial forth failures: a zero counter with no deaths yet means no
-     valid extension exists at all. *)
-  for sid = 0 to nsubsets - 1 do
-    let d = Array.length enc.elems.(sid) in
-    if d < k && Array.length enc.free.(sid) > 0 then begin
-      let base = enc.offset.(sid) in
-      for t = 0 to enc.pow.(d) - 1 do
-        if get (base + t) then begin
-          let pivot = zero_pivot sid t in
-          if pivot >= 0 then kill ~pivot sid t
-        end
-      done
-    end
+     valid extension exists at all.  The first free element with one is
+     the failure's pivot. *)
+  for d = 0 to k - 1 do
+    iter_block enc d (fun s r ->
+        for t = 0 to pow.(d) - 1 do
+          let id = code_of enc d r t in
+          if get id then begin
+            let pivot = ref (-1) in
+            iter_extensions enc s d (fun x p _ ->
+                if !pivot < 0 && counters.(slot enc d r t (x - p)) = 0 then pivot := x);
+            if !pivot >= 0 then kill ~pivot:!pivot id
+          end
+        done)
   done;
+  (* A dead configuration's subset is decoded only when it is popped. *)
+  let s = Array.make k 0 in
   while (not !spoiler) && not (Queue.is_empty queue) do
     Budget.tick budget;
     incr propagated;
-    let sid, t = Queue.pop queue in
-    let s = enc.elems.(sid) in
-    let d = Array.length s in
+    let id = Queue.pop queue in
+    let d = size_of enc id in
+    let off = id - enc.code_base.(d) in
+    let t = off mod pow.(d) in
+    unrank_subset enc d (off / pow.(d)) s;
     (* Downwards: restriction-closure kills every alive extension. *)
     if d < k then
-      Array.iter
-        (fun x ->
-          let sid' = enc.ext_sid.(sid).(x) in
-          let pos = enc.ext_pos.(sid).(x) in
-          let high = t / enc.pow.(pos) and low = t mod enc.pow.(pos) in
-          let stem = (high * enc.pow.(pos + 1)) + low in
+      iter_extensions enc s d (fun _ p r' ->
+          let stem = code_of enc (d + 1) r' (widen enc t p) in
           for v = 0 to m - 1 do
-            let t' = stem + (v * enc.pow.(pos)) in
-            if get (enc.offset.(sid') + t') then kill sid' t'
-          done)
-        enc.free.(sid);
+            kill (stem + (v * pow.(p)))
+          done);
     (* Upwards: one lost support per immediate restriction. *)
     for j = 0 to d - 1 do
-      let psid = enc.parent_sid.(sid).(j) in
-      let pcode = (t / enc.pow.(j + 1) * enc.pow.(j)) + (t mod enc.pow.(j)) in
-      if get (enc.offset.(psid) + pcode) then begin
-        let nfree = Array.length enc.free.(psid) in
-        let fi = enc.free_idx.(psid).(s.(j)) in
-        let slot = enc.cnt_base.(psid) + (pcode * nfree) + fi in
-        counters.(slot) <- counters.(slot) - 1;
-        if counters.(slot) = 0 then kill ~pivot:s.(j) psid pcode
+      let pr = drop_rank enc s d j and pt = narrow enc t j in
+      let pid = code_of enc (d - 1) pr pt in
+      if get pid then begin
+        let c = slot enc (d - 1) pr pt (s.(j) - j) in
+        counters.(c) <- counters.(c) - 1;
+        if counters.(c) = 0 then kill ~pivot:s.(j) pid
       end
     done
   done;
-  let trace =
-    List.rev_map (fun (sid, t, x) -> (Encoding.decode enc sid t, x)) !trace
-  in
+  let trace = List.rev_map (fun (id, x) -> (Encoding.unrank enc id, x)) !trace in
   let stats ~removed =
     {
       initial_configs = !initial;
       removed;
-      configs_ranked = enc.total;
+      configs_ranked = total;
       supports_built = !supports;
       deaths_propagated = !propagated;
     }
@@ -474,26 +451,19 @@ let run_counting ?(verify = false) ~budget enc a b =
      a counter both positive and equal to its surviving extensions. *)
   let counters_ok () =
     let ok = ref true in
-    for sid = 0 to nsubsets - 1 do
-      let d = Array.length enc.elems.(sid) in
-      let nfree = Array.length enc.free.(sid) in
-      if d < k && nfree > 0 then
-        for t = 0 to enc.pow.(d) - 1 do
-          if get (enc.offset.(sid) + t) then
-            Array.iteri
-              (fun fi x ->
-                let sid' = enc.ext_sid.(sid).(x) and pos = enc.ext_pos.(sid).(x) in
-                let stem =
-                  (t / enc.pow.(pos) * enc.pow.(pos + 1)) + (t mod enc.pow.(pos))
-                in
-                let count = ref 0 in
-                for v = 0 to m - 1 do
-                  if get (enc.offset.(sid') + stem + (v * enc.pow.(pos))) then incr count
-                done;
-                if !count = 0 || counters.(enc.cnt_base.(sid) + (t * nfree) + fi) <> !count
-                then ok := false)
-              enc.free.(sid)
-        done
+    for d = 0 to k - 1 do
+      iter_block enc d (fun s r ->
+          for t = 0 to pow.(d) - 1 do
+            if get (code_of enc d r t) then
+              iter_extensions enc s d (fun x p r' ->
+                  let stem = code_of enc (d + 1) r' (widen enc t p) in
+                  let count = ref 0 in
+                  for v = 0 to m - 1 do
+                    if get (stem + (v * pow.(p))) then incr count
+                  done;
+                  if !count = 0 || counters.(slot enc d r t (x - p)) <> !count then
+                    ok := false)
+          done)
     done;
     !ok
   in
@@ -513,7 +483,7 @@ let counter_invariant ~k a b =
   let n = Structure.size a and m = Structure.size b in
   if n = 0 || m = 0 then true
   else
-    match Encoding.create ~n ~m ~k () with
+    match Encoding.create ~n ~m ~k with
     | None -> true
     | Some enc ->
       let _, _, _, ok = run_counting ~verify:true ~budget:Budget.unlimited enc a b in
@@ -589,7 +559,7 @@ let run ?(budget = Budget.unlimited) ~k a b =
         (fun enc ->
           let alive, trace, stats, _ = run_counting ~budget enc a b in
           { family = { k; m; enc = Some enc; alive }; trace; stats })
-        (Encoding.create ~budget ~n ~m ~k ())
+        (Encoding.create ~n ~m ~k)
   in
   Option.iter (fun o -> publish_stats o.stats) outcome;
   outcome

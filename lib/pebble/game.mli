@@ -31,9 +31,9 @@ open Relational
     - when [not CSP(B)] is expressible in k-Datalog, the game is exact
       (Theorem 4.8), which yields the uniform tractability of Theorem 4.9.
 
-    Every entry point takes an optional [?budget], ticked once per ranked
-    subset, candidate mapping and propagation step; on exhaustion the
-    computation aborts by raising [Budget.Exhausted].  [Core.Solver]
+    Every entry point takes an optional [?budget], ticked once per
+    candidate mapping, supported configuration and propagation step; on
+    exhaustion the computation aborts by raising [Budget.Exhausted].  [Core.Solver]
     uses this to bound the k-consistency pass in its portfolio.
 
     The engine runs on the calling domain; multicore solving happens
@@ -44,32 +44,35 @@ type config = (int * int) list
 (** A game position: pairs [(a, b)] of pebbled elements, sorted by [a],
     with distinct first components. *)
 
-(** Dense integer codes for configurations: domain subsets of [A] (size at
-    most [k]) are enumerated in DFS preorder and each subset owns a block
-    of [m^|S|] codes, one per image tuple in mixed radix (least-significant
-    digit for the smallest pebbled element).  Exposed for the test suite;
-    the engine uses it internally. *)
+(** Dense integer codes for configurations.  Domain subsets of [A] are
+    numbered by size, then by colex rank [r(S) = sum_j C(s_j, j+1)] over
+    the sorted elements [s_0 < s_1 < ...]; each subset owns a block of
+    [m^|S|] codes, one per image tuple in mixed radix (least-significant
+    digit for the smallest pebbled element).  Codes, counter slots and
+    the neighbours of a configuration are closed forms over a binomial
+    table, so nothing is laid out per subset.  Exposed for the test
+    suite; the engine uses it internally. *)
 module Encoding : sig
   type t
 
   val capacity : int
-  (** The most codes, counter slots or extension-table slots a layout may
-      hold ([2^26] each). *)
+  (** The most codes or counter slots an encoding may rank ([2^26]
+      each). *)
 
-  val create : ?budget:Budget.t -> n:int -> m:int -> k:int -> unit -> t option
-  (** [None] when the ranked space (codes, counter slots, or the n-sized
-      extension tables carried by every subset below size [k]) would
-      exceed {!capacity}; that verdict comes from closed-form totals,
-      before any subset is enumerated.  Under capacity, [budget] is
-      ticked once per enumerated subset.  @raise Invalid_argument when
-      [n <= 0], [m <= 0] or [k < 1]. *)
+  val create : n:int -> m:int -> k:int -> t option
+  (** [None] when the ranked codes or the support-counter slots would
+      exceed {!capacity}, a verdict from closed-form totals.  Under
+      capacity the encoding holds [O(n k)] integers and costs as much
+      time.  @raise Invalid_argument when [n <= 0], [m <= 0] or
+      [k < 1]. *)
 
   val configs : t -> int
   (** Total number of ranked codes. *)
 
   val rank : t -> config -> int
   (** @raise Invalid_argument on a malformed configuration (unsorted or
-      repeated domain, image out of range, domain larger than [k]). *)
+      repeated domain, element outside [[0, n)], image out of range,
+      domain larger than [k]). *)
 
   val unrank : t -> int -> config
   (** Inverse of {!rank}. @raise Invalid_argument when out of range. *)
@@ -78,7 +81,7 @@ end
 type stats = {
   initial_configs : int;  (** Partial homomorphisms generated. *)
   removed : int;  (** Configurations pruned by the consistency loop. *)
-  configs_ranked : int;  (** Dense codes laid out by the encoding. *)
+  configs_ranked : int;  (** Dense codes ranked by the encoding. *)
   supports_built : int;  (** Support-counter increments during initialisation. *)
   deaths_propagated : int;  (** Dead configurations processed through the worklist. *)
 }

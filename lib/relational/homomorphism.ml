@@ -199,11 +199,6 @@ let search_seq ?ordering ?restrict ?budget a b =
              yield (Array.copy h);
              true)))
 
-let enumerate ?limit ?budget a b =
-  let seq = search_seq ?budget a b in
-  let seq = match limit with Some l -> Seq.take l seq | None -> seq in
-  List.of_seq seq
-
 let count ?budget a b =
   let c = ref 0 in
   ignore

@@ -100,12 +100,6 @@ val search_seq :
     @raise Budget.Exhausted from the forcing of whichever node exhausts
     [budget]. *)
 
-val enumerate :
-  ?limit:int -> ?budget:Budget.t -> Structure.t -> Structure.t -> mapping list
-(** All homomorphisms (up to [limit] when given), in no specified order;
-    materializes {!search_seq}.
-    @raise Budget.Exhausted when [budget] runs out mid-enumeration. *)
-
 val count : ?budget:Budget.t -> Structure.t -> Structure.t -> int
 (** Number of homomorphisms, by exhaustive backtracking with checked
     accumulation.

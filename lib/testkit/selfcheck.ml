@@ -113,10 +113,10 @@ let routes ~budget a b =
     guard "hell-nesetril" (fun () ->
         claim_of (fun () ->
             if
-              Graph_dichotomy.is_undirected_graph b
+              Core.Graph_dichotomy.is_undirected_graph b
               && Vocabulary.equal (Structure.vocabulary a) (Structure.vocabulary b)
-              && Graph_dichotomy.complexity b = Graph_dichotomy.Polynomial
-            then Some (Result.is_ok (Graph_dichotomy.solve a b))
+              && Core.Graph_dichotomy.complexity b = Core.Graph_dichotomy.Polynomial
+            then Some (Result.is_ok (Core.Graph_dichotomy.solve a b))
             else None));
     guard "acyclic-yannakakis" (fun () ->
         claim_of (fun () ->
@@ -217,19 +217,19 @@ let pebble_differential note ~budget a b =
 let portfolio ~budget ?booleanize_threshold ?max_treewidth ?consistency_k
     ?threads ?preprocess name a b =
   let r =
-    Solver.solve ?booleanize_threshold ?max_treewidth ?consistency_k ?threads
+    Core.Solver.solve ?booleanize_threshold ?max_treewidth ?consistency_k ?threads
       ?preprocess ~budget:(budget ()) a b
   in
-  match r.Solver.verdict with
-  | Solver.Sat h ->
+  match r.Core.Solver.verdict with
+  | Core.Solver.Sat h ->
     if Certificate.check a b (Certificate.Witness h) then (name, Yes, None)
     else
       ( name,
         Yes,
         Some
           (Printf.sprintf "%s: witness of route %s rejected by the checker" name
-             (Solver.route_name r.Solver.route)) )
-  | Solver.Unsat c ->
+             (Core.Solver.route_name r.Core.Solver.route)) )
+  | Core.Solver.Unsat c ->
     if Certificate.check a b c then (name, No, None)
     else
       ( name,
@@ -237,8 +237,8 @@ let portfolio ~budget ?booleanize_threshold ?max_treewidth ?consistency_k
         Some
           (Printf.sprintf "%s: %s certificate of route %s rejected by the checker"
              name (Certificate.describe c)
-             (Solver.route_name r.Solver.route)) )
-  | Solver.Unknown _ -> (name, Skip, None)
+             (Core.Solver.route_name r.Core.Solver.route)) )
+  | Core.Solver.Unknown _ -> (name, Skip, None)
 
 let check_instance ~max_nodes ?(threads = 1) seed a b =
   let budget () = Budget.create ~max_nodes () in
@@ -256,8 +256,8 @@ let check_instance ~max_nodes ?(threads = 1) seed a b =
       push name claim;
       Option.iter note problem
     | exception Budget.Exhausted _ -> ()
-    | exception Error.Error e ->
-      note (Printf.sprintf "%s: %s" name (Error.to_string e))
+    | exception Core.Error.Error e ->
+      note (Printf.sprintf "%s: %s" name (Core.Error.to_string e))
   in
   (* The portfolio under its default policy, then steered away from its
      preferred routes so the later routes must answer (and certify) too. *)
@@ -304,10 +304,10 @@ let containment_check ~max_nodes ?(threads = 1) seed =
       ~atoms:(r 4)
   in
   let budget = Budget.create ~max_nodes () in
-  match Solver.solve_containment ~budget ~threads q1 q2 with
+  match Core.Solver.solve_containment ~budget ~threads q1 q2 with
   | r -> (
-    let s, t = Solver.containment_instance q1 q2 in
-    match Solver.certificate r with
+    let s, t = Core.Solver.containment_instance q1 q2 in
+    match Core.Solver.certificate r with
     | None -> ([], false)
     | Some c ->
       if Certificate.check s t c then ([], true)
@@ -324,8 +324,8 @@ let containment_check ~max_nodes ?(threads = 1) seed =
           ],
           true ))
   | exception Budget.Exhausted _ -> ([], false)
-  | exception Error.Error e ->
-    ([ { seed; what = "containment: " ^ Error.to_string e } ], false)
+  | exception Core.Error.Error e ->
+    ([ { seed; what = "containment: " ^ Core.Error.to_string e } ], false)
 
 let run ?(max_nodes = 50_000) ?(count = 500) ?(seed = 0) ?(threads = 1) () =
   Telemetry.with_span "selfcheck.run" @@ fun () ->

@@ -9,16 +9,16 @@
     checker), MAC backtracking, both Schaefer algorithms, Booleanization,
     Hell–Nešetřil, Yannakakis, the treewidth DP, and the one-sided
     2-consistency refutation.  Every seventh seed instead runs a random
-    containment instance end to end through {!Solver.solve_containment}.
+    containment instance end to end through {!Core.Solver.solve_containment}.
 
     Issues are collected, never raised: a definite disagreement between
     two routes, a certificate the trusted {!Certificate.check} rejects, a
     cross-route disagreement surfaced by the dispatcher as
-    [Error.Error (Internal _)], or any unexpected exception.  Budget
+    [Core.Error.Error (Internal _)], or any unexpected exception.  Budget
     exhaustion is not an issue — an exhausted route degrades to a skip,
     so the oracle terminates even on adversarial seeds.
 
-    With [threads > 1] the racing portfolio ([Solver.solve ~threads])
+    With [threads > 1] the racing portfolio ([Core.Solver.solve ~threads])
     joins the cross-route agreement check on every instance, with its
     certificates validated. *)
 

@@ -5,6 +5,7 @@
    engine counters of the threads = 1 dispatcher shows up here. *)
 
 open Core
+open Testkit
 
 let budgets = [ ("unlimited", None); ("max_nodes 50", Some 50); ("max_nodes 2000", Some 2000) ]
 

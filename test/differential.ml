@@ -6,15 +6,15 @@
    alias budget: an exhausted route is skipped, never misreported. *)
 
 let () =
-  let report = Core.Selfcheck.run ~max_nodes:50_000 ~count:500 ~seed:0 () in
+  let report = Testkit.Selfcheck.run ~max_nodes:50_000 ~count:500 ~seed:0 () in
   Printf.printf "selfcheck: %d instance(s), %d decided, %d skipped\n%!"
-    report.Core.Selfcheck.instances report.Core.Selfcheck.checked
-    report.Core.Selfcheck.skipped;
-  match report.Core.Selfcheck.issues with
+    report.Testkit.Selfcheck.instances report.Testkit.Selfcheck.checked
+    report.Testkit.Selfcheck.skipped;
+  match report.Testkit.Selfcheck.issues with
   | [] -> print_endline "selfcheck: no disagreements, no rejected certificates"
   | issues ->
     List.iter
-      (fun { Core.Selfcheck.seed; what } ->
+      (fun { Testkit.Selfcheck.seed; what } ->
         Printf.printf "selfcheck: seed %d: %s\n" seed what)
       issues;
     Printf.printf "selfcheck: FAILED on %d instance(s)\n%!" (List.length issues);

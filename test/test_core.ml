@@ -1,5 +1,6 @@
 open Relational
 open Core
+open Testkit
 open Helpers
 
 let check = Alcotest.(check bool)
@@ -144,7 +145,7 @@ let solver_tests =
         (Solver.answer r1 <> None) = (Solver.answer r2 <> None));
     Alcotest.test_case "over-capacity k-consistency declines" `Quick (fun () ->
         (* K5 into K5 padded with 8,188 isolated elements: the 2-pebble
-           layout exceeds the encoding capacity, so the k-consistency route
+           codes exceed the encoding capacity, so the k-consistency route
            must decline at once and leave backtracking to decide. *)
         let read path =
           Structure_text.parse (In_channel.with_open_text path In_channel.input_all)

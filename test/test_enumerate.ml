@@ -1,7 +1,7 @@
 (* Streaming enumeration differential: the route-dispatched streams of
-   [Enumerate] must agree with the naive materializing
-   [Homomorphism.enumerate] as a set, and [Enumerate.count] with the
-   length of the full enumeration, across all three routes. *)
+   [Enumerate] must agree as a set with the naive backtracking stream
+   [Homomorphism.search_seq] drained to a list, and [Enumerate.count]
+   with the length of the full enumeration, across all three routes. *)
 
 open Relational
 
@@ -25,20 +25,20 @@ let random_tree_source seed =
   let rand = mix seed in
   let n = 2 + rand 4 in
   let edges = List.init (n - 1) (fun i -> (rand (i + 1), i + 1)) in
-  Structure.of_relations Core.Workloads.graph_vocab ~size:(n + 1)
+  Structure.of_relations Testkit.Workloads.graph_vocab ~size:(n + 1)
     [ ("E", List.map (fun (u, v) -> [| u; v |]) edges) ]
 
 let random_target seed =
   let rand = mix (seed + 7919) in
   let m = 2 + rand 3 in
-  Core.Workloads.erdos_renyi ~seed:(seed + 13) ~n:m ~p:0.55
+  Testkit.Workloads.erdos_renyi ~seed:(seed + 13) ~n:m ~p:0.55
 
 let differential ?max_width ~expect_route a b =
   let plan = Enumerate.plan ?max_width a b in
   if not (expect_route plan.Enumerate.route) then
     Alcotest.failf "unexpected route %s" (Enumerate.route_name plan.Enumerate.route);
   let streamed = List.of_seq plan.Enumerate.seq in
-  let naive = Homomorphism.enumerate a b in
+  let naive = List.of_seq (Homomorphism.search_seq a b) in
   Alcotest.(check (list (list int)))
     "streamed = naive as a set" (sorted naive) (sorted streamed);
   check_int "count = |enumeration|" (List.length naive)
@@ -55,8 +55,8 @@ let treewidth_cases () =
   for seed = 0 to 99 do
     let rand = mix (seed + 31) in
     let a =
-      if seed mod 2 = 0 then Core.Workloads.undirected_cycle (3 + rand 4)
-      else Core.Workloads.grid 2 (2 + rand 3)
+      if seed mod 2 = 0 then Testkit.Workloads.undirected_cycle (3 + rand 4)
+      else Testkit.Workloads.grid 2 (2 + rand 3)
     in
     differential
       ~expect_route:(function
@@ -72,7 +72,7 @@ let general_cases () =
     let rand = mix (seed + 977) in
     differential ~max_width:0
       ~expect_route:(function Enumerate.Backtracking -> true | _ -> false)
-      (Core.Workloads.undirected_cycle (3 + rand 3))
+      (Testkit.Workloads.undirected_cycle (3 + rand 3))
       (random_target seed)
   done
 
@@ -90,7 +90,7 @@ let differential_tests =
 let limit_tests =
   [
     Alcotest.test_case "limit truncates the stream" `Quick (fun () ->
-        let a = Core.Workloads.path 3 and b = Core.Workloads.clique 4 in
+        let a = Testkit.Workloads.path 3 and b = Testkit.Workloads.clique 4 in
         check_int "limit 5" 5
           (List.length (List.of_seq (Enumerate.stream ~limit:5 a b)));
         check_int "limit 0" 0
@@ -102,8 +102,8 @@ let limit_tests =
         (* Forced onto backtracking; the full stream must exhaust the
            tiny budget, while an early-terminated one-answer pull
            completes inside it. *)
-        let a = Core.Workloads.undirected_cycle 5
-        and b = Core.Workloads.clique 4 in
+        let a = Testkit.Workloads.undirected_cycle 5
+        and b = Testkit.Workloads.clique 4 in
         let blown =
           let budget = Budget.create ~max_nodes:50 () in
           match
@@ -123,7 +123,7 @@ let limit_tests =
 (* Overflow: counts grow like |B|^|A| and must fail loudly, not wrap.   *)
 (* ------------------------------------------------------------------ *)
 
-let edgeless n = Structure.create Core.Workloads.graph_vocab ~size:n
+let edgeless n = Structure.create Testkit.Workloads.graph_vocab ~size:n
 
 let overflow_tests =
   [
@@ -143,7 +143,7 @@ let overflow_tests =
       (fun () ->
         (* True count 16^16 = 2^64: the old wrapping arithmetic returned
            2^64 mod 2^63 = 0; the checked DP raises. *)
-        let a = edgeless 16 and b = Core.Workloads.clique 16 in
+        let a = edgeless 16 and b = Testkit.Workloads.clique 16 in
         let raises f =
           match f () with
           | (_ : int) -> false
@@ -154,7 +154,7 @@ let overflow_tests =
         check "Enumerate.count overflows" true
           (raises (fun () -> Enumerate.count a b)));
     Alcotest.test_case "moderate powers agree across counters" `Quick (fun () ->
-        let a = edgeless 3 and b = Core.Workloads.clique 4 in
+        let a = edgeless 3 and b = Testkit.Workloads.clique 4 in
         check_int "enumerate" 64 (Enumerate.count a b);
         check_int "td" 64 (Treewidth.Td_solver.count a b);
         check_int "backtracking" 64 (Homomorphism.count a b));
@@ -168,29 +168,29 @@ let overflow_tests =
 let unit_tests =
   [
     Alcotest.test_case "K2 self-maps" `Quick (fun () ->
-        let b = Core.Workloads.k2 in
+        let b = Testkit.Workloads.k2 in
         check_int "2 automorphisms" 2
           (List.length (List.of_seq (Enumerate.stream b b)));
         check_int "count" 2 (Enumerate.count b b));
     Alcotest.test_case "search_seq streams the search" `Quick (fun () ->
-        let a = Core.Workloads.path 2 and b = Core.Workloads.clique 3 in
+        let a = Testkit.Workloads.path 2 and b = Testkit.Workloads.clique 3 in
         check_int "6 arcs" 6
           (List.length (List.of_seq (Homomorphism.search_seq a b)));
         check_int "enumerate matches" 6
-          (List.length (Homomorphism.enumerate a b)));
+          (List.length (List.of_seq (Homomorphism.search_seq a b))));
     Alcotest.test_case "disconnected source factors" `Quick (fun () ->
         (* Two disjoint edges + an isolated vertex over K3:
            6 * 6 * 3 = 108, deduplicated to one edge part ^2. *)
         let a =
-          Structure.of_relations Core.Workloads.graph_vocab ~size:5
+          Structure.of_relations Testkit.Workloads.graph_vocab ~size:5
             [ ("E", [ [| 0; 1 |]; [| 2; 3 |] ]) ]
         in
-        let b = Core.Workloads.clique 3 in
+        let b = Testkit.Workloads.clique 3 in
         check_int "count" 108 (Enumerate.count a b);
         check_int "stream agrees" 108
           (List.length (List.of_seq (Enumerate.stream a b))));
     Alcotest.test_case "unsat streams empty" `Quick (fun () ->
-        let a = Core.Workloads.undirected_cycle 3 and b = Core.Workloads.k2 in
+        let a = Testkit.Workloads.undirected_cycle 3 and b = Testkit.Workloads.k2 in
         check_int "no homs" 0
           (List.length (List.of_seq (Enumerate.stream a b)));
         check_int "count 0" 0 (Enumerate.count a b));

@@ -125,7 +125,7 @@ let test_race_cancellation () =
    selfcheck instance distribution, and every definite racing verdict
    carries a certificate the trusted checker accepts. *)
 let race_agreement_prop threads seed =
-  let a, b = Core.Selfcheck.instance seed in
+  let a, b = Testkit.Selfcheck.instance seed in
   let budget () = Budget.create ~max_nodes:200_000 () in
   let r1 = Core.Solver.solve ~budget:(budget ()) a b in
   let rn = Core.Solver.solve ~budget:(budget ()) ~threads a b in
@@ -154,7 +154,7 @@ let test_race_agreement =
    route the sequential dispatcher tries: both read the same guards. *)
 let test_cancelled_never_contributes () =
   for seed = 0 to 59 do
-    let a, b = Core.Selfcheck.instance seed in
+    let a, b = Testkit.Selfcheck.instance seed in
     let r = Core.Solver.solve ~threads:4 a b in
     let names (r : Core.Solver.result) =
       List.map

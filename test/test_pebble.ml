@@ -154,7 +154,7 @@ let encoding_tests =
     Alcotest.test_case "rank/unrank round-trips every code" `Quick (fun () ->
         List.iter
           (fun (n, m, k) ->
-            match Game.Encoding.create ~n ~m ~k () with
+            match Game.Encoding.create ~n ~m ~k with
             | None -> Alcotest.failf "encoding (%d,%d,%d) over capacity" n m k
             | Some enc ->
               let total = Game.Encoding.configs enc in
@@ -189,7 +189,7 @@ let encoding_tests =
         in
         List.iter
           (fun (n, m, k) ->
-            match Game.Encoding.create ~n ~m ~k () with
+            match Game.Encoding.create ~n ~m ~k with
             | None -> Alcotest.failf "encoding (%d,%d,%d) over capacity" n m k
             | Some enc ->
               Alcotest.(check int)
@@ -198,13 +198,13 @@ let encoding_tests =
                 (Game.Encoding.configs enc))
           [ (1, 1, 1); (3, 2, 2); (4, 3, 3); (5, 2, 4); (6, 3, 2) ]);
     Alcotest.test_case "the empty configuration ranks to 0" `Quick (fun () ->
-        match Game.Encoding.create ~n:4 ~m:3 ~k:2 () with
+        match Game.Encoding.create ~n:4 ~m:3 ~k:2 with
         | None -> Alcotest.fail "encoding over capacity"
         | Some enc ->
           Alcotest.(check int) "rank []" 0 (Game.Encoding.rank enc []);
           check "unrank 0" true (Game.Encoding.unrank enc 0 = []));
     Alcotest.test_case "rank rejects malformed configurations" `Quick (fun () ->
-        match Game.Encoding.create ~n:3 ~m:2 ~k:2 () with
+        match Game.Encoding.create ~n:3 ~m:2 ~k:2 with
         | None -> Alcotest.fail "encoding over capacity"
         | Some enc ->
           check "unsorted domain" true
@@ -213,6 +213,10 @@ let encoding_tests =
             (raises_invalid (fun () -> Game.Encoding.rank enc [ (0, 0); (0, 1) ]));
           check "image out of range" true
             (raises_invalid (fun () -> Game.Encoding.rank enc [ (0, 5) ]));
+          check "negative element" true
+            (raises_invalid (fun () -> Game.Encoding.rank enc [ (-1, 0); (0, 0) ]));
+          check "element outside the source" true
+            (raises_invalid (fun () -> Game.Encoding.rank enc [ (0, 0); (3, 0) ]));
           check "domain larger than k" true
             (raises_invalid (fun () ->
                  Game.Encoding.rank enc [ (0, 0); (1, 0); (2, 0) ]));
@@ -221,10 +225,8 @@ let encoding_tests =
                  Game.Encoding.unrank enc (Game.Encoding.configs enc))));
     Alcotest.test_case "create refuses an oversized layout up front" `Quick (fun () ->
         (* C(6000,2) * 2^2 codes exceed the capacity: the closed-form totals
-           refuse the layout before any subset is enumerated, so even a
-           10-node budget is never ticked. *)
-        let budget = Budget.create ~max_nodes:10 () in
-        check "none" true (Game.Encoding.create ~budget ~n:6000 ~m:2 ~k:2 () = None);
+           refuse the encoding before any subset is ranked. *)
+        check "none" true (Game.Encoding.create ~n:6000 ~m:2 ~k:2 = None);
         (* The game then declines: [run] answers [None] and the boolean
            conveniences refuse to guess. *)
         let k5 = [ 0; 1; 2; 3; 4 ] in
@@ -237,14 +239,20 @@ let encoding_tests =
         check "run declines" true (Game.run ~k:2 (clique 5) padded = None);
         check "spoiler_wins raises" true
           (raises_invalid (fun () -> Game.spoiler_wins ~k:2 (clique 5) padded)));
-    Alcotest.test_case "create ticks the budget during layout" `Quick (fun () ->
-        (* 1 + 50 + C(50,2) subsets far exceed the 10-node allowance, so
-           the layout pass must abort instead of allocating it all. *)
-        let budget = Budget.create ~max_nodes:10 () in
-        check "exhausts" true
-          (match Game.Encoding.create ~budget ~n:50 ~m:2 ~k:2 () with
-          | _ -> false
-          | exception Budget.Exhausted _ -> true));
+    Alcotest.test_case "create allocates no per-subset layout" `Quick (fun () ->
+        (* 1 + 2000 + C(2000,2) subsets: the closed-form rank stores only
+           a binomial table of (n+1)*(k+1) entries, where a per-subset
+           layout would allocate hundreds of millions of words. *)
+        let words () =
+          let minor, _, major = Gc.counters () in
+          minor +. major
+        in
+        let before = words () in
+        let enc = Game.Encoding.create ~n:2000 ~m:2 ~k:2 in
+        let allocated = words () -. before in
+        check "fits" true (enc <> None);
+        if allocated >= 1e6 then
+          Alcotest.failf "create allocated %.0f words (bound 1M)" allocated);
   ]
 
 let counter_tests =

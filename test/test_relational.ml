@@ -227,7 +227,8 @@ let hom_unit_tests =
     Alcotest.test_case "count endomorphisms of directed C3" `Quick (fun () ->
         check_int "rotations" 3 (Homomorphism.count (directed_cycle 3) (directed_cycle 3)));
     Alcotest.test_case "enumerate respects limit" `Quick (fun () ->
-        check_int "limit" 2 (List.length (Homomorphism.enumerate ~limit:2 (path 2) (clique 3))));
+        check_int "limit" 2
+          (List.length (List.of_seq (Seq.take 2 (Homomorphism.search_seq (path 2) (clique 3))))));
     Alcotest.test_case "find returns an actual homomorphism" `Quick (fun () ->
         match Homomorphism.find (undirected_cycle 6) k2 with
         | None -> Alcotest.fail "expected a homomorphism"

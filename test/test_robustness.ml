@@ -8,7 +8,7 @@
 open Relational
 open Helpers
 module Solver = Core.Solver
-module Workloads = Core.Workloads
+module Workloads = Testkit.Workloads
 module Error = Core.Error
 
 let check = Alcotest.(check bool)

@@ -284,7 +284,7 @@ let observer_tests =
         off = mem && off = strm);
     Alcotest.test_case "budget-exhausted runs still agree and still flush"
       `Quick (fun () ->
-        let a = Core.Workloads.clique 8 and b = Core.Workloads.clique 7 in
+        let a = Testkit.Workloads.clique 8 and b = Testkit.Workloads.clique 7 in
         let budgeted () =
           Preprocess.memo_reset ();
           Solver.solve ~budget:(Budget.create ~max_nodes:400 ()) a b

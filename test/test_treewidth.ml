@@ -128,11 +128,11 @@ let arbitrary_seeded_graph =
       if pick then
         let+ p = float_range 0.05 0.5 in
         ( Printf.sprintf "G(%d, %.3f) seed %d" n p seed,
-          gaifman (Core.Workloads.erdos_renyi ~seed ~n ~p) )
+          gaifman (Testkit.Workloads.erdos_renyi ~seed ~n ~p) )
       else
         let+ keep = float_range 0.5 1.0 in
         ( Printf.sprintf "partial %d-tree n=%d keep %.3f seed %d" k n keep seed,
-          gaifman (Core.Workloads.random_partial_ktree ~seed ~n ~k ~keep) ))
+          gaifman (Testkit.Workloads.random_partial_ktree ~seed ~n ~k ~keep) ))
 
 let pinned name g ~bags ~tree =
   Alcotest.test_case name `Quick (fun () ->
