@@ -163,13 +163,18 @@ let e3_case label target sizes =
           ~size:(max 4 (tuples / 4)) ~tuples
       in
       let r1, t_formula = Util.time (fun () -> Schaefer.Uniform.solve a target) in
-      let r2, t_direct = Util.time (fun () -> Schaefer.Uniform.solve_direct a target) in
+      let r2, t_direct = Util.time (fun () -> Oracle.Schaefer_direct.solve a target) in
       let answer = function
         | Schaefer.Uniform.Hom _ -> "sat"
-        | Schaefer.Uniform.No_hom -> "unsat"
+        | Schaefer.Uniform.No_hom _ -> "unsat"
         | Schaefer.Uniform.Not_applicable _ -> "n/a"
       in
-      assert (answer r1 = answer r2);
+      let direct_answer = function
+        | Oracle.Schaefer_direct.Hom _ -> "sat"
+        | Oracle.Schaefer_direct.No_hom -> "unsat"
+        | Oracle.Schaefer_direct.Not_applicable _ -> "n/a"
+      in
+      assert (answer r1 = direct_answer r2);
       formula_series := (tuples, t_formula) :: !formula_series;
       direct_series := (tuples, t_direct) :: !direct_series;
       rows :=
@@ -283,7 +288,7 @@ let e6 () =
         Util.time (fun () ->
             match Schaefer.Booleanize.solve g Testkit.Workloads.k2 with
             | Schaefer.Booleanize.Hom _ -> true
-            | Schaefer.Booleanize.No_hom -> false
+            | Schaefer.Booleanize.No_hom _ -> false
             | Schaefer.Booleanize.Not_schaefer _ -> assert false)
       in
       assert (answer = (n mod 2 = 0));
@@ -293,7 +298,7 @@ let e6 () =
         Util.time (fun () ->
             match Schaefer.Booleanize.solve c c4 with
             | Schaefer.Booleanize.Hom _ -> true
-            | Schaefer.Booleanize.No_hom -> false
+            | Schaefer.Booleanize.No_hom _ -> false
             | Schaefer.Booleanize.Not_schaefer _ -> assert false)
       in
       assert (answer4 = (n mod 4 = 0));
@@ -398,13 +403,11 @@ let e8 () =
       let g = Testkit.Workloads.undirected_cycle n in
       let a1, t_naive =
         Util.time ~repeat:1 (fun () ->
-            Datalog.Eval.goal_holds ~strategy:Datalog.Eval.Naive
-              Datalog.Programs.non_2_colorability g)
+            Oracle.Naive_datalog.goal_holds Datalog.Programs.non_2_colorability g)
       in
       let a2, t_semi =
         Util.time ~repeat:1 (fun () ->
-            Datalog.Eval.goal_holds ~strategy:Datalog.Eval.Seminaive
-              Datalog.Programs.non_2_colorability g)
+            Datalog.Eval.goal_holds Datalog.Programs.non_2_colorability g)
       in
       assert (a1 = a2 && a1 = (n mod 2 = 1));
       rows := [ int n; string_of_bool a1; f2s t_naive; f2s t_semi ] :: !rows)
@@ -701,7 +704,7 @@ let ablations () =
       in
       let f = Schaefer.Cnf.make ~nvars clauses in
       let r_scc, t_scc = Util.time ~repeat:1 (fun () -> Schaefer.Two_sat.solve f) in
-      let r_phase, t_phase = Util.time ~repeat:1 (fun () -> Schaefer.Two_sat.solve_phase f) in
+      let r_phase, t_phase = Util.time ~repeat:1 (fun () -> Oracle.Two_sat_phase.solve f) in
       assert (Result.is_ok r_scc = (r_phase <> None));
       rows :=
         [ int nvars;
@@ -896,13 +899,13 @@ let certify () =
     [
       (let a, b = horn_chain 400 in
        ("schaefer-direct", a, b, fun () ->
-           ignore (Schaefer.Uniform.solve_direct a b)));
+           ignore (Schaefer.Uniform.solve a b)));
       (let a, b = affine_pairs 120 in
        ("schaefer-direct", a, b, fun () ->
-           ignore (Schaefer.Uniform.solve_direct a b)));
+           ignore (Schaefer.Uniform.solve a b)));
       (let a = Testkit.Workloads.undirected_cycle 401 and b = Testkit.Workloads.k2 in
        ("schaefer-direct", a, b, fun () ->
-           ignore (Schaefer.Uniform.solve_direct a b)));
+           ignore (Schaefer.Uniform.solve a b)));
       (let a = Testkit.Workloads.undirected_cycle 401
        and b = Testkit.Workloads.complete_bipartite 2 2 in
        ("hell-nesetril", a, b, fun () -> ignore (Core.Graph_dichotomy.solve a b)));

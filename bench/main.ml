@@ -42,7 +42,7 @@ let micro_tests =
       Test.make ~name:"e3-formula-route" (Staged.stage (fun () ->
           Schaefer.Uniform.solve horn_source horn_target));
       Test.make ~name:"e3-direct-route" (Staged.stage (fun () ->
-          Schaefer.Uniform.solve_direct horn_source horn_target));
+          Oracle.Schaefer_direct.solve horn_source horn_target));
       Test.make ~name:"e4-booleanize-c4" (Staged.stage (fun () ->
           Schaefer.Booleanize.solve (Testkit.Workloads.directed_cycle 32) c4));
       Test.make ~name:"e5-two-atom-containment" (Staged.stage (fun () ->

@@ -50,7 +50,7 @@ let () =
     match Schaefer.Booleanize.solve a c4 with
     | Schaefer.Booleanize.Hom h ->
       Format.printf "%s -> C4: yes, e.g. %a@." name Tuple.pp h
-    | Schaefer.Booleanize.No_hom -> Format.printf "%s -> C4: no@." name
+    | Schaefer.Booleanize.No_hom _ -> Format.printf "%s -> C4: no@." name
     | Schaefer.Booleanize.Not_schaefer _ -> Format.printf "%s -> C4: not Schaefer?!@." name
   in
   report "C8" c8;

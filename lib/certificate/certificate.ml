@@ -491,6 +491,8 @@ let encode_target bits b =
       Structure.add_tuple acc name bt)
     b base
 
+let no_image = Search_tree (Split { elem = 0; children = [] })
+
 let rec check a b cert =
   match cert with
   | Witness h -> check_witness a b h

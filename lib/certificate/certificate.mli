@@ -123,6 +123,10 @@ and step = { clause : iclause; forces : lit option }
 (** One unit-propagation step; [forces = None] marks the closing conflict
     clause, all of whose literals are already false. *)
 
+val no_image : t
+(** A nonempty source against an empty target universe: a case split on
+    element [0] with no branch, since that element has no image. *)
+
 val check : Structure.t -> Structure.t -> t -> bool
 (** [check a b c]: validate [c] against the raw instance using only tuple
     lookups.  Never raises; never calls solver code. *)

@@ -115,9 +115,9 @@ type entry = {
    engine counters next to its step. *)
 and run = (int -> int -> bool) option -> Budget.t -> step * (string * int) list
 
-(* Schaefer-direct, booleanized and backtracking decide in one pass and
-   certify in a second.  A certifying pass that finds no refutation
-   contradicts the deciding one: a solver bug, which fails loudly. *)
+(* Backtracking decides in one pass and certifies in a second.  A
+   certifying pass that finds no refutation contradicts the deciding one:
+   a solver bug, which fails loudly. *)
 let certified route = function
   | Some cert -> Refuted cert
   | None ->
@@ -126,12 +126,8 @@ let certified route = function
        (cross-route disagreement)"
       (route_name route)
 
-(* An empty target universe against a nonempty source is refuted by a
-   childless case split: the first element has no possible image. *)
-let no_image = Certificate.Search_tree (Certificate.Split { elem = 0; children = [] })
-
 let or_empty_target a b cert =
-  if Structure.size b = 0 && Structure.size a > 0 then no_image else cert
+  if Structure.size b = 0 && Structure.size a > 0 then Certificate.no_image else cert
 
 (* The backtracking route's refutation: a forward-checking DFS that
    shares no code with the MAC search of [Homomorphism], so it
@@ -142,7 +138,7 @@ exception Found_hom
 let refute_by_search ~budget a b =
   let n = Structure.size a and m = Structure.size b in
   if n = 0 then None
-  else if m = 0 then Some no_image
+  else if m = 0 then Some Certificate.no_image
   else begin
     let facts =
       Array.of_list
@@ -252,19 +248,18 @@ let acyclic a b =
 
 let head ~booleanize_threshold a b =
   [
-    (* Boolean Schaefer target: the direct algorithms of Theorem 3.4. *)
+    (* Boolean Schaefer target: the formula pass of Theorem 3.3, which
+       refutes with the certificate it found. *)
     independent All (fun () ->
         if Structure.size b <> 2 then None
         else
           Option.map
             (fun cls ->
-              let route = Schaefer_direct cls in
-              ( route,
+              ( Schaefer_direct cls,
                 plain (fun s ->
-                    match Schaefer.Uniform.solve_direct ~budget:s a b with
+                    match Schaefer.Uniform.solve ~budget:s a b with
                     | Schaefer.Uniform.Hom h -> Found h
-                    | Schaefer.Uniform.No_hom ->
-                      certified route (Schaefer.Uniform.refute ~budget:s a b)
+                    | Schaefer.Uniform.No_hom cert -> Refuted cert
                     | Schaefer.Uniform.Not_applicable _ -> Declined) ))
             (Schaefer.Classify.classify b));
     (* Tractable undirected-graph target (Hell–Nešetřil). *)
@@ -284,25 +279,25 @@ let head ~booleanize_threshold a b =
         else None);
     (* Booleanized Schaefer target (Lemma 3.5) for small targets.  The
        guard reads the vocabularies and classifies the encoded target
-       (cached per relation); it rejects exactly the pairs on which
-       [Booleanize.solve] answers [Not_schaefer]. *)
+       (cached per relation), scanning the source for an empty-relation
+       fact only when that class is missing; it rejects exactly the pairs
+       on which [Booleanize.solve] answers [Not_schaefer]. *)
     independent All (fun () ->
-        if Structure.size b > booleanize_threshold || Structure.size b < 1 then None
+        if
+          Structure.size b > booleanize_threshold
+          || Structure.size b < 1
+          || Schaefer.Uniform.arity_mismatch a b
+        then None
         else
-          match
-            ( Schaefer.Uniform.precheck a b,
-              Schaefer.Classify.classify (Schaefer.Booleanize.encode_target b) )
-          with
-          | Some (Schaefer.Uniform.Not_applicable _), _ | None, None -> None
-          | _, cls ->
-            let route = Booleanized (Option.value ~default:Schaefer.Classify.Affine cls) in
+          match Schaefer.Classify.classify (Schaefer.Booleanize.encode_target b) with
+          | None when Schaefer.Uniform.empty_relation_refutation a b = None -> None
+          | cls ->
             Some
-              ( route,
+              ( Booleanized (Option.value ~default:Schaefer.Classify.Affine cls),
                 plain (fun s ->
                     match Schaefer.Booleanize.solve ~budget:s a b with
                     | Schaefer.Booleanize.Hom h -> Found h
-                    | Schaefer.Booleanize.No_hom ->
-                      certified route (Schaefer.Booleanize.refute ~budget:s a b)
+                    | Schaefer.Booleanize.No_hom cert -> Refuted cert
                     | Schaefer.Booleanize.Not_schaefer _ -> Declined) ));
     acyclic a b;
   ]

@@ -5,8 +5,8 @@ open Relational
     backtracking search only when none applies.
 
     Route order is the route table in [solver.ml]: one ordered list of
-    entries, one per tractable case (Schaefer's direct algorithms,
-    Theorem 3.4; the Hell–Nešetřil graph dichotomy; Booleanization,
+    entries, one per tractable case (Schaefer's uniform algorithm,
+    Theorem 3.3; the Hell–Nešetřil graph dichotomy; Booleanization,
     Lemma 3.5; acyclic and bounded-treewidth sources, Theorem 5.4;
     k-consistency, Theorems 4.7–4.9), ending in MAC backtracking.  Each
     entry's guard decides whether it applies; the sequential and the
@@ -60,6 +60,9 @@ type route =
           with preprocessing on).  Also the
           route of the shrink's own attempt record. *)
   | Schaefer_direct of Schaefer.Classify.schaefer_class
+      (** A Boolean Schaefer target, decided and refuted in one formula
+          pass ([Schaefer.Uniform.solve]).  Reports keep the name
+          [schaefer-direct(...)]. *)
   | Booleanized of Schaefer.Classify.schaefer_class
   | Graph_target of Graph_dichotomy.verdict
   | Acyclic

@@ -71,7 +71,7 @@ let contained_two_atom q1 q2 =
      bijunctive and the Schaefer machinery applies. *)
   match Schaefer.Booleanize.solve d2 d1 with
   | Schaefer.Booleanize.Hom _ -> true
-  | Schaefer.Booleanize.No_hom -> false
+  | Schaefer.Booleanize.No_hom _ -> false
   | Schaefer.Booleanize.Not_schaefer _ ->
     invalid_arg
       "Containment.contained_two_atom: Booleanized target unexpectedly not Schaefer"

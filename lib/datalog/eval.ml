@@ -1,7 +1,5 @@
 open Relational
 
-type strategy = Naive | Seminaive
-
 type stats = { rounds : int; derived : int }
 
 (* A rule compiled once per fixpoint: variable names are numbered into
@@ -114,7 +112,7 @@ let eval_rule ~universe ~facts ?delta cr =
   join 0;
   !out
 
-let fixpoint_with_stats ?(strategy = Seminaive) p structure =
+let fixpoint_with_stats p structure =
   let universe = Structure.size structure in
   let idbs = Program.idb_predicates p in
   let tables = Hashtbl.create 16 in
@@ -143,71 +141,56 @@ let fixpoint_with_stats ?(strategy = Seminaive) p structure =
   in
   let rounds = ref 0 in
   let rules = List.map compile_rule p.Program.rules in
-  (match strategy with
-  | Naive ->
-    let changed = ref true in
-    while !changed do
-      incr rounds;
-      changed := false;
-      List.iter
-        (fun cr ->
-          let tuples = eval_rule ~universe ~facts cr in
-          if not (Relation.is_empty (add cr.head_pred tuples)) then changed := true)
-        rules
-    done
-  | Seminaive ->
-    (* Round 0: full evaluation (IDB tables are empty, so only rules without
-       IDB body atoms can fire). *)
+  (* Round 0: full evaluation (IDB tables are empty, so only rules without
+     IDB body atoms can fire). *)
+  incr rounds;
+  let deltas = Hashtbl.create 16 in
+  List.iter
+    (fun name -> Hashtbl.replace deltas name (Relation.empty (Program.predicate_arity p name)))
+    idbs;
+  List.iter
+    (fun cr ->
+      let fresh = add cr.head_pred (eval_rule ~universe ~facts cr) in
+      Hashtbl.replace deltas cr.head_pred
+        (Relation.union (Hashtbl.find deltas cr.head_pred) fresh))
+    rules;
+  let any_delta () =
+    Hashtbl.fold (fun _ d acc -> acc || not (Relation.is_empty d)) deltas false
+  in
+  while any_delta () do
     incr rounds;
-    let deltas = Hashtbl.create 16 in
+    let new_deltas = Hashtbl.create 16 in
     List.iter
-      (fun name -> Hashtbl.replace deltas name (Relation.empty (Program.predicate_arity p name)))
+      (fun name ->
+        Hashtbl.replace new_deltas name
+          (Relation.empty (Program.predicate_arity p name)))
       idbs;
     List.iter
       (fun cr ->
-        let fresh = add cr.head_pred (eval_rule ~universe ~facts cr) in
-        Hashtbl.replace deltas cr.head_pred
-          (Relation.union (Hashtbl.find deltas cr.head_pred) fresh))
+        Array.iteri
+          (fun i a ->
+            if List.mem a.pred idbs then begin
+              let d = Hashtbl.find deltas a.pred in
+              if not (Relation.is_empty d) then begin
+                let fresh =
+                  add cr.head_pred (eval_rule ~universe ~facts ~delta:(i, d) cr)
+                in
+                Hashtbl.replace new_deltas cr.head_pred
+                  (Relation.union (Hashtbl.find new_deltas cr.head_pred) fresh)
+              end
+            end)
+          cr.body)
       rules;
-    let any_delta () =
-      Hashtbl.fold (fun _ d acc -> acc || not (Relation.is_empty d)) deltas false
-    in
-    while any_delta () do
-      incr rounds;
-      let new_deltas = Hashtbl.create 16 in
-      List.iter
-        (fun name ->
-          Hashtbl.replace new_deltas name
-            (Relation.empty (Program.predicate_arity p name)))
-        idbs;
-      List.iter
-        (fun cr ->
-          Array.iteri
-            (fun i a ->
-              if List.mem a.pred idbs then begin
-                let d = Hashtbl.find deltas a.pred in
-                if not (Relation.is_empty d) then begin
-                  let fresh =
-                    add cr.head_pred (eval_rule ~universe ~facts ~delta:(i, d) cr)
-                  in
-                  Hashtbl.replace new_deltas cr.head_pred
-                    (Relation.union (Hashtbl.find new_deltas cr.head_pred) fresh)
-                end
-              end)
-            cr.body)
-        rules;
-      Hashtbl.reset deltas;
-      Hashtbl.iter (fun name d -> Hashtbl.replace deltas name d) new_deltas
-    done);
+    Hashtbl.reset deltas;
+    Hashtbl.iter (fun name d -> Hashtbl.replace deltas name d) new_deltas
+  done;
   Telemetry.count "datalog.rounds" !rounds;
   Telemetry.count "datalog.derived" !derived;
   ( List.map (fun name -> (name, Hashtbl.find tables name)) idbs,
     { rounds = !rounds; derived = !derived } )
 
-let fixpoint ?strategy p structure = fst (fixpoint_with_stats ?strategy p structure)
+let fixpoint p structure = fst (fixpoint_with_stats p structure)
 
-let goal_relation ?strategy p structure =
-  List.assoc p.Program.goal (fixpoint ?strategy p structure)
+let goal_relation p structure = List.assoc p.Program.goal (fixpoint p structure)
 
-let goal_holds ?strategy p structure =
-  not (Relation.is_empty (goal_relation ?strategy p structure))
+let goal_holds p structure = not (Relation.is_empty (goal_relation p structure))

@@ -415,7 +415,7 @@ let ac_singleton_witness ?(budget = Budget.unlimited) a b =
   if Structure.size a = 0 then
     if Homomorphism.is_homomorphism a b [||] then Some [||] else None
   else
-    let ctx = Arc_consistency.create a b in
+    let ctx = Arc_consistency.create ~budget a b in
     if Arc_consistency.establish ctx && Arc_consistency.all_singleton ctx then begin
       let h = Arc_consistency.solution ctx in
       if Homomorphism.is_homomorphism a b h then Some h else None

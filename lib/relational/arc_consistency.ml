@@ -30,6 +30,7 @@ type t = {
   trail : (int * int) Stack.t;
   marks : int Stack.t;
   pending_vals : (int * int) Queue.t;
+  budget : Budget.t;
   mutable supports_ready : bool;
   mutable init_depth : int;
   mutable removals : int;
@@ -45,7 +46,19 @@ let build_info m arity tuples =
     tuples;
   { tuples; by_pos = Array.map (Array.map (fun l -> Array.of_list (List.rev l))) by_pos }
 
-let create a b =
+(* Building the constraints and the support counters, and propagating,
+   can each take seconds on a large pair, so every 256 constraints or
+   queue pops they read the budget's deadline and cancellation flag.
+   They tick no nodes and ignore the node limit: the search that owns
+   the context counts its nodes and decides when they run out. *)
+let poll budget i =
+  if i land 255 = 255 then
+    match Budget.status budget with
+    | Some ((Budget.Deadline | Budget.Cancelled) as reason) ->
+      raise (Budget.Exhausted reason)
+    | Some Budget.Node_limit | None -> ()
+
+let create ?(budget = Budget.unlimited) a b =
   let n = Structure.size a and m = Structure.size b in
   (* Symbols missing from B, or present with a different arity, act as empty
      relations: no tuple of B can support such an atom. *)
@@ -64,9 +77,11 @@ let create a b =
       Hashtbl.replace infos name info;
       info
   in
-  let acc = ref [] in
+  let acc = ref [] and built = ref 0 in
   Structure.iter_tuples
     (fun name t ->
+      poll budget !built;
+      incr built;
       let arity = Array.length t in
       let info = info_for name arity in
       acc :=
@@ -102,6 +117,7 @@ let create a b =
     trail = Stack.create ();
     marks = Stack.create ();
     pending_vals = Queue.create ();
+    budget;
     supports_ready = false;
     init_depth = 0;
     removals = 0;
@@ -189,8 +205,9 @@ let remove_value ctx x v =
 let ensure_supports ctx =
   Telemetry.count "ac.support_builds" 1;
   Queue.clear ctx.pending_vals;
-  Array.iter
-    (fun c ->
+  Array.iteri
+    (fun ci c ->
+      poll ctx.budget ci;
       let arity = Array.length c.atom in
       Array.fill c.kill 0 (Array.length c.kill) 0;
       Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) c.supp;
@@ -231,8 +248,10 @@ let propagate_ac4 ctx =
   then true
   else begin
     if not ctx.supports_ready then ensure_supports ctx;
-    let alive = ref true in
+    let alive = ref true and pops = ref 0 in
     while !alive && not (Queue.is_empty ctx.pending_vals) do
+      poll ctx.budget !pops;
+      incr pops;
       let y, w = Queue.pop ctx.pending_vals in
       (* Re-verify at dequeue time: a pop may have restored support since
          this candidate was enqueued, making the entry stale. *)

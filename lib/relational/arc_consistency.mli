@@ -16,10 +16,14 @@
 
 type t
 
-val create : Structure.t -> Structure.t -> t
+val create : ?budget:Budget.t -> Structure.t -> Structure.t -> t
 (** Fresh context with full domains.  Symbols of [A]'s vocabulary missing
     from [B] (or carried with a different arity) are treated as empty
-    relations of [B]. *)
+    relations of [B].  Building the context and every propagation read
+    [budget]'s deadline and cancellation flag every 256 constraints
+    built or values dequeued, so either interrupts a large pair; they
+    tick no nodes and ignore the node limit.
+    @raise Budget.Exhausted on the deadline or cancellation. *)
 
 val source : t -> Structure.t
 
@@ -49,7 +53,9 @@ val propagate : t -> bool
 
 val establish : t -> bool
 (** Makes the whole context arc-consistent from scratch (all variables
-    scheduled).  Returns [false] when no homomorphism can exist. *)
+    scheduled).  Returns [false] when no homomorphism can exist.
+    @raise Budget.Exhausted on the context budget's deadline or
+    cancellation, as do {!assign} and {!propagate}. *)
 
 val push : t -> unit
 (** Push an undo checkpoint. *)

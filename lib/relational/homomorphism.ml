@@ -78,7 +78,7 @@ let search ?(ordering = `Mrv) ?(restrict = fun _ _ -> true)
   end
   else if m = 0 then !nodes
   else begin
-    let ctx = Arc_consistency.create a b in
+    let ctx = Arc_consistency.create ~budget a b in
     let alive = ref true in
     for x = 0 to n - 1 do
       for v = 0 to m - 1 do

@@ -75,39 +75,32 @@ let () =
 
 type outcome =
   | Hom of Homomorphism.mapping
-  | No_hom
+  | No_hom of Certificate.t
   | Not_schaefer of Structure.t
 
 let solve ?budget a b =
-  if Structure.size b = 0 then (if Structure.size a = 0 then Hom [||] else No_hom)
-  else begin
-    let bits = bits_needed (Structure.size b) in
-    let ab, bb = encode_pair a b in
-    match Uniform.solve_direct ?budget ab bb with
-    | Uniform.Hom hb ->
-      let h, clamped = decode_counting ~bits ~target:b hb in
-      if Homomorphism.is_homomorphism a b h then Hom h
-      else
-        raise
-          (Decode_rejected
-             {
-               bits;
-               source_size = Structure.size a;
-               target_size = Structure.size b;
-               clamped;
-               mapping = h;
-             })
-    | Uniform.No_hom -> No_hom
-    | Uniform.Not_applicable _ -> Not_schaefer bb
-  end
-
-let refute ?budget a b =
-  match Uniform.empty_relation_refutation a b with
-  | Some c -> Some c
-  | None when Structure.size b = 0 -> None
-  | None ->
-    let ab, bb = encode_pair a b in
-    Option.map
-      (fun inner ->
-        Certificate.Via_booleanization { bits = bits_needed (Structure.size b); inner })
-      (Uniform.refute ?budget ab bb)
+  if Uniform.arity_mismatch a b then Not_schaefer (encode_target b)
+  else
+    match Uniform.empty_relation_refutation a b with
+    | Some cert -> No_hom cert
+    | None when Structure.size b = 0 ->
+      if Structure.size a = 0 then Hom [||] else No_hom Certificate.no_image
+    | None -> (
+      let bits = bits_needed (Structure.size b) in
+      let ab, bb = encode_pair a b in
+      match Uniform.solve ?budget ab bb with
+      | Uniform.Hom hb ->
+        let h, clamped = decode_counting ~bits ~target:b hb in
+        if Homomorphism.is_homomorphism a b h then Hom h
+        else
+          raise
+            (Decode_rejected
+               {
+                 bits;
+                 source_size = Structure.size a;
+                 target_size = Structure.size b;
+                 clamped;
+                 mapping = h;
+               })
+      | Uniform.No_hom inner -> No_hom (Certificate.Via_booleanization { bits; inner })
+      | Uniform.Not_applicable _ -> Not_schaefer bb)

@@ -49,19 +49,19 @@ exception Decode_rejected of decode_context
 
 type outcome =
   | Hom of Homomorphism.mapping
-  | No_hom
+  | No_hom of Certificate.t
+      (** An [Empty_relation] fact of the raw pair if there is one (or,
+          against an empty universe, a childless case split), else the
+          encoded pair's {!Uniform.solve} refutation wrapped in
+          [Via_booleanization]. *)
   | Not_schaefer of Structure.t
       (** The Booleanized target, for inspection, when it lands outside
-          Schaefer's tractable classes. *)
+          Schaefer's tractable classes or the vocabularies' arities
+          clash. *)
 
 val solve : ?budget:Budget.t -> Structure.t -> Structure.t -> outcome
-(** Booleanize, classify, solve with {!Uniform.solve_direct}, decode.
+(** Booleanize, classify, solve with {!Uniform.solve}, decode: one pass
+    decides and refutes.
     @raise Decode_rejected when the decoded mapping fails
     [Homomorphism.is_homomorphism] — an internal invariant violation.
     @raise Budget.Exhausted when [budget] runs out. *)
-
-val refute : ?budget:Budget.t -> Structure.t -> Structure.t -> Certificate.t option
-(** A certificate for "no homomorphism": an [Empty_relation] fact of the
-    raw pair if there is one, else a [Via_booleanization] wrapper around
-    {!Uniform.refute} of the encoded pair.  [None] when that finds a
-    homomorphism or does not apply. *)

@@ -1,11 +1,8 @@
-(** 2-SAT solvers.
-
-    [solve] is the classical linear-time algorithm via strongly connected
-    components of the implication graph.  [solve_phase] is the
-    phase-propagation algorithm from Lewis–Papadimitriou that the paper
-    emulates in its direct bijunctive algorithm (Theorem 3.4): pick an
-    unassigned variable, guess a value, propagate; on conflict undo and try
-    the other value; fail only if both guesses conflict. *)
+(** 2-SAT: the classical linear-time algorithm via strongly connected
+    components of the implication graph.  Its differential reference, the
+    Lewis–Papadimitriou phase propagation the paper emulates in its direct
+    bijunctive algorithm (Theorem 3.4), is [Oracle.Two_sat_phase] in the
+    test-only [oracle] library. *)
 
 type refutation = {
   pivot : Cnf.literal;
@@ -23,5 +20,3 @@ val solve : Cnf.t -> (bool array, refutation) result
     @raise Invalid_argument if a clause is empty or has more than two
     literals. *)
 
-val solve_phase : Cnf.t -> bool array option
-(** @raise Invalid_argument if a clause has more than two literals. *)

@@ -94,21 +94,21 @@ let routes ~budget a b =
         claim_of (fun () ->
             match Schaefer.Uniform.solve ~budget:(budget ()) a b with
             | Schaefer.Uniform.Hom _ -> Some true
-            | Schaefer.Uniform.No_hom -> Some false
+            | Schaefer.Uniform.No_hom _ -> Some false
             | Schaefer.Uniform.Not_applicable _ -> None));
     guard "schaefer-direct" (fun () ->
         claim_of (fun () ->
-            match Schaefer.Uniform.solve_direct ~budget:(budget ()) a b with
-            | Schaefer.Uniform.Hom _ -> Some true
-            | Schaefer.Uniform.No_hom -> Some false
-            | Schaefer.Uniform.Not_applicable _ -> None));
+            match Oracle.Schaefer_direct.solve ~budget:(budget ()) a b with
+            | Oracle.Schaefer_direct.Hom _ -> Some true
+            | Oracle.Schaefer_direct.No_hom -> Some false
+            | Oracle.Schaefer_direct.Not_applicable _ -> None));
     guard "booleanized" (fun () ->
         claim_of (fun () ->
             if Structure.size b < 1 || Structure.size b > 4 then None
             else
               match Schaefer.Booleanize.solve a b with
               | Schaefer.Booleanize.Hom _ -> Some true
-              | Schaefer.Booleanize.No_hom -> Some false
+              | Schaefer.Booleanize.No_hom _ -> Some false
               | Schaefer.Booleanize.Not_schaefer _ -> None));
     guard "hell-nesetril" (fun () ->
         claim_of (fun () ->

@@ -57,8 +57,8 @@ let eval_tests =
     Alcotest.test_case "naive and semi-naive agree" `Quick (fun () ->
         List.iter
           (fun g ->
-            let naive = Eval.fixpoint ~strategy:Eval.Naive Programs.transitive_closure g in
-            let semi = Eval.fixpoint ~strategy:Eval.Seminaive Programs.transitive_closure g in
+            let naive = Oracle.Naive_datalog.fixpoint Programs.transitive_closure g in
+            let semi = Eval.fixpoint Programs.transitive_closure g in
             List.iter2
               (fun (n1, r1) (n2, r2) ->
                 Alcotest.(check string) "same idb" n1 n2;
@@ -90,7 +90,7 @@ let eval_tests =
         check "no facts" true (Relation.is_empty (Eval.goal_relation p (path 3))));
     Alcotest.test_case "stats count rounds" `Quick (fun () ->
         let _, stats =
-          Eval.fixpoint_with_stats ~strategy:Eval.Seminaive Programs.transitive_closure (path 5)
+          Eval.fixpoint_with_stats Programs.transitive_closure (path 5)
         in
         check "at least 3 rounds" true (stats.Eval.rounds >= 3);
         check_int "derived = tc size" 10 stats.Eval.derived);
@@ -193,7 +193,7 @@ let horn_program_tests =
            (a, b)))
       (fun (a, b) ->
         let datalog_no = Horn_program.no_homomorphism b a in
-        let direct = Schaefer.Uniform.solve_horn_direct a b in
+        let direct = Oracle.Schaefer_direct.solve_horn a b in
         datalog_no = (direct = None) && datalog_no = not (brute_force_exists a b));
   ]
 

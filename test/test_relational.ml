@@ -339,6 +339,19 @@ let ac_tests =
         check "fully forced" true (Arc_consistency.all_singleton ctx);
         Alcotest.check mapping_testable "solution" [| 0; 1; 2 |]
           (Arc_consistency.solution ctx));
+    Alcotest.test_case "propagation reads the deadline, not the node limit" `Quick
+      (fun () ->
+        (* One fact against a 1,000-element target with one edge: building
+           the context polls nothing, but establishing it dequeues about
+           2,000 unsupported values. *)
+        let b = digraph ~size:1000 [ (0, 1) ] in
+        let expired = Budget.create ~timeout:0. () in
+        Unix.sleepf 0.001;
+        Alcotest.check_raises "deadline" (Budget.Exhausted Budget.Deadline) (fun () ->
+            ignore (Arc_consistency.establish (Arc_consistency.create ~budget:expired (path 2) b)));
+        let spent = Budget.create ~max_nodes:0 () in
+        check "node limit ignored" true
+          (Arc_consistency.establish (Arc_consistency.create ~budget:spent (path 2) b)));
     Alcotest.test_case "naive engine still answers the classics" `Quick (fun () ->
         let all _ _ = true in
         check "wiped" true

@@ -533,7 +533,7 @@ let taxonomy_tests =
           (bad_input (fun () -> Schaefer.Horn_sat.solve_dual two_neg)));
     Alcotest.test_case "symbol missing from B acts as the empty relation"
       `Quick (fun () ->
-        (* Pins the Uniform.tuples_of Not_found path: a fact of A over a
+        (* Pins the direct engines' Not_found path: a fact of A over a
            symbol B lacks can never be satisfied, so propagation must
            report no homomorphism rather than succeed vacuously. *)
         let vocab_a = Vocabulary.create [ ("R", 2); ("S", 1) ] in
@@ -548,12 +548,12 @@ let taxonomy_tests =
             [ ("R", []); ("S", [ [| 0 |] ]) ]
         in
         check "bijunctive: no hom" true
-          (Schaefer.Uniform.solve_bijunctive_direct a b = None);
+          (Oracle.Schaefer_direct.solve_bijunctive a b = None);
         check "horn: no hom" true
-          (Schaefer.Uniform.solve_horn_direct a b = None);
+          (Oracle.Schaefer_direct.solve_horn a b = None);
         let a' = Structure.of_relations vocab_a ~size:1 [ ("R", [ [| 0; 0 |] ]) ] in
         check "control: without the orphan fact a hom exists" true
-          (Schaefer.Uniform.solve_bijunctive_direct a' b <> None));
+          (Oracle.Schaefer_direct.solve_bijunctive a' b <> None));
   ]
 
 let () =

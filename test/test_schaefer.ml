@@ -272,7 +272,7 @@ let sat_tests =
         (match Two_sat.solve f with
         | Error _ -> Alcotest.fail "sat"
         | Ok m -> check "model" true (Cnf.satisfies m f));
-        match Two_sat.solve_phase f with
+        match Oracle.Two_sat_phase.solve f with
         | None -> Alcotest.fail "sat (phase)"
         | Some m -> check "model (phase)" true (Cnf.satisfies m f));
     Alcotest.test_case "2-sat: unsat cycle" `Quick (fun () ->
@@ -282,7 +282,7 @@ let sat_tests =
               [ Cnf.neg 0; Cnf.pos 1 ]; [ Cnf.neg 0; Cnf.neg 1 ] ]
         in
         check "scc unsat" true (Result.is_error (Two_sat.solve f));
-        check "phase unsat" true (Two_sat.solve_phase f = None));
+        check "phase unsat" true (Oracle.Two_sat_phase.solve f = None));
     qtest ~count:300 "horn solver agrees with enumeration"
       (QCheck.make (QCheck.Gen.(1 -- 7) |> fun g ->
            QCheck.Gen.(g >>= fun n -> gen_cnf ~nvars:n ~max_clauses:8 ~max_clause_len:3)))
@@ -303,7 +303,7 @@ let sat_tests =
           | Error r -> (not expected) && implication_cycle_holds f r
         in
         let phase_ok =
-          match Two_sat.solve_phase f with Some m -> Cnf.satisfies m f | None -> not expected
+          match Oracle.Two_sat_phase.solve f with Some m -> Cnf.satisfies m f | None -> not expected
         in
         scc_ok && phase_ok);
     qtest ~count:200 "gf2 rank-nullity"
@@ -380,7 +380,7 @@ let gen_uniform_instance cls =
 
 let outcome_matches a b = function
   | Uniform.Hom h -> Homomorphism.is_homomorphism a b h && brute_force_exists a b
-  | Uniform.No_hom -> not (brute_force_exists a b)
+  | Uniform.No_hom _ -> not (brute_force_exists a b)
   | Uniform.Not_applicable _ -> false
 
 let uniform_tests =
@@ -395,10 +395,11 @@ let uniform_tests =
       classes
   in
   (* A "no" of the formula route comes with a refutation the checker
-     accepts, of the kind of the class [B] is solved as. *)
-  let refutation_checks a b =
-    match (Uniform.refute a b, Classify.classify b) with
-    | Some c, Some cls ->
+     accepts, of the kind of the class [B] is solved as; Booleanization
+     wraps the refutation of the encoded pair. *)
+  let refutation_checks a b c =
+    match Classify.classify b with
+    | Some cls ->
       let kind =
         match cls with
         | Classify.Horn | Classify.Dual_horn -> "unit-propagation"
@@ -407,14 +408,28 @@ let uniform_tests =
         | Classify.Zero_valid | Classify.One_valid -> "empty-relation"
       in
       Certificate.check a b c
-      && List.mem (Certificate.describe c) [ "empty-relation"; kind ]
-    | _ -> false
+      && List.mem (Certificate.describe c)
+           [ "empty-relation"; kind; "booleanized(" ^ kind ^ ")" ]
+    | None -> false
   in
   per_class (Printf.sprintf "formula route correct on %s targets") (fun (a, b) ->
       let outcome = Uniform.solve a b in
-      outcome_matches a b outcome && (outcome <> Uniform.No_hom || refutation_checks a b))
+      outcome_matches a b outcome
+      && (match outcome with Uniform.No_hom c -> refutation_checks a b c | _ -> true)
+      &&
+      match Booleanize.solve a b with
+      | Booleanize.Hom h -> Homomorphism.is_homomorphism a b h
+      | Booleanize.No_hom c -> (not (brute_force_exists a b)) && refutation_checks a b c
+      | Booleanize.Not_schaefer _ -> false)
   @ per_class (Printf.sprintf "direct route correct on %s targets") (fun (a, b) ->
-        outcome_matches a b (Uniform.solve_direct a b))
+        match (Oracle.Schaefer_direct.solve a b, Classify.classify b) with
+        | Oracle.Schaefer_direct.Hom h, _ ->
+          Homomorphism.is_homomorphism a b h && brute_force_exists a b
+        | Oracle.Schaefer_direct.No_hom, _ -> not (brute_force_exists a b)
+        | Oracle.Schaefer_direct.Not_applicable _, Some Classify.Affine ->
+          (* The paper gives no direct affine algorithm. *)
+          true
+        | Oracle.Schaefer_direct.Not_applicable _, _ -> false)
   @ [
       Alcotest.test_case "non-Boolean target not applicable" `Quick (fun () ->
           match Uniform.solve (path 2) (clique 3) with
@@ -430,8 +445,8 @@ let uniform_tests =
           (match Uniform.solve a b with
           | Uniform.Not_applicable _ -> ()
           | _ -> Alcotest.fail "expected Not_applicable");
-          match Uniform.solve_direct a b with
-          | Uniform.Not_applicable _ -> ()
+          match Oracle.Schaefer_direct.solve a b with
+          | Oracle.Schaefer_direct.Not_applicable _ -> ()
           | _ -> Alcotest.fail "expected Not_applicable");
     ]
 
@@ -452,7 +467,7 @@ let booleanize_tests =
         | Booleanize.Hom h -> check "valid" true (Homomorphism.is_homomorphism (undirected_cycle 6) k2 h)
         | _ -> Alcotest.fail "expected hom");
         match Booleanize.solve (undirected_cycle 5) k2 with
-        | Booleanize.No_hom -> ()
+        | Booleanize.No_hom _ -> ()
         | _ -> Alcotest.fail "expected no hom");
     Alcotest.test_case "CSP(C4) via Booleanization (Example 3.8)" `Quick (fun () ->
         let c4 = directed_cycle 4 in
@@ -461,7 +476,7 @@ let booleanize_tests =
         | Booleanize.Hom h -> check "valid" true (Homomorphism.is_homomorphism (directed_cycle 8) c4 h)
         | _ -> Alcotest.fail "expected hom");
         match Booleanize.solve (directed_cycle 6) c4 with
-        | Booleanize.No_hom -> ()
+        | Booleanize.No_hom _ -> ()
         | _ -> Alcotest.fail "expected no hom");
     Alcotest.test_case "encoded target of C4 is affine" `Quick (fun () ->
         let bb = Booleanize.encode_target (directed_cycle 4) in
@@ -477,7 +492,8 @@ let booleanize_tests =
       (fun (a, b) ->
         match Booleanize.solve a b with
         | Booleanize.Hom h -> Homomorphism.is_homomorphism a b h
-        | Booleanize.No_hom -> not (brute_force_exists a b)
+        | Booleanize.No_hom c ->
+          (not (brute_force_exists a b)) && Certificate.check a b c
         | Booleanize.Not_schaefer _ -> true);
     Alcotest.test_case "decode clamps out-of-range codes and counts them"
       `Quick (fun () ->
