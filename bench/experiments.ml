@@ -818,6 +818,46 @@ let e14 () =
     (Cq.Chase.is_weakly_acyclic
        [ Cq.Chase.tgd ~body:[ ("E", [ "X"; "Y" ]) ] ~head:[ ("E", [ "Y"; "Z" ]) ] ])
 
+(* Scale-free regression guard: keys in the (optional) baseline file named
+   by CQCSP_PERF_BASELINE are "key=value" lines; a metric regressing past
+   2x its checked-in value fails the run.  Speedups guard downwards
+   (measured must stay above half the baseline), costs guard upwards. *)
+let perf_guard ~experiment metrics =
+  match Sys.getenv_opt "CQCSP_PERF_BASELINE" with
+  | None | Some "" -> Util.note "no CQCSP_PERF_BASELINE set; regression guard skipped."
+  | Some file ->
+    let baseline = Hashtbl.create 8 in
+    let ic = open_in file in
+    (try
+       while true do
+         let line = String.trim (input_line ic) in
+         if line <> "" && line.[0] <> '#' then
+           match String.index_opt line '=' with
+           | Some i ->
+             Hashtbl.replace baseline
+               (String.sub line 0 i)
+               (float_of_string (String.sub line (i + 1) (String.length line - i - 1)))
+           | None -> ()
+       done
+     with End_of_file -> close_in ic);
+    List.iter
+      (fun (key, measured, higher_is_better) ->
+        match Hashtbl.find_opt baseline key with
+        | None -> Util.note "baseline has no key %s; skipped." key
+        | Some base ->
+          let ok =
+            if higher_is_better then measured >= base /. 2.0
+            else measured <= base *. 2.0
+          in
+          Util.note "%s: measured %.3g, baseline %.3g -> %s" key measured base
+            (if ok then "ok" else "REGRESSION");
+          if not ok then
+            failwith
+              (Printf.sprintf
+                 "%s perf regression on %s: measured %.3g vs baseline %.3g (>2x)"
+                 experiment key measured base))
+      metrics
+
 (* ------------------------------------------------------------------ *)
 (* E15 — certified verdicts: construction and checking overhead          *)
 (* ------------------------------------------------------------------ *)
@@ -895,6 +935,13 @@ let marked_clique n =
 
 let certify () =
   Util.header "E15 Certified verdicts: construction and checking overhead";
+  (* Every column is the median of [repeat] runs; each solve starts from
+     an empty shrink memo, as a first request would. *)
+  let repeat = 9 in
+  let solve a b =
+    Preprocess.memo_reset ();
+    Core.Solver.solve a b
+  in
   let cases =
     [
       (let a, b = horn_chain 400 in
@@ -921,13 +968,13 @@ let certify () =
        ("2-consistency", a, b, fun () ->
            ignore (Pebble.Game.spoiler_wins ~k:2 a b)));
       (let a = Testkit.Workloads.clique 5 and b = Testkit.Workloads.undirected_cycle 7 in
-       ("backtracking", a, b, fun () -> ignore (Homomorphism.decide a b)));
+       ("backtracking", a, b, fun () -> ignore (Homomorphism.find a b)));
     ]
   in
-  let rows = ref [] and entries = ref [] in
+  let rows = ref [] and entries = ref [] and backtracking_overhead = ref nan in
   List.iter
     (fun (expected, a, b, raw) ->
-      let r, t_solve = Util.time ~repeat:1 (fun () -> Core.Solver.solve a b) in
+      let r, t_solve = Util.time ~repeat (fun () -> solve a b) in
       let cert =
         match r.Core.Solver.verdict with
         | Core.Solver.Unsat c -> c
@@ -940,8 +987,9 @@ let certify () =
         && String.sub (Core.Solver.route_name r.Core.Solver.route) 0
              (String.length expected)
            = expected);
-      let (), t_raw = Util.time ~repeat:1 raw in
-      let ok, t_check = Util.time ~repeat:1 (fun () -> Certificate.check a b cert) in
+      let (), t_raw = Util.time ~repeat raw in
+      let ok, t_check = Util.time ~repeat (fun () -> Certificate.check a b cert) in
+      if expected = "backtracking" then backtracking_overhead := t_solve /. t_raw;
       assert ok;
       let form = Certificate.describe cert and size = Certificate.size cert in
       rows :=
@@ -957,11 +1005,11 @@ let certify () =
     cases;
   (* The positive side: a witness is its own certificate. *)
   let a = Testkit.Workloads.path 120 and b = Testkit.Workloads.clique 3 in
-  let r, t_solve = Util.time ~repeat:1 (fun () -> Core.Solver.solve a b) in
+  let r, t_solve = Util.time ~repeat (fun () -> solve a b) in
   (match r.Core.Solver.verdict with
   | Core.Solver.Sat h ->
     let ok, t_check =
-      Util.time ~repeat:1 (fun () -> Certificate.check a b (Certificate.Witness h))
+      Util.time ~repeat (fun () -> Certificate.check a b (Certificate.Witness h))
     in
     assert ok;
     rows := [ "any (sat)"; "witness"; int (Array.length h); "-"; f2s t_solve;
@@ -983,9 +1031,12 @@ let certify () =
   output_string oc (String.concat ",\n" (List.rev !entries));
   output_string oc "\n]\n";
   close_out oc;
-  Util.note "wrote BENCH_certify.json (certificate overhead per route).";
+  Util.note "wrote BENCH_certify.json (certificate overhead per route, medians of %d)."
+    repeat;
   Util.note "the certified solve includes dispatch, the decision, and building the";
-  Util.note "certificate; the trusted check re-derives nothing from solver state."
+  Util.note "certificate; the trusted check re-derives nothing from solver state.";
+  perf_guard ~experiment:"E15"
+    [ ("certify_backtracking_overhead", !backtracking_overhead, false) ]
 
 (* ------------------------------------------------------------------ *)
 (* E16: indexed propagation and the Theorem 3.4 O(||A||*||B||) bound    *)
@@ -998,46 +1049,6 @@ let establish_time ?repeat a b =
   Util.time ?repeat (fun () ->
       let ctx = Arc_consistency.create a b in
       Arc_consistency.establish ctx)
-
-(* Scale-free regression guard: keys in the (optional) baseline file named
-   by CQCSP_PERF_BASELINE are "key=value" lines; a metric regressing past
-   2x its checked-in value fails the run.  Speedups guard downwards
-   (measured must stay above half the baseline), costs guard upwards. *)
-let perf_guard ~experiment metrics =
-  match Sys.getenv_opt "CQCSP_PERF_BASELINE" with
-  | None | Some "" -> Util.note "no CQCSP_PERF_BASELINE set; regression guard skipped."
-  | Some file ->
-    let baseline = Hashtbl.create 8 in
-    let ic = open_in file in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if line <> "" && line.[0] <> '#' then
-           match String.index_opt line '=' with
-           | Some i ->
-             Hashtbl.replace baseline
-               (String.sub line 0 i)
-               (float_of_string (String.sub line (i + 1) (String.length line - i - 1)))
-           | None -> ()
-       done
-     with End_of_file -> close_in ic);
-    List.iter
-      (fun (key, measured, higher_is_better) ->
-        match Hashtbl.find_opt baseline key with
-        | None -> Util.note "baseline has no key %s; skipped." key
-        | Some base ->
-          let ok =
-            if higher_is_better then measured >= base /. 2.0
-            else measured <= base *. 2.0
-          in
-          Util.note "%s: measured %.3g, baseline %.3g -> %s" key measured base
-            (if ok then "ok" else "REGRESSION");
-          if not ok then
-            failwith
-              (Printf.sprintf
-                 "%s perf regression on %s: measured %.3g vs baseline %.3g (>2x)"
-                 experiment key measured base))
-      metrics
 
 (* Deep-cascade establish workloads.  The target is a transitive tournament
    (resp. a path) with a self-loop "floor" at vertex 0: out-paths of any
@@ -1397,7 +1408,7 @@ let e17 () =
       (fun n ->
         let a = Testkit.Workloads.path n in
         let (_, stats), t =
-          Util.time ~repeat:3 (fun () ->
+          Util.time ~repeat:9 (fun () ->
               Datalog.Eval.fixpoint_with_stats tc_program a)
         in
         let derived = stats.Datalog.Eval.derived in
@@ -1596,20 +1607,26 @@ let e18 () =
    the whole blow-up folds back to C_m — but the raw structure has
    treewidth ~2*copies+1, pushing the unpreprocessed portfolio off the
    cheap decomposition route and into search.  Redundancy ratio =
-   (copies+1) : 1. *)
-let blown_cycle m copies =
+   (copies+1) : 1.  With [tail], a path of that many extra vertices
+   hangs off the first cycle vertex; it takes the lowest indices, far
+   end first, and folds onto the cycle as well. *)
+let blown_cycle ?(tail = 0) m copies =
   let cls = copies + 1 in
   let edges = ref [] in
+  let add u v = edges := [| u; v |] :: [| v; u |] :: !edges in
   for i = 0 to m - 1 do
     let j = (i + 1) mod m in
     for c = 0 to copies do
       for d = 0 to copies do
-        let u = (i * cls) + c and v = (j * cls) + d in
-        edges := [| u; v |] :: [| v; u |] :: !edges
+        add (tail + (i * cls) + c) (tail + (j * cls) + d)
       done
     done
   done;
-  Structure.of_relations Testkit.Workloads.graph_vocab ~size:(m * cls)
+  for p = 0 to tail - 1 do
+    add p (p + 1)
+  done;
+  Structure.of_relations Testkit.Workloads.graph_vocab
+    ~size:(tail + (m * cls))
     [ ("E", !edges) ]
 
 (* A random bipartite graph: each of the [n] vertices draws a side, and
@@ -1674,17 +1691,22 @@ let e19 () =
       f2s tr; Printf.sprintf "%.2fx" (tr /. tp);
     ]
   in
-  (* Family 1: padded core.  Blown-up C5 against C7 is unsat (odd girth),
-     the core is the bare C5, and the redundancy sweep widens the gap
-     between solving 5(copies+1) raw elements and 5 shrunk ones. *)
+  (* Family 1: padded core.  A blown-up C5 (3 copies per class) with a
+     pendant path of [tail] vertices against C7 is unsat (odd girth), and
+     the core is the bare C5.  Raw, the blow-up puts the treewidth past
+     the cap, and MAC, which learns nothing from a failure, walks the
+     path first (lowest indices, two values per step) and meets the
+     cycle's wipeout once per assignment of it, exponentially often in
+     [tail].  The
+     sweep widens the gap between that and the shrunk width-2 solve. *)
   let padded =
     List.map
-      (fun copies ->
-        let a = blown_cycle 5 copies in
+      (fun tail ->
+        let a = blown_cycle ~tail 5 3 in
         let vp, tp = solve_time ~preprocess:true a c7 in
         let vr, tr = solve_time ~preprocess:false a c7 in
-        ((copies, tr /. tp), record "preprocess-shrink-padded" ~k:copies a c7 vp tp vr tr))
-      [ 1; 2; 3 ]
+        ((tail, tr /. tp), record "preprocess-shrink-padded" ~k:tail a c7 vp tp vr tr))
+      [ 5; 9; 13 ]
   in
   (* Family 2: multi-component dedup.  j identical blown-C5 components:
      decomposition plus textual dedup leaves one part to solve, raw pays

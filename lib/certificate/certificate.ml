@@ -1,6 +1,6 @@
 open Relational
 
-type origin = { symbol : string; fact : Tuple.t }
+type origin = Homomorphism.origin = { symbol : string; fact : Tuple.t }
 
 type lit = { elem : int; sign : bool }
 
@@ -10,8 +10,9 @@ type iequation = { equation_of : origin; elems : int list; rhs : bool }
 
 type config = (int * int) list
 
-type search_tree =
+type search_tree = Homomorphism.tree =
   | Conflict of origin
+  | Prune of { origin : origin; elem : int; value : int; rest : search_tree }
   | Split of { elem : int; children : (int * search_tree) list }
 
 type shrink_step = {
@@ -34,7 +35,7 @@ type t =
   | Semijoin_empty of { facts : origin array; parent : int array }
   | Dp_empty of { bags : int list array; parent : int array }
   | Spoiler_win of (config * int) list
-  | Search_tree of search_tree
+  | Search_tree of { lemmas : (config * int) list; tree : search_tree }
   | Via_booleanization of { bits : int; inner : t }
   | Via_preprocess of {
       source : shrink_step list;
@@ -383,7 +384,14 @@ let check_dp_empty a b bags parent =
       order;
     !empty_found
 
-let check_spoiler_win a b steps =
+let subset c c' = List.for_all (fun p -> List.mem p c') c
+
+(* Replay a chronological derivation of dead game positions.  A step
+   [(c, x)] is valid when every extension of [c] by a value for [x] is
+   either not a partial homomorphism or contains an earlier dead
+   position.  Answers the dead positions, latest first, stopping at the
+   empty one; [None] at the first invalid step. *)
+let derive a b steps =
   let n = Structure.size a and m = Structure.size b in
   let distinct_domain cfg =
     let xs = List.map fst cfg in
@@ -403,60 +411,102 @@ let check_spoiler_win a b steps =
            else true)
          a true
   in
-  let subset c c' = List.for_all (fun p -> List.mem p c') c in
   let rec go earlier = function
-    | [] -> false
+    | [] -> Some earlier
     | (cfg, x) :: rest ->
-      0 <= x && x < n
-      && (not (List.mem_assoc x cfg))
-      && distinct_domain cfg
-      && (let dead = ref true in
-          for v = 0 to m - 1 do
-            if !dead then begin
-              let ext = (x, v) :: cfg in
-              if partial_hom ext && not (List.exists (fun d -> subset d ext) earlier)
-              then dead := false
-            end
-          done;
-          !dead)
-      && (cfg = [] || go (cfg :: earlier) rest)
+      if
+        0 <= x && x < n
+        && (not (List.mem_assoc x cfg))
+        && distinct_domain cfg
+        && (let dead = ref true in
+            for v = 0 to m - 1 do
+              if !dead then begin
+                let ext = (x, v) :: cfg in
+                if partial_hom ext && not (List.exists (fun d -> subset d ext) earlier)
+                then dead := false
+              end
+            done;
+            !dead)
+      then if cfg = [] then Some (cfg :: earlier) else go (cfg :: earlier) rest
+      else None
   in
-  n > 0 && go [] steps
+  go [] steps
 
-let check_search_tree a b tree =
+let check_spoiler_win a b steps =
+  Structure.size a > 0
+  && match derive a b steps with Some dead -> List.mem [] dead | None -> false
+
+(* The tree narrows per-element domains of candidate images.  They start
+   as all of [B] less every [v] whose constant tuple a fact over [x]
+   alone lacks (then [(x, v)] is no partial homomorphism) and every dead
+   [(x, v)] the lemmas derive.  A fact [blocks] a test when no
+   repeat-consistent image of it inside the domains passes the test. *)
+let check_search_tree a b lemmas tree =
   let n = Structure.size a and m = Structure.size b in
-  let sigma = Array.make (max n 1) (-1) in
-  let all_values vs =
-    List.sort_uniq Int.compare vs = List.init m Fun.id
-  in
-  let rec go = function
-    | Conflict origin ->
+  match derive a b lemmas with
+  | None -> false
+  | Some dead ->
+    let dom =
+      Array.init n (fun x ->
+          Array.init m (fun v -> not (List.exists (fun d -> subset d [ (x, v) ]) dead)))
+    in
+    Structure.iter_tuples
+      (fun symbol t ->
+        if Array.length t > 0 && Array.for_all (( = ) t.(0)) t then
+          for v = 0 to m - 1 do
+            if not (in_source b { symbol; fact = Array.make (Array.length t) v }) then
+              dom.(t.(0)).(v) <- false
+          done)
+      a;
+    let inside (fact : Tuple.t) (t' : Tuple.t) =
+      let ok = ref true in
+      Array.iteri (fun i x -> if not dom.(x).(t'.(i)) then ok := false) fact;
+      !ok
+    in
+    let blocks origin test =
       in_source a origin
-      && (match relation_of b origin.symbol with
-         | None -> true
-         | Some r ->
-           let fact = origin.fact in
-           Relation.for_all
-             (fun t' ->
-               Array.length t' <> Array.length fact
-               || (not (repeat_consistent fact t'))
-               || Array.exists
-                    (fun i -> sigma.(fact.(i)) >= 0 && sigma.(fact.(i)) <> t'.(i))
-                    (Array.init (Array.length fact) Fun.id))
-             r)
-    | Split { elem; children } ->
-      0 <= elem && elem < n
-      && sigma.(elem) = -1
-      && all_values (List.map fst children)
-      && List.for_all
-           (fun (v, sub) ->
-             sigma.(elem) <- v;
-             let ok = go sub in
-             sigma.(elem) <- -1;
-             ok)
-           children
-  in
-  n > 0 && go tree
+      &&
+      match relation_of b origin.symbol with
+      | None -> true
+      | Some r ->
+        let fact = origin.fact in
+        Relation.for_all
+          (fun t' ->
+            Array.length t' <> Array.length fact
+            || (not (test t'))
+            || (not (repeat_consistent fact t'))
+            || not (inside fact t'))
+          r
+    in
+    let rec go = function
+      | Conflict origin -> blocks origin (fun _ -> true)
+      | Prune { origin; elem; value; rest } ->
+        Array.mem elem origin.fact && 0 <= value && value < m
+        && blocks origin (fun t' -> value_of origin.fact t' elem = Some value)
+        &&
+        let was = dom.(elem).(value) in
+        dom.(elem).(value) <- false;
+        let ok = go rest in
+        dom.(elem).(value) <- was;
+        ok
+      | Split { elem; children } ->
+        0 <= elem && elem < n
+        && List.for_all
+             (fun v -> (not dom.(elem).(v)) || List.mem_assoc v children)
+             (List.init m Fun.id)
+        &&
+        let row = Array.copy dom.(elem) in
+        let ok =
+          List.for_all
+            (fun (v, sub) ->
+              Array.iteri (fun w live -> dom.(elem).(w) <- live && w = v) row;
+              go sub)
+            children
+        in
+        Array.blit row 0 dom.(elem) 0 m;
+        ok
+    in
+    go tree
 
 (* Independent re-implementation of the Lemma 3.5 encoding, written from
    the statement of the lemma: element [x] of [A] becomes [bits] Boolean
@@ -491,7 +541,7 @@ let encode_target bits b =
       Structure.add_tuple acc name bt)
     b base
 
-let no_image = Search_tree (Split { elem = 0; children = [] })
+let no_image = Search_tree { lemmas = []; tree = Split { elem = 0; children = [] } }
 
 let rec check a b cert =
   match cert with
@@ -505,7 +555,7 @@ let rec check a b cert =
   | Semijoin_empty { facts; parent } -> check_semijoin_empty a b facts parent
   | Dp_empty { bags; parent } -> check_dp_empty a b bags parent
   | Spoiler_win steps -> check_spoiler_win a b steps
-  | Search_tree tree -> check_search_tree a b tree
+  | Search_tree { lemmas; tree } -> check_search_tree a b lemmas tree
   | Via_booleanization { bits; inner } ->
     1 <= bits && bits <= 30
     && (match (encode_source bits a, encode_target bits b) with
@@ -565,6 +615,7 @@ let rec describe = function
 
 let rec tree_size = function
   | Conflict _ -> 1
+  | Prune { rest; _ } -> 1 + tree_size rest
   | Split { children; _ } ->
     List.fold_left (fun acc (_, sub) -> acc + tree_size sub) 1 children
 
@@ -579,7 +630,7 @@ let rec size = function
   | Semijoin_empty { facts; _ } -> Array.length facts
   | Dp_empty { bags; _ } -> Array.length bags
   | Spoiler_win steps -> List.length steps
-  | Search_tree tree -> tree_size tree
+  | Search_tree { lemmas; tree } -> List.length lemmas + tree_size tree
   | Via_booleanization { inner; _ } -> 1 + size inner
   | Via_preprocess { source; target; inner } ->
     let step_size st = 1 + Array.length st.embed in

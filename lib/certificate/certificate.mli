@@ -22,7 +22,7 @@ open Relational
     [Core.Solver] is accepted by construction (the differential oracle in
     [Testkit.Selfcheck] enforces this on random instances). *)
 
-type origin = { symbol : string; fact : Tuple.t }
+type origin = Homomorphism.origin = { symbol : string; fact : Tuple.t }
 (** A fact of the source structure [A] that justifies a constraint. *)
 
 type lit = { elem : int; sign : bool }
@@ -40,13 +40,18 @@ type iequation = { equation_of : origin; elems : int list; rhs : bool }
 type config = (int * int) list
 (** A pebble-game position: pairs [(x, v)] asserting [h(x) = v]. *)
 
-type search_tree =
+type search_tree = Homomorphism.tree =
   | Conflict of origin
-      (** Under the partial assignment accumulated on the path from the
-          root, no tuple of [B] is a possible image of this fact of [A]. *)
+      (** No tuple of [B] is an image of this fact of [A] inside the
+          current domains. *)
+  | Prune of { origin : origin; elem : int; value : int; rest : search_tree }
+      (** Propagation: no image of [origin] inside the current domains
+          maps [elem] (which occurs in it) to [value], so [value] leaves
+          [elem]'s domain for [rest]. *)
   | Split of { elem : int; children : (int * search_tree) list }
-      (** Case split on the image of [elem]: one refutation per element of
-          [B]'s universe, keyed by the chosen value (all values covered). *)
+      (** Case split on the image of [elem]: one refutation per value
+          still in its domain, keyed by the value, each under the domain
+          narrowed to that value. *)
 
 type shrink_step = {
   shrunk : Structure.t;  (** The smaller structure after one shrink. *)
@@ -99,8 +104,12 @@ type t =
           positions.  A step [(c, x)] is valid when every extension of [c]
           by a value for [x] is either not a partial homomorphism or
           contains an earlier dead position; deriving [[]] dead refutes. *)
-  | Search_tree of search_tree
-      (** Backtracking route: an exhausted search tree. *)
+  | Search_tree of { lemmas : (config * int) list; tree : search_tree }
+      (** Backtracking route: the tree the MAC search exhausted, over
+          per-element domains of candidate images: all of [B] less every
+          [v] that a fact over [x] alone cannot take and every dead
+          [[(x, v)]] of [lemmas], a {!Spoiler_win}-style derivation that
+          need not reach [[]]. *)
   | Via_booleanization of { bits : int; inner : t }
       (** Lemma 3.5 translation: [inner] refutes the independently
           re-encoded Boolean pair [(A_b, B_b)]; since any homomorphism

@@ -95,7 +95,7 @@ let solve ?(budget = Budget.unlimited) g h =
     if Relation.is_empty edge_rel then begin
       (* Edgeless target: sources with facts cannot map. *)
       if Structure.size h = 0 && n > 0 then
-        Error (Certificate.Search_tree (Certificate.Split { elem = 0; children = [] }))
+        Error Certificate.no_image
       else if Structure.total_tuples g > 0 then
         Error (Option.get (Schaefer.Uniform.empty_relation_refutation g h))
       else Ok (Array.make n 0)

@@ -88,6 +88,11 @@ let verdict_name = function
    independent entry concurrently next to a [fold] over the chained
    suffix (threads > 1). *)
 
+(* A sound domain restriction: [keep x v] is false only for pairs on no
+   homomorphism, each of which is dead by the derivation [lemmas] or is
+   not a partial homomorphism on its own. *)
+type restriction = { keep : int -> int -> bool; lemmas : (Certificate.config * int) list }
+
 (* What a route's run reports.  [Refuted] carries the checkable
    certificate the run built from its own data, under its own budget.
    [Declined] is recorded as [Inapplicable]; [Pruned] hands a sound
@@ -96,7 +101,7 @@ type step =
   | Found of Homomorphism.mapping
   | Refuted of Certificate.t
   | Declined
-  | Pruned of (int -> int -> bool)
+  | Pruned of restriction
 
 (* The part of the remaining node allowance the sequential fold gives an
    entry: all of it, or a quarter for the expensive routes that leave
@@ -113,113 +118,10 @@ type entry = {
 
 (* A run sees the restriction earlier entries produced and reports its
    engine counters next to its step. *)
-and run = (int -> int -> bool) option -> Budget.t -> step * (string * int) list
-
-(* Backtracking decides in one pass and certifies in a second.  A
-   certifying pass that finds no refutation contradicts the deciding one:
-   a solver bug, which fails loudly. *)
-let certified route = function
-  | Some cert -> Refuted cert
-  | None ->
-    Error.internal
-      "route %s refuted the instance but no checkable certificate exists \
-       (cross-route disagreement)"
-      (route_name route)
+and run = restriction option -> Budget.t -> step * (string * int) list
 
 let or_empty_target a b cert =
   if Structure.size b = 0 && Structure.size a > 0 then Certificate.no_image else cert
-
-(* The backtracking route's refutation: a forward-checking DFS that
-   shares no code with the MAC search of [Homomorphism], so it
-   re-derives the verdict it certifies.  [None] when it finds a
-   homomorphism after all. *)
-exception Found_hom
-
-let refute_by_search ~budget a b =
-  let n = Structure.size a and m = Structure.size b in
-  if n = 0 then None
-  else if m = 0 then Some Certificate.no_image
-  else begin
-    let facts =
-      Array.of_list
-        (List.rev (Structure.fold_tuples (fun name t acc -> (name, t) :: acc) a []))
-    in
-    (* The tuples of [B] that can image a fact: same length, and equal
-       entries of the fact take equal entries. *)
-    let images (symbol, (fact : Tuple.t)) =
-      match Structure.relation b symbol with
-      | exception Not_found -> []
-      | r ->
-        Relation.fold
-          (fun (t' : Tuple.t) acc ->
-            let fits = ref (Array.length t' = Array.length fact) in
-            if !fits then
-              Array.iteri
-                (fun i x ->
-                  Array.iteri
-                    (fun j y -> if x = y && t'.(i) <> t'.(j) then fits := false)
-                    fact)
-                fact;
-            if !fits then t' :: acc else acc)
-          r []
-    in
-    let images = Array.map images facts in
-    let sigma = Array.make n (-1) in
-    let live (fact : Tuple.t) (t' : Tuple.t) =
-      let ok = ref true in
-      Array.iteri
-        (fun i x -> if sigma.(x) >= 0 && sigma.(x) <> t'.(i) then ok := false)
-        fact;
-      !ok
-    in
-    let rec node () =
-      Budget.tick budget;
-      (* Pick the most constrained fact still carrying an unassigned
-         element; a fact with no surviving image is a conflict. *)
-      let best = ref (-1) and best_count = ref max_int and conflict = ref (-1) in
-      Array.iteri
-        (fun i (_, fact) ->
-          if !conflict < 0 then begin
-            let count =
-              List.fold_left
-                (fun acc t' -> if live fact t' then acc + 1 else acc)
-                0 images.(i)
-            in
-            if count = 0 then conflict := i
-            else if Array.exists (fun x -> sigma.(x) < 0) fact && count < !best_count
-            then begin
-              best := i;
-              best_count := count
-            end
-          end)
-        facts;
-      if !conflict >= 0 then
-        let symbol, fact = facts.(!conflict) in
-        Certificate.Conflict { symbol; fact }
-      else if !best < 0 then
-        (* Every fact is fully assigned and supported: a homomorphism
-           exists (unconstrained elements can map anywhere). *)
-        raise Found_hom
-      else begin
-        let _, fact = facts.(!best) in
-        let x =
-          let rec first i = if sigma.(fact.(i)) < 0 then fact.(i) else first (i + 1) in
-          first 0
-        in
-        let children =
-          List.init m (fun v ->
-              sigma.(x) <- v;
-              let sub = node () in
-              sigma.(x) <- -1;
-              (v, sub))
-        in
-        Certificate.Split { elem = x; children }
-      end
-    in
-    match node () with
-    | tree -> Some (Certificate.Search_tree tree)
-    | exception Found_hom -> None
-  end
 
 let independent share guard = { share; chained = false; guard }
 let chained share guard = { share; chained = true; guard }
@@ -332,10 +234,11 @@ let tail ~max_treewidth ~consistency_k ~reshaped a b =
        refutes outright with the game's log of forth failures as a
        Spoiler-win derivation, or prunes soundly — a pair [(x, v)] whose
        singleton configuration left the winning family lies on no
-       homomorphism.  Declines when the configuration space exceeds the
-       engine's encoding capacity.  The counters come from the engine's
-       returned stats, not from telemetry, so attempts do not depend on a
-       sink. *)
+       homomorphism, and the log derives it dead unless it was never a
+       partial homomorphism.  Declines when the configuration space
+       exceeds the engine's encoding capacity.  The counters come from
+       the engine's returned stats, not from telemetry, so attempts do
+       not depend on a sink. *)
     chained Quarter (fun () ->
         Some
           ( Consistency_refutation consistency_k,
@@ -353,26 +256,35 @@ let tail ~max_treewidth ~consistency_k ~reshaped a b =
                   ]
                 in
                 if Pebble.Game.mem family [] then
-                  (Pruned (fun x v -> Pebble.Game.mem family [ (x, v) ]), counters)
+                  ( Pruned
+                      { keep = (fun x v -> Pebble.Game.mem family [ (x, v) ]); lemmas = trace },
+                    counters )
                 else (Refuted (Certificate.Spoiler_win trace), counters) ));
     (* MAC backtracking (NP-complete in general) under the inherited
-       pruning, certified by an independent exhaustive search. *)
+       pruning, refuting with the tree it explored.  The tree needs the
+       restriction's lemmas only when the restriction removed a value
+       that arc consistency over the full domains kept. *)
     chained All (fun () ->
         Some
           ( Backtracking,
-            fun restrict s ->
-              match Homomorphism.decide ?restrict ~budget:s a b with
-              | Budget.Sat h -> (Found h, [])
-              | Budget.Unsat ->
-                (certified Backtracking (refute_by_search ~budget:s a b), [])
-              | Budget.Unknown reason -> raise (Budget.Exhausted reason) ));
+            fun restriction s ->
+              match
+                Homomorphism.refute
+                  ?restrict:(Option.map (fun r -> r.keep) restriction)
+                  ~budget:s a b
+              with
+              | Ok h -> (Found h, [])
+              | Error (tree, restricted) ->
+                let lemmas =
+                  match restriction with Some r when restricted -> r.lemmas | _ -> []
+                in
+                (Refuted (Certificate.Search_tree { lemmas; tree }), []) ));
   ]
 
 (* Run one route under budget [s] and close its span with the attempt's
    identity as fields.  Answers the attempt record and, when the route
    settled the instance, the verdict; a [Pruned] step lands in
-   [restrict].  Budget exhaustion — in the route or while it builds its
-   refutation certificate — falls through. *)
+   [restrict].  Budget exhaustion in the route falls through. *)
 let attempt restrict s route (run : run) =
   let sp = Telemetry.begin_span "solver.attempt" in
   let outcome, counters, verdict =

@@ -28,14 +28,14 @@ open Relational
     homomorphism and [Unsat] returns a refutation certificate in the shape
     native to the deciding route (a unit-propagation trace, an implication
     cycle, a GF(2) combination, an odd walk, an emptied semi-join chain or
-    DP table, a Spoiler-win derivation, or an exhausted search tree — see
-    {!Certificate.t}).  The trusted, route-independent
-    [Certificate.check a b] validates either against the raw instance.  A
-    route whose refutation cannot be certified within the budget slice is
-    treated like an exhausted route (the dispatcher falls through); a
-    refutation for which {e no} certificate exists raises
-    [Error.Error (Internal _)] — that is a cross-route disagreement, i.e. a
-    solver bug surfacing loudly instead of a silently wrong answer.
+    DP table, a Spoiler-win derivation, or the tree the MAC search
+    explored — see {!Certificate.t}).  The trusted, route-independent
+    [Certificate.check a b] validates either against the raw instance.
+    Each route builds its certificate in the run that decides, under the
+    same budget slice, so no refutation costs a second pass.  A
+    certificate the checker rejects is a solver bug: {!checked_certificate}
+    raises [Error.Error (Internal _)] instead of returning a silently
+    wrong answer.
 
     {2 Budgets and graceful degradation}
 
@@ -46,7 +46,9 @@ open Relational
     falls through to the next route instead of aborting.  Work is never
     wasted: a k-consistency pass that fails to refute still prunes the
     backtracking domains (any pair [(x, v)] outside the winning family can
-    appear in no homomorphism).  Only when every route is exhausted does
+    appear in no homomorphism), and its log of dead positions becomes the
+    lemmas of a backtracking refutation when that pruning removed a value
+    arc consistency kept.  Only when every route is exhausted does
     the dispatcher return [Unknown], together with a per-route budget
     report in {!result.attempts}.  Budgeted answers never contradict
     unbudgeted ones: [Sat]/[Unsat] are definitive; [Unknown] is the only
@@ -68,7 +70,7 @@ type route =
   | Acyclic
   | Bounded_treewidth of int  (** Width of the decomposition used. *)
   | Consistency_refutation of int  (** Number of pebbles. *)
-  | Backtracking
+  | Backtracking  (** MAC search; refutes with the tree it explored. *)
 
 val route_name : route -> string
 

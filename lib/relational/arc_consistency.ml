@@ -10,8 +10,10 @@ type target_info = {
    (position, value) hits on target tuple [ti]; the tuple supports anything
    iff [kill.(ti) = 0].  [supp.(j).(v)] counts live target tuples with value
    [v] at position [j].  Both are additive, so trail replay in LIFO order
-   restores them exactly. *)
+   restores them exactly.  [symbol] names the atom's relation, so a
+   removal can be explained by the fact it came from. *)
 type constr = {
+  symbol : string;
   atom : Tuple.t;
   info : target_info;
   kill : int array;
@@ -31,6 +33,7 @@ type t = {
   marks : int Stack.t;
   pending_vals : (int * int) Queue.t;
   budget : Budget.t;
+  explain : (int -> int -> string -> Tuple.t -> unit) option;
   mutable supports_ready : bool;
   mutable init_depth : int;
   mutable removals : int;
@@ -58,7 +61,7 @@ let poll budget i =
       raise (Budget.Exhausted reason)
     | Some Budget.Node_limit | None -> ()
 
-let create ?(budget = Budget.unlimited) a b =
+let create ?(budget = Budget.unlimited) ?explain a b =
   let n = Structure.size a and m = Structure.size b in
   (* Symbols missing from B, or present with a different arity, act as empty
      relations: no tuple of B can support such an atom. *)
@@ -86,6 +89,7 @@ let create ?(budget = Budget.unlimited) a b =
       let info = info_for name arity in
       acc :=
         {
+          symbol = name;
           atom = t;
           info;
           kill = Array.make (Array.length info.tuples) 0;
@@ -118,6 +122,7 @@ let create ?(budget = Budget.unlimited) a b =
     marks = Stack.create ();
     pending_vals = Queue.create ();
     budget;
+    explain;
     supports_ready = false;
     init_depth = 0;
     removals = 0;
@@ -236,12 +241,16 @@ let ensure_supports ctx =
   ctx.init_depth <- Stack.length ctx.trail;
   ctx.supports_ready <- true
 
+(* A constraint through [y] in which no live tuple carries [w] at a
+   position of [y], or -1 when every one still supports [y = w]. *)
 let value_unsupported ctx y w =
-  List.exists
-    (fun (ci, js) ->
+  let rec first = function
+    | [] -> -1
+    | (ci, js) :: rest ->
       let c = ctx.constrs.(ci) in
-      List.exists (fun j -> c.supp.(j).(w) = 0) js)
-    ctx.occ_c.(y)
+      if List.exists (fun j -> c.supp.(j).(w) = 0) js then ci else first rest
+  in
+  first ctx.occ_c.(y)
 
 let propagate_ac4 ctx =
   if (not ctx.supports_ready) && Queue.is_empty ctx.pending_vals && Stack.is_empty ctx.trail
@@ -255,8 +264,13 @@ let propagate_ac4 ctx =
       let y, w = Queue.pop ctx.pending_vals in
       (* Re-verify at dequeue time: a pop may have restored support since
          this candidate was enqueued, making the entry stale. *)
-      if ctx.dom.(y).(w) && value_unsupported ctx y w then
+      let ci = if ctx.dom.(y).(w) then value_unsupported ctx y w else -1 in
+      if ci >= 0 then begin
+        (match ctx.explain with
+        | Some f -> f y w ctx.constrs.(ci).symbol ctx.constrs.(ci).atom
+        | None -> ());
         if not (remove_value ctx y w) then alive := false
+      end
     done;
     if not !alive then Queue.clear ctx.pending_vals;
     !alive

@@ -16,13 +16,22 @@
 
 type t
 
-val create : ?budget:Budget.t -> Structure.t -> Structure.t -> t
+val create :
+  ?budget:Budget.t ->
+  ?explain:(int -> int -> string -> Tuple.t -> unit) ->
+  Structure.t ->
+  Structure.t ->
+  t
 (** Fresh context with full domains.  Symbols of [A]'s vocabulary missing
     from [B] (or carried with a different arity) are treated as empty
     relations of [B].  Building the context and every propagation read
     [budget]'s deadline and cancellation flag every 256 constraints
     built or values dequeued, so either interrupts a large pair; they
-    tick no nodes and ignore the node limit.
+    tick no nodes and ignore the node limit.  [explain x v symbol fact]
+    hears of every value [v] that propagation removes from [x]'s domain,
+    with the source fact whose constraint has no live tuple left
+    carrying [v] at a position of [x]; after a wipeout the last call
+    names the removal that emptied the domain.
     @raise Budget.Exhausted on the deadline or cancellation. *)
 
 val source : t -> Structure.t

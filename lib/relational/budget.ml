@@ -9,15 +9,6 @@ let pp_reason ppf r = Format.pp_print_string ppf (reason_to_string r)
 
 exception Exhausted of exhausted_reason
 
-type 'a outcome = Sat of 'a | Unsat | Unknown of exhausted_reason
-
-let outcome_to_option = function Sat x -> Some x | Unsat | Unknown _ -> None
-
-let pp_outcome pp_sat ppf = function
-  | Sat x -> Format.fprintf ppf "sat (%a)" pp_sat x
-  | Unsat -> Format.pp_print_string ppf "unsat"
-  | Unknown r -> Format.fprintf ppf "unknown (%s)" (reason_to_string r)
-
 type t = {
   max_nodes : int;  (* [max_int] means no limit *)
   deadline : float;  (* absolute [Unix.gettimeofday] time; [infinity] means none *)

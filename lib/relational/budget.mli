@@ -5,7 +5,7 @@
     work (a search-tree node, a generated configuration, a bag assignment);
     when any limit is hit the budget raises {!Exhausted}, which the caller
     — typically [Core.Solver] — catches at a route boundary and converts
-    into a degraded three-valued answer ({!outcome}).
+    into a degraded three-valued answer.
 
     [tick] is cheap: a node-limit comparison per call, with the clock and
     the cancellation flag polled only every few hundred ticks.  Budgets are
@@ -25,18 +25,6 @@ val reason_to_string : exhausted_reason -> string
 val pp_reason : Format.formatter -> exhausted_reason -> unit
 
 exception Exhausted of exhausted_reason
-
-type 'a outcome =
-  | Sat of 'a  (** A witness was found within budget. *)
-  | Unsat  (** Definitely no solution; budgeted runs never lie. *)
-  | Unknown of exhausted_reason
-      (** The budget ran out before the question was settled. *)
-
-val outcome_to_option : 'a outcome -> 'a option
-(** [Sat x] to [Some x]; both [Unsat] and [Unknown _] to [None]. *)
-
-val pp_outcome :
-  (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a outcome -> unit
 
 type t
 

@@ -51,94 +51,155 @@ let is_homomorphism a b (h : mapping) =
 (* A nullary fact [P()] of [a] holds under every mapping or under none:
    it needs [P()] in [b].  Arc consistency never sees arity-0 atoms, so
    every engine that shortcuts or propagates checks them here first. *)
-let nullary_facts_hold a b =
-  List.for_all
+let missing_nullary a b =
+  List.find_opt
     (fun (name, arity) ->
-      arity > 0
-      || Relation.is_empty (Structure.relation a name)
-      ||
+      arity = 0
+      && (not (Relation.is_empty (Structure.relation a name)))
+      &&
       match Structure.relation b name with
-      | r -> Relation.mem r [||]
-      | exception Not_found -> false)
+      | r -> not (Relation.mem r [||])
+      | exception Not_found -> true)
     (Vocabulary.symbols (Structure.vocabulary a))
 
-(* Generic MAC backtracking search.  [on_solution] receives each solution and
-   returns [true] to continue enumerating.  [budget] is ticked once per
-   search-tree node and may abort the search by raising
-   [Budget.Exhausted]. *)
-let search ?(ordering = `Mrv) ?(restrict = fun _ _ -> true)
+let nullary_facts_hold a b = missing_nullary a b = None
+
+type origin = { symbol : string; fact : Tuple.t }
+
+type tree =
+  | Conflict of origin
+  | Prune of { origin : origin; elem : int; value : int; rest : tree }
+  | Split of { elem : int; children : (int * tree) list }
+
+(* The one MAC backtracking engine.  [on_solution] receives each solution
+   and returns [true] to continue enumerating.  [budget] is ticked once
+   per search-tree node and may abort the search by raising
+   [Budget.Exhausted].  With [record], the tree of every node it
+   exhausts.  [restrict] applies only after arc consistency closed the
+   full domains (the closure is the same either way), so every logged
+   removal holds without it.  Answers the node count, the root's tree
+   and whether [restrict] removed a value that closure kept. *)
+let explore ~record ?(ordering = `Mrv) ?(restrict = fun _ _ -> true)
     ?(budget = Budget.unlimited) a b ~on_solution =
   let n = Structure.size a and m = Structure.size b in
-  let nodes = ref 0 in
+  let nodes = ref 0 and restricted = ref false in
+  let tree = ref (Split { elem = 0; children = [] }) in
   Budget.check budget;
-  if not (nullary_facts_hold a b) then !nodes
-  else if n = 0 then begin
-    ignore (on_solution [||]);
-    !nodes
-  end
-  else if m = 0 then !nodes
-  else begin
-    let ctx = Arc_consistency.create ~budget a b in
-    let alive = ref true in
-    for x = 0 to n - 1 do
-      for v = 0 to m - 1 do
-        if !alive && not (restrict x v) then
-          if not (Arc_consistency.remove_value ctx x v) then alive := false
+  (match missing_nullary a b with
+  | Some (symbol, _) -> tree := Conflict { symbol; fact = [||] }
+  | None when n = 0 -> ignore (on_solution [||])
+  | None when m = 0 -> ()
+  | None ->
+    let log = ref [] in
+    let ctx =
+      Arc_consistency.create ~budget a b
+        ?explain:
+          (if record then
+             Some (fun elem value symbol fact -> log := (elem, value, { symbol; fact }) :: !log)
+           else None)
+    in
+    (* The removals logged since the last look, wrapped around [last ()]
+       in the order they happened; after a wipeout ([alive] false) they
+       close on the fact whose support ran out instead. *)
+    let recorded ~alive last =
+      let removals = !log in
+      log := [];
+      let step rest (elem, value, origin) = Prune { origin; elem; value; rest } in
+      match removals with
+      | (_, _, origin) :: removals when not alive ->
+        List.fold_left step (Conflict origin) removals
+      | removals -> List.fold_left step (last ()) removals
+    in
+    (* A domain [restrict] empties makes propagation wipe out, or, for
+       an element in no fact, the search split over no value. *)
+    let apply_restrict () =
+      for x = 0 to n - 1 do
+        for v = 0 to m - 1 do
+          if Arc_consistency.dom_mem ctx x v && not (restrict x v) then begin
+            restricted := true;
+            ignore (Arc_consistency.remove_value ctx x v)
+          end
+        done
       done
-    done;
-    if !alive && Arc_consistency.establish ctx then begin
-      let decided = Array.make n false in
-      (* Variable choice: minimum-remaining-values, or plain input order
-         (kept for the ablation benchmarks). *)
-      let pick () =
-        match ordering with
-        | `Input ->
-          let first = ref (-1) in
-          for x = n - 1 downto 0 do
-            if not decided.(x) then first := x
-          done;
-          !first
-        | `Mrv ->
-          let best = ref (-1) and best_size = ref max_int in
-          for x = 0 to n - 1 do
-            if not decided.(x) && Arc_consistency.dom_size ctx x < !best_size then begin
-              best := x;
-              best_size := Arc_consistency.dom_size ctx x
-            end
-          done;
-          !best
-      in
-      let rec solve () =
-        let x = pick () in
-        if x < 0 then begin
-          let h = Arc_consistency.solution ctx in
-          (* MAC with all-singleton domains implies consistency; keep the
-             explicit check as a safety net. *)
-          assert (is_homomorphism a b h);
-          on_solution h
-        end
-        else begin
-          decided.(x) <- true;
-          let continue_ = ref true in
-          List.iter
-            (fun v ->
-              if !continue_ && Arc_consistency.dom_mem ctx x v then begin
-                incr nodes;
-                Budget.tick budget;
-                Arc_consistency.push ctx;
-                if Arc_consistency.assign ctx x v then
-                  if not (solve ()) then continue_ := false;
-                Arc_consistency.pop ctx
-              end)
-            (Arc_consistency.dom_values ctx x);
-          decided.(x) <- false;
-          !continue_
-        end
-      in
-      ignore (solve ())
-    end;
-    !nodes
-  end
+    in
+    let alive =
+      Arc_consistency.establish ctx && (apply_restrict (); Arc_consistency.propagate ctx)
+    in
+    let decided = Array.make n false in
+    (* Variable choice: minimum-remaining-values, or plain input order
+       (kept for the ablation benchmarks). *)
+    let pick () =
+      match ordering with
+      | `Input ->
+        let first = ref (-1) in
+        for x = n - 1 downto 0 do
+          if not decided.(x) then first := x
+        done;
+        !first
+      | `Mrv ->
+        let best = ref (-1) and best_size = ref max_int in
+        for x = 0 to n - 1 do
+          if not decided.(x) && Arc_consistency.dom_size ctx x < !best_size then begin
+            best := x;
+            best_size := Arc_consistency.dom_size ctx x
+          end
+        done;
+        !best
+    in
+    let rec solve () =
+      let x = pick () in
+      if x < 0 then begin
+        let h = Arc_consistency.solution ctx in
+        (* MAC with all-singleton domains implies consistency; keep the
+           explicit check as a safety net. *)
+        assert (is_homomorphism a b h);
+        on_solution h
+      end
+      else begin
+        decided.(x) <- true;
+        let continue_ = ref true and children = ref [] in
+        for v = 0 to m - 1 do
+          if !continue_ && Arc_consistency.dom_mem ctx x v then begin
+            incr nodes;
+            Budget.tick budget;
+            Arc_consistency.push ctx;
+            let ok = Arc_consistency.assign ctx x v in
+            if not record then (if ok && not (solve ()) then continue_ := false)
+            else
+              children :=
+                ( v,
+                  recorded ~alive:ok (fun () ->
+                      if not (solve ()) then continue_ := false;
+                      !tree) )
+                :: !children;
+            Arc_consistency.pop ctx
+          end
+        done;
+        decided.(x) <- false;
+        if record then tree := Split { elem = x; children = List.rev !children };
+        !continue_
+      end
+    in
+    if not record then (if alive then ignore (solve ()))
+    else
+      tree :=
+        recorded ~alive (fun () ->
+            ignore (solve ());
+            !tree));
+  (!nodes, !tree, !restricted)
+
+let search ?ordering ?restrict ?budget a b ~on_solution =
+  let nodes, _, _ = explore ~record:false ?ordering ?restrict ?budget a b ~on_solution in
+  nodes
+
+let refute ?restrict ?budget a b =
+  let found = ref None in
+  let _, tree, restricted =
+    explore ~record:true ?restrict ?budget a b ~on_solution:(fun h ->
+        found := Some (Array.copy h);
+        false)
+  in
+  match !found with Some h -> Ok h | None -> Error (tree, restricted)
 
 let find_with_stats ?ordering ?restrict ?budget a b =
   let result = ref None in
@@ -151,12 +212,6 @@ let find_with_stats ?ordering ?restrict ?budget a b =
 
 let find ?ordering ?restrict ?budget a b =
   fst (find_with_stats ?ordering ?restrict ?budget a b)
-
-let decide ?ordering ?restrict ?budget a b =
-  match find ?ordering ?restrict ?budget a b with
-  | Some h -> Budget.Sat h
-  | None -> Budget.Unsat
-  | exception Budget.Exhausted reason -> Budget.Unknown reason
 
 let exists a b = find a b <> None
 

@@ -7,14 +7,16 @@
 
     [find]/[exists] implement the general (NP-complete) search: backtracking
     with minimum-remaining-values variable ordering, maintaining generalized
-    arc consistency (MAC).  This is the paper's uniform baseline against
-    which every tractable special case is compared.
+    arc consistency (MAC, over the AC-4 context of {!Arc_consistency}).
+    This is the paper's uniform baseline against which every tractable
+    special case is compared.  One engine serves every entry point;
+    {!refute} also answers the tree it explored when no homomorphism
+    exists.
 
     Every search entry point takes an optional [?budget]
     ({!Budget.unlimited} by default).  The budget is ticked once per
     search-tree node; on exhaustion the search aborts by raising
-    {!Budget.Exhausted}.  Use {!decide} for a non-raising three-valued
-    answer. *)
+    {!Budget.Exhausted}. *)
 
 type mapping = int array
 
@@ -52,7 +54,8 @@ val find :
   Structure.t ->
   mapping option
 (** First homomorphism found, if any.  [restrict x v] (default: always true)
-    prunes target candidate [v] for source element [x] up front — used, e.g.,
+    prunes target candidate [v] for source element [x] before the first
+    node, once arc consistency has closed the full domains — used, e.g.,
     to search for non-surjective endomorphisms.  [ordering] selects the
     branching-variable heuristic: minimum-remaining-values (default) or
     plain input order (for ablations).
@@ -66,17 +69,34 @@ val find_with_stats :
   Structure.t ->
   mapping option * stats
 
-val decide :
-  ?ordering:[ `Mrv | `Input ] ->
+val exists : Structure.t -> Structure.t -> bool
+
+type origin = { symbol : string; fact : Tuple.t }
+(** A fact of the source, by relation symbol and tuple. *)
+
+(** The tree a refuting search explored.  Every node first lists the
+    values propagation removed there, then ends in a wipeout or a case
+    split.  [Certificate.search_tree] is this type. *)
+type tree =
+  | Conflict of origin  (** A fact with no image left inside the domains. *)
+  | Prune of { origin : origin; elem : int; value : int; rest : tree }
+      (** Arc consistency removed [value] from [elem]'s domain: no image
+          of [origin] inside the domains maps [elem] to [value]. *)
+  | Split of { elem : int; children : (int * tree) list }
+      (** One child per value left in [elem]'s domain, keyed by it. *)
+
+val refute :
   ?restrict:(int -> int -> bool) ->
   ?budget:Budget.t ->
   Structure.t ->
   Structure.t ->
-  mapping Budget.outcome
-(** Non-raising variant of {!find}: budget exhaustion becomes
-    [Unknown]. *)
-
-val exists : Structure.t -> Structure.t -> bool
+  (mapping, tree * bool) result
+(** {!find}'s search, which on failure answers the tree it explored (the
+    same nodes in the same order) and whether [restrict] removed a value
+    that arc consistency over the full domains kept, so that the tree
+    holds only under the restriction.  Only this entry point logs why
+    each value went.
+    @raise Budget.Exhausted when [budget] runs out mid-search. *)
 
 val generator : (yield:(mapping -> unit) -> unit) -> mapping Seq.t
 (** Invert a push-style producer into a pull-based sequence using an

@@ -233,6 +233,239 @@ let solver_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Backtracking refutations and checker rejections                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Random pairs over two binary relations: parallel E and F constraints
+   make the 2-pebble game prune values arc consistency keeps, and a
+   dense five-element target leaves most refutations to backtracking.
+   Rare self-loops give facts over one element, which rule values out
+   without any derivation. *)
+let ef_vocab = Vocabulary.create [ ("E", 2); ("F", 2) ]
+
+let random_ef st ~n ~p =
+  Structure.of_relations ef_vocab ~size:n
+    (List.map
+       (fun name ->
+         ( name,
+           List.concat_map
+             (fun i ->
+               List.filter_map
+                 (fun j ->
+                   if Random.State.float st 1.0 < (if i = j then 0.05 else p) then
+                     Some [| i; j |]
+                   else None)
+                 (List.init n Fun.id))
+             (List.init n Fun.id) ))
+       [ "E"; "F" ])
+
+let rec search_tree_of = function
+  | Certificate.Search_tree { lemmas; tree } -> Some (lemmas, tree)
+  | Certificate.Via_preprocess { inner; _ } -> search_tree_of inner
+  | _ -> None
+
+let backtracking_attempt (r : Solver.result) =
+  List.find (fun (at : Solver.attempt) -> at.route = Solver.Backtracking) r.Solver.attempts
+
+(* [b] plus one element that lies in every relation in every
+   combination: the constant map onto it is a homomorphism from any
+   source over [b]'s vocabulary. *)
+let with_absorbing_element b =
+  let u = Structure.size b in
+  let rec tuples k =
+    if k = 0 then [ [] ]
+    else List.concat_map (fun t -> List.init (u + 1) (fun v -> v :: t)) (tuples (k - 1))
+  in
+  let vocab = Structure.vocabulary b in
+  List.fold_left
+    (fun acc (name, k) ->
+      List.fold_left
+        (fun acc t ->
+          if k = 0 || List.mem u t then Structure.add_tuple acc name (Array.of_list t)
+          else acc)
+        acc (tuples k))
+    (Structure.fold_tuples
+       (fun name t acc -> Structure.add_tuple acc name t)
+       b
+       (Structure.create vocab ~size:(u + 1)))
+    (Vocabulary.symbols vocab)
+
+(* Rewrite the first node, in preorder, that [f] rewrites. *)
+let rec rewrite f (t : Certificate.search_tree) =
+  match f t with
+  | Some t' -> Some t'
+  | None -> (
+    match t with
+    | Conflict _ -> None
+    | Prune p -> Option.map (fun rest -> Certificate.Prune { p with rest }) (rewrite f p.rest)
+    | Split s ->
+      let rec first = function
+        | [] -> None
+        | (v, c) :: rest -> (
+          match rewrite f c with
+          | Some c' -> Some ((v, c') :: rest)
+          | None -> Option.map (fun rest -> (v, c) :: rest) (first rest))
+      in
+      Option.map (fun children -> Certificate.Split { s with children }) (first s.children))
+
+(* The search tree of an unsat clique pair that only backtracking
+   decides: no preprocessing, and a treewidth cap of 0. *)
+let clique_tree n m =
+  let a = Workloads.clique n and b = Workloads.clique m in
+  let r = Solver.solve ~preprocess:false ~max_treewidth:0 a b in
+  match (r.Solver.route, r.Solver.verdict) with
+  | Solver.Backtracking, Solver.Unsat (Certificate.Search_tree { lemmas = []; tree }) ->
+    (a, b, tree)
+  | _ -> Alcotest.failf "K%d -> K%d: expected a lemma-free backtracking refutation" n m
+
+let certificate_tests =
+  [
+    Alcotest.test_case "backtracking refutes with its one MAC pass, at k = 2 and 3, \
+                        sequential and raced"
+      `Quick (fun () ->
+        let configs = [ (2, 1); (2, 2); (3, 1); (3, 2) ] in
+        let unsat = ref 0 and lemmas = ref 0 in
+        let decided = Array.make (List.length configs) 0 in
+        for seed = 0 to 319 do
+          let st = Random.State.make [| seed |] in
+          let a = random_ef st ~n:7 ~p:0.4 in
+          let b = random_ef st ~n:5 ~p:0.6 in
+          let verdicts =
+            List.mapi
+              (fun i (k, threads) ->
+                let r = Solver.solve ~consistency_k:k ~threads a b in
+                let label = Printf.sprintf "seed %d, k = %d, threads = %d" seed k threads in
+                (match (r.Solver.route, r.Solver.verdict) with
+                | Solver.Backtracking, Solver.Unsat c -> (
+                  decided.(i) <- decided.(i) + 1;
+                  match search_tree_of c with
+                  | Some (l, _) -> if l <> [] then incr lemmas
+                  | None -> Alcotest.failf "%s: backtracking refuted without its tree" label)
+                | _ -> ());
+                (match certified_verdict a b r with
+                | Some v -> v
+                | None -> Alcotest.failf "%s: unknown without a budget" label))
+              configs
+          in
+          check (Printf.sprintf "seed %d: configurations agree" seed) true
+            (List.for_all (( = ) (List.hd verdicts)) verdicts);
+          if not (List.hd verdicts) then incr unsat;
+          (* The route's node count is the MAC search's alone: no second
+             pass spends from its slice. *)
+          let r = Solver.solve ~preprocess:false a b in
+          if r.Solver.route = Solver.Backtracking then begin
+            let keep =
+              match Pebble.Game.run ~k:2 a b with
+              | Some { family; _ } -> fun x v -> Pebble.Game.mem family [ (x, v) ]
+              | None -> fun _ _ -> true
+            in
+            check_int (Printf.sprintf "seed %d: backtracking nodes" seed)
+              (snd (Homomorphism.find_with_stats ~restrict:keep a b)).Homomorphism.nodes
+              (backtracking_attempt r).Solver.nodes
+          end
+        done;
+        check "300 unsat pairs" true (!unsat >= 300);
+        List.iteri
+          (fun i (k, threads) ->
+            check (Printf.sprintf "k = %d, threads = %d: backtracking refutes" k threads)
+              true (decided.(i) > 0))
+          configs;
+        check "some refutation needs lemmas" true (!lemmas > 0));
+    Alcotest.test_case "a restriction to partial homomorphisms needs no lemmas" `Quick
+      (fun () ->
+        (* F(3, 3) forces element 3 onto B's one F-loop.  The 1-pebble
+           game removes the other two values, which arc consistency keeps,
+           and logs no death, so the tree carries no lemmas. *)
+        let a =
+          Structure_text.parse
+            "size 5\nrel E 2\nrel F 2\nE 0 3\nE 1 3\nE 3 1\nE 3 4\nE 4 1\nF 0 4\nF 1 0\n\
+             F 1 3\nF 2 0\nF 2 1\nF 3 2\nF 3 3\nF 3 4\nF 4 2\nF 4 3\n"
+        and b =
+          Structure_text.parse
+            "size 3\nrel E 2\nrel F 2\nE 0 0\nE 0 2\nE 2 0\nE 2 1\nF 0 1\nF 0 2\n\
+             F 1 1\nF 1 2\nF 2 0\n"
+        in
+        let r = Solver.solve ~preprocess:false ~consistency_k:1 a b in
+        check "backtracking" true (r.Solver.route = Solver.Backtracking);
+        check "refuted" true (certified_verdict a b r = Some false));
+    qtest ~count:300 "the checker rejects a refutation once the pair is sat"
+      (arbitrary_pair ~max_size_a:5 ~max_size_b:3 ~max_tuples:6 ())
+      (fun (a, b) ->
+        match (Solver.solve a b).Solver.verdict with
+        | Solver.Unsat c ->
+          let b' = with_absorbing_element b in
+          Homomorphism.exists a b' && Certificate.check a b c && not (Certificate.check a b' c)
+        | Solver.Sat _ | Solver.Unknown _ -> true);
+    Alcotest.test_case "the checker rejects mutated search trees" `Quick (fun () ->
+        List.iter
+          (fun (n, m) ->
+            let a, b, tree = clique_tree n m in
+            let rejects what mutated =
+              match mutated with
+              | None -> Alcotest.failf "K%d -> K%d: no place for %s" n m what
+              | Some tree ->
+                check
+                  (Printf.sprintf "K%d -> K%d: %s rejected" n m what)
+                  false
+                  (Certificate.check a b (Certificate.Search_tree { lemmas = []; tree }))
+            in
+            check "original accepted" true
+              (Certificate.check a b (Certificate.Search_tree { lemmas = []; tree }));
+            rejects "a dropped split child"
+              (rewrite
+                 (function
+                   | Split ({ children = _ :: rest; _ } as s) -> Some (Split { s with children = rest })
+                   | _ -> None)
+                 tree);
+            rejects "a dropped propagation step"
+              (rewrite (function Prune { rest; _ } -> Some rest | _ -> None) tree);
+            rejects "a step justified by another fact"
+              (rewrite
+                 (function
+                   | Prune p ->
+                     let other =
+                       Structure.fold_tuples
+                         (fun symbol fact acc ->
+                           if acc = None && not (Array.mem p.elem fact) then
+                             Some { Certificate.symbol; fact }
+                           else acc)
+                         a None
+                     in
+                     Option.map (fun origin -> Certificate.Prune { p with origin }) other
+                   | _ -> None)
+                 tree);
+            rejects "a pruned supported value"
+              (Some
+                 (Certificate.Prune
+                    {
+                      origin = { symbol = "E"; fact = [| 0; 1 |] };
+                      elem = 0;
+                      value = 0;
+                      rest = tree;
+                    })))
+          [ (4, 3); (5, 4) ];
+        (* Parallel E and F constraints: the 2-pebble game removes a
+           value arc consistency keeps, so the tree holds only with the
+           game's log as lemmas. *)
+        let a =
+          Structure_text.parse
+            "size 5\nrel E 2\nrel F 2\nE 0 1\nE 1 3\nE 2 0\nE 4 0\nE 4 1\nE 4 2\n\
+             F 1 2\nF 2 1\nF 3 0\nF 3 2\nF 3 4\nF 4 2\nF 4 3\n"
+        and b =
+          Structure_text.parse
+            "size 3\nrel E 2\nrel F 2\nE 0 2\nE 1 2\nE 2 0\nE 2 1\nF 0 1\nF 0 2\n\
+             F 1 0\nF 1 2\nF 2 0\n"
+        in
+        match (Solver.solve ~preprocess:false a b).Solver.verdict with
+        | Solver.Unsat (Certificate.Search_tree { lemmas = _ :: _ as lemmas; tree }) ->
+          check "with lemmas accepted" true
+            (Certificate.check a b (Certificate.Search_tree { lemmas; tree }));
+          check "without lemmas rejected" false
+            (Certificate.check a b (Certificate.Search_tree { lemmas = []; tree }))
+        | _ -> Alcotest.fail "expected a lemma-carrying search tree");
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Workloads                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -370,5 +603,6 @@ let graph_dichotomy_tests =
 
 let () =
   Alcotest.run "core"
-    [ ("csp", csp_tests); ("solver", solver_tests); ("workloads", workload_tests);
+    [ ("csp", csp_tests); ("solver", solver_tests); ("certificate", certificate_tests);
+      ("workloads", workload_tests);
       ("graph-dichotomy", graph_dichotomy_tests) ]
