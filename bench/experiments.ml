@@ -1767,10 +1767,31 @@ let e19 () =
         (random_tree ~seed:56 56, Testkit.Workloads.clique 3);
       ]
   in
+  (* Family 5: pendant trees.  C5 with a random tree of n vertices
+     hanging off it, into K3 (sat; no head route applies).  Every tree
+     vertex folds onto the cycle, so the shrink does n folds; it must
+     grow linearly in n, and the shrunk solve is the bare C5's.  The
+     shrink alone is timed memo-cold for the per-element guard. *)
+  let k3 = Testkit.Workloads.clique 3 in
+  let pendant =
+    List.map
+      (fun n ->
+        let a = Testkit.Workloads.pendant_cycle ~seed:19 ~cycle:5 n in
+        let vp, tp = solve_time ~preprocess:true a k3 in
+        let vr, tr = solve_time ~preprocess:false a k3 in
+        let _, ts =
+          Util.time ~repeat:5 (fun () ->
+              Preprocess.memo_reset ();
+              Preprocess.shrink_source a)
+        in
+        ((Structure.size a, ts), record "preprocess-pendant-tree" ~k:n a k3 vp tp vr tr))
+      [ 200; 400; 800; 1600 ]
+  in
   Util.table
     ~columns:
       [ "family"; "k"; "size"; "shrunk"; "verdict"; "pre"; "raw"; "speedup" ]
-    (List.map snd padded @ multi @ List.map snd overhead @ List.map snd head);
+    (List.map snd padded @ multi @ List.map snd overhead @ List.map snd head
+     @ List.map snd pendant);
   let core_shrink_speedup =
     match List.rev padded with ((_, s), _) :: _ -> s | [] -> nan
   in
@@ -1804,6 +1825,16 @@ let e19 () =
     "preprocess cost on head-decided instances: %.2fx the raw solve (target \
      ~1.0x; guarded < 2x of baseline)."
     head_ratio;
+  let shrink_series = List.map fst pendant in
+  let fold_ns_per_element =
+    match List.rev shrink_series with
+    | (size, t) :: _ -> t *. 1e9 /. float_of_int size
+    | [] -> nan
+  in
+  Util.note
+    "pendant-tree shrink: %.0f ns per element at the largest size, growth \
+     exponent %.2f (linear: ~1)."
+    fold_ns_per_element (Util.fitted_exponent shrink_series);
   append_perf_json (List.rev !json);
   Util.note "merged E19 rows into BENCH_perf.json.";
   perf_guard ~experiment:"E19"
@@ -1811,6 +1842,7 @@ let e19 () =
       ("core_shrink_speedup", core_shrink_speedup, true);
       ("preprocess_overhead_ratio", overhead_ratio, false);
       ("preprocess_head_ratio", head_ratio, false);
+      ("fold_pendant_ns_per_element", fold_ns_per_element, false);
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -79,58 +79,81 @@ let memo_reset () = Mutex.protect memo_lock (fun () -> Hashtbl.reset memo)
 (* Stage: dominated-element folding.                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Drop [x], absorbing it into [y]; the fold maps [x] to [y] and shifts
-   the rest down.  [Homomorphism.folds_onto] has already certified that
-   every tuple through [x] survives the substitution, so the induced
-   substructure on the remaining elements carries them all. *)
-let apply_fold st x y =
-  let n = Structure.size st in
-  let smaller =
-    Structure.induced st (List.filter (fun e -> e <> x) (Structure.universe st))
-  in
-  let renum e = if e > x then e - 1 else e in
-  let step_fold = Array.init n (fun e -> renum (if e = x then y else e)) in
-  let step_embed = Array.init (n - 1) (fun i -> if i < x then i else i + 1) in
-  (smaller, step_fold, step_embed)
+module Int_set = Set.Make (Int)
 
-(* Greedy passes to fixpoint, scanning elements top-down (benchmark
-   padding appended at high indices folds away without rescanning the
-   kernel each time).  One budget tick per domination test; on
-   exhaustion the last completed fold is kept. *)
-let fold_stage ~budget st0 =
-  let id = Array.init (Structure.size st0) Fun.id in
-  let best = ref (st0, id, id, 0) in
-  let rec pass st fold embed folded =
-    best := (st, fold, embed, folded);
-    let found = ref None in
-    let x = ref (Structure.size st - 1) in
-    while !found = None && !x >= 0 do
-      List.iter
-        (fun y ->
-          if !found = None then begin
-            Budget.tick budget;
-            if Homomorphism.folds_onto st !x y then found := Some (!x, y)
-          end)
-        (Homomorphism.fold_candidates st !x);
-      decr x
-    done;
-    match !found with
+(* One pass over the input's own indexes: a [live] mask stands for the
+   substructure induced on the elements not yet folded, and [into]
+   records each fold's absorber.  The highest pending element is tested
+   next, against its candidates ascending.  A live element that shares
+   no live tuple with a folded [x] keeps exactly its tuples, so if it
+   failed before it still fails; only [x]'s live neighbours become
+   pending again.  Every non-pending live element is therefore
+   unfoldable, and each fold is the one a top-down rescan would pick.
+   One budget tick per domination test; on exhaustion the completed
+   folds are kept.  The one induced copy is taken at the end, and not at
+   all when nothing folded (warm indexes survive). *)
+let fold_stage ~budget st =
+  let n = Structure.size st in
+  let live = Array.make n true and into = Array.init n Fun.id in
+  let pending = ref (Int_set.of_list (Structure.universe st)) in
+  let folds = ref [] in
+  let requeue_neighbours x =
+    List.iter
+      (fun (name, arity) ->
+        let ix = Structure.index st name in
+        for p = 0 to arity - 1 do
+          Array.iter
+            (fun t ->
+              if Array.for_all (Array.get live) t then
+                Array.iter
+                  (fun e -> if e <> x then pending := Int_set.add e !pending)
+                  t)
+            (Relation.Index.matching ix ~pos:p ~value:x)
+        done)
+      (Vocabulary.symbols (Structure.vocabulary st))
+  in
+  let rec loop () =
+    match Int_set.max_elt_opt !pending with
     | None -> ()
-    | Some (x, y) ->
-      let smaller, step_fold, step_embed = apply_fold st x y in
-      pass smaller
-        (Homomorphism.compose step_fold fold)
-        (Homomorphism.compose embed step_embed)
-        (folded + 1)
+    | Some x ->
+      pending := Int_set.remove x !pending;
+      (match
+         List.find_opt
+           (fun y ->
+             Budget.tick budget;
+             Homomorphism.folds_onto ~live st x y)
+           (Homomorphism.fold_candidates ~live st x)
+       with
+      | Some y ->
+        requeue_neighbours x;
+        live.(x) <- false;
+        into.(x) <- y;
+        folds := x :: !folds
+      | None -> ());
+      loop ()
   in
   let bailed =
     try
-      pass st0 id id 0;
+      loop ();
       false
     with Budget.Exhausted _ -> true
   in
-  let st, fold, embed, folded = !best in
-  (st, fold, embed, folded, bailed)
+  let folded = List.length !folds in
+  if folded = 0 then (identity_retraction st, 0, bailed)
+  else begin
+    (* Newest fold first: each absorber is live or already resolved. *)
+    List.iter (fun x -> into.(x) <- into.(into.(x))) !folds;
+    let kept = List.filter (Array.get live) (Structure.universe st) in
+    let renum = Array.make n (-1) in
+    List.iteri (fun i e -> renum.(e) <- i) kept;
+    ( {
+        structure = Structure.induced st kept;
+        fold = Array.map (Array.get renum) into;
+        embed = Array.of_list kept;
+      },
+      folded,
+      bailed )
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Stage: core computation by retraction search.                        *)
@@ -256,17 +279,17 @@ let shrink_structure ?(budget = Budget.unlimited) ?core_nodes st =
           i_memo_hit = true;
         } )
     | None ->
-      let st1, fold1, embed1, folded, bail1 = fold_stage ~budget st in
+      let r1, folded, bail1 = fold_stage ~budget st in
       let core_budget = Budget.slice budget ~max_nodes:cap () in
       let st2, fold2, embed2, dropped, bail2 =
-        core_stage ~budget:core_budget st1
+        core_stage ~budget:core_budget r1.structure
       in
       let r =
         normalize_retraction
           {
             structure = st2;
-            fold = Homomorphism.compose fold2 fold1;
-            embed = Homomorphism.compose embed1 embed2;
+            fold = Homomorphism.compose fold2 r1.fold;
+            embed = Homomorphism.compose r1.embed embed2;
           }
       in
       let bailed = bail1 || bail2 in

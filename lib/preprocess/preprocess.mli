@@ -14,7 +14,8 @@ open Relational
       representative each;
     + dominated-element folding — [x] folds onto [y] when substituting
       [y] for [x] keeps every tuple through [x] in its relation
-      ({!Homomorphism.folds_onto}), so dropping [x] is a retraction;
+      ({!Homomorphism.folds_onto}), so dropping [x] is a retraction —
+      in one pass over a live set ({!fold_stage});
     + core computation by greedy retraction search (repeatedly find an
       endomorphism missing some element), budget-metered and memoized by
       canonical text.
@@ -96,6 +97,14 @@ val shrink_source :
 val whole : Structure.t -> source
 (** The input as one part with the identity shrink: what the solver
     works on when preprocessing is off. *)
+
+val fold_stage : budget:Budget.t -> Structure.t -> retraction * int * bool
+(** The folding stage alone: [(r, folded, bailed)].  Folds dominated
+    elements to fixpoint in one pass over a live set, making exactly the
+    folds of a top-down rescan after every fold, and takes one induced
+    copy at the end ([r.structure] is the input itself when nothing
+    folded).  One budget tick per domination test; on exhaustion the
+    completed folds are kept and [bailed] is set. *)
 
 val target_core : ?budget:Budget.t -> ?core_nodes:int -> Structure.t -> retraction
 (** Fold + core shrink of a target (serve template) structure.  Memoized

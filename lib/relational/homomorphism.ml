@@ -294,7 +294,13 @@ let hom_equivalent a b = exists a b && exists b a
    actually occurs, which in [folds_onto] it always does. *)
 let substitute t ~x ~y = Array.map (fun e -> if e = x then y else e) t
 
-let folds_onto a x y =
+(* Membership in the substructure induced on the live elements; no mask
+   means every element is live. *)
+let is_live live e = match live with None -> true | Some l -> l.(e)
+
+let live_tuple live t = Array.for_all (is_live live) t
+
+let folds_onto ?live a x y =
   x <> y
   && List.for_all
        (fun (name, arity) ->
@@ -302,7 +308,9 @@ let folds_onto a x y =
          let ok = ref true in
          (* Every tuple through [x] appears in the position-[p] bucket for
             each position [p] it occupies; checking only the first
-            occurrence visits each such tuple exactly once. *)
+            occurrence visits each such tuple exactly once.  The
+            substituted tuple is live whenever [t] and [y] are, so plain
+            membership answers for the live substructure too. *)
          for p = 0 to arity - 1 do
            if !ok then
              Array.iter
@@ -312,7 +320,7 @@ let folds_onto a x y =
                    (fun i e -> if !first < 0 && e = x then first := i)
                    t;
                  if
-                   !ok && !first = p
+                   !ok && !first = p && live_tuple live t
                    && not (Relation.Index.mem ix (substitute t ~x ~y))
                  then ok := false)
                (Relation.Index.matching ix ~pos:p ~value:x)
@@ -320,9 +328,11 @@ let folds_onto a x y =
          !ok)
        (Vocabulary.symbols (Structure.vocabulary a))
 
-let fold_candidates a x =
+let fold_candidates ?live a x =
   let n = Structure.size a in
-  (* Find one tuple through [x] (any relation, any position). *)
+  (* Find one live tuple through [x] (any relation, any position).  The
+     buckets are sorted, so this is the tuple the induced substructure's
+     own index would offer first. *)
   let anchor = ref None in
   List.iter
     (fun (name, arity) ->
@@ -330,15 +340,18 @@ let fold_candidates a x =
         let ix = Structure.index a name in
         let p = ref 0 in
         while !anchor = None && !p < arity do
-          let bucket = Relation.Index.matching ix ~pos:!p ~value:x in
-          if Array.length bucket > 0 then anchor := Some (ix, bucket.(0));
+          anchor :=
+            Option.map
+              (fun t -> (ix, t))
+              (Array.find_opt (live_tuple live)
+                 (Relation.Index.matching ix ~pos:!p ~value:x));
           incr p
         done)
     (Vocabulary.symbols (Structure.vocabulary a));
   match !anchor with
   | None ->
     (* Isolated element: folding it onto anything preserves all tuples. *)
-    List.filter (fun y -> y <> x) (List.init n Fun.id)
+    List.filter (fun y -> y <> x && is_live live y) (List.init n Fun.id)
   | Some (ix, t) ->
     (* A viable [y] must complete the pattern [t[x:=y]] in this relation.
        Anchor the index on a non-[x] coordinate when one exists; an all-[x]
@@ -366,7 +379,8 @@ let fold_candidates a x =
                 end
                 else if t'.(i) <> e then ok := false)
             t;
-        if !ok && !y >= 0 && !y <> x then Hashtbl.replace cands !y ())
+        if !ok && !y >= 0 && !y <> x && live_tuple live t' then
+          Hashtbl.replace cands !y ())
       pool;
     List.sort compare (Hashtbl.fold (fun y () acc -> y :: acc) cands [])
 

@@ -141,20 +141,25 @@ val identity : int -> mapping
 val hom_equivalent : Structure.t -> Structure.t -> bool
 (** Homomorphisms exist in both directions. *)
 
-val folds_onto : Structure.t -> int -> int -> bool
-(** [folds_onto a x y]: the retraction sending [x] to [y] and fixing every
-    other element is an endomorphism of [a] — every tuple through [x]
-    stays a tuple of [a] after substituting [y] for [x].  Domination test
-    for preprocessing: computed off the relations' hash indexes, touching
-    only the tuples that contain [x] (O(degree of x), not O(||A||)).
-    [false] when [x = y]. *)
+val folds_onto : ?live:bool array -> Structure.t -> int -> int -> bool
+(** [folds_onto ?live a x y]: the retraction sending [x] to [y] and fixing
+    every other element is an endomorphism of the substructure of [a]
+    induced on the [live] elements (default: all of them) — every live
+    tuple through [x] stays a tuple of [a] after substituting [y] for
+    [x].  Domination test for preprocessing: computed off the relations'
+    hash indexes, touching only the tuples that contain [x] (O(degree of
+    x), not O(||A||)), so a caller dropping elements one at a time
+    clears their [live] bits instead of copying the structure.  [x] and
+    [y] must be live.  [false] when [x = y]. *)
 
-val fold_candidates : Structure.t -> int -> int list
-(** Cheap superset of the elements [x] can fold onto, anchored on one
-    tuple through [x]: only a [y] that completes that tuple's pattern in
-    the same relation can absorb [x], and the per-(position, value) index
-    enumerates exactly those.  When [x] occurs in no tuple at all every
-    other element qualifies.  Sorted, never contains [x]. *)
+val fold_candidates : ?live:bool array -> Structure.t -> int -> int list
+(** Cheap superset of the live elements [x] can fold onto (see
+    {!folds_onto}), anchored on the first live tuple through [x]: only a
+    [y] that completes that tuple's pattern in the same relation can
+    absorb [x], and the per-(position, value) index enumerates exactly
+    those.  When [x] occurs in no live tuple every other live element
+    qualifies.  Sorted, never contains [x]; the same list the induced
+    substructure would give, renumbered. *)
 
 val is_isomorphism : Structure.t -> Structure.t -> mapping -> bool
 (** A bijective homomorphism whose inverse is also a homomorphism. *)

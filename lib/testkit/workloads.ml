@@ -80,6 +80,12 @@ let random_structure ~seed vocab ~size ~tuples =
       add acc tuples)
     base (Vocabulary.symbols vocab)
 
+let pendant_cycle ~seed ~cycle n =
+  let st = Random.State.make [| seed; cycle; n |] in
+  let tree = List.init n (fun i -> (cycle + i, Random.State.int st (cycle + i))) in
+  undirected ~size:(cycle + n)
+    (List.init cycle (fun i -> (i, (i + 1) mod cycle)) @ tree)
+
 let random_partial_ktree ~seed ~n ~k ~keep =
   if n < k + 1 then invalid_arg "Workloads.random_partial_ktree: n must exceed k";
   let st = Random.State.make [| seed; n; k |] in

@@ -44,6 +44,13 @@ val random_partial_ktree : seed:int -> n:int -> k:int -> keep:float -> Structure
     undirected graph of treewidth at most [k] — the Theorem 5.4
     workload. *)
 
+val pendant_cycle : seed:int -> cycle:int -> int -> Structure.t
+(** The undirected cycle on elements [0 .. cycle-1] with a random tree of
+    [n] more vertices hanging off it: vertex [cycle + i] is adjacent to
+    a uniform earlier vertex.  For an odd cycle the core is the cycle,
+    and every tree vertex folds away — the workload of the fold-stage
+    scaling tests (E19's pendant-tree family). *)
+
 val random_schaefer_target :
   seed:int -> Schaefer.Classify.schaefer_class -> arities:int list -> Structure.t
 (** Boolean structure whose relations all lie in the given class (closure

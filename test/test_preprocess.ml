@@ -199,6 +199,93 @@ let property_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Fold stage against the rescan-and-copy oracle                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Several components over {P/0, E/2, T/3}: repeated picks give
+   self-loops and duplicate coordinates, empty one-element parts and the
+   trailing extra elements are isolated, and P() is a nullary fact. *)
+let gen_fold_structure st =
+  let rint k = Random.State.int st k in
+  let vocab = Vocabulary.create [ ("P", 0); ("E", 2); ("T", 3) ] in
+  let parts = List.init (1 + rint 3) (fun _ -> 1 + rint 5) in
+  let size = List.fold_left ( + ) (rint 3) parts in
+  let edges = ref [] and triples = ref [] and off = ref 0 in
+  List.iter
+    (fun k ->
+      let pick () = !off + rint k in
+      for _ = 1 to rint ((2 * k) + 1) do
+        edges := [| pick (); pick () |] :: !edges
+      done;
+      for _ = 1 to rint (k + 1) do
+        triples := [| pick (); pick (); pick () |] :: !triples
+      done;
+      off := !off + k)
+    parts;
+  Structure.of_relations vocab ~size
+    [
+      ("P", if rint 2 = 0 then [ [||] ] else []);
+      ("E", !edges);
+      ("T", !triples);
+    ]
+
+let arbitrary_fold_structure =
+  QCheck.make ~print:Structure_text.print gen_fold_structure
+
+(* Both stages under one fresh budget each: the new stage's retraction,
+   fold count and spend next to the oracle's. *)
+let run_both ?max_nodes a =
+  let budget () =
+    match max_nodes with
+    | None -> Budget.create ()
+    | Some n -> Budget.create ~max_nodes:n ()
+  in
+  let b_new = budget () and b_old = budget () in
+  let r, folded, _ = Preprocess.fold_stage ~budget:b_new a in
+  let st, fold, embed, folded_old, _ = Oracle.Fold_rescan.run ~budget:b_old a in
+  ( (r, folded, Budget.spent b_new),
+    ({ Preprocess.structure = st; fold; embed }, folded_old, Budget.spent b_old) )
+
+let fold_tests =
+  [
+    Helpers.qtest ~count:300 "fold stage matches the rescan oracle"
+      arbitrary_fold_structure (fun a ->
+        let (r, folded, spent), (o, folded_old, spent_old) = run_both a in
+        Structure_text.print r.Preprocess.structure
+        = Structure_text.print o.Preprocess.structure
+        && r.Preprocess.fold = o.Preprocess.fold
+        && r.Preprocess.embed = o.Preprocess.embed
+        && folded = folded_old && spent <= spent_old);
+    Helpers.qtest ~count:300 "budgeted fold stage spends no more than the oracle"
+      QCheck.(pair arbitrary_fold_structure (int_bound 40))
+      (fun (a, max_nodes) ->
+        let (r, folded, spent), (_, folded_old, spent_old) =
+          run_both ~max_nodes a
+        in
+        spent <= spent_old && folded >= folded_old && retraction_ok a r);
+    Alcotest.test_case "shrinking a pendant tree allocates linearly" `Quick
+      (fun () ->
+        (* C5 with an 800-vertex random tree: every tree vertex folds.  A
+           stage that copies the structure per fold allocates ~180M
+           words here; one pass with one final copy stays well under a
+           megaword. *)
+        let a = Testkit.Workloads.pendant_cycle ~seed:1 ~cycle:5 800 in
+        Preprocess.memo_reset ();
+        let words () =
+          let minor, _, major = Gc.counters () in
+          minor +. major
+        in
+        let before = words () in
+        let src = Preprocess.shrink_source a in
+        let allocated = words () -. before in
+        check_int "shrunk to the cycle" 5
+          src.Preprocess.stats.Preprocess.shrunk_elements;
+        if allocated >= 5e6 then
+          Alcotest.failf "shrink_source allocated %.0f words (bound 5M)"
+            allocated);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Budget discipline                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -283,6 +370,7 @@ let () =
     [
       ("units", unit_tests);
       ("properties", property_tests);
+      ("fold", fold_tests);
       ("budgets", budget_tests);
       ("core", core_tests);
     ]
