@@ -858,6 +858,11 @@ let perf_guard ~experiment metrics =
                  experiment key measured base))
       metrics
 
+(* Every timing a guard key reads is the median of this many runs, so
+   one slow phase of a shared host moves a key no more than it moves a
+   single run among nine. *)
+let guard_repeat = 9
+
 (* ------------------------------------------------------------------ *)
 (* E15 — certified verdicts: construction and checking overhead          *)
 (* ------------------------------------------------------------------ *)
@@ -937,7 +942,7 @@ let certify () =
   Util.header "E15 Certified verdicts: construction and checking overhead";
   (* Every column is the median of [repeat] runs; each solve starts from
      an empty shrink memo, as a first request would. *)
-  let repeat = 9 in
+  let repeat = guard_repeat in
   let solve a b =
     Preprocess.memo_reset ();
     Core.Solver.solve a b
@@ -1042,9 +1047,9 @@ let certify () =
 (* E16: indexed propagation and the Theorem 3.4 O(||A||*||B||) bound    *)
 (* ------------------------------------------------------------------ *)
 
-(* Establish arc consistency from scratch with AC-4; the context build is
-   part of the measured cost (the support tables ARE the algorithm's
-   O(||A||*||B||) preprocessing). *)
+(* Establish arc consistency from scratch with the compact-table engine;
+   the context build (live bitsets and support masks) is part of the
+   measured cost. *)
 let establish_time ?repeat a b =
   Util.time ?repeat (fun () ->
       let ctx = Arc_consistency.create a b in
@@ -1057,8 +1062,8 @@ let establish_time ?repeat a b =
    wipeout asymmetry).  The fixpoint caps the image of source vertex [i] at
    [max (0, s - n + i)], and propagation reaches it one value per variable
    per wave over ~s waves -- so the naive engine re-scans the whole target
-   relation Theta(s) times per atom, while AC-4 pays each support exactly
-   once. *)
+   relation Theta(s) times per atom, while the compact table kills each
+   tuple of an atom once and rechecks only the values it carried. *)
 let dense_floor s = Structure.add_tuple (Testkit.Workloads.staircase_dag s) "E" [| 0; 0 |]
 
 let sparse_floor s = Structure.add_tuple (Testkit.Workloads.path s) "E" [| 0; 0 |]
@@ -1143,7 +1148,7 @@ let append_perf_json entries =
 
 let e16 () =
   Util.header
-    "E16 Indexed propagation: AC-4 support counting vs naive revise (Thm 3.4)";
+    "E16 Indexed propagation: compact-table filtering vs naive revise (Thm 3.4)";
   let json = ref [] in
   let record family s a b naive ac4 =
     json :=
@@ -1162,11 +1167,13 @@ let e16 () =
         let b = target s in
         (* The naive baseline (the rescan-and-revise oracle) is slow on
            the large sizes; one timing of it suffices for a reference
-           ratio. *)
+           ratio, except at s = 64, where the guarded speedup reads it. *)
         let rn, tn =
-          Util.time ~repeat:1 (fun () -> Oracle.Arc.closure ~restrict:(fun _ _ -> true) a b)
+          Util.time
+            ~repeat:(if s = 64 then guard_repeat else 1)
+            (fun () -> Oracle.Arc.closure ~restrict:(fun _ _ -> true) a b)
         in
-        let r4, t4 = establish_time ~repeat:3 a b in
+        let r4, t4 = establish_time ~repeat:guard_repeat a b in
         assert (rn <> None && r4);
         record family s a b (Some tn) t4;
         ( (s, Structure.norm a * Structure.norm b, tn, t4),
@@ -1185,7 +1192,7 @@ let e16 () =
       [ 32; 64; 128 ]
   in
   Util.table
-    ~columns:[ "family"; "s"; "||A||"; "||B||"; "naive"; "ac4"; "speedup" ]
+    ~columns:[ "family"; "s"; "||A||"; "||B||"; "naive"; "table"; "speedup" ]
     (List.map snd (dense @ sparse));
   let dense_speedup =
     match List.find (fun ((s, _, _, _), _) -> s = 64) dense with
@@ -1201,7 +1208,7 @@ let e16 () =
   let expo_naive =
     Util.fitted_exponent (List.map (fun ((_, w, tn, _), _) -> (w, tn)) dense)
   in
-  Util.note "establish time ~ (||A||*||B||)^e: e = %.2f (ac4), %.2f (naive)."
+  Util.note "establish time ~ (||A||*||B||)^e: e = %.2f (table), %.2f (naive)."
     expo_ac4 expo_naive;
   assert (expo_ac4 <= 1.35);
   (* Family 3: Yannakakis on a path source into the dense tournament (a
@@ -1213,7 +1220,9 @@ let e16 () =
       (fun s ->
         let a = Testkit.Workloads.path s in
         let b = Testkit.Workloads.staircase_dag s in
-        let h, t = Util.time ~repeat:3 (fun () -> Treewidth.Hypergraph.solve_acyclic a b) in
+        let h, t =
+          Util.time ~repeat:guard_repeat (fun () -> Treewidth.Hypergraph.solve_acyclic a b)
+        in
         (match h with
         | Some h -> assert (Homomorphism.is_homomorphism a b h)
         | None -> assert false);
@@ -1235,13 +1244,13 @@ let e16 () =
   Telemetry.reset ();
   Telemetry.set_sink (Some sink);
   let (), t_plain =
-    Util.time ~repeat:3 (fun () ->
+    Util.time ~repeat:guard_repeat (fun () ->
         Telemetry.time "budget.tick_unlimited" (fun () ->
             tick_loop (Budget.create ())))
   in
   Budget.reset_clock_stats ();
   let (), t_deadline =
-    Util.time ~repeat:3 (fun () ->
+    Util.time ~repeat:guard_repeat (fun () ->
         Telemetry.time "budget.tick_deadline" (fun () ->
             tick_loop (Budget.create ~timeout:3600.0 ())))
   in
@@ -1255,13 +1264,13 @@ let e16 () =
      (%.2fx); %d clock reads for %d ticks (1 per %d)."
     (t_plain *. 1e9 /. float_of_int ticks)
     (t_deadline *. 1e9 /. float_of_int ticks)
-    tick_ratio reads (3 * ticks)
-    (3 * ticks / max 1 reads);
+    tick_ratio reads (guard_repeat * ticks)
+    (guard_repeat * ticks / max 1 reads);
   List.iter
     (fun (name, (seconds, count)) ->
       Util.note "telemetry timer %s: %s over %d runs." name (f2s seconds) count)
     timers;
-  assert (reads < 3 * ticks / 64);
+  assert (reads < guard_repeat * ticks / 64);
   json :=
     Printf.sprintf
       "  {\"family\": \"deadline-polling\", \"size\": %d, \"plain_s\": %.6e,\n\
@@ -1311,12 +1320,16 @@ let e17 () =
       (fun s ->
         let a = source s and b = target s in
         (* The naive engine (the list-based oracle) dominates the large
-           sizes; one timing of it suffices for a reference ratio. *)
+           sizes; one timing of it suffices for a reference ratio, except
+           at the largest, where the guarded speedup reads it. *)
         let (fn, _), tn =
-          Util.time ~repeat:1 (fun () ->
-              Oracle.Pebble.family ~budget:Budget.unlimited ~k a b)
+          Util.time
+            ~repeat:(if s = List.fold_left max 0 sizes then guard_repeat else 1)
+            (fun () -> Oracle.Pebble.family ~budget:Budget.unlimited ~k a b)
         in
-        let outcome, tc = Util.time ~repeat:3 (fun () -> Pebble.Game.run ~k a b) in
+        let outcome, tc =
+          Util.time ~repeat:guard_repeat (fun () -> Pebble.Game.run ~k a b)
+        in
         let { Pebble.Game.family = fc; stats; _ } = Option.get outcome in
         (* Differential, outside the timed closures: the winning family is
            the unique greatest fixpoint, so the engines must agree
@@ -1408,7 +1421,7 @@ let e17 () =
       (fun n ->
         let a = Testkit.Workloads.path n in
         let (_, stats), t =
-          Util.time ~repeat:9 (fun () ->
+          Util.time ~repeat:guard_repeat (fun () ->
               Datalog.Eval.fixpoint_with_stats tc_program a)
         in
         let derived = stats.Datalog.Eval.derived in
@@ -1510,35 +1523,47 @@ let e18 () =
         Telemetry.reset ())
       f
   in
-  let repeat = 5 in
   (* Mode 1: telemetry compiled in but disabled — every instrumentation
      site is one [enabled]-branch.  This is the deployment default, so the
-     two ratios below bound what users pay for the hooks existing at all. *)
-  let v_off, t_off = with_sink None (fun () -> Util.time ~repeat workload) in
-  (* Mode 2: memory sink — records and counters accumulate in RAM; the
+     two ratios below bound what users pay for the hooks existing at all.
+     Mode 2: memory sink — records and counters accumulate in RAM; the
      bench then consumes the very counters the engines emitted instead of
-     re-deriving its own operation counts. *)
+     re-deriving its own operation counts.  Mode 3: JSONL sink — every
+     record is rendered and written to disk.  The modes take turns, one
+     run each per round, so a slow phase of the host lands on all three
+     alike; each column is the median of [guard_repeat] rounds. *)
   let mem_sink, mem_drain = Telemetry.Sink.memory () in
-  let (v_mem, t_mem), totals =
-    with_sink (Some mem_sink) (fun () ->
-        let timed = Util.time ~repeat workload in
-        (* One clean run for per-run counter totals. *)
-        Telemetry.reset ();
-        ignore (workload ());
-        (timed, Telemetry.counter_totals ()))
-  in
-  let mem_records = List.length (mem_drain ()) in
-  (* Mode 3: JSONL sink — every record is rendered and written to disk. *)
   let trace_path = Filename.temp_file "cqcsp-e18" ".jsonl" in
   let oc = open_out trace_path in
-  let v_jsonl, t_jsonl =
-    with_sink
-      (Some (Telemetry.Sink.jsonl oc))
-      (fun () ->
-        let timed = Util.time ~repeat workload in
-        Telemetry.flush ();
-        timed)
+  let run sink = with_sink sink (fun () -> Util.time_once workload) in
+  let rounds =
+    List.init guard_repeat (fun _ ->
+        let off = run None in
+        let mem = run (Some mem_sink) in
+        let jsonl =
+          with_sink
+            (Some (Telemetry.Sink.jsonl oc))
+            (fun () ->
+              let timed = Util.time_once workload in
+              Telemetry.flush ();
+              timed)
+        in
+        (off, mem, jsonl))
   in
+  let median pick =
+    let sorted = List.sort compare (List.map (fun r -> snd (pick r)) rounds) in
+    (fst (pick (List.hd rounds)), List.nth sorted (List.length sorted / 2))
+  in
+  let v_off, t_off = median (fun (off, _, _) -> off) in
+  let v_mem, t_mem = median (fun (_, mem, _) -> mem) in
+  let v_jsonl, t_jsonl = median (fun (_, _, jsonl) -> jsonl) in
+  (* One clean run for per-run counter totals. *)
+  let totals =
+    with_sink (Some mem_sink) (fun () ->
+        ignore (workload ());
+        Telemetry.counter_totals ())
+  in
+  let mem_records = List.length (mem_drain ()) in
   close_out oc;
   let trace_bytes =
     let ic = open_in_bin trace_path in
@@ -1574,7 +1599,7 @@ let e18 () =
     match List.assoc_opt name totals with Some n -> n | None -> 0
   in
   assert (total "datalog.derived" >= 64 * 63 / 2);
-  assert (total "ac.support_builds" > 0);
+  assert (total "ac.establishes" > 0);
   assert (total "pebble.initial_configs" > 0);
   json :=
     Printf.sprintf

@@ -452,10 +452,11 @@ let decided_by_preprocess ~counters verdict =
     attempts = [ { route = Preprocess; nodes = 0; outcome = Decided; counters } ];
   }
 
-(* One part on the tail.  With preprocessing, the AC-4 singleton-domain
-   substitution decides [Sat] outright when propagation forces a unique
-   certified assignment; otherwise (or when the budget is already spent
-   — the table reports exhaustion uniformly) the tail entries run. *)
+(* One part on the tail.  With preprocessing, the arc-consistency
+   singleton-domain substitution decides [Sat] outright when propagation
+   forces a unique certified assignment; otherwise (or when the budget
+   is already spent — the table reports exhaustion uniformly) the tail
+   entries run. *)
 let solve_part ~max_treewidth ~consistency_k ~budget ~threads ~preprocess ~reshaped
     piece b =
   match

@@ -13,8 +13,8 @@ open Relational
     racing driver both read the same table.  The table has one
     boundary: the head (Schaefer-direct, Hell–Nešetřil, Booleanization,
     acyclic) decides the raw source, and only when none of it does is
-    the source shrunk ({!Preprocess}) and the tail (the AC-4 singleton
-    shortcut; acyclic again, on a part the shrink folded or split off;
+    the source shrunk ({!Preprocess}) and the tail (the arc-consistency
+    singleton shortcut; acyclic again, on a part the shrink folded or split off;
     bounded treewidth, k-consistency, backtracking) run on each shrunk
     part.  Without preprocessing the tail runs on the raw source as its
     one part, with neither the shortcut nor the repeated acyclic entry.
@@ -57,8 +57,8 @@ open Relational
 type route =
   | Preprocess
       (** A preprocessing shortcut decided: the boundary's empty or
-          mismatched target relation or empty source, or the AC-4
-          singleton-domain substitution that opens the tail (both only
+          mismatched target relation or empty source, or the
+          arc-consistency singleton-domain substitution that opens the tail (both only
           with preprocessing on).  Also the
           route of the shrink's own attempt record. *)
   | Schaefer_direct of Schaefer.Classify.schaefer_class

@@ -18,15 +18,22 @@ let is_ident_start c = (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') || c = '
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9') || c = '\''
 
 (* Tokens paired with the source position of their first character; [Eof]
-   carries the position just past the input. *)
+   carries the position just past the input.  One line cursor advances
+   with the scan, so positions cost nothing per token. *)
 let tokenize input =
-  let pos i = Source_position.of_offset input i in
+  let line = ref 1 and line_start = ref 0 in
+  let pos i = { Source_position.line = !line; col = i - !line_start + 1 } in
   let n = String.length input in
   let tokens = ref [] in
   let i = ref 0 in
   while !i < n do
     let c = input.[!i] in
-    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
+    if c = '\n' then begin
+      incr i;
+      incr line;
+      line_start := !i
+    end
+    else if c = ' ' || c = '\t' || c = '\r' then incr i
     else if is_ident_start c then begin
       let start = !i in
       while !i < n && is_ident_char input.[!i] do

@@ -2,7 +2,7 @@
 
     Every revision of a tuple-constraint of [A] rescans the whole target
     relation of [B] — [O(removals * ||B||)] worst case — with none of
-    {!Relational.Arc_consistency}'s support counters or trail.  The
+    {!Relational.Arc_consistency}'s live tables or trail.  The
     arc-consistent closure is unique, so the two must agree domain for
     domain; [Testkit.Selfcheck] and the test suites compare them, and bench
     E16 times this engine as the naive baseline. *)

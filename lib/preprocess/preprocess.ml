@@ -54,8 +54,13 @@ type source = {
 (* capacity keeps it bounded without LRU bookkeeping.                   *)
 (* ------------------------------------------------------------------ *)
 
+(* An entry keeps a shrink's maps, not its structure: the shrunk
+   structure is the input induced on [embed], rebuilt on a hit, so an
+   entry holds neither a structure nor the indexes the routes that ran
+   on it built. *)
 type memo_entry = {
-  m_retraction : retraction;
+  m_fold : int array;
+  m_embed : int array;
   m_folded : int;
   m_core_dropped : int;
 }
@@ -164,32 +169,48 @@ let fold_stage ~budget st =
    shrinks) come back fast; the exhaustive failing sweep that would
    prove minimality is where the node cap bites, so already-minimal
    instances bail after a bounded effort instead of an exponential
-   proof.  The last completed restriction is kept on exhaustion. *)
+   proof.  The last completed restriction is kept on exhaustion.
+
+   Each round builds one self-context and establishes it once: its
+   Theta(norm) setup is metered against the cap as [1 + norm/4] ticks,
+   so the number of rounds scales with the budget rather than with the
+   universe size.  When every domain is then a singleton the identity is
+   the only endomorphism, so the structure is rigid, hence a core, and
+   the stage stops.  Otherwise an attempt to avoid [v] costs one tick:
+   push, remove [v] from every domain, propagate, search, pop. *)
 let core_stage ~budget st0 =
   let id = Array.init (Structure.size st0) Fun.id in
   let best = ref (st0, id, id, 0) in
   let rec shrink st fold embed dropped =
     best := (st, fold, embed, dropped);
     let n = Structure.size st in
+    for _ = 1 to 1 + (Structure.norm st / 4) do
+      Budget.tick budget
+    done;
+    let ctx = Arc_consistency.create ~budget st st in
+    (* The identity is an endomorphism, so this cannot wipe out. *)
+    ignore (Arc_consistency.establish ctx);
+    let avoiding v =
+      Budget.tick budget;
+      Arc_consistency.push ctx;
+      let found = ref None in
+      if
+        List.for_all
+          (fun x -> Arc_consistency.remove_value ctx x v)
+          (Structure.universe st)
+        && Arc_consistency.propagate ctx
+      then
+        Homomorphism.search_context ~budget ctx ~on_solution:(fun h ->
+            found := Some (Array.copy h);
+            false);
+      Arc_consistency.pop ctx;
+      !found
+    in
     let rec attempt v =
       if v >= n then None
-      else begin
-        (* A fresh search pays Theta(norm) setup before its first node;
-           meter that against the cap too, so the number of restart
-           attempts scales with the budget rather than with the universe
-           size (an already-core instance would otherwise pay n setups
-           before bailing). *)
-        for _ = 1 to 1 + (Structure.norm st / 4) do
-          Budget.tick budget
-        done;
-        match
-          Homomorphism.find ~budget ~restrict:(fun _ y -> y <> v) st st
-        with
-        | Some h -> Some h
-        | None -> attempt (v + 1)
-      end
+      else match avoiding v with Some h -> Some h | None -> attempt (v + 1)
     in
-    match attempt 0 with
+    match if Arc_consistency.all_singleton ctx then None else attempt 0 with
     | None -> ()
     | Some h ->
       let img = Homomorphism.image h in
@@ -271,7 +292,11 @@ let shrink_structure ?(budget = Budget.unlimited) ?core_nodes st =
     match memo_find key with
     | Some e ->
       Telemetry.count "preprocess.memo_hit" 1;
-      ( e.m_retraction,
+      let structure =
+        if Array.length e.m_embed = Structure.size st then st
+        else Structure.induced st (Array.to_list e.m_embed)
+      in
+      ( { structure; fold = e.m_fold; embed = e.m_embed },
         {
           i_folded = e.m_folded;
           i_core_dropped = e.m_core_dropped;
@@ -296,7 +321,12 @@ let shrink_structure ?(budget = Budget.unlimited) ?core_nodes st =
       if bailed then Telemetry.count "preprocess.bailout" 1
       else
         memo_store key
-          { m_retraction = r; m_folded = folded; m_core_dropped = dropped };
+          {
+            m_fold = r.fold;
+            m_embed = r.embed;
+            m_folded = folded;
+            m_core_dropped = dropped;
+          };
       ( r,
         {
           i_folded = folded;
@@ -430,7 +460,7 @@ let shrink_source ?budget ?core_nodes a =
   shrink_parts ?budget ?core_nodes (components a)
 
 (* ------------------------------------------------------------------ *)
-(* AC-4 singleton-domain substitution.                                  *)
+(* Arc-consistency singleton-domain substitution.                       *)
 (* ------------------------------------------------------------------ *)
 
 let ac_singleton_witness ?(budget = Budget.unlimited) a b =

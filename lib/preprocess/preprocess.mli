@@ -18,7 +18,10 @@ open Relational
       in one pass over a live set ({!fold_stage});
     + core computation by greedy retraction search (repeatedly find an
       endomorphism missing some element), budget-metered and memoized by
-      canonical text.
+      canonical text.  Each round establishes one arc-consistent
+      self-context and searches it once per avoided element; a round
+      whose domains are all singletons has found a rigid structure, a
+      core, and ends the stage.
 
     Every shrink is returned as a {!retraction} whose [fold]/[embed]
     maps certify it: [fold] is a homomorphism from the original onto the
@@ -113,7 +116,7 @@ val target_core : ?budget:Budget.t -> ?core_nodes:int -> Structure.t -> retracti
 
 val ac_singleton_witness :
   ?budget:Budget.t -> Structure.t -> Structure.t -> int array option
-(** AC-4 singleton-domain substitution: establish arc consistency; when
+(** Arc-consistency singleton-domain substitution: establish arc consistency; when
     every domain is a singleton and the forced assignment is a
     homomorphism, that assignment decides the instance [Sat] outright.
     @raise Budget.Exhausted only via [Budget.check] up front. *)

@@ -5,11 +5,19 @@
     Establishing (generalized) arc consistency removes every candidate that
     lacks a support in some tuple-constraint of [A].
 
-    One engine does the work: AC-4.  It keeps per-(atom, position, value)
-    support counters that are decremented incrementally as values die and
-    restored exactly on {!pop}, giving amortised [O(||A|| * ||B||)]
-    propagation (Theorem 3.4).  The context is mutable and supports
-    checkpoint/undo, which lets backtracking searches (MAC) and
+    One engine does the work: compact-table filtering (Demeulenaere et
+    al., CP 2016).  Every atom of [A] keeps a reversible bitset of the
+    target tuples still live under the current domains: a tuple is live
+    iff the value at each of its positions is in that position's domain,
+    a repeated variable being checked per position.  A value is supported
+    at a position iff its support mask (the target tuples carrying it
+    there, one mask per (symbol, position, value), shared by every atom
+    over the symbol) meets the live set.  Removing a value kills the live
+    tuples of its masks, each at most once per atom between checkpoints,
+    and only the values a killed tuple carried are checked again: the
+    polynomial propagation of Theorem 3.4, in [|R_B| / 63] words per atom
+    rather than a counter per target tuple.  The context is mutable and
+    supports checkpoint/undo, which lets backtracking searches (MAC) and
     consistency-based algorithms share one kernel.  Its differential
     reference, the rescan-and-revise fixpoint, is [Oracle.Arc] in the
     test-only [oracle] library. *)
@@ -48,21 +56,28 @@ val dom_values : t -> int -> int list
 
 val remove_value : t -> int -> int -> bool
 (** Removes a candidate and queues the values that lose their last
-    support for the next {!propagate}.
+    support for the next {!propagate}.  Before {!establish} it only
+    narrows the domains that [establish] then closes.
     Returns [false] when the domain becomes empty (wipeout).  Idempotent. *)
 
 val assign : t -> int -> int -> bool
 (** Shrinks the domain of [x] to [{v}] and propagates to fixpoint.
-    Returns [false] on wipeout. @raise Invalid_argument if [v] is not in the
-    current domain of [x]. *)
+    Returns [false] on wipeout.  The context must be established: only
+    values that lose a live tuple are checked again, so an unsupported
+    value that never had one would survive.
+    @raise Invalid_argument if {!establish} has not run since the
+    context was built or since a {!pop} went below the checkpoint it
+    ran under, or if [v] is not in the current domain of [x]. *)
 
 val propagate : t -> bool
-(** Propagates all pending removals to the arc-consistent fixpoint.
-    Returns [false] on wipeout. *)
+(** Propagates all pending removals to the arc-consistent fixpoint;
+    that is a fixpoint only on an established context, as for
+    {!assign}.  Returns [false] on wipeout. *)
 
 val establish : t -> bool
-(** Makes the whole context arc-consistent from scratch (all variables
-    scheduled).  Returns [false] when no homomorphism can exist.
+(** Makes the whole context arc-consistent from its current domains: every
+    value some constraint does not support is removed, and the removals
+    propagated.  Returns [false] when no homomorphism can exist.
     @raise Budget.Exhausted on the context budget's deadline or
     cancellation, as do {!assign} and {!propagate}. *)
 
@@ -78,7 +93,3 @@ val all_singleton : t -> bool
 val solution : t -> int array
 (** The induced mapping when every domain is a singleton.
     @raise Invalid_argument otherwise. *)
-
-val removal_count : t -> int
-(** Total number of domain removals performed so far (monotone; not reset by
-    [pop]).  Useful as a work measure in benchmarks. *)

@@ -71,15 +71,87 @@ type tree =
   | Prune of { origin : origin; elem : int; value : int; rest : tree }
   | Split of { elem : int; children : (int * tree) list }
 
-(* The one MAC backtracking engine.  [on_solution] receives each solution
-   and returns [true] to continue enumerating.  [budget] is ticked once
-   per search-tree node and may abort the search by raising
-   [Budget.Exhausted].  With [record], the tree of every node it
-   exhausts.  [restrict] applies only after arc consistency closed the
-   full domains (the closure is the same either way), so every logged
-   removal holds without it.  Answers the node count, the root's tree
-   and whether [restrict] removed a value that closure kept. *)
-let explore ~record ?(ordering = `Mrv) ?(restrict = fun _ _ -> true)
+(* The one MAC backtracking loop, on [ctx]'s current domains, which
+   must be arc-consistent.  [on_solution] receives each solution and
+   returns [true] to continue enumerating.  [budget] is ticked once per
+   search-tree node and may abort the search by raising
+   [Budget.Exhausted].  With [recorded], every child's subtree is wrapped
+   by it, so the tree of every node it exhausts is kept.  Every
+   assignment is undone before it returns normally, and answers the node
+   count and the root's split. *)
+let mac ?(ordering = `Mrv) ?(budget = Budget.unlimited) ?recorded ctx ~on_solution =
+  let a = Arc_consistency.source ctx and b = Arc_consistency.target ctx in
+  let n = Structure.size a and m = Structure.size b in
+  let nodes = ref 0 in
+  let tree = ref (Split { elem = 0; children = [] }) in
+  let decided = Array.make n false in
+  (* Variable choice: minimum-remaining-values, or plain input order
+     (kept for the ablation benchmarks). *)
+  let pick () =
+    match ordering with
+    | `Input ->
+      let first = ref (-1) in
+      for x = n - 1 downto 0 do
+        if not decided.(x) then first := x
+      done;
+      !first
+    | `Mrv ->
+      let best = ref (-1) and best_size = ref max_int in
+      for x = 0 to n - 1 do
+        if not decided.(x) && Arc_consistency.dom_size ctx x < !best_size then begin
+          best := x;
+          best_size := Arc_consistency.dom_size ctx x
+        end
+      done;
+      !best
+  in
+  let rec solve () =
+    let x = pick () in
+    if x < 0 then begin
+      let h = Arc_consistency.solution ctx in
+      (* MAC with all-singleton domains implies consistency; keep the
+         explicit check as a safety net. *)
+      assert (is_homomorphism a b h);
+      on_solution h
+    end
+    else begin
+      decided.(x) <- true;
+      let continue_ = ref true and children = ref [] in
+      for v = 0 to m - 1 do
+        if !continue_ && Arc_consistency.dom_mem ctx x v then begin
+          incr nodes;
+          Budget.tick budget;
+          Arc_consistency.push ctx;
+          let ok = Arc_consistency.assign ctx x v in
+          (match recorded with
+          | None -> if ok && not (solve ()) then continue_ := false
+          | Some recorded ->
+            children :=
+              ( v,
+                recorded ~alive:ok (fun () ->
+                    if not (solve ()) then continue_ := false;
+                    !tree) )
+              :: !children);
+          Arc_consistency.pop ctx
+        end
+      done;
+      decided.(x) <- false;
+      if recorded <> None then tree := Split { elem = x; children = List.rev !children };
+      !continue_
+    end
+  in
+  ignore (solve ());
+  (!nodes, !tree)
+
+let search_context ?budget ctx ~on_solution = ignore (mac ?budget ctx ~on_solution)
+
+(* A fresh context over [a] and [b] for {!mac}.  With [record], the tree
+   of every node it exhausts.  [restrict] applies only after arc
+   consistency closed the full domains (the closure is the same either
+   way), so every logged removal holds without it.  Answers the node
+   count, the root's tree and whether [restrict] removed a value that
+   closure kept. *)
+let explore ~record ?ordering ?(restrict = fun _ _ -> true)
     ?(budget = Budget.unlimited) a b ~on_solution =
   let n = Structure.size a and m = Structure.size b in
   let nodes = ref 0 and restricted = ref false in
@@ -125,67 +197,16 @@ let explore ~record ?(ordering = `Mrv) ?(restrict = fun _ _ -> true)
     let alive =
       Arc_consistency.establish ctx && (apply_restrict (); Arc_consistency.propagate ctx)
     in
-    let decided = Array.make n false in
-    (* Variable choice: minimum-remaining-values, or plain input order
-       (kept for the ablation benchmarks). *)
-    let pick () =
-      match ordering with
-      | `Input ->
-        let first = ref (-1) in
-        for x = n - 1 downto 0 do
-          if not decided.(x) then first := x
-        done;
-        !first
-      | `Mrv ->
-        let best = ref (-1) and best_size = ref max_int in
-        for x = 0 to n - 1 do
-          if not decided.(x) && Arc_consistency.dom_size ctx x < !best_size then begin
-            best := x;
-            best_size := Arc_consistency.dom_size ctx x
-          end
-        done;
-        !best
+    let run () =
+      let k, root =
+        mac ?ordering ~budget ?recorded:(if record then Some recorded else None) ctx
+          ~on_solution
+      in
+      nodes := k;
+      root
     in
-    let rec solve () =
-      let x = pick () in
-      if x < 0 then begin
-        let h = Arc_consistency.solution ctx in
-        (* MAC with all-singleton domains implies consistency; keep the
-           explicit check as a safety net. *)
-        assert (is_homomorphism a b h);
-        on_solution h
-      end
-      else begin
-        decided.(x) <- true;
-        let continue_ = ref true and children = ref [] in
-        for v = 0 to m - 1 do
-          if !continue_ && Arc_consistency.dom_mem ctx x v then begin
-            incr nodes;
-            Budget.tick budget;
-            Arc_consistency.push ctx;
-            let ok = Arc_consistency.assign ctx x v in
-            if not record then (if ok && not (solve ()) then continue_ := false)
-            else
-              children :=
-                ( v,
-                  recorded ~alive:ok (fun () ->
-                      if not (solve ()) then continue_ := false;
-                      !tree) )
-                :: !children;
-            Arc_consistency.pop ctx
-          end
-        done;
-        decided.(x) <- false;
-        if record then tree := Split { elem = x; children = List.rev !children };
-        !continue_
-      end
-    in
-    if not record then (if alive then ignore (solve ()))
-    else
-      tree :=
-        recorded ~alive (fun () ->
-            ignore (solve ());
-            !tree));
+    if not record then (if alive then ignore (run ()))
+    else tree := recorded ~alive run);
   (!nodes, !tree, !restricted)
 
 let search ?ordering ?restrict ?budget a b ~on_solution =

@@ -7,7 +7,8 @@
 
     [find]/[exists] implement the general (NP-complete) search: backtracking
     with minimum-remaining-values variable ordering, maintaining generalized
-    arc consistency (MAC, over the AC-4 context of {!Arc_consistency}).
+    arc consistency (MAC, over the compact-table context of
+    {!Arc_consistency}).
     This is the paper's uniform baseline against which every tractable
     special case is compared.  One engine serves every entry point;
     {!refute} also answers the tree it explored when no homomorphism
@@ -70,6 +71,21 @@ val find_with_stats :
   mapping option * stats
 
 val exists : Structure.t -> Structure.t -> bool
+
+val search_context :
+  ?budget:Budget.t ->
+  Arc_consistency.t ->
+  on_solution:(mapping -> bool) ->
+  unit
+(** The MAC loop every search above runs, with the minimum-remaining-values
+    ordering, on a given context from its current domains, which must be
+    arc-consistent (its last {!Arc_consistency.establish} or
+    {!Arc_consistency.propagate} answered [true]).  [on_solution]
+    receives each homomorphism inside the domains and returns [true] to
+    continue.  Every assignment is undone before it returns, so a caller
+    can narrow the domains between [push] and [pop] and search again
+    without a fresh context.
+    @raise Budget.Exhausted when [budget] runs out mid-search. *)
 
 type origin = { symbol : string; fact : Tuple.t }
 (** A fact of the source, by relation symbol and tuple. *)

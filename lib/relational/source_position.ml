@@ -2,18 +2,6 @@ type t = { line : int; col : int }
 
 let start = { line = 1; col = 1 }
 
-let of_offset text offset =
-  let offset = min (max 0 offset) (String.length text) in
-  let line = ref 1 and col = ref 1 in
-  for i = 0 to offset - 1 do
-    if text.[i] = '\n' then begin
-      incr line;
-      col := 1
-    end
-    else incr col
-  done;
-  { line = !line; col = !col }
-
 let to_string { line; col } = Printf.sprintf "line %d, column %d" line col
 
 let pp ppf p = Format.pp_print_string ppf (to_string p)

@@ -7,10 +7,6 @@ type t = { line : int; col : int }
 val start : t
 (** Line 1, column 1. *)
 
-val of_offset : string -> int -> t
-(** [of_offset text i] is the position of byte offset [i] in [text]
-    (clamped to the text length), counting ['\n'] as line separators. *)
-
 val to_string : t -> string
 (** ["line L, column C"]. *)
 

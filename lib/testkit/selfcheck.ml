@@ -131,11 +131,11 @@ let routes ~budget a b =
             else None));
   ]
 
-(* Differential check of AC-4 against the rescan-and-revise oracle: the
-   arc-consistent closure is unique, so they must agree on the establish
-   verdict and every domain, and on the domains after an assign — the
-   oracle's closure with [x] fixed to [v] — while pop must restore the
-   establish snapshot. *)
+(* Differential check of the compact-table engine against the
+   rescan-and-revise oracle: the arc-consistent closure is unique, so
+   they must agree on the establish verdict and every domain, and on the
+   domains after an assign — the oracle's closure with [x] fixed to
+   [v] — while pop must restore the establish snapshot. *)
 let ac_differential note a b =
   let ctx = Arc_consistency.create a b in
   let n = Structure.size a in
@@ -147,7 +147,7 @@ let ac_differential note a b =
       if domains () <> doms then note ("ac-differential: domains differ " ^ stage)
     | _ ->
       note
-        (Printf.sprintf "ac-differential: %s disagrees (ac4 %b, oracle %b)" stage ours
+        (Printf.sprintf "ac-differential: %s disagrees (engine %b, oracle %b)" stage ours
            (oracle <> None))
   in
   let established = Arc_consistency.establish ctx in
@@ -168,7 +168,7 @@ let ac_differential note a b =
         (Oracle.Arc.closure ~restrict:(fun y w -> y <> x || w = v) a b);
       Arc_consistency.pop ctx;
       if domains () <> snapshot then
-        note "ac-differential: ac4 pop did not restore the establish domains"
+        note "ac-differential: pop did not restore the establish domains"
   end
 
 (* Differential check of the pebble game against the list-based oracle:

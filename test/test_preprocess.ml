@@ -144,6 +144,20 @@ let property_tests =
         let r2 = deep_core r1.Preprocess.structure in
         Structure.size r2.Preprocess.structure
         = Structure.size r1.Preprocess.structure);
+    Helpers.qtest ~count:300 "a memo hit rebuilds the retraction it stored"
+      (Helpers.arbitrary_structure ())
+      (fun a ->
+        (* The memo keeps only the maps; a textually equal copy of [a]
+           must get back the structure induced on [embed]. *)
+        Preprocess.memo_reset ();
+        let r1 = deep_core a in
+        let stored = fst (Preprocess.memo_stats ()) in
+        let r2 = deep_core (Structure_text.parse (Structure_text.print a)) in
+        stored = 1
+        && fst (Preprocess.memo_stats ()) = 1
+        && Structure.equal r1.Preprocess.structure r2.Preprocess.structure
+        && r1.Preprocess.fold = r2.Preprocess.fold
+        && r1.Preprocess.embed = r2.Preprocess.embed);
     Helpers.qtest ~count:300 "every retraction certifies both ways"
       (Helpers.arbitrary_structure ())
       (fun a -> retraction_ok a (deep_core a));

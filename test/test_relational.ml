@@ -300,7 +300,7 @@ let ac_tests =
            this is exactly why the k-pebble game / k-consistency is needed. *)
         let ctx = Arc_consistency.create (undirected_cycle 5) k2 in
         check "establish ok" true (Arc_consistency.establish ctx));
-    Alcotest.test_case "AC-4 counters survive push/assign/pop round trips" `Quick
+    Alcotest.test_case "table state survives push/assign/pop round trips" `Quick
       (fun () ->
         let ctx = Arc_consistency.create (path 4) (clique 3) in
         check "establish" true (Arc_consistency.establish ctx);
@@ -310,7 +310,7 @@ let ac_tests =
         check "assign" true (Arc_consistency.assign ctx 0 0);
         Arc_consistency.pop ctx;
         Alcotest.(check (list (list int))) "domains restored" before (snapshot ());
-        (* The support counters must be restored too, not just the domains:
+        (* The live tables must be restored too, not just the domains:
            repeating the assignment has to reach the identical fixpoint. *)
         Arc_consistency.push ctx;
         check "assign again" true (Arc_consistency.assign ctx 0 0);
@@ -321,17 +321,20 @@ let ac_tests =
         Alcotest.(check (list (list int))) "same fixpoint" assigned (snapshot ());
         Arc_consistency.pop ctx;
         Alcotest.(check (list (list int))) "restored once more" before (snapshot ()));
-    Alcotest.test_case "AC-4 pop below the establish point forces a rebuild" `Quick
+    Alcotest.test_case "pop below the establish point restores full domains" `Quick
       (fun () ->
         (* path 3 -> path 3 prunes at establish time (the middle vertex is
            forced to 1), so a checkpoint taken before [establish] rewinds
-           past the support-counter build. *)
+           every removal and every killed tuple it made. *)
         let ctx = Arc_consistency.create (path 3) (path 3) in
         Arc_consistency.push ctx;
         check "establish" true (Arc_consistency.establish ctx);
         Alcotest.(check (list int)) "middle forced" [ 1 ] (Arc_consistency.dom_values ctx 1);
         Arc_consistency.pop ctx;
         check_int "full domain back" 3 (Arc_consistency.dom_size ctx 1);
+        Alcotest.check_raises "assign needs an established context"
+          (Invalid_argument "Arc_consistency.assign: context not established") (fun () ->
+            ignore (Arc_consistency.assign ctx 0 0));
         check "re-establish after deep pop" true (Arc_consistency.establish ctx);
         Alcotest.(check (list int)) "middle forced again" [ 1 ]
           (Arc_consistency.dom_values ctx 1);
@@ -352,6 +355,24 @@ let ac_tests =
         let spent = Budget.create ~max_nodes:0 () in
         check "node limit ignored" true
           (Arc_consistency.establish (Arc_consistency.create ~budget:spent (path 2) b)));
+    Alcotest.test_case "create on the G1200 self-pair allocates under 5M words" `Quick
+      (fun () ->
+        (* 6,000 atoms over a 6,000-tuple relation: a kill counter per
+           (atom, target tuple) is 36M words, a live bitset per atom
+           about 0.6M. *)
+        let g =
+          Structure_text.parse (In_channel.with_open_text "cli/g1200.st" In_channel.input_all)
+        in
+        let words () =
+          let minor, _, major = Gc.counters () in
+          minor +. major
+        in
+        let before = words () in
+        let ctx = Arc_consistency.create g g in
+        let allocated = words () -. before in
+        check_int "full domains" 1200 (Arc_consistency.dom_size ctx 0);
+        if allocated >= 5e6 then
+          Alcotest.failf "create allocated %.0f words (bound 5M)" allocated);
     Alcotest.test_case "naive engine still answers the classics" `Quick (fun () ->
         let all _ _ = true in
         check "wiped" true
@@ -367,6 +388,87 @@ let ac_tests =
 (* ------------------------------------------------------------------ *)
 (* Properties                                                           *)
 (* ------------------------------------------------------------------ *)
+
+(* A pair for the propagation differential: every relation of arity 2 or
+   more holds a repeated-variable atom in [a], and [b] has up to 120
+   tuples per relation, so an arity-3 table spans several words.  Up to
+   three [(i, j)] remove value [j mod |B|] from element [i mod n] before
+   [establish].  The script is a list of steps: [(0, _, _)] pops the
+   last assignment, any other kind assigns the [i mod n]-th element its
+   [j]-th remaining value. *)
+let arbitrary_ac_script =
+  let open QCheck.Gen in
+  let gen =
+    let* nrels = 1 -- 2 in
+    let* arities = list_repeat nrels (1 -- 3) in
+    let vocab = Vocabulary.create (List.mapi (fun i r -> (Printf.sprintf "R%d" i, r)) arities) in
+    let side ~size ~tuples ~repeat =
+      flatten_l
+        (List.mapi
+           (fun i arity ->
+             let* ts = list_size (0 -- tuples) (array_repeat arity (0 -- (size - 1))) in
+             let* x = 0 -- (size - 1) in
+             let ts = if repeat && arity >= 2 then Array.init arity (fun j -> if j < 2 then x else (j * x) mod size) :: ts else ts in
+             return (Printf.sprintf "R%d" i, ts))
+           arities)
+    in
+    let* size_a = 1 -- 5 and* size_b = 1 -- 6 in
+    let* rels_a = side ~size:size_a ~tuples:6 ~repeat:true in
+    let* rels_b = side ~size:size_b ~tuples:120 ~repeat:false in
+    let* removed = list_size (0 -- 3) (pair nat nat) in
+    let* script = list_size (0 -- 12) (triple (0 -- 2) nat nat) in
+    return
+      ( Structure.of_relations vocab ~size:size_a rels_a,
+        Structure.of_relations vocab ~size:size_b rels_b,
+        List.map (fun (i, j) -> (i mod size_a, j mod size_b)) removed,
+        script )
+  in
+  let pairs l = String.concat "; " (List.map (fun (i, j) -> Printf.sprintf "(%d,%d)" i j) l) in
+  QCheck.make
+    ~print:(fun (a, b, removed, script) ->
+      Format.asprintf "A = %a@.B = %a@.removed = %s@.script = %s" Structure.pp a Structure.pp b
+        (pairs removed)
+        (String.concat "; " (List.map (fun (k, i, j) -> Printf.sprintf "(%d,%d,%d)" k i j) script)))
+    gen
+
+(* After [establish] and after every step, the domains are the oracle's
+   closure without the removed values and under the assignments on the
+   stack; after a wipeout the only step is a pop, and a pop restores the
+   domains of its checkpoint. *)
+let ac_script_agrees (a, b, removed, script) =
+  let n = Structure.size a in
+  let ctx = Arc_consistency.create a b in
+  let doms () = Array.init n (Arc_consistency.dom_values ctx) in
+  let agrees stack ok =
+    let restrict y w =
+      (not (List.mem (y, w) removed)) && List.for_all (fun (x, v, _) -> y <> x || w = v) stack
+    in
+    match Oracle.Arc.closure ~restrict a b with
+    | None -> not ok
+    | Some closure -> ok && doms () = closure
+  in
+  let rec run stack alive = function
+    | [] -> true
+    | (kind, i, j) :: rest -> (
+      match stack with
+      | (_, _, snapshot) :: below when kind = 0 || not alive ->
+        Arc_consistency.pop ctx;
+        doms () = snapshot && agrees below true && run below true rest
+      | _ when not alive -> true
+      | _ ->
+        let x = i mod n in
+        let values = Arc_consistency.dom_values ctx x in
+        let v = List.nth values (j mod List.length values) in
+        let snapshot = doms () in
+        Arc_consistency.push ctx;
+        let ok = Arc_consistency.assign ctx x v in
+        let stack = (x, v, snapshot) :: stack in
+        agrees stack ok && run stack ok rest)
+  in
+  List.iter (fun (x, v) -> ignore (Arc_consistency.remove_value ctx x v)) removed;
+  let ok = Arc_consistency.establish ctx in
+  agrees [] ok && run [] ok script
+
 
 let property_tests =
   [
@@ -395,42 +497,18 @@ let property_tests =
       (fun (a, b) ->
         let ctx = Arc_consistency.create a b in
         Arc_consistency.establish ctx || not (brute_force_exists a b));
-    qtest ~count:300 "AC-4 agrees with the naive engine on establish"
+    qtest ~count:300 "compact table agrees with the naive engine on establish"
       (arbitrary_pair ())
       (fun (a, b) ->
-        let ac4 = Arc_consistency.create a b in
-        let r4 = Arc_consistency.establish ac4 in
-        (* On wipeout AC-4 may stop at a partial state, so only compare the
-           fixpoints when it succeeds. *)
+        let ctx = Arc_consistency.create a b in
+        let ok = Arc_consistency.establish ctx in
+        (* On wipeout propagation may stop at a partial state, so only
+           compare the fixpoints when it succeeds. *)
         match Oracle.Arc.closure ~restrict:(fun _ _ -> true) a b with
-        | None -> not r4
-        | Some doms -> r4 && Array.init (Structure.size a) (Arc_consistency.dom_values ac4) = doms);
-    qtest ~count:150 "AC-4 agrees with the naive engine across push/assign/pop"
-      (arbitrary_pair ())
-      (fun (a, b) ->
-        let n = Structure.size a in
-        let ac4 = Arc_consistency.create a b in
-        if not (Arc_consistency.establish ac4) then true
-        else
-          let doms () = Array.init n (Arc_consistency.dom_values ac4) in
-          let before = doms () in
-          let pick = ref None in
-          for x = n - 1 downto 0 do
-            if Arc_consistency.dom_size ac4 x >= 2 then pick := Some x
-          done;
-          match !pick with
-          | None -> Oracle.Arc.closure ~restrict:(fun _ _ -> true) a b = Some before
-          | Some x ->
-            let v = List.hd (Arc_consistency.dom_values ac4 x) in
-            Arc_consistency.push ac4;
-            let r4 = Arc_consistency.assign ac4 x v in
-            let agree_mid =
-              match Oracle.Arc.closure ~restrict:(fun y w -> y <> x || w = v) a b with
-              | None -> not r4
-              | Some after -> r4 && doms () = after
-            in
-            Arc_consistency.pop ac4;
-            agree_mid && doms () = before);
+        | None -> not ok
+        | Some doms -> ok && Array.init (Structure.size a) (Arc_consistency.dom_values ctx) = doms);
+    qtest ~count:300 "compact table agrees with the naive engine across push/assign/pop sequences"
+      arbitrary_ac_script ac_script_agrees;
     qtest ~count:100 "binarize preserves hom existence (Lemma 5.5)"
       (arbitrary_pair ~max_size_a:3 ~max_size_b:3 ~max_tuples:3 ())
       (fun (a, b) ->

@@ -412,7 +412,25 @@ let position_tests =
         check_int "line" 1 pos.Source_position.line;
         check_int "col" 13 pos.Source_position.col;
         let pos = query_error "Q(X) :-\n  E(X," in
-        check_int "line" 2 pos.Source_position.line);
+        check_int "line" 2 pos.Source_position.line;
+        let pos = query_error "Q(X) :-\n  E(X,@)" in
+        check_int "line" 2 pos.Source_position.line;
+        check_int "col" 7 pos.Source_position.col);
+    Alcotest.test_case "a 20,000-atom query parses in linear time" `Quick (fun () ->
+        (* Positions come from one cursor advanced with the scan; a
+           rescan from the start per token took about 46 s here. *)
+        let body =
+          String.concat ",\n"
+            (List.init 20_000 (fun i -> Printf.sprintf "E(X%d,X%d)" i (i + 1)))
+        in
+        let t0 = Unix.gettimeofday () in
+        let q = Cq.Parser.parse ("Q(X0) :- " ^ body ^ ".") in
+        let elapsed = Unix.gettimeofday () -. t0 in
+        check_int "atoms" 20_000 (Cq.Query.atom_count q);
+        if elapsed >= 2.0 then Alcotest.failf "parsing took %.2f s (bound 2 s)" elapsed;
+        let pos = query_error ("Q(X0) :- " ^ body ^ ", @") in
+        check_int "line" 20_000 pos.Source_position.line;
+        check_int "col" (String.length "E(X19999,X20000), " + 1) pos.Source_position.col);
     Alcotest.test_case "to_string mentions both coordinates" `Quick (fun () ->
         let s = Source_position.to_string { Source_position.line = 4; col = 7 } in
         check "line" true (String.contains s '4');
