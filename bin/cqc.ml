@@ -129,8 +129,8 @@ let timeout_term =
 
 let budget_of ~max_nodes ~timeout =
   match (max_nodes, timeout) with
-  | None, None -> Core.Budget.unlimited
-  | _ -> Core.Budget.create ?max_nodes ?timeout ()
+  | None, None -> Relational.Budget.unlimited
+  | _ -> Relational.Budget.create ?max_nodes ?timeout ()
 
 let threads_term =
   Arg.(
@@ -581,8 +581,8 @@ let enumerate max_nodes timeout limit format metrics_json trace_out a b =
       let cancel = ref false in
       let budget =
         match (max_nodes, timeout) with
-        | None, None -> Core.Budget.create ~cancel ()
-        | _ -> Core.Budget.create ?max_nodes ?timeout ~cancel ()
+        | None, None -> Relational.Budget.create ~cancel ()
+        | _ -> Relational.Budget.create ?max_nodes ?timeout ~cancel ()
       in
       let previous =
         try Some (Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> cancel := true)))
@@ -1231,7 +1231,7 @@ let triage dump_path out fuel =
           | Error msg -> Core.Error.bad_input "dump request line: %s" msg
         in
         let budget () =
-          Core.Budget.create ?max_nodes:req.Serve.Protocol.max_nodes
+          Relational.Budget.create ?max_nodes:req.Serve.Protocol.max_nodes
             ?timeout:req.Serve.Protocol.timeout ()
         in
         let get field =

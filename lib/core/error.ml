@@ -115,8 +115,6 @@ let to_string = function
       (if attempts = 1 then "" else "s")
       detail
 
-let pp ppf e = Format.pp_print_string ppf (to_string e)
-
 let exit_code = function
   | Bad_input _ -> 2
   | Unsupported _ -> 3

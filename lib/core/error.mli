@@ -46,9 +46,6 @@ val crash_class_of_name : string -> crash_class option
 (** Inverse of {!crash_class_name} (signal/exit payloads default to 0);
     used when replaying crash dumps. *)
 
-val describe_crash : crash_class -> string
-(** Human description, e.g. ["killed by SIGSEGV"]. *)
-
 val signal_name : int -> string
 (** ["SIGSEGV"], ["SIGKILL"], … for OCaml [Sys] signal numbers; falls
     back to ["signal N"]. *)
@@ -85,8 +82,6 @@ val guard : (unit -> 'a) -> ('a, t) result
     [Error]; unrecognized exceptions are re-raised. *)
 
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit
 
 val exit_code : t -> int
 (** The documented process exit code for this error class. *)

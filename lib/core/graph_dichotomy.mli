@@ -13,19 +13,6 @@ open Relational
 val is_undirected_graph : Structure.t -> bool
 (** Exactly one relation symbol, binary, with a symmetric interpretation. *)
 
-val edge_symbol : Structure.t -> string option
-(** The single binary relation symbol, when the vocabulary has that shape. *)
-
-val two_colouring : Structure.t -> (int array, int list) result
-(** A proper 2-colouring of the (symmetrized) edge relation, or a closed
-    walk of odd length that blocks it: [[x; x]] for a loop [x]. *)
-
-val has_loop : Structure.t -> bool
-
-val is_bipartite : Structure.t -> bool
-(** BFS 2-colouring of the (symmetrized) edge relation; loops count as odd
-    cycles. *)
-
 type verdict = Polynomial | Np_complete
 
 val complexity : Structure.t -> verdict

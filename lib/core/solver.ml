@@ -623,9 +623,6 @@ let lift_target (r : Preprocess.retraction) (res : result) =
       }
     | Unknown _ -> res)
 
-let exists a b =
-  match (solve a b).verdict with Sat _ -> true | Unsat _ | Unknown _ -> false
-
 let containment_instance q1 q2 =
   if Cq.Query.arity q1 <> Cq.Query.arity q2 then
     invalid_arg "Solver.solve_containment: head arities differ";

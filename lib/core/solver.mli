@@ -192,9 +192,6 @@ val solve :
     one racer, so the pruning survives).  Total spend is merged back
     into [budget].  [threads = 1] is the sequential dispatcher. *)
 
-val exists : Structure.t -> Structure.t -> bool
-(** Unbudgeted existence (always definitive). *)
-
 val containment_instance : Cq.Query.t -> Cq.Query.t -> Structure.t * Structure.t
 (** The homomorphism instance deciding [Q1 ⊆ Q2] (Chandra–Merlin): the
     canonical database of [Q2] as source, that of [Q1] as target.  The

@@ -138,19 +138,3 @@ let plan_of_query q =
 let evaluate_query q db =
   let t = eval db (plan_of_query q) in
   List.sort_uniq Tuple.compare t.rows
-
-let rec pp ppf = function
-  | Relation (name, cols) ->
-    Format.fprintf ppf "%s(%a)" name
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-         Format.pp_print_string)
-      (Array.to_list cols)
-  | Select (c1, c2, e) -> Format.fprintf ppf "select[%s=%s](%a)" c1 c2 pp e
-  | Project (cols, e) ->
-    Format.fprintf ppf "project[%s](%a)" (String.concat ", " cols) pp e
-  | Join (e1, e2) -> Format.fprintf ppf "(%a join %a)" pp e1 pp e2
-  | Rename (pairs, e) ->
-    Format.fprintf ppf "rename[%s](%a)"
-      (String.concat ", " (List.map (fun (o, n) -> o ^ "->" ^ n) pairs))
-      pp e

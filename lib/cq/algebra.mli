@@ -32,5 +32,3 @@ val plan_of_query : Query.t -> expr
 val evaluate_query : Query.t -> Structure.t -> Tuple.t list
 (** [eval] of [plan_of_query]; agrees with
     {!Containment.evaluate} on safe queries. *)
-
-val pp : Format.formatter -> expr -> unit

@@ -130,6 +130,3 @@ let parse string =
   if trailing <> Eof then fail pos "trailing input after query";
   try Query.make ~head_pred ~head body
   with Invalid_argument msg -> fail pos msg
-
-let parse_opt string =
-  match parse string with q -> Some q | exception Parse_error _ -> None

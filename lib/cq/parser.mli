@@ -11,5 +11,3 @@ exception Parse_error of Relational.Source_position.t * string
 val parse : string -> Query.t
 (** @raise Parse_error on malformed input, located at the offending
     token. *)
-
-val parse_opt : string -> Query.t option

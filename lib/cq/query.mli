@@ -35,9 +35,6 @@ val body_vocabulary : t -> Vocabulary.t
 
 val atom_count : t -> int
 
-val predicate_occurrences : t -> string -> int
-(** Number of body atoms using the given predicate. *)
-
 val is_two_atom : t -> bool
 (** Every predicate occurs at most twice in the body (Saraiya's class). *)
 

@@ -12,8 +12,6 @@ let make = function
       disjuncts;
     { arity; disjuncts }
 
-let of_query q = make [ q ]
-
 let disjunct_count u = List.length u.disjuncts
 
 let evaluate u db =
@@ -40,8 +38,3 @@ let minimize u =
       if redundant then sieve kept rest else sieve (q :: kept) rest
   in
   make (List.map Containment.minimize (sieve [] u.disjuncts))
-
-let pp ppf u =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.fprintf ppf "@ UNION@ ")
-    Query.pp ppf u.disjuncts

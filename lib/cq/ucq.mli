@@ -12,15 +12,10 @@ type t = private { arity : int; disjuncts : Query.t list }
 val make : Query.t list -> t
 (** @raise Invalid_argument on an empty list or mismatched head arities. *)
 
-val of_query : Query.t -> t
-
 val disjunct_count : t -> int
 
 val evaluate : t -> Structure.t -> Tuple.t list
 (** Union of the disjuncts' answers, sorted. *)
-
-val contained_query : Query.t -> t -> bool
-(** [q ⊆ U]: some disjunct contains [q]. *)
 
 val contained : t -> t -> bool
 (** Sagiv–Yannakakis. *)
@@ -31,5 +26,3 @@ val minimize : t -> t
 (** Remove disjuncts contained in other disjuncts, then minimize each
     surviving disjunct; the result is equivalent with a minimal set of
     minimal disjuncts. *)
-
-val pp : Format.formatter -> t -> unit

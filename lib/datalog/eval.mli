@@ -14,10 +14,8 @@ type stats = {
   derived : int;  (** Total IDB facts derived. *)
 }
 
-val fixpoint : Program.t -> Structure.t -> (string * Relation.t) list
-(** All IDB relations at the least fixpoint. *)
-
 val fixpoint_with_stats : Program.t -> Structure.t -> (string * Relation.t) list * stats
+(** All IDB relations at the least fixpoint, with the evaluation counters. *)
 
 val goal_relation : Program.t -> Structure.t -> Relation.t
 

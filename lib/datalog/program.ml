@@ -47,22 +47,6 @@ let make ~goal rules =
 
 let idb_predicates p = distinct_in_order (List.map (fun r -> r.head.pred) p.rules)
 
-let edb_predicates p =
-  let idbs = idb_predicates p in
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun a ->
-          if (not (List.mem a.pred idbs)) && not (Hashtbl.mem seen a.pred) then begin
-            Hashtbl.add seen a.pred ();
-            acc := (a.pred, Array.length a.args) :: !acc
-          end)
-        r.body)
-    p.rules;
-  List.rev !acc
-
 let predicate_arity p name =
   let rec scan = function
     | [] -> raise Not_found
@@ -87,24 +71,3 @@ let width p =
     (fun acc r ->
       max acc (max (List.length (body_variables r)) (List.length (head_variables r))))
     0 p.rules
-
-let pp_atom ppf a =
-  if Array.length a.args = 0 then Format.pp_print_string ppf a.pred
-  else
-    Format.fprintf ppf "%s(%a)" a.pred
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-         Format.pp_print_string)
-      (Array.to_list a.args)
-
-let pp_rule ppf r =
-  if r.body = [] then Format.fprintf ppf "%a." pp_atom r.head
-  else
-    Format.fprintf ppf "%a :- %a." pp_atom r.head
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") pp_atom)
-      r.body
-
-let pp ppf p =
-  Format.fprintf ppf "@[<v>%% goal: %s@,%a@]" p.goal
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_rule)
-    p.rules

@@ -28,8 +28,6 @@ val rule : atom -> atom list -> rule
 val idb_predicates : t -> string list
 (** In first-appearance order. *)
 
-val edb_predicates : t -> (string * int) list
-
 val predicate_arity : t -> string -> int
 (** @raise Not_found for unknown predicates. *)
 
@@ -46,5 +44,3 @@ val is_k_datalog : int -> t -> bool
 
 val width : t -> int
 (** The least [k] such that the program is k-Datalog. *)
-
-val pp : Format.formatter -> t -> unit

@@ -5,18 +5,3 @@ let non_2_colorability =
       P(X, Y) :- P(X, Z), E(Z, W), E(W, Y).
       Q :- P(X, X).
     |}
-
-let transitive_closure =
-  Parser.parse ~goal:"TC"
-    {|
-      TC(X, Y) :- E(X, Y).
-      TC(X, Y) :- TC(X, Z), E(Z, Y).
-    |}
-
-let same_generation =
-  Parser.parse ~goal:"SG"
-    {|
-      SG(X, X) :- P(X, Y).
-      SG(X, X) :- P(Y, X).
-      SG(X, Y) :- P(XP, X), SG(XP, YP), P(YP, Y).
-    |}

@@ -1,14 +1,6 @@
-(** A few stock Datalog programs used in the paper, in tests and in the
-    examples. *)
+(** The paper's stock Datalog program. *)
 
 val non_2_colorability : Program.t
 (** The paper's Section 4 example: a 4-Datalog program whose goal holds on a
     graph [E] iff the graph has an odd closed walk, i.e. is not
     2-colorable. *)
-
-val transitive_closure : Program.t
-(** Goal [TC(x, y)]: reachability over edge relation [E]. *)
-
-val same_generation : Program.t
-(** Goal [SG(x, y)] over a parent relation [P]: the classic same-generation
-    program. *)

@@ -11,9 +11,6 @@ open Relational
     The program has one k-ary IDB predicate [T_b] per k-tuple [b] of
     elements of [B] — use it only for small [B] and small [k]. *)
 
-val predicate_name : int array -> string
-(** Name of [T_b]. *)
-
 val build : Structure.t -> k:int -> Program.t
 (** @raise Invalid_argument when [k < 1] or [B] is empty. *)
 

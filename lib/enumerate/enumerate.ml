@@ -32,21 +32,28 @@ let metered route seq =
       h)
     seq
 
-let plan ?(max_width = 3) ?(budget = Budget.unlimited) a b =
+(* The one route choice, read by [plan] and [count]: join forest, then
+   width-capped decomposition, then backtracking.  A tractable route
+   comes with its join-evaluation tree, built when first forced. *)
+let choose ~max_width ~budget a b =
   match Hypergraph.join_forest a with
   | Some { facts; parent } ->
-    let tree () = Join_eval.of_forest ~budget a ~facts ~parent b in
-    { route = Acyclic; seq = metered Acyclic (stream_of ~budget tree a b) }
+    (Acyclic, Some (fun () -> Join_eval.of_forest ~budget a ~facts ~parent b))
   | None -> (
     match Td_solver.decompose ~cap:max_width a with
     | Some td ->
-      let route = Bounded_treewidth (Tree_decomposition.width td) in
-      let tree () = Join_eval.of_decomposition ~budget td a b in
-      { route; seq = metered route (stream_of ~budget tree a b) }
-    | None ->
-      { route = Backtracking;
-        seq = metered Backtracking (Homomorphism.search_seq ~budget a b)
-      })
+      ( Bounded_treewidth (Tree_decomposition.width td),
+        Some (fun () -> Join_eval.of_decomposition ~budget td a b) )
+    | None -> (Backtracking, None))
+
+let plan ?(max_width = 3) ?(budget = Budget.unlimited) a b =
+  let route, tree = choose ~max_width ~budget a b in
+  let seq =
+    match tree with
+    | Some tree -> stream_of ~budget tree a b
+    | None -> Homomorphism.search_seq ~budget a b
+  in
+  { route; seq = metered route seq }
 
 let stream ?max_width ?limit ?budget a b =
   let { seq; _ } = plan ?max_width ?budget a b in
@@ -70,13 +77,9 @@ let iter_limited ?limit f seq =
 (* ------------------------------------------------------------------ *)
 
 let count_connected ~max_width ~budget piece b =
-  match Hypergraph.join_forest piece with
-  | Some { facts; parent } ->
-    Join_eval.count (Join_eval.of_forest ~budget piece ~facts ~parent b)
-  | None -> (
-    match Td_solver.decompose ~cap:max_width piece with
-    | Some td -> Join_eval.count (Join_eval.of_decomposition ~budget td piece b)
-    | None -> Homomorphism.count ~budget piece b)
+  match choose ~max_width ~budget piece b with
+  | _, Some tree -> Join_eval.count (tree ())
+  | _, None -> Homomorphism.count ~budget piece b
 
 let count ?(max_width = 3) ?(budget = Budget.unlimited) a b =
   Budget.check budget;

@@ -153,5 +153,3 @@ let holds structure f =
   if not (Formula.is_sentence f) then
     invalid_arg "Fo_eval.holds: formula has free variables";
   (eval structure f).rows <> []
-
-let satisfying_count structure f = List.length (eval structure f).rows

@@ -18,5 +18,3 @@ val eval : Structure.t -> Formula.t -> table
 
 val holds : Structure.t -> Formula.t -> bool
 (** Truth of a sentence. @raise Invalid_argument on free variables. *)
-
-val satisfying_count : Structure.t -> Formula.t -> int

@@ -150,5 +150,3 @@ let parse input =
   let f = parse_disjunction st in
   if peek st <> Eof then raise (Parse_error "trailing input after formula");
   f
-
-let parse_opt input = match parse input with f -> Some f | exception Parse_error _ -> None

@@ -12,5 +12,3 @@ exception Parse_error of string
 
 val parse : string -> Formula.t
 (** @raise Parse_error on malformed input. *)
-
-val parse_opt : string -> Formula.t option

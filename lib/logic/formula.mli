@@ -20,9 +20,6 @@ type t =
 val free_variables : t -> string list
 (** In first-occurrence order. *)
 
-val all_variables : t -> string list
-(** Every distinct variable name occurring (free or bound). *)
-
 val width : t -> int
 (** Number of distinct variable names: the k of FO^k. *)
 

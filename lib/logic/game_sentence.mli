@@ -19,12 +19,6 @@ open Relational
     independent implementations of the same query, cross-checked in the
     test suite. *)
 
-val system : Vocabulary.t -> k:int -> Lfp.t
-(** The positive definition of [T] over [sigma_1 + sigma_2]. *)
-
-val sentence : k:int -> Formula.t
-(** The Spoiler-wins sentence (references [T]). *)
-
 val spoiler_wins : k:int -> Structure.t -> Structure.t -> bool
 (** Evaluate the LFP sentence on [Sum.encode a b].
     @raise Invalid_argument when [k < 1] or the vocabularies differ. *)

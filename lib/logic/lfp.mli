@@ -23,10 +23,9 @@ val make : definition list -> t
 
 type stats = { stages : int }
 
-val fixpoint : Structure.t -> t -> (string * Relation.t) list
-(** The least fixed point of the system over the given structure. *)
-
 val fixpoint_with_stats : Structure.t -> t -> (string * Relation.t) list * stats
+(** The least fixed point of the system over the given structure, with
+    the number of stages it took. *)
 
 val holds : Structure.t -> t -> Formula.t -> bool
 (** Truth of a sentence evaluated over the structure extended with the

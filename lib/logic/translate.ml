@@ -27,9 +27,7 @@ let sentence_of_structure ?decomposition a =
     in
     dfs 0 (-1);
     let preorder = List.rev !preorder in
-    let facts =
-      List.rev (Structure.fold_tuples (fun name t acc -> (name, t) :: acc) a [])
-    in
+    let facts = Structure.facts a in
     let atoms_of = Array.make nodes [] in
     List.iter
       (fun (name, t) ->

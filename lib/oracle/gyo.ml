@@ -2,10 +2,7 @@ open Relational
 module Iset = Set.Make (Int)
 
 let join_forest a =
-  let facts =
-    Array.of_list
-      (List.rev (Structure.fold_tuples (fun name t acc -> (name, t) :: acc) a []))
-  in
+  let facts = Array.of_list (Structure.facts a) in
   let nfacts = Array.length facts in
   let sets = Array.map (fun (_, t) -> Iset.of_list (Tuple.elements t)) facts in
   let alive = Array.make nfacts true in

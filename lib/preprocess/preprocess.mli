@@ -26,7 +26,7 @@ open Relational
     Every shrink is returned as a {!retraction} whose [fold]/[embed]
     maps certify it: [fold] is a homomorphism from the original onto the
     shrunk structure, [embed] a homomorphism back, and
-    [fold . embed = id] on the shrunk universe.  {!certificate_steps}
+    [fold . embed = id] on the shrunk universe.  {!wrap_certificate}
     turns these into the {!Certificate.Via_preprocess} replay form.
 
     Budget discipline: the fold and retraction searches tick the given
@@ -46,9 +46,6 @@ type retraction = {
 }
 
 val identity_retraction : Structure.t -> retraction
-
-val is_trivial : retraction -> bool
-(** No element was dropped. *)
 
 type stats = {
   raw_elements : int;
@@ -120,10 +117,6 @@ val ac_singleton_witness :
     every domain is a singleton and the forced assignment is a
     homomorphism, that assignment decides the instance [Sat] outright.
     @raise Budget.Exhausted only via [Budget.check] up front. *)
-
-val certificate_steps : source -> int -> Certificate.shrink_step list
-(** The replay chain (component restriction, then retraction; either may
-    be absent) carrying a part's verdict back to the full source. *)
 
 val wrap_certificate : source -> int -> Certificate.t -> Certificate.t
 (** Wrap a refutation found on part [i]'s shrunk piece for checking

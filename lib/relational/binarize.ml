@@ -15,12 +15,9 @@ let vocabulary vocab =
   in
   Vocabulary.create names
 
-let encode_with_index a =
+let encode a =
   let vocab = Structure.vocabulary a in
-  let facts =
-    List.rev (Structure.fold_tuples (fun name t acc -> (name, t) :: acc) a [])
-  in
-  let facts = Array.of_list facts in
+  let facts = Array.of_list (Structure.facts a) in
   let bvocab = vocabulary vocab in
   let base = Structure.create bvocab ~size:(Array.length facts) in
   let result = ref base in
@@ -38,16 +35,11 @@ let encode_with_index a =
             s)
         facts)
     facts;
-  (!result, facts)
-
-let encode a = fst (encode_with_index a)
+  !result
 
 let encode_economical a =
   let vocab = Structure.vocabulary a in
-  let facts =
-    Array.of_list
-      (List.rev (Structure.fold_tuples (fun name t acc -> (name, t) :: acc) a []))
-  in
+  let facts = Array.of_list (Structure.facts a) in
   let bvocab = vocabulary vocab in
   let base = Structure.create bvocab ~size:(Array.length facts) in
   (* Reflexive pairs: every fact knows its own coincidences. *)

@@ -11,19 +11,8 @@
     [binary(A) -> binary(B)].  The encoding drops all arities to 2, which
     makes treewidth-based restrictions meaningful for wide relations. *)
 
-val vocabulary : Vocabulary.t -> Vocabulary.t
-(** The binary vocabulary induced by an input vocabulary.  Depends only on
-    the vocabulary, so [binary(A)] and [binary(B)] are comparable. *)
-
-val symbol : string -> int -> string -> int -> string
-(** [symbol p i q j] is the name of [E_{P,Q,i,j}]. *)
-
 val encode : Structure.t -> Structure.t
 (** [binary(A)]. *)
-
-val encode_with_index : Structure.t -> Structure.t * (string * Tuple.t) array
-(** Also returns, for each element of the encoded universe, the fact it
-    stands for. *)
 
 val encode_economical : Structure.t -> Structure.t
 (** The paper's optimized encoding: instead of all coincidence pairs, store

@@ -5,8 +5,6 @@ let reason_to_string = function
   | Deadline -> "deadline"
   | Cancelled -> "cancelled"
 
-let pp_reason ppf r = Format.pp_print_string ppf (reason_to_string r)
-
 exception Exhausted of exhausted_reason
 
 type t = {

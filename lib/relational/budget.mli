@@ -22,8 +22,6 @@ type exhausted_reason =
 
 val reason_to_string : exhausted_reason -> string
 
-val pp_reason : Format.formatter -> exhausted_reason -> unit
-
 exception Exhausted of exhausted_reason
 
 type t

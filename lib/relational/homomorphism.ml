@@ -283,33 +283,9 @@ let count ?budget a b =
          true));
   !c
 
-let is_injective (h : mapping) =
-  let seen = Hashtbl.create (Array.length h) in
-  Array.for_all
-    (fun v ->
-      if Hashtbl.mem seen v then false
-      else begin
-        Hashtbl.add seen v ();
-        true
-      end)
-    h
-
-let is_surjective ~target_size (h : mapping) =
-  let hit = Array.make (max target_size 1) false in
-  Array.iter (fun v -> hit.(v) <- true) h;
-  let ok = ref true in
-  for v = 0 to target_size - 1 do
-    if not hit.(v) then ok := false
-  done;
-  !ok
-
 let image (h : mapping) = Tuple.elements h
 
 let compose (g : mapping) (h : mapping) = Array.map (fun v -> g.(v)) h
-
-let identity n = Array.init n Fun.id
-
-let hom_equivalent a b = exists a b && exists b a
 
 (* Substituting [y] for [x] everywhere in [t].  Fresh array only when [x]
    actually occurs, which in [folds_onto] it always does. *)
@@ -404,30 +380,3 @@ let fold_candidates ?live a x =
           Hashtbl.replace cands !y ())
       pool;
     List.sort compare (Hashtbl.fold (fun y () acc -> y :: acc) cands [])
-
-let inverse_mapping ~target_size (h : mapping) =
-  let inv = Array.make target_size (-1) in
-  Array.iteri (fun x v -> inv.(v) <- x) h;
-  inv
-
-let is_isomorphism a b h =
-  Structure.size a = Structure.size b
-  && is_injective h
-  && is_homomorphism a b h
-  && is_homomorphism b a (inverse_mapping ~target_size:(Structure.size b) h)
-
-let find_isomorphism ?budget a b =
-  if Structure.size a <> Structure.size b then None
-  else begin
-    let result = ref None in
-    ignore
-      (search ?budget a b ~on_solution:(fun h ->
-           if is_isomorphism a b h then begin
-             result := Some (Array.copy h);
-             false
-           end
-           else true));
-    !result
-  end
-
-let isomorphic a b = find_isomorphism a b <> None

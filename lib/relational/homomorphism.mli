@@ -142,20 +142,11 @@ val count : ?budget:Budget.t -> Structure.t -> Structure.t -> int
     @raise Count_overflow when the count exceeds the [int] range.
     @raise Budget.Exhausted when [budget] runs out mid-count. *)
 
-val is_injective : mapping -> bool
-
-val is_surjective : target_size:int -> mapping -> bool
-
 val image : mapping -> int list
 (** Distinct values, in first-occurrence order. *)
 
 val compose : mapping -> mapping -> mapping
 (** [compose g h] is [g ∘ h] (apply [h] first). *)
-
-val identity : int -> mapping
-
-val hom_equivalent : Structure.t -> Structure.t -> bool
-(** Homomorphisms exist in both directions. *)
 
 val folds_onto : ?live:bool array -> Structure.t -> int -> int -> bool
 (** [folds_onto ?live a x y]: the retraction sending [x] to [y] and fixing
@@ -176,14 +167,3 @@ val fold_candidates : ?live:bool array -> Structure.t -> int -> int list
     those.  When [x] occurs in no live tuple every other live element
     qualifies.  Sorted, never contains [x]; the same list the induced
     substructure would give, renumbered. *)
-
-val is_isomorphism : Structure.t -> Structure.t -> mapping -> bool
-(** A bijective homomorphism whose inverse is also a homomorphism. *)
-
-val find_isomorphism :
-  ?budget:Budget.t -> Structure.t -> Structure.t -> mapping option
-(** First isomorphism found (enumerating homomorphisms and filtering);
-    intended for the small structures where isomorphism matters here, such
-    as cores. *)
-
-val isomorphic : Structure.t -> Structure.t -> bool

@@ -6,21 +6,17 @@ end)
 
 (* Per-relation hash index, built once on demand and cached on the relation
    value.  [by_position.(j)] maps a universe element [v] to the array of
-   tuples whose [j]-th entry is [v]; [members] gives O(1) membership;
-   [adom] is the sorted active domain.  Relations are immutable, so a
-   cached index can never go stale — every constructor below produces a
-   fresh record with an empty cache slot. *)
+   tuples whose [j]-th entry is [v]; [members] gives O(1) membership.
+   Relations are immutable, so a cached index can never go stale — every
+   constructor below produces a fresh record with an empty cache slot. *)
 module Index = struct
   type t = {
     tuples : Tuple.t array;  (** all tuples, in {!Tuple.compare} order *)
     by_position : (int, Tuple.t array) Hashtbl.t array;
     members : unit Tuple.Table.t;
-    adom : int list;
   }
 
   let tuples ix = ix.tuples
-
-  let cardinal ix = Array.length ix.tuples
 
   let matching ix ~pos ~value =
     if pos < 0 || pos >= Array.length ix.by_position then
@@ -29,24 +25,18 @@ module Index = struct
     | Some a -> a
     | None -> [||]
 
-  let count ix ~pos ~value = Array.length (matching ix ~pos ~value)
-
   let mem ix t = Tuple.Table.mem ix.members t
-
-  let active_domain ix = ix.adom
 
   let build arity tuple_array =
     let by_position =
       Array.init arity (fun _ -> Hashtbl.create (max 16 (Array.length tuple_array)))
     in
     let members = Tuple.Table.create (max 16 (Array.length tuple_array)) in
-    let seen = Hashtbl.create 16 in
     Array.iter
       (fun (t : Tuple.t) ->
         Tuple.Table.replace members t ();
         Array.iteri
           (fun j v ->
-            Hashtbl.replace seen v ();
             Hashtbl.replace by_position.(j) v
               (match Hashtbl.find_opt by_position.(j) v with
               | Some l -> t :: l
@@ -67,7 +57,6 @@ module Index = struct
       tuples = tuple_array;
       by_position;
       members;
-      adom = List.sort Int.compare (Hashtbl.fold (fun x () acc -> x :: acc) seen []);
     }
 end
 
@@ -112,8 +101,6 @@ let mem r t =
   | Some ix -> Index.mem ix t
   | None -> Tuple_set.mem t r.tuples
 
-let remove r t = make r.arity (Tuple_set.remove t r.tuples)
-
 let same_arity op r s =
   if r.arity <> s.arity then invalid_arg ("Relation." ^ op ^ ": arity mismatch")
 
@@ -121,21 +108,11 @@ let union r s =
   same_arity "union" r s;
   make r.arity (Tuple_set.union r.tuples s.tuples)
 
-let inter r s =
-  same_arity "inter" r s;
-  make r.arity (Tuple_set.inter r.tuples s.tuples)
-
 let diff r s =
   same_arity "diff" r s;
   make r.arity (Tuple_set.diff r.tuples s.tuples)
 
-let subset r s = r.arity = s.arity && Tuple_set.subset r.tuples s.tuples
-
 let equal r s = r.arity = s.arity && Tuple_set.equal r.tuples s.tuples
-
-let compare r s =
-  let c = Int.compare r.arity s.arity in
-  if c <> 0 then c else Tuple_set.compare r.tuples s.tuples
 
 let iter f r = Tuple_set.iter f r.tuples
 
@@ -164,7 +141,6 @@ let matching r ~pos ~value = Index.matching (index r) ~pos ~value
 
 let choose r = Tuple_set.min_elt_opt r.tuples
 
-let active_domain r = Index.active_domain (index r)
 
 let pp ppf r =
   Format.fprintf ppf "{%a}"

@@ -1,9 +1,9 @@
 (** Finite relations: sets of tuples of a fixed arity.
 
     Relations are immutable.  Each relation lazily caches a hash {!Index}
-    over its tuples — per-(position, value) tuple lists, O(1) membership,
-    and the sorted active domain — built on first demand and reused by the
-    propagation, semijoin, and direct-route solvers. *)
+    over its tuples — per-(position, value) tuple lists and O(1)
+    membership — built on first demand and reused by the propagation,
+    semijoin, and direct-route solvers. *)
 
 type t
 
@@ -15,27 +15,13 @@ module Index : sig
   (** All tuples, in increasing {!Tuple.compare} order.  Callers must not
       mutate the array. *)
 
-  val cardinal : t -> int
-
   val matching : t -> pos:int -> value:int -> Tuple.t array
   (** Tuples whose [pos]-th entry equals [value]; [[||]] when none.
       Callers must not mutate the array.
       @raise Invalid_argument if [pos] is outside the arity. *)
 
-  val count : t -> pos:int -> value:int -> int
-  (** [Array.length (matching ix ~pos ~value)] without the bounds risk of
-      holding the array. *)
-
   val mem : t -> Tuple.t -> bool
   (** O(1) expected membership. *)
-
-  val active_domain : t -> int list
-  (** Sorted distinct elements occurring in some tuple (cached). *)
-
-  val build : int -> Tuple.t array -> t
-  (** [build arity tuples] indexes an explicit tuple array.  Exposed for
-      callers that materialise intermediate tables outside {!relation}
-      values (e.g. join pipelines). *)
 end
 
 val index : t -> Index.t
@@ -59,20 +45,12 @@ val mem : t -> Tuple.t -> bool
 val add : t -> Tuple.t -> t
 (** @raise Invalid_argument on arity mismatch. *)
 
-val remove : t -> Tuple.t -> t
-
 val union : t -> t -> t
 (** @raise Invalid_argument on arity mismatch. *)
 
-val inter : t -> t -> t
-
 val diff : t -> t -> t
 
-val subset : t -> t -> bool
-
 val equal : t -> t -> bool
-
-val compare : t -> t -> int
 
 val iter : (Tuple.t -> unit) -> t -> unit
 
@@ -99,9 +77,5 @@ val matching : t -> pos:int -> value:int -> Tuple.t array
 
 val choose : t -> Tuple.t option
 (** Some tuple, or [None] when empty. *)
-
-val active_domain : t -> int list
-(** Sorted list of distinct elements occurring in some tuple (cached in the
-    relation's index; O(1) after the first call). *)
 
 val pp : Format.formatter -> t -> unit

@@ -9,5 +9,3 @@ val start : t
 
 val to_string : t -> string
 (** ["line L, column C"]. *)
-
-val pp : Format.formatter -> t -> unit

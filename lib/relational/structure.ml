@@ -58,6 +58,8 @@ let norm a =
 let fold_tuples f a init =
   Smap.fold (fun name r acc -> Relation.fold (fun t acc -> f name t acc) r acc) a.rels init
 
+let facts a = List.rev (fold_tuples (fun name t acc -> (name, t) :: acc) a [])
+
 let iter_tuples f a = Smap.iter (fun name r -> Relation.iter (fun t -> f name t) r) a.rels
 
 let equal a b =
@@ -104,20 +106,6 @@ let disjoint_union a b =
     (fun name t acc -> add_tuple acc name (Array.map (fun x -> x + a.size) t))
     b with_a
 
-let product a b =
-  if not (Vocabulary.equal a.vocab b.vocab) then
-    invalid_arg "Structure.product: vocabulary mismatch";
-  let encode i j = (i * b.size) + j in
-  let base = create a.vocab ~size:(a.size * b.size) in
-  fold_tuples
-    (fun name ta acc ->
-      Relation.fold
-        (fun tb acc ->
-          let t = Array.init (Array.length ta) (fun p -> encode ta.(p) tb.(p)) in
-          add_tuple acc name t)
-        (relation b name) acc)
-    a base
-
 let gaifman_edges a =
   let edges = Hashtbl.create 64 in
   iter_tuples
@@ -151,14 +139,6 @@ let is_valid a =
       && Relation.for_all (fun t -> Array.for_all (fun x -> x >= 0 && x < a.size) t) r)
     a.rels
   && List.for_all (fun (name, _) -> Smap.mem name a.rels) (Vocabulary.symbols a.vocab)
-
-let rename_relations a f =
-  let vocab =
-    Vocabulary.create
-      (List.map (fun (name, arity) -> (f name, arity)) (Vocabulary.symbols a.vocab))
-  in
-  let base = create vocab ~size:a.size in
-  fold_tuples (fun name t acc -> add_tuple acc (f name) t) a base
 
 let pp ppf a =
   Format.fprintf ppf "@[<v>universe: %d@,%a@]" a.size

@@ -45,6 +45,9 @@ val norm : t -> int
 
 val fold_tuples : (string -> Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 
+val facts : t -> (string * Tuple.t) list
+(** Every fact [(name, tuple)], in {!fold_tuples} order. *)
+
 val iter_tuples : (string -> Tuple.t -> unit) -> t -> unit
 
 val equal : t -> t -> bool
@@ -65,10 +68,6 @@ val disjoint_union : t -> t -> t
 (** Universe of [a + b]; elements of [b] are shifted by [size a].
     @raise Invalid_argument if the vocabularies differ. *)
 
-val product : t -> t -> t
-(** Categorical product: universe pairs encoded as [i * size b + j]; a tuple
-    belongs to the product iff both projections belong to the factors. *)
-
 val gaifman_edges : t -> (int * int) list
 (** Edges [(u, v)] with [u < v] of the Gaifman graph: distinct elements
     co-occurring in some tuple. *)
@@ -81,9 +80,5 @@ val incidence_edges : t -> int * (int * int) list
 val is_valid : t -> bool
 (** Internal consistency check: every tuple within the universe, arities
     matching the vocabulary.  Holds by construction; exposed for tests. *)
-
-val rename_relations : t -> (string -> string) -> t
-(** Structure over the renamed vocabulary. @raise Invalid_argument if the
-    renaming collides. *)
 
 val pp : Format.formatter -> t -> unit

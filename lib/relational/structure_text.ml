@@ -127,5 +127,3 @@ let print a =
       Buffer.add_char buffer '\n')
     a;
   Buffer.contents buffer
-
-let pp ppf a = Format.pp_print_string ppf (print a)

@@ -21,5 +21,3 @@ val parse : string -> Structure.t
 
 val print : Structure.t -> string
 (** Canonical text (parses back to an equal structure). *)
-
-val pp : Format.formatter -> Structure.t -> unit

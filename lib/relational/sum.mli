@@ -16,9 +16,6 @@ val d1 : string
 
 val d2 : string
 
-val vocabulary : Vocabulary.t -> Vocabulary.t
-(** [sigma_1 + sigma_2]. *)
-
 val encode : Structure.t -> Structure.t -> Structure.t
 (** [A + B]; elements of [B] are shifted by [Structure.size A].
     @raise Invalid_argument when the vocabularies differ. *)

@@ -36,8 +36,6 @@ module Table = Hashtbl.Make (struct
   let hash = hash
 end)
 
-let arity = Array.length
-
 let map = Array.map
 
 let elements t =
@@ -60,5 +58,3 @@ let pp ppf t =
        ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
        Format.pp_print_int)
     (Array.to_list t)
-
-let to_string t = Format.asprintf "%a" pp t

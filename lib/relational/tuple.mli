@@ -15,8 +15,6 @@ val hash : t -> int
 (** Equality-compatible hash with full avalanche mixing: suitable for
     hash-indexing structured instances without degenerate buckets. *)
 
-val arity : t -> int
-
 val map : (int -> int) -> t -> t
 
 val elements : t -> int list
@@ -27,8 +25,6 @@ val max_element : t -> int
 
 val pp : Format.formatter -> t -> unit
 (** Prints [(a1, ..., an)]. *)
-
-val to_string : t -> string
 
 module Table : Hashtbl.S with type key = t
 (** Hash tables keyed by tuples (via {!hash} / {!equal}). *)

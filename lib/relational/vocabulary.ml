@@ -13,19 +13,11 @@ let build symbols =
 
 let create symbols = build symbols
 
-let empty = build []
-
 let symbols v = v.symbols
-
-let names v = List.map fst v.symbols
 
 let arity v name = Hashtbl.find v.index name
 
 let mem v name = Hashtbl.mem v.index name
-
-let size v = List.length v.symbols
-
-let max_arity v = List.fold_left (fun acc (_, a) -> max acc a) 0 v.symbols
 
 let add v name arity =
   if mem v name then invalid_arg ("Vocabulary.add: duplicate symbol " ^ name);
@@ -54,10 +46,3 @@ let subset v w =
     v.symbols
 
 let equal v w = subset v w && subset w v
-
-let pp ppf v =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
-       (fun ppf (name, arity) -> Format.fprintf ppf "%s/%d" name arity))
-    v.symbols

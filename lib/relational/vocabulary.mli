@@ -6,23 +6,13 @@ val create : (string * int) list -> t
 (** [create symbols] builds a vocabulary from [(name, arity)] pairs.
     @raise Invalid_argument on duplicate names or negative arities. *)
 
-val empty : t
-
 val symbols : t -> (string * int) list
 (** Symbols in declaration order. *)
-
-val names : t -> string list
 
 val arity : t -> string -> int
 (** @raise Not_found if the symbol is absent. *)
 
 val mem : t -> string -> bool
-
-val size : t -> int
-(** Number of relation symbols. *)
-
-val max_arity : t -> int
-(** Largest arity; [0] for the empty vocabulary. *)
 
 val add : t -> string -> int -> t
 (** Append a fresh symbol. @raise Invalid_argument if already present. *)
@@ -37,5 +27,3 @@ val equal : t -> t -> bool
 val subset : t -> t -> bool
 (** [subset v w] holds when every symbol of [v] occurs in [w] with the same
     arity. *)
-
-val pp : Format.formatter -> t -> unit

@@ -17,10 +17,6 @@ let create arity masks =
     masks;
   { arity; masks = Iset.of_list masks }
 
-let full arity =
-  check_arity arity;
-  { arity; masks = Iset.of_list (List.init (1 lsl arity) Fun.id) }
-
 let arity r = r.arity
 
 let cardinal r = Iset.cardinal r.masks
@@ -50,10 +46,6 @@ let of_relation rel =
     (Relation.fold (fun t acc -> mask_of_tuple t :: acc) rel [])
 
 let to_relation r = Relation.of_list r.arity (tuples r)
-
-let equal r s = r.arity = s.arity && Iset.equal r.masks s.masks
-
-let fold f r init = Iset.fold f r.masks init
 
 let tuple_and = ( land )
 

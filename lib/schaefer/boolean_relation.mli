@@ -12,9 +12,6 @@ val create : int -> int list -> t
 (** [create arity masks]. @raise Invalid_argument if [arity] is outside
     [0..60] or a mask has bits beyond the arity. *)
 
-val full : int -> t
-(** All [2^arity] tuples. *)
-
 val arity : t -> int
 
 val cardinal : t -> int
@@ -39,10 +36,6 @@ val of_relation : Relation.t -> t
 (** From a {!Relation.t} whose tuples are 0/1 vectors. *)
 
 val to_relation : t -> Relation.t
-
-val equal : t -> t -> bool
-
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 
 (* Componentwise tuple operations (on masks of a given arity). *)
 

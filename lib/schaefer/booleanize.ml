@@ -51,8 +51,6 @@ let decode_counting ~bits ~target hb =
   Telemetry.count "schaefer.booleanize.clamped" !clamped;
   (h, !clamped)
 
-let decode ~bits ~target hb = fst (decode_counting ~bits ~target hb)
-
 type decode_context = {
   bits : int;
   source_size : int;

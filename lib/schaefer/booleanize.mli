@@ -15,21 +15,14 @@ val bits_needed : int -> int
 val encode_target : Structure.t -> Structure.t
 (** [B_b], over the Boolean universe [{0, 1}]. *)
 
-val encode_source : bits:int -> Structure.t -> Structure.t
-(** [A_b]; element [a] of [A] becomes copies [a*bits .. a*bits + bits - 1]. *)
-
 val encode_pair : Structure.t -> Structure.t -> Structure.t * Structure.t
 (** [(A_b, B_b)] with matching bit width. *)
 
-val decode : bits:int -> target:Structure.t -> Homomorphism.mapping -> Homomorphism.mapping
-(** Recover a homomorphism [A -> B] from one [A_b -> B_b].  Elements whose
-    decoded pattern falls outside [B]'s universe are unconstrained in [A]
-    and are sent to element [0]. *)
-
 val decode_counting :
   bits:int -> target:Structure.t -> Homomorphism.mapping -> Homomorphism.mapping * int
-(** Like {!decode}, also returning how many elements were clamped to [0]
-    because their decoded code fell outside [B]'s universe.  Bumps the
+(** Recover a homomorphism [A -> B] from one [A_b -> B_b], and how many
+    elements were clamped to [0] because their decoded code fell outside
+    [B]'s universe (they are unconstrained in [A]).  Bumps the
     ["schaefer.booleanize.clamped"] telemetry counter. *)
 
 type decode_context = {

@@ -18,8 +18,6 @@ let class_name = function
   | Bijunctive -> "bijunctive"
   | Affine -> "affine"
 
-let pp_class ppf c = Format.pp_print_string ppf (class_name c)
-
 let closure_test r = function
   | Zero_valid -> Boolean_relation.mem r 0
   | One_valid -> Boolean_relation.mem r ((1 lsl Boolean_relation.arity r) - 1)
@@ -82,11 +80,6 @@ let boolean_relations b =
 let structure_classes b =
   let rels = boolean_relations b in
   List.filter (fun c -> List.for_all (fun (_, r) -> relation_in_class r c) rels) all_classes
-
-let is_schaefer b = structure_classes b <> []
-
-let is_trivial b =
-  List.exists (fun c -> c = Zero_valid || c = One_valid) (structure_classes b)
 
 let classify b =
   let classes = structure_classes b in

@@ -27,8 +27,6 @@ val all_classes : schaefer_class list
 
 val class_name : schaefer_class -> string
 
-val pp_class : Format.formatter -> schaefer_class -> unit
-
 val relation_in_class : Boolean_relation.t -> schaefer_class -> bool
 
 val relation_classes : Boolean_relation.t -> schaefer_class list
@@ -47,11 +45,6 @@ val boolean_relations : Structure.t -> (string * Boolean_relation.t) list
 val structure_classes : Structure.t -> schaefer_class list
 (** Classes containing {e every} relation of the structure.
     @raise Invalid_argument if the structure is not Boolean. *)
-
-val is_schaefer : Structure.t -> bool
-
-val is_trivial : Structure.t -> bool
-(** In one of the first two (0-valid / 1-valid) classes. *)
 
 val classify : Structure.t -> schaefer_class option
 (** Preferred class for solving: trivial classes first, then bijunctive,

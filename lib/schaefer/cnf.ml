@@ -20,8 +20,6 @@ let make ~nvars clauses =
 
 let size f = List.fold_left (fun acc c -> acc + List.length c) 0 f.clauses
 
-let clause_count f = List.length f.clauses
-
 let count_sign sign c = List.length (List.filter (fun l -> l.sign = sign) c)
 
 let is_horn f = List.for_all (fun c -> count_sign true c <= 1) f.clauses
@@ -29,21 +27,6 @@ let is_horn f = List.for_all (fun c -> count_sign true c <= 1) f.clauses
 let is_dual_horn f = List.for_all (fun c -> count_sign false c <= 1) f.clauses
 
 let is_two_cnf f = List.for_all (fun c -> List.length c <= 2) f.clauses
-
-let eval_literal assignment l = if l.sign then assignment.(l.var) else not assignment.(l.var)
-
-let eval_clause assignment c = List.exists (eval_literal assignment) c
-
-let satisfies assignment f = List.for_all (eval_clause assignment) f.clauses
-
-let models f =
-  if f.nvars > 22 then invalid_arg "Cnf.models: too many variables";
-  let acc = ref [] in
-  for mask = (1 lsl f.nvars) - 1 downto 0 do
-    let assignment = Array.init f.nvars (fun i -> (mask lsr i) land 1 = 1) in
-    if satisfies assignment f then acc := assignment :: !acc
-  done;
-  !acc
 
 let flip_signs f = { f with clauses = List.map (List.map negate) f.clauses }
 

@@ -11,15 +11,11 @@ val pos : int -> literal
 
 val neg : int -> literal
 
-val negate : literal -> literal
-
 val make : nvars:int -> clause list -> t
 (** @raise Invalid_argument if a variable is out of range. *)
 
 val size : t -> int
 (** Total number of literal occurrences. *)
-
-val clause_count : t -> int
 
 val is_horn : t -> bool
 (** At most one positive literal per clause. *)
@@ -28,16 +24,6 @@ val is_dual_horn : t -> bool
 
 val is_two_cnf : t -> bool
 (** At most two literals per clause. *)
-
-val eval_literal : bool array -> literal -> bool
-
-val eval_clause : bool array -> clause -> bool
-
-val satisfies : bool array -> t -> bool
-
-val models : t -> bool array list
-(** All satisfying assignments by exhaustive enumeration; for testing only.
-    @raise Invalid_argument when [nvars > 22]. *)
 
 val flip_signs : t -> t
 (** Negate every literal (maps Horn to dual Horn and back; a 0/1 assignment

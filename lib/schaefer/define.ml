@@ -113,7 +113,3 @@ let defining relation = function
     invalid_arg
       (Printf.sprintf "Define.defining: trivial class %s needs no formula"
          (Classify.class_name cls))
-
-let size = function
-  | Clausal f -> Cnf.size f
-  | Linear s -> Gf2.size s

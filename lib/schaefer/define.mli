@@ -31,6 +31,3 @@ val defining : Boolean_relation.t -> Classify.schaefer_class -> t
 (** Dispatch on the four nontrivial classes.
     @raise Invalid_argument on [Zero_valid] / [One_valid] (no formula is
     needed there) or when the relation is outside the requested class. *)
-
-val size : t -> int
-(** Length measure of the produced formula (literal/coefficient count). *)

@@ -10,14 +10,6 @@ let make_system ~nvars equations =
     equations;
   { nvars; equations }
 
-let satisfies assignment s =
-  List.for_all
-    (fun e ->
-      let sum = ref false in
-      Array.iteri (fun i c -> if c && assignment.(i) then sum := not !sum) e.coeffs;
-      !sum = e.rhs)
-    s.equations
-
 let support coeffs =
   let cols = ref [] in
   for c = Array.length coeffs - 1 downto 0 do
@@ -106,20 +98,6 @@ let nullspace_basis ~ncols rows =
         Some (back_substitute pivots v)
       end)
     (List.init ncols Fun.id)
-
-let models s =
-  if s.nvars > 22 then invalid_arg "Gf2.models: too many variables";
-  let acc = ref [] in
-  for mask = (1 lsl s.nvars) - 1 downto 0 do
-    let assignment = Array.init s.nvars (fun i -> (mask lsr i) land 1 = 1) in
-    if satisfies assignment s then acc := assignment :: !acc
-  done;
-  !acc
-
-let size s =
-  List.fold_left
-    (fun acc e -> acc + 1 + Array.fold_left (fun n c -> if c then n + 1 else n) 0 e.coeffs)
-    0 s.equations
 
 let pp ppf s =
   if s.equations = [] then Format.pp_print_string ppf "true"

@@ -16,8 +16,6 @@ type system = { nvars : int; equations : equation list }
 val make_system : nvars:int -> equation list -> system
 (** @raise Invalid_argument on coefficient-vector length mismatch. *)
 
-val satisfies : bool array -> system -> bool
-
 val support : bool array -> int list
 (** The positions of the [true] coefficients, ascending. *)
 
@@ -33,12 +31,5 @@ val rank : bool array list -> int
 val nullspace_basis : ncols:int -> bool array list -> bool array list
 (** Basis of the right nullspace [{a | M a = 0}] of the matrix whose rows
     are the given vectors. *)
-
-val models : system -> bool array list
-(** All solutions by exhaustive enumeration; for testing only.
-    @raise Invalid_argument when [nvars > 22]. *)
-
-val size : system -> int
-(** Total number of nonzero coefficients plus one per equation. *)
 
 val pp : Format.formatter -> system -> unit

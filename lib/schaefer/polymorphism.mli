@@ -15,18 +15,11 @@ type operation = {
                           encoded by mask [m]; length [2^arity]. *)
 }
 
-val make : name:string -> arity:int -> (int -> int) -> operation
-(** Build from a function on argument masks. *)
-
 val apply : operation -> int list -> int
 (** @raise Invalid_argument on an argument-count mismatch or non-0/1
     arguments. *)
 
 (* The named operations behind Schaefer's classes. *)
-
-val const0 : operation
-
-val const1 : operation
 
 val and2 : operation
 

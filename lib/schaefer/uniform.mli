@@ -22,19 +22,6 @@ type outcome =
   | Not_applicable of string
       (** Target not Boolean, vocabulary mismatch, or not Schaefer. *)
 
-val build_formula :
-  ?budget:Budget.t ->
-  Structure.t ->
-  Structure.t ->
-  Classify.schaefer_class ->
-  Define.t * Certificate.origin array
-(** [build_formula a b cls] is [phi_A]: the conjunction, over all facts
-    [t ∈ Q^A], of the defining formula of [Q^B] instantiated on the elements
-    of [t].  Variables are the elements of [A].  The array gives, for each
-    clause or equation in order, the fact it instantiates.
-    @raise Invalid_argument on trivial classes or if some relation of [B] is
-    outside [cls]. *)
-
 val solve : ?budget:Budget.t -> Structure.t -> Structure.t -> outcome
 (** Theorem 3.3 in one pass.  A "no" carries its certificate: an
     [Empty_relation] fact if there is one (tried first, before [B]'s class

@@ -115,8 +115,6 @@ let arm_from_env () =
   | None | Some "" -> disarm ()
   | Some spec -> arm spec
 
-let armed () = with_lock (fun () -> !armings <> [])
-
 let fires site =
   let fire =
     with_lock (fun () ->

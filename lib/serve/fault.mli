@@ -51,8 +51,6 @@ val arm_from_env : unit -> unit
 val disarm : unit -> unit
 (** Disable all sites and forget injection counts. *)
 
-val armed : unit -> bool
-
 val trip : site -> unit
 (** Draw at [site]; no-op when nothing armed covers the site.
     @raise Injected with the armed probability. *)

@@ -19,9 +19,6 @@ type t
 
 val create : unit -> t
 
-val nbuckets : int
-(** Number of buckets (16). *)
-
 val record : t -> route:string -> float -> unit
 (** [record t ~route ms] files one observation of [ms] milliseconds
     under [route].  Negative and NaN inputs clamp to bucket 0. *)

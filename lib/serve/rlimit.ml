@@ -2,8 +2,6 @@ type resource = Address_space | Cpu_time
 
 external setrlimit_stub : int -> int -> int = "cqcsp_setrlimit"
 
-external getrlimit_cur_stub : int -> int = "cqcsp_getrlimit_cur"
-
 let tag = function Address_space -> 0 | Cpu_time -> 1
 
 let set r v =
@@ -12,8 +10,3 @@ let set r v =
     match setrlimit_stub (tag r) v with
     | 0 -> Ok ()
     | errno -> Error (Printf.sprintf "setrlimit failed (errno %d)" errno)
-
-let current r =
-  match getrlimit_cur_stub (tag r) with
-  | n when n < 0 -> None
-  | n -> Some n

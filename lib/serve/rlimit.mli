@@ -14,6 +14,3 @@ type resource =
 val set : resource -> int -> (unit, string) result
 (** [set r v] sets both the soft and hard limit of [r] to [v]
     (bytes for {!Address_space}, whole seconds for {!Cpu_time}). *)
-
-val current : resource -> int option
-(** The current soft limit; [None] for unlimited or on error. *)

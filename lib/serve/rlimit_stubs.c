@@ -43,25 +43,3 @@ CAMLprim value cqcsp_setrlimit(value v_resource, value v_limit)
     return Val_int(errno);
   return Val_int(0);
 }
-
-CAMLprim value cqcsp_getrlimit_cur(value v_resource)
-{
-  int resource;
-  struct rlimit rl;
-
-  switch (Int_val(v_resource)) {
-  case 0:
-    resource = RLIMIT_AS;
-    break;
-  case 1:
-    resource = RLIMIT_CPU;
-    break;
-  default:
-    return Val_long(-1);
-  }
-  if (getrlimit(resource, &rl) != 0)
-    return Val_long(-1);
-  if (rl.rlim_cur == RLIM_INFINITY)
-    return Val_long(-1);
-  return Val_long((long)rl.rlim_cur);
-}

@@ -55,7 +55,7 @@ let budget_for cfg ~max_nodes ~timeout =
     | None, c -> c
     | v, None -> v
   in
-  Core.Budget.create
+  Relational.Budget.create
     ?max_nodes:(clamp max_nodes cfg.ceiling_nodes cfg.default_nodes min)
     ?timeout:(clamp timeout cfg.ceiling_timeout cfg.default_timeout Float.min)
     ~cancel:cfg.cancel ()

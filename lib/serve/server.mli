@@ -16,7 +16,7 @@
 
     {2 Budgets, admission, shutdown}
 
-    Each request solves under its own {!Core.Budget} built from the
+    Each request solves under its own {!Relational.Budget} built from the
     request's [max_nodes]/[timeout] clamped by the server-wide ceilings,
     and sharing the server's cancel flag: SIGINT/SIGTERM set the flag, so
     in-flight solves unwind promptly with [Budget.Exhausted Cancelled]

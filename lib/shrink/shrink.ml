@@ -49,9 +49,6 @@ let ddmin ~keeps items =
 
 module Structure = Relational.Structure
 
-let tuples_of s =
-  List.rev (Structure.fold_tuples (fun rel t acc -> (rel, t) :: acc) s [])
-
 let rebuild vocab ~size tuples =
   let tbl = Hashtbl.create 16 in
   List.iter
@@ -70,7 +67,7 @@ let drop_tuples ~keeps s =
     | s' -> keeps s'
     | exception Invalid_argument _ -> false
   in
-  rebuild vocab ~size (ddmin ~keeps:wrap (tuples_of s))
+  rebuild vocab ~size (ddmin ~keeps:wrap (Structure.facts s))
 
 (* Eliminate universe elements by merging each into a smaller one,
    largest first so renumbering is a plain shift.  First-improvement,

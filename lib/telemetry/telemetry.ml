@@ -79,10 +79,6 @@ let json_of_record = function
 module Sink = struct
   type t = { emit : record -> unit; flush : unit -> unit }
 
-  let make ~emit ~flush = { emit; flush }
-
-  let noop = { emit = (fun _ -> ()); flush = (fun () -> ()) }
-
   let memory () =
     let records = ref [] in
     ( { emit = (fun r -> records := r :: !records); flush = (fun () -> ()) },

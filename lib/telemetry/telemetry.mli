@@ -48,11 +48,6 @@ val json_of_record : record -> string
 module Sink : sig
   type t
 
-  val make : emit:(record -> unit) -> flush:(unit -> unit) -> t
-
-  val noop : t
-  (** Accepts and discards everything. *)
-
   val memory : unit -> t * (unit -> record list)
   (** An in-memory sink for tests and for building one-document metrics
       reports: the second component drains the records collected so far,

@@ -47,6 +47,30 @@ let grid rows cols =
   done;
   undirected ~size:(rows * cols) !edges
 
+let product a b =
+  let vocab = Structure.vocabulary a in
+  if not (Vocabulary.equal vocab (Structure.vocabulary b)) then
+    invalid_arg "Workloads.product: vocabulary mismatch";
+  let size_b = Structure.size b in
+  let encode i j = (i * size_b) + j in
+  Structure.fold_tuples
+    (fun name ta acc ->
+      Relation.fold
+        (fun tb acc ->
+          let t = Array.init (Array.length ta) (fun p -> encode ta.(p) tb.(p)) in
+          Structure.add_tuple acc name t)
+        (Structure.relation b name) acc)
+    a
+    (Structure.create vocab ~size:(Structure.size a * size_b))
+
+let rename_relations a f =
+  let symbols = Vocabulary.symbols (Structure.vocabulary a) in
+  let vocab = Vocabulary.create (List.map (fun (name, arity) -> (f name, arity)) symbols) in
+  Structure.fold_tuples
+    (fun name t acc -> Structure.add_tuple acc (f name) t)
+    a
+    (Structure.create vocab ~size:(Structure.size a))
+
 let staircase_dag n =
   let edges = ref [] in
   for i = 0 to n - 1 do
@@ -172,6 +196,21 @@ let one_in_three_target =
     [ ("R", [ [| 1; 0; 0 |]; [| 0; 1; 0 |]; [| 0; 0; 1 |] ]) ]
 
 let coloring_target n = clique n
+
+let transitive_closure =
+  Datalog.Parser.parse ~goal:"TC"
+    {|
+      TC(X, Y) :- E(X, Y).
+      TC(X, Y) :- TC(X, Z), E(Z, Y).
+    |}
+
+let same_generation =
+  Datalog.Parser.parse ~goal:"SG"
+    {|
+      SG(X, X) :- P(X, Y).
+      SG(X, X) :- P(Y, X).
+      SG(X, Y) :- P(XP, X), SG(XP, YP), P(YP, Y).
+    |}
 
 let chain_query ?(pred = "E") n =
   let atoms =

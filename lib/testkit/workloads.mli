@@ -26,6 +26,15 @@ val complete_bipartite : int -> int -> Structure.t
 val grid : int -> int -> Structure.t
 (** Undirected grid graph (treewidth [min rows cols]). *)
 
+val product : Structure.t -> Structure.t -> Structure.t
+(** Categorical product: universe pairs encoded as [i * size b + j]; a tuple
+    belongs to the product iff both projections belong to the factors.
+    @raise Invalid_argument on different vocabularies. *)
+
+val rename_relations : Structure.t -> (string -> string) -> Structure.t
+(** Structure over the renamed vocabulary. @raise Invalid_argument if the
+    renaming collides. *)
+
 val staircase_dag : int -> Structure.t
 (** Transitive tournament: directed edges [(i, j)] for all [i < j] —
     [n(n-1)/2] tuples.  A dense digraph admitting no long directed path,
@@ -62,6 +71,13 @@ val one_in_three_target : Structure.t
 
 val coloring_target : int -> Structure.t
 (** Alias for {!clique}. *)
+
+val transitive_closure : Datalog.Program.t
+(** Goal [TC(x, y)]: reachability over edge relation [E]. *)
+
+val same_generation : Datalog.Program.t
+(** Goal [SG(x, y)] over a parent relation [P]: the classic same-generation
+    program. *)
 
 val chain_query : ?pred:string -> int -> Cq.Query.t
 (** [Q(X0) :- E(X0, X1), ..., E(X_{n-1}, X_n)]: treewidth-1 queries. *)

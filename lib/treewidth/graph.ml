@@ -35,13 +35,6 @@ let neighbors g v =
   check g v;
   Iset.elements g.adj.(v)
 
-let degree g v =
-  check g v;
-  Iset.cardinal g.adj.(v)
-
-let edge_count g =
-  Array.fold_left (fun acc s -> acc + Iset.cardinal s) 0 g.adj / 2
-
 let edges g =
   let acc = ref [] in
   for u = g.size - 1 downto 0 do
@@ -51,10 +44,6 @@ let edges g =
 
 let is_clique g vs =
   List.for_all (fun u -> List.for_all (fun v -> u = v || mem_edge g u v) vs) vs
-
-let complete n =
-  of_edges ~size:n
-    (List.concat (List.init n (fun u -> List.init (n - u - 1) (fun i -> (u, u + i + 1)))))
 
 let components g =
   let seen = Array.make (max g.size 1) false in

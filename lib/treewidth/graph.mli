@@ -2,18 +2,11 @@
 
 type t
 
-val create : int -> t
-(** Edgeless graph. *)
-
 val of_edges : size:int -> (int * int) list -> t
 (** Self-loops are ignored; duplicate edges collapse.
     @raise Invalid_argument on out-of-range endpoints. *)
 
 val size : t -> int
-
-val edge_count : t -> int
-
-val mem_edge : t -> int -> int -> bool
 
 val neighbors : t -> int -> int list
 (** Sorted. *)
@@ -22,14 +15,10 @@ val adjacency : t -> Set.Make(Int).t array
 (** A fresh array of the [size] neighbor sets, for callers that rewire
     the graph in place (the elimination engine). *)
 
-val degree : t -> int -> int
-
 val edges : t -> (int * int) list
 (** Pairs [(u, v)] with [u < v], sorted. *)
 
 val is_clique : t -> int list -> bool
-
-val complete : int -> t
 
 val components : t -> int list list
 (** Connected components, each sorted. *)

@@ -7,10 +7,6 @@ type join_forest = {
   parent : int array;
 }
 
-let structure_facts a =
-  Array.of_list
-    (List.rev (Structure.fold_tuples (fun name t acc -> (name, t) :: acc) a []))
-
 (* [s] is a subset of [t]; both sorted ascending without repeats. *)
 let subset s t =
   let ns = Array.length s and nt = Array.length t in
@@ -35,7 +31,7 @@ let subset s t =
    container gets one later only if it loses vertices (containers never
    grow), so (b) revisits only the hyperedges (a) shrank. *)
 let join_forest a =
-  let facts = structure_facts a in
+  let facts = Array.of_list (Structure.facts a) in
   let nfacts = Array.length facts and n = Structure.size a in
   let sets =
     Array.map (fun (_, t) -> Array.of_list (List.sort_uniq Int.compare (Array.to_list t))) facts
@@ -115,8 +111,6 @@ let solve_acyclic a b =
   match join_forest a with
   | None -> invalid_arg "Hypergraph.solve_acyclic: source structure is not acyclic"
   | Some forest -> solve_with_forest forest a b
-
-let exists_acyclic a b = solve_acyclic a b <> None
 
 let generalized_hypertree_width_upper a =
   let n = Structure.size a in

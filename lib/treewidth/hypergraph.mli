@@ -34,8 +34,6 @@ val solve_with_forest :
     pass.
     @raise Budget.Exhausted when it runs out. *)
 
-val exists_acyclic : Structure.t -> Structure.t -> bool
-
 val generalized_hypertree_width_upper : Structure.t -> int
 (** Upper bound on the generalized hypertree width (Gottlob–Leone–Scarcello,
     discussed in Section 5): cover each bag of a min-fill tree decomposition

@@ -2,10 +2,6 @@ open Relational
 
 type stats = { width : int; tables : int }
 
-let facts_of a =
-  Array.of_list
-    (List.rev (Structure.fold_tuples (fun name t acc -> (name, t) :: acc) a []))
-
 let graph a =
   let n, edges = Structure.incidence_edges a in
   Graph.of_edges ~size:n edges
@@ -20,7 +16,7 @@ let treewidth_upper a = Tree_decomposition.width (decomposition a)
    fact. *)
 let solve_with_stats a b =
   let n = Structure.size a and m = Structure.size b in
-  let facts = facts_of a in
+  let facts = Array.of_list (Structure.facts a) in
   let td = decomposition a in
   let cands = Array.map (fun fact -> Array.of_list (Join_eval.candidates b fact)) facts in
   let domain v = if v < n then m else Array.length cands.(v - n) in
@@ -58,8 +54,4 @@ let solve_with_stats a b =
   | Some values ->
     let mapping = Array.sub values 0 n in
     if Homomorphism.is_homomorphism a b mapping then (Some mapping, stats)
-    else invalid_arg "Incidence.solve: extraction failed (invalid decomposition?)"
-
-let solve a b = fst (solve_with_stats a b)
-
-let exists a b = solve a b <> None
+    else invalid_arg "Incidence.solve_with_stats: extraction failed (invalid decomposition?)"

@@ -18,16 +18,11 @@ val graph : Structure.t -> Graph.t
 val treewidth_upper : Structure.t -> int
 (** Heuristic (min-fill) upper bound on the incidence treewidth. *)
 
-val decomposition : Structure.t -> Tree_decomposition.t
-(** Min-fill decomposition of the incidence graph. *)
-
-val solve : Structure.t -> Structure.t -> Homomorphism.mapping option
-(** Homomorphism testing by dynamic programming over the incidence
-    decomposition: element nodes range over [B]'s universe, fact nodes over
-    the corresponding target relation. *)
-
-val exists : Structure.t -> Structure.t -> bool
-
 type stats = { width : int; tables : int }
 
 val solve_with_stats : Structure.t -> Structure.t -> Homomorphism.mapping option * stats
+(** Homomorphism testing by dynamic programming over the min-fill
+    decomposition of the incidence graph: element nodes range over [B]'s
+    universe, fact nodes over the corresponding target relation.  The
+    stats give the decomposition's width and the number of table
+    entries stored. *)

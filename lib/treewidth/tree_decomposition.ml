@@ -83,17 +83,3 @@ let validate_structure a td =
         (fun _ t -> if !ok && not (has_bag (Tuple.elements t)) then ok := false)
         a;
       !ok)
-
-let pp ppf td =
-  Format.fprintf ppf "@[<v>%a@,tree: %a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf (i, bag) ->
-         Format.fprintf ppf "bag %d: {%a}" i
-           (Format.pp_print_list
-              ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-              Format.pp_print_int)
-           bag))
-    (List.mapi (fun i bag -> (i, bag)) (Array.to_list td.bags))
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       (fun ppf (u, v) -> Format.fprintf ppf "%d-%d" u v))
-    td.tree_edges

@@ -24,5 +24,3 @@ val validate_structure : Structure.t -> t -> bool
 
 val adjacency : t -> int list array
 (** Neighbor lists of the decomposition tree. *)
-
-val pp : Format.formatter -> t -> unit

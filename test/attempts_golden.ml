@@ -26,8 +26,8 @@ let () =
             Preprocess.memo_reset ();
             let budget =
               match max_nodes with
-              | None -> Budget.unlimited
-              | Some n -> Budget.create ~max_nodes:n ()
+              | None -> Relational.Budget.unlimited
+              | Some n -> Relational.Budget.create ~max_nodes:n ()
             in
             let r = Solver.solve ~budget ~threads:1 ~preprocess a b in
             Printf.printf "seed %d preprocess=%b %s | %s | %s | %s\n" seed preprocess

@@ -208,7 +208,7 @@ let gen_cnf ~nvars ~max_clauses ~max_clause_len =
     let+ clauses = list_size (0 -- max_clauses) (list_size (1 -- max_clause_len) gen_lit) in
     Schaefer.Cnf.make ~nvars clauses)
 
-let naive_sat f = Schaefer.Cnf.models f <> []
+let naive_sat f = Oracle.Models.cnf f <> []
 
 let mapping_testable =
   Alcotest.testable

@@ -44,9 +44,12 @@ let parser_tests =
              false
            with Parser.Parse_error _ -> true));
     Alcotest.test_case "garbage rejected" `Quick (fun () ->
-        check "none" true (Parser.parse_opt "Q(X) :- " = None);
-        check "none2" true (Parser.parse_opt "Q(X) P(X)" = None);
-        check "none3" true (Parser.parse_opt "Q(X) :- P(X). extra" = None));
+        let rejected s =
+          match Parser.parse s with _ -> false | exception Parser.Parse_error _ -> true
+        in
+        check "none" true (rejected "Q(X) :- ");
+        check "none2" true (rejected "Q(X) P(X)");
+        check "none3" true (rejected "Q(X) :- P(X). extra"));
     Alcotest.test_case "two-atom recognition" `Quick (fun () ->
         check "yes" true (Query.is_two_atom (q "Q(X) :- P(X, Y), P(Y, X), R(X, X)."));
         check "no" false (Query.is_two_atom (q "Q(X) :- P(X, Y), P(Y, Z), P(Z, X).")));
@@ -325,70 +328,6 @@ let ucq_tests =
 
 
 (* ------------------------------------------------------------------ *)
-(* Constants (Prolog convention: lowercase = constant)                  *)
-(* ------------------------------------------------------------------ *)
-
-let constants_tests =
-  [
-    Alcotest.test_case "recognition" `Quick (fun () ->
-        let query = q "Q(X) :- E(X, alice), E(alice, bob)." in
-        Alcotest.(check (list string)) "constants" [ "alice"; "bob" ]
-          (Constants.constants query);
-        check "has" true (Constants.has_constants query);
-        check "plain query has none" false (Constants.has_constants (q "Q(X) :- E(X, Y).")));
-    Alcotest.test_case "constants block variable-style folding" `Quick (fun () ->
-        (* Without constants: E(X,Y) contains E(X,c)-style queries; with the
-           constants reading, the specific query is contained in the general
-           one but not vice versa. *)
-        let general = q "Q(X) :- E(X, Y)." in
-        let specific = q "Q(X) :- E(X, c)." in
-        check "specific in general" true (Constants.contained specific general);
-        check "general not in specific" false (Constants.contained general specific));
-    Alcotest.test_case "distinct constants do not unify" `Quick (fun () ->
-        let q1 = q "Q :- E(a, b)." in
-        let q2 = q "Q :- E(a, a)." in
-        check "not contained" false (Constants.contained q1 q2);
-        check "reverse not contained" false (Constants.contained q2 q1);
-        check "duplicated atom equivalent" true
-          (Constants.equivalent q1 (q "Q :- E(a, b), E(a, b)."));
-        check "self" true (Constants.contained q1 q1));
-    Alcotest.test_case "evaluation with bindings" `Quick (fun () ->
-        (* Successors of node 0 on the path. *)
-        let query = q "Q(X) :- E(start, X)." in
-        let answers = Constants.evaluate query ~binding:[ ("start", 0) ] (path 4) in
-        check_int "one answer" 1 (List.length answers);
-        check "it is node 1" true (Tuple.equal (List.hd answers) [| 1 |]));
-    Alcotest.test_case "unbound constants rejected" `Quick (fun () ->
-        check "raises" true
-          (try
-             ignore (Constants.evaluate (q "Q(X) :- E(c, X).") ~binding:[] (path 3));
-             false
-           with Invalid_argument _ -> true));
-    qtest ~count:100 "constants containment implies answer inclusion"
-      (QCheck.pair
-         (QCheck.make
-            QCheck.Gen.(
-              let term = oneofl [ "X"; "Y"; "c"; "d" ] in
-              let atom =
-                let* a = term in
-                let+ b = term in
-                ("E", [ a; b ])
-              in
-              let* b1 = list_size (1 -- 3) atom in
-              let+ b2 = list_size (1 -- 3) atom in
-              (Query.make ~head:[] b1, Query.make ~head:[] b2)))
-         (arbitrary_structure ~max_rels:1 ~max_arity:2 ~max_size:3 ~max_tuples:4 ()))
-      (fun ((q1, q2), db) ->
-        (not (Constants.contained q1 q2))
-        ||
-        let binding = [ ("c", 0); ("d", min 1 (Structure.size db - 1)) ] in
-        List.for_all
-          (fun t -> List.exists (Tuple.equal t) (Constants.evaluate q2 ~binding db))
-          (Constants.evaluate q1 ~binding db));
-  ]
-
-
-(* ------------------------------------------------------------------ *)
 (* Yannakakis evaluation of acyclic queries                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -583,7 +522,6 @@ let () =
       ("two-atom", two_atom_tests);
       ("properties", property_tests);
       ("ucq", ucq_tests);
-      ("constants", constants_tests);
       ("acyclic-eval", acyclic_eval_tests);
       ("algebra", algebra_tests);
       ("chase", chase_tests);

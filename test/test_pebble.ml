@@ -93,7 +93,9 @@ let property_tests =
         (* Theorem 4.9 / Remark 4.10(2): for a k-ary Horn structure B, the
            complement of CSP(B) is k-Datalog-expressible, so the k-pebble
            game decides it (k = max arity of B, at least 1). *)
-        let k = max 1 (Vocabulary.max_arity (Structure.vocabulary b)) in
+        let k =
+          List.fold_left (fun k (_, a) -> max k a) 1 (Vocabulary.symbols (Structure.vocabulary b))
+        in
         Game.duplicator_wins ~k a b = brute_force_exists a b);
   ]
 

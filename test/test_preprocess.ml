@@ -187,12 +187,12 @@ let property_tests =
       (Helpers.arbitrary_structure ~max_size:3 ~max_tuples:3 ())
       (fun a ->
         let doubled = Structure.disjoint_union a a in
-        Homomorphism.isomorphic (core a) (core doubled));
+        Testkit.Compare.isomorphic (core a) (core doubled));
     Helpers.qtest ~count:60 "core is hom-equivalent and minimal-idempotent"
       (Helpers.arbitrary_structure ~max_size:4 ~max_tuples:4 ())
       (fun a ->
         let c = core a in
-        Homomorphism.hom_equivalent a c && Structure.size (core c) = Structure.size c);
+        Testkit.Compare.hom_equivalent a c && Structure.size (core c) = Structure.size c);
     Helpers.qtest ~count:60 "padded-core sources agree with raw solving"
       QCheck.(pair (int_bound 8) (Helpers.arbitrary_structure ~max_rels:1 ()))
       (fun (k, b) ->
@@ -200,7 +200,7 @@ let property_tests =
            E only when arities line up, else fall back to K2. *)
         let b =
           if Vocabulary.symbols (Structure.vocabulary b) = [ ("R0", 2) ] then
-            Structure.rename_relations b (fun _ -> "E")
+            Testkit.Workloads.rename_relations b (fun _ -> "E")
           else Helpers.digraph ~size:2 [ (0, 1); (1, 0) ]
         in
         let a = padded_triangle k in
@@ -369,7 +369,7 @@ let core_tests =
             (fun a ->
               let c1 = core a in
               let c2 = core (Structure.disjoint_union a a) in
-              check "isomorphic cores" true (Homomorphism.isomorphic c1 c2))
+              check "isomorphic cores" true (Testkit.Compare.isomorphic c1 c2))
             [ undirected_cycle 5; path 4; Structure.disjoint_union k2 (clique 3) ]);
       Alcotest.test_case "target_core returns a retraction" `Quick (fun () ->
           let g = Structure.disjoint_union (path 3) (digraph ~size:1 [ (0, 0) ]) in

@@ -50,14 +50,13 @@ let vocabulary_tests =
         check_int "arity P" 1 (Vocabulary.arity v "P");
         check "mem" true (Vocabulary.mem v "E");
         check "not mem" false (Vocabulary.mem v "Q");
-        check_int "size" 2 (Vocabulary.size v);
-        check_int "max arity" 2 (Vocabulary.max_arity v));
+        check_int "size" 2 (List.length (Vocabulary.symbols v)));
     Alcotest.test_case "duplicate symbol rejected" `Quick (fun () ->
         Alcotest.check_raises "dup" (Invalid_argument "Vocabulary.create: duplicate symbol E")
           (fun () -> ignore (Vocabulary.create [ ("E", 2); ("E", 1) ])));
     Alcotest.test_case "union merges and detects conflicts" `Quick (fun () ->
         let v = Vocabulary.create [ ("E", 2) ] and w = Vocabulary.create [ ("P", 1); ("E", 2) ] in
-        check_int "union size" 2 (Vocabulary.size (Vocabulary.union v w));
+        check_int "union size" 2 (List.length (Vocabulary.symbols (Vocabulary.union v w)));
         let bad = Vocabulary.create [ ("E", 3) ] in
         check "conflict raises" true
           (try
@@ -93,12 +92,7 @@ let relation_tests =
         let r = Relation.of_list 1 [ [| 0 |]; [| 1 |] ] in
         let s = Relation.of_list 1 [ [| 1 |]; [| 2 |] ] in
         check_int "union" 3 (Relation.cardinal (Relation.union r s));
-        check_int "inter" 1 (Relation.cardinal (Relation.inter r s));
-        check_int "diff" 1 (Relation.cardinal (Relation.diff r s));
-        check "subset" true (Relation.subset (Relation.inter r s) r));
-    Alcotest.test_case "active_domain" `Quick (fun () ->
-        let r = Relation.of_list 2 [ [| 4; 1 |]; [| 1; 7 |] ] in
-        Alcotest.(check (list int)) "domain" [ 1; 4; 7 ] (Relation.active_domain r));
+        check_int "diff" 1 (Relation.cardinal (Relation.diff r s)));
     Alcotest.test_case "map enforces arity" `Quick (fun () ->
         let r = Relation.of_list 2 [ [| 0; 1 |] ] in
         let doubled = Relation.map (Tuple.map (fun x -> 2 * x)) r in
@@ -123,11 +117,9 @@ let relation_tests =
       (fun () ->
         let r = Relation.of_list 2 [ [| 4; 1 |]; [| 1; 7 |]; [| 4; 4 |] ] in
         let ix = Relation.index r in
-        check_int "cardinal" (Relation.cardinal r) (Relation.Index.cardinal ix);
+        check_int "cardinal" (Relation.cardinal r) (Array.length (Relation.Index.tuples ix));
         check "mem" true (Relation.Index.mem ix [| 1; 7 |]);
-        check "not mem" false (Relation.Index.mem ix [| 7; 1 |]);
-        Alcotest.(check (list int)) "active domain" [ 1; 4; 7 ]
-          (List.sort Int.compare (Relation.Index.active_domain ix)));
+        check "not mem" false (Relation.Index.mem ix [| 7; 1 |]));
     Alcotest.test_case "derived relations never see a stale index" `Quick (fun () ->
         let r = Relation.of_list 2 [ [| 0; 1 |] ] in
         (* Force the lazy index on [r], then derive a new relation: the
@@ -139,10 +131,7 @@ let relation_tests =
         check_int "matching sees it" 1
           (Array.length (Relation.matching r' ~pos:0 ~value:1));
         check_int "original index untouched" 1
-          (Relation.Index.cardinal (Relation.index r));
-        let shrunk = Relation.remove r' [| 0; 1 |] in
-        check "removal visible through index" false
-          (Relation.Index.mem (Relation.index shrunk) [| 0; 1 |]));
+          (Array.length (Relation.Index.tuples (Relation.index r))));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -174,7 +163,7 @@ let structure_tests =
         check "second copy" true (Structure.mem_tuple g "E" [| 2; 3 |]);
         check "no cross edge" false (Structure.mem_tuple g "E" [| 1; 2 |]));
     Alcotest.test_case "product has componentwise tuples" `Quick (fun () ->
-        let g = Structure.product (path 2) (path 2) in
+        let g = Testkit.Workloads.product (path 2) (path 2) in
         check_int "size" 4 (Structure.size g);
         check_int "one edge" 1 (Relation.cardinal (Structure.relation g "E"));
         (* (0,0) -> (1,1) encoded as 0 -> 3. *)
@@ -193,10 +182,10 @@ let structure_tests =
         check_int "4 incidences" 4 (List.length edges));
     Alcotest.test_case "is_valid on constructions" `Quick (fun () ->
         check "path" true (Structure.is_valid (path 5));
-        check "product" true (Structure.is_valid (Structure.product (path 3) (clique 3)));
+        check "product" true (Structure.is_valid (Testkit.Workloads.product (path 3) (clique 3)));
         check "induced" true (Structure.is_valid (Structure.induced (clique 4) [ 0; 2 ])));
     Alcotest.test_case "rename_relations" `Quick (fun () ->
-        let g = Structure.rename_relations (path 2) (fun _ -> "F") in
+        let g = Testkit.Workloads.rename_relations (path 2) (fun _ -> "F") in
         check "renamed" true (Structure.mem_tuple g "F" [| 0; 1 |]));
   ]
 
@@ -250,8 +239,7 @@ let hom_unit_tests =
         check "fails" false (Homomorphism.exists a (clique 3)));
     Alcotest.test_case "compose and identity" `Quick (fun () ->
         let h = [| 1; 0; 1 |] and g = [| 5; 7 |] in
-        Alcotest.check mapping_testable "compose" [| 7; 5; 7 |] (Homomorphism.compose g h);
-        Alcotest.check mapping_testable "identity" [| 0; 1; 2 |] (Homomorphism.identity 3));
+        Alcotest.check mapping_testable "compose" [| 7; 5; 7 |] (Homomorphism.compose g h));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -262,14 +250,14 @@ let core_tests =
   [
     Alcotest.test_case "isomorphism checks" `Quick (fun () ->
         check "C4 iso to itself" true
-          (Homomorphism.isomorphic (undirected_cycle 4) (undirected_cycle 4));
+          (Testkit.Compare.isomorphic (undirected_cycle 4) (undirected_cycle 4));
         check "C4 not iso to K2 pair" false
-          (Homomorphism.isomorphic (undirected_cycle 4)
+          (Testkit.Compare.isomorphic (undirected_cycle 4)
              (Structure.disjoint_union k2 k2));
         check "directed C3 iso under rotation" true
-          (Homomorphism.is_isomorphism (directed_cycle 3) (directed_cycle 3) [| 1; 2; 0 |]);
+          (Testkit.Compare.is_isomorphism (directed_cycle 3) (directed_cycle 3) [| 1; 2; 0 |]);
         check "collapse is not iso" false
-          (Homomorphism.is_isomorphism (undirected_cycle 4) (undirected_cycle 4)
+          (Testkit.Compare.is_isomorphism (undirected_cycle 4) (undirected_cycle 4)
              [| 0; 1; 0; 1 |]));
   ]
 
@@ -486,7 +474,7 @@ let property_tests =
         Homomorphism.exists c b = Homomorphism.exists a b);
     qtest ~count:100 "product projects to both factors" (arbitrary_pair ())
       (fun (a, b) ->
-        let p = Structure.product a b in
+        let p = Testkit.Workloads.product a b in
         let m = Structure.size b in
         if Structure.size p = 0 then true
         else
@@ -553,7 +541,7 @@ let property_tests =
            let+ c = side 3 3 in
            (a, b, c)))
       (fun (a, b, c) ->
-        Homomorphism.exists c (Structure.product a b)
+        Homomorphism.exists c (Testkit.Workloads.product a b)
         = (Homomorphism.exists c a && Homomorphism.exists c b));
     qtest ~count:100 "enumerate finds them all (vs brute force count)"
       (arbitrary_pair ~max_size_a:3 ~max_size_b:2 ~max_tuples:3 ())

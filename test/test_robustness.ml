@@ -525,10 +525,10 @@ let taxonomy_tests =
       (fun () ->
         check "cnf" true
           (bad_input (fun () ->
-               Schaefer.Cnf.models (Schaefer.Cnf.make ~nvars:23 [])));
+               Oracle.Models.cnf (Schaefer.Cnf.make ~nvars:23 [])));
         check "gf2" true
           (bad_input (fun () ->
-               Schaefer.Gf2.models (Schaefer.Gf2.make_system ~nvars:23 []))));
+               Oracle.Models.gf2 (Schaefer.Gf2.make_system ~nvars:23 []))));
     Alcotest.test_case "classification needs a Boolean universe" `Quick
       (fun () ->
         check "structure_classes" true
