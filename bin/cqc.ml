@@ -594,6 +594,8 @@ let enumerate max_nodes timeout limit format metrics_json trace_out a b =
         (fun () ->
           let plan = Enumerate.plan ~budget a b in
           let route = Enumerate.route_name plan.Enumerate.route in
+          (* One JSON value per line, flushed with it. *)
+          let print_json j = Format.printf "%s@." (Serve.Json.to_string j) in
           let n = ref 0 in
           let complete =
             Enumerate.iter_limited ?limit
@@ -602,17 +604,21 @@ let enumerate max_nodes timeout limit format metrics_json trace_out a b =
                 match format with
                 | `Text -> Format.printf "%a@." Relational.Tuple.pp h
                 | `Jsonl ->
-                  Format.printf "{\"hom\":[%s]}@."
-                    (String.concat ","
-                       (List.map string_of_int (Array.to_list h))))
+                  print_json Serve.(Json.Obj [ ("hom", Protocol.json_of_mapping h) ]))
               plan.Enumerate.seq
           in
           (match format with
           | `Text -> ()
           | `Jsonl ->
-            Format.printf
-              "{\"done\":true,\"count\":%d,\"route\":\"%s\",\"complete\":%b}@."
-              !n route complete);
+            print_json
+              Serve.Json.(
+                Obj
+                  [
+                    ("done", Bool true);
+                    ("count", Int !n);
+                    ("route", String route);
+                    ("complete", Bool complete);
+                  ]));
           Format.eprintf "%d answer(s)%s  (route: %s)@." !n
             (if complete then "" else ", truncated by --limit")
             route;

@@ -12,12 +12,15 @@ type plan = { route : route; seq : Homomorphism.mapping Seq.t }
 
 (* Both tractable routes stream off all-row tables of the one join
    evaluator: the GYO join forest for acyclic sources, the min-fill
-   decomposition for bounded treewidth. *)
+   decomposition for bounded treewidth.  Every answer is checked, by
+   the check staged at the first answer: the join evaluator never
+   builds B's hash index, and a stream without answers needs none. *)
 let stream_of ~budget tree a b =
   Homomorphism.generator (fun ~yield ->
       Budget.check budget;
+      let check = lazy (Homomorphism.is_homomorphism a b) in
       Join_eval.enumerate ~budget (tree ()) ~yield:(fun h ->
-          assert (Homomorphism.is_homomorphism a b h);
+          assert (Lazy.force check h);
           yield (Array.copy h)))
 
 (* ------------------------------------------------------------------ *)

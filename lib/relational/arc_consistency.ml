@@ -124,7 +124,7 @@ let create ?(budget = Budget.unlimited) ?explain a b =
     | None ->
       let tuples =
         match Structure.relation b name with
-        | r when Relation.arity r = arity -> Relation.tuples_array r
+        | r when Relation.arity r = arity -> Array.of_list (Relation.elements r)
         | _ -> [||]
         | exception Not_found -> [||]
       in

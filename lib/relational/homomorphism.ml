@@ -29,25 +29,6 @@ let checked_pow base exp =
   done;
   !acc
 
-let is_homomorphism a b (h : mapping) =
-  Array.length h = Structure.size a
-  && Array.for_all (fun v -> v >= 0 && v < Structure.size b) h
-  &&
-  let ok = ref true in
-  (* O(1) expected membership per atom via B's cached relation indexes. *)
-  Structure.iter_tuples
-    (fun name t ->
-      if !ok then
-        let image = Array.map (fun x -> h.(x)) t in
-        let holds =
-          match Structure.index b name with
-          | ix -> Relation.Index.mem ix image
-          | exception Not_found -> false
-        in
-        if not holds then ok := false)
-    a;
-  !ok
-
 (* A nullary fact [P()] of [a] holds under every mapping or under none:
    it needs [P()] in [b].  Arc consistency never sees arity-0 atoms, so
    every engine that shortcuts or propagates checks them here first. *)
@@ -63,6 +44,63 @@ let missing_nullary a b =
     (Vocabulary.symbols (Structure.vocabulary a))
 
 let nullary_facts_hold a b = missing_nullary a b = None
+
+(* One relation of the source, resolved against the target: the entries
+   of its facts, [arity] at a time, and the target index their images
+   must be members of. *)
+type resolved = { ix : Relation.Index.t; arity : int; atoms : int array }
+
+(* Every fact of [g] maps into the target under [h]: one scratch image
+   per call, refilled for each fact. *)
+let facts_hold g (h : mapping) =
+  let image = Array.make g.arity 0 in
+  let k = ref 0 and ok = ref true in
+  while !ok && !k < Array.length g.atoms do
+    for j = 0 to g.arity - 1 do
+      image.(j) <- h.(g.atoms.(!k + j))
+    done;
+    ok := Relation.Index.mem g.ix image;
+    k := !k + g.arity
+  done;
+  !ok
+
+let is_homomorphism a b =
+  let n = Structure.size a and m = Structure.size b in
+  (* A symbol missing from B, or present with another arity, holds no
+     image. *)
+  let possible = ref (nullary_facts_hold a b) and resolved = ref [] in
+  List.iter
+    (fun (name, arity) ->
+      let r = Structure.relation a name in
+      if arity > 0 && not (Relation.is_empty r) then
+        match Structure.relation b name with
+        | target when Relation.arity target = arity ->
+          let atoms = Array.make (arity * Relation.cardinal r) 0 in
+          ignore
+            (Relation.fold
+               (fun t k ->
+                 Array.blit t 0 atoms k arity;
+                 k + arity)
+               r 0);
+          resolved := { ix = Relation.index target; arity; atoms } :: !resolved
+        | _ | (exception Not_found) -> possible := false)
+    (Vocabulary.symbols (Structure.vocabulary a));
+  let possible = !possible and resolved = Array.of_list (List.rev !resolved) in
+  fun (h : mapping) ->
+    possible
+    && Array.length h = n
+    &&
+    let ok = ref true and i = ref 0 in
+    while !ok && !i < n do
+      ok := h.(!i) >= 0 && h.(!i) < m;
+      incr i
+    done;
+    i := 0;
+    while !ok && !i < Array.length resolved do
+      ok := facts_hold resolved.(!i) h;
+      incr i
+    done;
+    !ok
 
 type origin = { symbol : string; fact : Tuple.t }
 
@@ -85,6 +123,9 @@ let mac ?(ordering = `Mrv) ?(budget = Budget.unlimited) ?recorded ctx ~on_soluti
   let nodes = ref 0 in
   let tree = ref (Split { elem = 0; children = [] }) in
   let decided = Array.make n false in
+  (* Staged at the first solution: most searches the core stage runs
+     never reach one. *)
+  let check = lazy (is_homomorphism a b) in
   (* Variable choice: minimum-remaining-values, or plain input order
      (kept for the ablation benchmarks). *)
   let pick () =
@@ -111,7 +152,7 @@ let mac ?(ordering = `Mrv) ?(budget = Budget.unlimited) ?recorded ctx ~on_soluti
       let h = Arc_consistency.solution ctx in
       (* MAC with all-singleton domains implies consistency; keep the
          explicit check as a safety net. *)
-      assert (is_homomorphism a b h);
+      assert (Lazy.force check h);
       on_solution h
     end
     else begin

@@ -41,6 +41,15 @@ val checked_pow : int -> int -> int
     @raise Count_overflow when the power leaves the [int] range. *)
 
 val is_homomorphism : Structure.t -> Structure.t -> mapping -> bool
+(** [is_homomorphism a b h]: [h] has length [Structure.size a], maps
+    into [b]'s universe, and sends every fact of [a] to a fact of [b].
+    Staged: [is_homomorphism a b] resolves each relation of [a] to the
+    index of [b] it must map into, once; each call on a mapping then
+    fills one scratch image per relation and probes
+    {!Relation.Index.mem}, with no symbol lookup and no allocation per
+    fact.  A caller checking many mappings binds the partial
+    application once.  The closure keeps no state between calls, so
+    concurrent searches may share it. *)
 
 val nullary_facts_hold : Structure.t -> Structure.t -> bool
 (** Every nullary fact [P()] of the source is a fact of the target.  No

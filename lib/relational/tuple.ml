@@ -1,16 +1,17 @@
 type t = int array
 
+(* [compare], [equal] and [hash] run on every hash-index probe and set
+   operation, so they are plain loops: no closure built or called per
+   tuple.  [s] and [t] have the same length. *)
+let rec compare_from (s : t) (t : t) i =
+  if i >= Array.length s then 0
+  else
+    let c = Int.compare s.(i) t.(i) in
+    if c <> 0 then c else compare_from s t (i + 1)
+
 let compare (s : t) (t : t) =
   let ls = Array.length s and lt = Array.length t in
-  if ls <> lt then Int.compare ls lt
-  else
-    let rec loop i =
-      if i >= ls then 0
-      else
-        let c = Int.compare s.(i) t.(i) in
-        if c <> 0 then c else loop (i + 1)
-    in
-    loop 0
+  if ls <> lt then Int.compare ls lt else compare_from s t 0
 
 let equal (s : t) (t : t) = compare s t = 0
 
@@ -26,7 +27,11 @@ let mix h =
   (h lxor (h lsr 31)) land max_int
 
 let hash (t : t) =
-  Array.fold_left (fun acc x -> mix (acc lxor (x + 0x9e3779b9))) (mix (Array.length t)) t
+  let h = ref (mix (Array.length t)) in
+  for i = 0 to Array.length t - 1 do
+    h := mix (!h lxor (t.(i) + 0x9e3779b9))
+  done;
+  !h
 
 module Table = Hashtbl.Make (struct
   type nonrec t = t

@@ -243,26 +243,61 @@ let parse ?max_bytes s =
 
 (* --- Printing ------------------------------------------------------ *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* A JSON string literal, escaped straight into [buf]; most keys and
+   strings need no escape and go in whole. *)
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let write_string buf s =
+  Buffer.add_char buf '"';
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+  Buffer.add_char buf '"'
+
+(* The decimal digits of [n <= 0], most significant first.  Negative, so
+   [min_int] needs no special case. *)
+let rec write_digits buf n =
+  if n <> 0 then begin
+    write_digits buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+  end
+
+(* [string_of_int i], written into [buf] without the intermediate
+   string. *)
+let write_int buf i =
+  if i = 0 then Buffer.add_char buf '0'
+  else if i < 0 then begin
+    Buffer.add_char buf '-';
+    write_digits buf i
+  end
+  else write_digits buf (-i)
+
+(* Comma-separated, with no index counted per element. *)
+let write_seq write_one buf = function
+  | [] -> ()
+  | x :: xs ->
+    write_one buf x;
+    List.iter
+      (fun x ->
+        Buffer.add_char buf ',';
+        write_one buf x)
+      xs
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> write_int buf i
   | Float f ->
     if not (Float.is_finite f) then Buffer.add_string buf "null"
     else if Float.is_integer f && Float.abs f < 1e15 then
@@ -273,30 +308,24 @@ let rec write buf = function
       Buffer.add_string buf
         (if float_of_string s = f then s else Printf.sprintf "%.17g" f)
     end
-  | String s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
+  | String s -> write_string buf s
   | List items ->
     Buffer.add_char buf '[';
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char buf ',';
-        write buf v)
-      items;
+    write_seq write buf items;
     Buffer.add_char buf ']'
   | Obj fields ->
     Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
-        Buffer.add_string buf "\":";
-        write buf v)
-      fields;
+    write_seq write_field buf fields;
     Buffer.add_char buf '}'
 
+and write_field buf (k, v) =
+  write_string buf k;
+  Buffer.add_char buf ':';
+  write buf v
+
+(* The first buffer stays in the minor heap (at most 256 words): a
+   larger one would put every response, however short, in the major
+   heap. *)
 let to_string v =
   let buf = Buffer.create 128 in
   write buf v;

@@ -159,14 +159,17 @@ let ok_stats ~id ~fields =
      ]
     @ fields)
 
+let json_of_mapping h =
+  let rec from i items = if i < 0 then items else from (i - 1) (Json.Int h.(i) :: items) in
+  Json.List (from (Array.length h - 1) [])
+
 let ok_verdict ~id ~op ~verdict ~route ~cache ~nodes ~elapsed_ms ~certified =
   let verdict_fields =
     match verdict with
     | Core.Solver.Sat h ->
       [
         ("verdict", Json.String "sat");
-        ( "witness",
-          Json.List (Array.to_list (Array.map (fun v -> Json.Int v) h)) );
+        ("witness", json_of_mapping h);
         ("code", Json.Int 0);
       ]
     | Core.Solver.Unsat c ->
@@ -208,12 +211,7 @@ let ok_enumerate_answers ~id ~answers =
       ("status", Json.String "ok");
       ("op", Json.String "enumerate");
       ("frame", Json.String "answers");
-      ( "answers",
-        Json.List
-          (List.map
-             (fun h ->
-               Json.List (Array.to_list (Array.map (fun v -> Json.Int v) h)))
-             answers) );
+      ("answers", Json.List (List.map json_of_mapping answers));
     ]
 
 let ok_enumerate_final ~id ~route ~cache ~count ~complete ~elapsed_ms =

@@ -79,6 +79,10 @@ val ok_ping : id:Json.t -> Json.t
 
 val ok_stats : id:Json.t -> fields:(string * Json.t) list -> Json.t
 
+val json_of_mapping : int array -> Json.t
+(** A witness as a JSON array of its values, as every response and
+    [cqc enumerate --format jsonl] print it. *)
+
 val ok_verdict :
   id:Json.t ->
   op:op ->

@@ -29,8 +29,9 @@ let brute_force_hom a b =
       next (i - 1)
     end
   in
+  let is_hom = Homomorphism.is_homomorphism a b in
   let rec loop () =
-    if Homomorphism.is_homomorphism a b h then
+    if is_hom h then
       Some (certified_witness a b (Array.copy h))
     else if next (n - 1) then loop ()
     else None

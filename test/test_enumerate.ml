@@ -212,8 +212,9 @@ let with_edges ~size ~p edges =
 let brute_count a b =
   let n = Structure.size a and m = Structure.size b in
   let h = Array.make n 0 in
+  let is_hom = Homomorphism.is_homomorphism a b in
   let rec go i =
-    if i = n then if Homomorphism.is_homomorphism a b h then 1 else 0
+    if i = n then if is_hom h then 1 else 0
     else begin
       let c = ref 0 in
       for v = 0 to m - 1 do

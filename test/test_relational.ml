@@ -237,6 +237,30 @@ let hom_unit_tests =
         let v2 = Vocabulary.create [ ("E", 2); ("F", 2) ] in
         let a = Structure.of_relations v2 ~size:2 [ ("F", [ [| 0; 1 |] ]) ] in
         check "fails" false (Homomorphism.exists a (clique 3)));
+    Alcotest.test_case "one staged check serves two domains at once" `Quick (fun () ->
+        (* The 3^6 colourings of C6 with K3, 66 of them proper: each
+           domain counts them through the shared closure. *)
+        let check_c6 = Homomorphism.is_homomorphism (undirected_cycle 6) (clique 3) in
+        let colourings =
+          Array.init 729 (fun code ->
+              let h = Array.make 6 0 and rest = ref code in
+              for i = 0 to 5 do
+                h.(i) <- !rest mod 3;
+                rest := !rest / 3
+              done;
+              h)
+        in
+        let proper () =
+          let n = ref 0 in
+          for _ = 1 to 20 do
+            Array.iter (fun h -> if check_c6 h then incr n) colourings
+          done;
+          !n
+        in
+        let other = Domain.spawn proper in
+        let mine = proper () in
+        check_int "this domain" (20 * 66) mine;
+        check_int "the other domain" (20 * 66) (Domain.join other));
     Alcotest.test_case "compose and identity" `Quick (fun () ->
         let h = [| 1; 0; 1 |] and g = [| 5; 7 |] in
         Alcotest.check mapping_testable "compose" [| 7; 5; 7 |] (Homomorphism.compose g h));
@@ -458,8 +482,73 @@ let ac_script_agrees (a, b, removed, script) =
   agrees [] ok && run [] ok script
 
 
+(* The staged check against one written out here.  [b] may lack a
+   symbol of [a] or give it another arity, either side may hold nullary
+   facts, and the mappings interleave every in-range mapping of the
+   right length with ones of the wrong length or with values outside
+   [b]'s universe, so rejected and accepted calls alternate on one
+   closure. *)
+let arbitrary_staged_check =
+  let open QCheck.Gen in
+  let relation ~size arity =
+    if arity = 0 then map (fun p -> if p then [ [||] ] else []) bool
+    else if size = 0 then return []
+    else list_size (0 -- 5) (array_repeat arity (0 -- (size - 1)))
+  in
+  let gen =
+    let* arities = list_size (1 -- 3) (0 -- 3) in
+    let symbols = List.mapi (fun i r -> (Printf.sprintf "R%d" i, r)) arities in
+    (* 0: same arity, 1: missing from [b], 2: arity one higher in [b]. *)
+    let* shapes = list_repeat (List.length symbols) (frequencyl [ (6, 0); (1, 1); (1, 2) ]) in
+    let symbols_b =
+      List.concat
+        (List.map2
+           (fun (name, r) shape -> match shape with 0 -> [ (name, r) ] | 1 -> [] | _ -> [ (name, r + 1) ])
+           symbols shapes)
+    in
+    let* size_a = 0 -- 4 and* size_b = 0 -- 3 in
+    let side symbols ~size =
+      flatten_l (List.map (fun (name, r) -> map (fun ts -> (name, ts)) (relation ~size r)) symbols)
+    in
+    let* rels_a = side symbols ~size:size_a and* rels_b = side symbols_b ~size:size_b in
+    let all =
+      List.fold_left
+        (fun acc _ -> List.concat_map (fun h -> List.init size_b (fun v -> v :: h)) acc)
+        [ [] ] (List.init size_a Fun.id)
+    in
+    let* wrong =
+      list_size (1 -- 12)
+        (let* len = oneofl [ max 0 (size_a - 1); size_a; size_a + 1 ] in
+         list_repeat len (-1 -- (size_b + 1)))
+    in
+    let* mappings = shuffle_l (List.map Array.of_list (all @ wrong)) in
+    return
+      ( Structure.of_relations (Vocabulary.create symbols) ~size:size_a rels_a,
+        Structure.of_relations (Vocabulary.create symbols_b) ~size:size_b rels_b,
+        mappings )
+  in
+  QCheck.make
+    ~print:(fun (a, b, mappings) ->
+      Format.asprintf "A = %a@.B = %a@.mappings = %s" Structure.pp a Structure.pp b
+        (String.concat "; " (List.map (Format.asprintf "%a" Tuple.pp) mappings)))
+    gen
+
+let direct_is_homomorphism a b h =
+  Array.length h = Structure.size a
+  && Array.for_all (fun v -> v >= 0 && v < Structure.size b) h
+  && List.for_all
+       (fun (name, t) ->
+         match Structure.relation b name with
+         | r -> Relation.arity r = Array.length t && Relation.mem r (Array.map (fun x -> h.(x)) t)
+         | exception Not_found -> false)
+       (Structure.facts a)
+
 let property_tests =
   [
+    qtest ~count:500 "staged is_homomorphism agrees with a direct check" arbitrary_staged_check
+      (fun (a, b, mappings) ->
+        let check = Homomorphism.is_homomorphism a b in
+        List.for_all (fun h -> check h = direct_is_homomorphism a b h) mappings);
     qtest ~count:300 "find agrees with brute force" (arbitrary_pair ())
       (fun (a, b) -> Homomorphism.exists a b = brute_force_exists a b);
     qtest ~count:200 "found mappings are homomorphisms" (arbitrary_pair ())
@@ -549,9 +638,10 @@ let property_tests =
         let n = Structure.size a and m = Structure.size b in
         let count = ref 0 in
         let h = Array.make n 0 in
+        let is_hom = Homomorphism.is_homomorphism a b in
         let rec loop i =
           if i = n then begin
-            if Homomorphism.is_homomorphism a b h then incr count
+            if is_hom h then incr count
           end
           else
             for v = 0 to m - 1 do

@@ -104,6 +104,19 @@ let json_tests =
         match Json.parse "\"\\uD83Dx\"" with
         | Json.String s -> check_str "lone" "\xEF\xBF\xBDx" s
         | _ -> Alcotest.fail "expected a string");
+    Alcotest.test_case "integers print as string_of_int and parse back" `Quick (fun () ->
+        List.iter
+          (fun i ->
+            let s = Json.to_string (Json.Int i) in
+            check_str (string_of_int i) (string_of_int i) s;
+            check (s ^ " round-trips") true (Json.parse s = Json.Int i))
+          [ 0; 1; -1; 9; -9; 10; -10; max_int; min_int ];
+        check_str "list" "[0,-10,[]]"
+          (Json.to_string (Json.List [ Json.Int 0; Json.Int (-10); Json.List [] ])));
+    Alcotest.test_case "strings escape in place" `Quick (fun () ->
+        check_str "escaped" {|{"k\"ey":"a\"b\\c\n\r\t\u0001\u001f/","":{}}|}
+          (Json.to_string
+             (Json.Obj [ ("k\"ey", Json.String "a\"b\\c\n\r\t\001\031/"); ("", Json.Obj []) ])));
     Alcotest.test_case "non-finite floats print as null" `Quick (fun () ->
         check_str "nan" "null" (Json.to_string (Json.Float Float.nan));
         check_str "inf" "null" (Json.to_string (Json.Float Float.infinity)));
