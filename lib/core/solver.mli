@@ -162,13 +162,15 @@ val solve :
     [Certificate.Via_preprocess] so they still check against the raw
     instance; per-part witnesses are reassembled through the fold maps
     and re-verified.  The [Preprocess] attempt after the head's attempts
-    in {!result.attempts} carries the [preprocess.*] shrink counters.
-    Shrink-stage budget exhaustion degrades to the unshrunk instance
-    ([preprocess.bailouts]); it never changes a verdict.  With
-    [preprocess = false] the boundary never shrinks: the tail runs on
-    the raw source as its one part.  With [threads > 1] and several
-    parts, parts race through [Parallel.Race] under {!Budget.racer}
-    budgets (first refutation cancels the rest).
+    in {!result.attempts} carries the [preprocess.*] shrink counters
+    ({!Preprocess.counters}).  No shrink is remembered between solves,
+    so no result depends on the solves before it.  Shrink-stage budget
+    exhaustion degrades to the unshrunk instance ([preprocess.bailouts]);
+    it never changes a verdict.  With [preprocess = false] the boundary
+    never shrinks: the tail runs on the raw source as its one part.
+    With [threads > 1] and several parts, parts race through
+    [Parallel.Race] under {!Budget.racer} budgets (first refutation
+    cancels the rest).
 
     [max_treewidth] (default 3) caps the decomposition width the DP route
     accepts; [consistency_k] (default 2) is the pebble count of the

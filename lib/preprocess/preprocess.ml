@@ -20,7 +20,6 @@ type stats = {
   folded : int;
   core_dropped : int;
   bailouts : int;
-  memo_hits : int;
 }
 
 let counters s =
@@ -30,7 +29,6 @@ let counters s =
     ("preprocess.core_dropped", s.core_dropped);
     ("preprocess.distinct_parts", s.distinct_parts);
     ("preprocess.folded", s.folded);
-    ("preprocess.memo_hits", s.memo_hits);
     ("preprocess.raw_elements", s.raw_elements);
     ("preprocess.shrunk_elements", s.shrunk_elements);
   ]
@@ -47,38 +45,6 @@ type source = {
   assign : (int * int) array;
   stats : stats;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Shrink memo: canonical text -> finished (unbailed) retraction.       *)
-(* Shared across source pieces and serve targets; wholesale reset at    *)
-(* capacity keeps it bounded without LRU bookkeeping.                   *)
-(* ------------------------------------------------------------------ *)
-
-(* An entry keeps a shrink's maps, not its structure: the shrunk
-   structure is the input induced on [embed], rebuilt on a hit, so an
-   entry holds neither a structure nor the indexes the routes that ran
-   on it built. *)
-type memo_entry = {
-  m_fold : int array;
-  m_embed : int array;
-  m_folded : int;
-  m_core_dropped : int;
-}
-
-let memo_cap = 512
-let memo : (string, memo_entry) Hashtbl.t = Hashtbl.create 64
-let memo_lock = Mutex.create ()
-let memo_find key = Mutex.protect memo_lock (fun () -> Hashtbl.find_opt memo key)
-
-let memo_store key entry =
-  Mutex.protect memo_lock (fun () ->
-      if Hashtbl.length memo >= memo_cap then Hashtbl.reset memo;
-      Hashtbl.replace memo key entry)
-
-let memo_stats () =
-  (Mutex.protect memo_lock (fun () -> Hashtbl.length memo), memo_cap)
-
-let memo_reset () = Mutex.protect memo_lock (fun () -> Hashtbl.reset memo)
 
 (* ------------------------------------------------------------------ *)
 (* Stage: dominated-element folding.                                    *)
@@ -267,73 +233,33 @@ let normalize_retraction r =
 (* Combined per-structure shrink (fold passes, then core search).       *)
 (* ------------------------------------------------------------------ *)
 
-type shrink_info = {
-  i_folded : int;
-  i_core_dropped : int;
-  i_bailed : bool;
-  i_memo_hit : bool;
-}
+type shrink_info = { i_folded : int; i_core_dropped : int; i_bailed : bool }
 
 let default_core_nodes st = max 64 (Structure.norm st / 4)
 
 let shrink_structure ?(budget = Budget.unlimited) ?core_nodes st =
   if Structure.size st = 0 then
-    ( identity_retraction st,
-      { i_folded = 0; i_core_dropped = 0; i_bailed = false; i_memo_hit = false }
-    )
+    (identity_retraction st, { i_folded = 0; i_core_dropped = 0; i_bailed = false })
   else
     let cap =
       match core_nodes with Some c -> c | None -> default_core_nodes st
     in
-    (* The node cap shapes how far the core search gets, so it is part
-       of the memo key: a shallow cached shrink must not answer for a
-       deeper requested one (or vice versa). *)
-    let key = string_of_int cap ^ "|" ^ Structure_text.print st in
-    match memo_find key with
-    | Some e ->
-      Telemetry.count "preprocess.memo_hit" 1;
-      let structure =
-        if Array.length e.m_embed = Structure.size st then st
-        else Structure.induced st (Array.to_list e.m_embed)
-      in
-      ( { structure; fold = e.m_fold; embed = e.m_embed },
+    let r1, folded, bail1 = fold_stage ~budget st in
+    let core_budget = Budget.slice budget ~max_nodes:cap () in
+    let st2, fold2, embed2, dropped, bail2 =
+      core_stage ~budget:core_budget r1.structure
+    in
+    let r =
+      normalize_retraction
         {
-          i_folded = e.m_folded;
-          i_core_dropped = e.m_core_dropped;
-          i_bailed = false;
-          i_memo_hit = true;
-        } )
-    | None ->
-      let r1, folded, bail1 = fold_stage ~budget st in
-      let core_budget = Budget.slice budget ~max_nodes:cap () in
-      let st2, fold2, embed2, dropped, bail2 =
-        core_stage ~budget:core_budget r1.structure
-      in
-      let r =
-        normalize_retraction
-          {
-            structure = st2;
-            fold = Homomorphism.compose fold2 r1.fold;
-            embed = Homomorphism.compose r1.embed embed2;
-          }
-      in
-      let bailed = bail1 || bail2 in
-      if bailed then Telemetry.count "preprocess.bailout" 1
-      else
-        memo_store key
-          {
-            m_fold = r.fold;
-            m_embed = r.embed;
-            m_folded = folded;
-            m_core_dropped = dropped;
-          };
-      ( r,
-        {
-          i_folded = folded;
-          i_core_dropped = dropped;
-          i_bailed = bailed;
-          i_memo_hit = false;
-        } )
+          structure = st2;
+          fold = Homomorphism.compose fold2 r1.fold;
+          embed = Homomorphism.compose r1.embed embed2;
+        }
+    in
+    let bailed = bail1 || bail2 in
+    if bailed then Telemetry.count "preprocess.bailout" 1;
+    (r, { i_folded = folded; i_core_dropped = dropped; i_bailed = bailed })
 
 let target_core ?budget ?core_nodes b =
   fst (shrink_structure ?budget ?core_nodes b)
@@ -385,7 +311,6 @@ let stats_of ~raw_elements ~components parts =
     folded = 0;
     core_dropped = 0;
     bailouts = 0;
-    memo_hits = 0;
   }
 
 let whole a =
@@ -448,7 +373,6 @@ let shrink_parts ?(budget = Budget.unlimited) ?core_nodes src =
       folded = sum (fun i -> i.i_folded);
       core_dropped = sum (fun i -> i.i_core_dropped);
       bailouts = sum (fun i -> Bool.to_int i.i_bailed);
-      memo_hits = sum (fun i -> Bool.to_int i.i_memo_hit);
     }
   in
   if stats.shrunk_elements < stats.raw_elements then

@@ -17,11 +17,10 @@ open Relational
       ({!Homomorphism.folds_onto}), so dropping [x] is a retraction —
       in one pass over a live set ({!fold_stage});
     + core computation by greedy retraction search (repeatedly find an
-      endomorphism missing some element), budget-metered and memoized by
-      canonical text.  Each round establishes one arc-consistent
-      self-context and searches it once per avoided element; a round
-      whose domains are all singletons has found a rigid structure, a
-      core, and ends the stage.
+      endomorphism missing some element), budget-metered.  Each round
+      establishes one arc-consistent self-context and searches it once
+      per avoided element; a round whose domains are all singletons has
+      found a rigid structure, a core, and ends the stage.
 
     Every shrink is returned as a {!retraction} whose [fold]/[embed]
     maps certify it: [fold] is a homomorphism from the original onto the
@@ -57,11 +56,12 @@ type stats = {
   folded : int;  (** Elements removed by dominated-element folding. *)
   core_dropped : int;  (** Elements removed by retraction search. *)
   bailouts : int;  (** Stages that hit a budget and kept partial work. *)
-  memo_hits : int;
 }
 
 val counters : stats -> (string * int) list
-(** Stats as ["preprocess.*"] counters for attempt records. *)
+(** Stats as ["preprocess.*"] counters for attempt records, sorted by
+    name: [bailouts], [components], [core_dropped], [distinct_parts],
+    [folded], [raw_elements], [shrunk_elements]. *)
 
 type part = {
   piece : Structure.t;  (** The component, before shrinking. *)
@@ -90,9 +90,10 @@ val components : Structure.t -> source
 val shrink_source :
   ?budget:Budget.t -> ?core_nodes:int -> Structure.t -> source
 (** Full pipeline on a source structure: {!components}, then fold and
-    core of each part's [piece], memoized by canonical text.  A connected, unshrinkable input yields one part
-    whose [piece] is the input itself (identity embed) and whose
-    [shrink] is trivial. *)
+    core of each part's [piece].  A connected, unshrinkable input
+    yields one part whose [piece] is the input itself (identity embed)
+    and whose [shrink] is trivial.  Keeps no state between calls: the
+    result depends only on the input, the budget and [core_nodes]. *)
 
 val whole : Structure.t -> source
 (** The input as one part with the identity shrink: what the solver
@@ -107,9 +108,9 @@ val fold_stage : budget:Budget.t -> Structure.t -> retraction * int * bool
     completed folds are kept and [bailed] is set. *)
 
 val target_core : ?budget:Budget.t -> ?core_nodes:int -> Structure.t -> retraction
-(** Fold + core shrink of a target (serve template) structure.  Memoized
-    with the source pipeline's table; the identity retraction when
-    nothing shrinks or the budget bails immediately. *)
+(** Fold + core shrink of a target (serve template) structure, the
+    same two stages under the same cap as a source part; the identity
+    retraction when nothing shrinks or the budget bails immediately. *)
 
 val ac_singleton_witness :
   ?budget:Budget.t -> Structure.t -> Structure.t -> int array option
@@ -130,10 +131,3 @@ val assemble_witness : source -> (int -> int array) -> int array
 (** Reassemble a witness on the original source from per-part witnesses
     on the shrunk pieces: element [e] maps through its part's fold, then
     the part's witness. *)
-
-val memo_stats : unit -> int * int
-(** (entries, capacity) of the shared shrink memo table, for reporting. *)
-
-val memo_reset : unit -> unit
-(** Empty the shrink memo.  For tests that need memo-cold determinism
-    (attempt records mention memo hits and skipped search work). *)

@@ -124,15 +124,6 @@ let exists p r = Tuple_set.exists p r.tuples
 
 let filter p r = make r.arity (Tuple_set.filter p r.tuples)
 
-let map f r =
-  fold
-    (fun t acc ->
-      let t' = f t in
-      if Array.length t' <> r.arity then
-        invalid_arg "Relation.map: transformer changed arity";
-      add acc t')
-    r (empty r.arity)
-
 let elements r = Tuple_set.elements r.tuples
 
 let tuples_array r = Index.tuples (index r)

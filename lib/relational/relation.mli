@@ -62,10 +62,6 @@ val exists : (Tuple.t -> bool) -> t -> bool
 
 val filter : (Tuple.t -> bool) -> t -> t
 
-val map : (Tuple.t -> Tuple.t) -> t -> t
-(** Image of the relation under a tuple transformer; the transformer must
-    preserve arity. @raise Invalid_argument otherwise. *)
-
 val elements : t -> Tuple.t list
 (** Tuples in increasing {!Tuple.compare} order. *)
 

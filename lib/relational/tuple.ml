@@ -41,8 +41,6 @@ module Table = Hashtbl.Make (struct
   let hash = hash
 end)
 
-let map = Array.map
-
 let elements t =
   let seen = Hashtbl.create (Array.length t) in
   let acc = ref [] in
@@ -54,8 +52,6 @@ let elements t =
       end)
     t;
   List.rev !acc
-
-let max_element t = Array.fold_left max (-1) t
 
 let pp ppf t =
   Format.fprintf ppf "(%a)"

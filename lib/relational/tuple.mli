@@ -15,13 +15,8 @@ val hash : t -> int
 (** Equality-compatible hash with full avalanche mixing: suitable for
     hash-indexing structured instances without degenerate buckets. *)
 
-val map : (int -> int) -> t -> t
-
 val elements : t -> int list
 (** Distinct elements occurring in the tuple, in first-occurrence order. *)
-
-val max_element : t -> int
-(** Largest element of the tuple; [-1] for the empty tuple. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints [(a1, ..., an)]. *)

@@ -23,20 +23,6 @@ let add v name arity =
   if mem v name then invalid_arg ("Vocabulary.add: duplicate symbol " ^ name);
   build (v.symbols @ [ (name, arity) ])
 
-let union v w =
-  let extra =
-    List.filter
-      (fun (name, arity) ->
-        match Hashtbl.find_opt v.index name with
-        | None -> true
-        | Some a ->
-          if a <> arity then
-            invalid_arg ("Vocabulary.union: arity conflict on " ^ name)
-          else false)
-      w.symbols
-  in
-  build (v.symbols @ extra)
-
 let subset v w =
   List.for_all
     (fun (name, arity) ->

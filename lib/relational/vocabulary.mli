@@ -17,10 +17,6 @@ val mem : t -> string -> bool
 val add : t -> string -> int -> t
 (** Append a fresh symbol. @raise Invalid_argument if already present. *)
 
-val union : t -> t -> t
-(** Union of two vocabularies.
-    @raise Invalid_argument if a shared name has conflicting arities. *)
-
 val equal : t -> t -> bool
 (** Same symbols with same arities (order-insensitive). *)
 

@@ -13,7 +13,9 @@
     Each entry also stores the template's certified {e core}
     ({!Preprocess.target_core}), computed once at insert/warm time, so
     every request against a cached template solves the smaller target
-    and lifts the result back through the retraction.
+    and lifts the result back through the retraction.  This is the one
+    place a shrink is kept: {!Preprocess} itself remembers nothing
+    between calls.
 
     Keys are fingerprints (FNV-1a 64 over the canonical structure text);
     the canonical text itself is kept per entry and compared on hit —

@@ -26,11 +26,6 @@ let of_edges ~size edges =
 
 let adjacency g = Array.sub g.adj 0 g.size
 
-let mem_edge g u v =
-  check g u;
-  check g v;
-  Iset.mem v g.adj.(u)
-
 let neighbors g v =
   check g v;
   Iset.elements g.adj.(v)
@@ -41,31 +36,3 @@ let edges g =
     Iset.iter (fun v -> if u < v then acc := (u, v) :: !acc) g.adj.(u)
   done;
   List.sort compare !acc
-
-let is_clique g vs =
-  List.for_all (fun u -> List.for_all (fun v -> u = v || mem_edge g u v) vs) vs
-
-let components g =
-  let seen = Array.make (max g.size 1) false in
-  let comps = ref [] in
-  for v = 0 to g.size - 1 do
-    if not seen.(v) then begin
-      let comp = ref [] in
-      let queue = Queue.create () in
-      Queue.add v queue;
-      seen.(v) <- true;
-      while not (Queue.is_empty queue) do
-        let u = Queue.pop queue in
-        comp := u :: !comp;
-        Iset.iter
-          (fun w ->
-            if not seen.(w) then begin
-              seen.(w) <- true;
-              Queue.add w queue
-            end)
-          g.adj.(u)
-      done;
-      comps := List.sort Int.compare !comp :: !comps
-    end
-  done;
-  List.rev !comps

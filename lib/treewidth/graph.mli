@@ -17,8 +17,3 @@ val adjacency : t -> Set.Make(Int).t array
 
 val edges : t -> (int * int) list
 (** Pairs [(u, v)] with [u < v], sorted. *)
-
-val is_clique : t -> int list -> bool
-
-val components : t -> int list list
-(** Connected components, each sorted. *)

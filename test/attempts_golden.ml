@@ -23,7 +23,6 @@ let () =
       (fun preprocess ->
         List.iter
           (fun (label, max_nodes) ->
-            Preprocess.memo_reset ();
             let budget =
               match max_nodes with
               | None -> Relational.Budget.unlimited

@@ -6,9 +6,7 @@
    of that way.  The runtest rule diffs the report against
    cli/serve_paths.expected, so a change in what any request path
    answers, or in how many cache lookups and forks it costs, shows up
-   here.  The preprocess memo is reset before each frame: a sandboxed
-   solve's memo entries die with its worker, so without the reset node
-   counts would depend on the frames before. *)
+   here. *)
 
 module Json = Serve.Json
 module Server = Serve.Server
@@ -76,7 +74,6 @@ let () =
       Printf.printf "== %s\n" way;
       List.iter
         (fun (label, frame) ->
-          Preprocess.memo_reset ();
           let frame = if batch then Json.List [ frame ] else frame in
           let emit line = Printf.printf "%s | emit | %s\n" label (show line) in
           let resp = Server.handle_line ~emit cfg (Json.to_string frame) in

@@ -522,6 +522,47 @@ let workload_tests =
 
 
 (* ------------------------------------------------------------------ *)
+(* History independence                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A budgeted answer depends on (A, B) and the budget alone: an
+   unbudgeted solve of the same pair in between, which shrinks the
+   source to completion, must not change the verdict, the route or any
+   attempt's outcome, node count or counters. *)
+let report (r : Solver.result) =
+  let attempt (at : Solver.attempt) =
+    Printf.sprintf "%s:%s:%d:[%s]" (Solver.route_name at.route)
+      (Solver.outcome_name at.outcome) at.nodes
+      (String.concat ","
+         (List.map (fun (name, n) -> Printf.sprintf "%s=%d" name n) at.counters))
+  in
+  String.concat " | "
+    (Solver.verdict_name r.verdict :: Solver.route_name r.route
+     :: List.map attempt r.attempts)
+
+let history_tests =
+  [
+    Alcotest.test_case "a budgeted solve answers the same after an unbudgeted one"
+      `Quick (fun () ->
+        for seed = 0 to 199 do
+          let a, b = Selfcheck.instance seed in
+          List.iter
+            (fun max_nodes ->
+              let budgeted () =
+                report
+                  (Solver.solve ~threads:1
+                     ~budget:(Budget.create ~max_nodes ()) a b)
+              in
+              let first = budgeted () in
+              ignore (Solver.solve ~threads:1 a b);
+              Alcotest.(check string)
+                (Printf.sprintf "seed %d max_nodes %d" seed max_nodes)
+                first (budgeted ()))
+            [ 10; 20; 50 ]
+        done);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Hell-Nesetril dichotomy for graph targets                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -604,5 +645,5 @@ let graph_dichotomy_tests =
 let () =
   Alcotest.run "core"
     [ ("csp", csp_tests); ("solver", solver_tests); ("certificate", certificate_tests);
-      ("workloads", workload_tests);
+      ("workloads", workload_tests); ("history", history_tests);
       ("graph-dichotomy", graph_dichotomy_tests) ]

@@ -48,13 +48,11 @@ let unit_tests =
   [
     Alcotest.test_case "padded triangle cores down to the triangle" `Quick
       (fun () ->
-        Preprocess.memo_reset ();
         let a = padded_triangle 9 in
         let r = deep_core a in
         check_int "core size" 3 (Structure.size r.Preprocess.structure);
         check "retraction certifies" true (retraction_ok a r));
     Alcotest.test_case "two self-loops fold to one" `Quick (fun () ->
-        Preprocess.memo_reset ();
         let a = Helpers.digraph ~size:2 [ (0, 0); (1, 1) ] in
         let r = deep_core a in
         check_int "core size" 1 (Structure.size r.Preprocess.structure);
@@ -62,7 +60,6 @@ let unit_tests =
     Alcotest.test_case "a loop absorbs its whole component" `Quick (fun () ->
         (* Everything maps onto the looped vertex, so the core is the
            single loop even though no vertex is dominated tuple-wise. *)
-        Preprocess.memo_reset ();
         let a = Helpers.digraph ~size:4 [ (0, 0); (1, 0); (0, 2); (2, 3) ] in
         let r = deep_core a in
         check_int "core size" 1 (Structure.size r.Preprocess.structure);
@@ -72,7 +69,6 @@ let unit_tests =
         (* x -E-> y with no loop anywhere: substituting x := y would need
            E(y,y), so nothing folds and the 1-edge digraph is its own
            core (it has no endomorphism missing a vertex). *)
-        Preprocess.memo_reset ();
         let a = Helpers.digraph ~size:2 [ (0, 1) ] in
         check "0 onto 1" false (Homomorphism.folds_onto a 0 1);
         check "1 onto 0" false (Homomorphism.folds_onto a 1 0);
@@ -80,7 +76,6 @@ let unit_tests =
         check_int "already a core" 2 (Structure.size r.Preprocess.structure));
     Alcotest.test_case "arity-3 domination folds the duplicate coordinate"
       `Quick (fun () ->
-        Preprocess.memo_reset ();
         let vocab = Vocabulary.create [ ("R", 3) ] in
         let a =
           Structure.of_relations vocab ~size:4
@@ -119,7 +114,6 @@ let unit_tests =
       `Quick (fun () ->
         (* Wrap a component refutation by hand and make sure the checker
            replays it against the unshrunk source. *)
-        Preprocess.memo_reset ();
         let a =
           Structure.disjoint_union (padded_triangle 4)
             (Helpers.digraph ~size:1 [])
@@ -144,20 +138,6 @@ let property_tests =
         let r2 = deep_core r1.Preprocess.structure in
         Structure.size r2.Preprocess.structure
         = Structure.size r1.Preprocess.structure);
-    Helpers.qtest ~count:300 "a memo hit rebuilds the retraction it stored"
-      (Helpers.arbitrary_structure ())
-      (fun a ->
-        (* The memo keeps only the maps; a textually equal copy of [a]
-           must get back the structure induced on [embed]. *)
-        Preprocess.memo_reset ();
-        let r1 = deep_core a in
-        let stored = fst (Preprocess.memo_stats ()) in
-        let r2 = deep_core (Structure_text.parse (Structure_text.print a)) in
-        stored = 1
-        && fst (Preprocess.memo_stats ()) = 1
-        && Structure.equal r1.Preprocess.structure r2.Preprocess.structure
-        && r1.Preprocess.fold = r2.Preprocess.fold
-        && r1.Preprocess.embed = r2.Preprocess.embed);
     Helpers.qtest ~count:300 "every retraction certifies both ways"
       (Helpers.arbitrary_structure ())
       (fun a -> retraction_ok a (deep_core a));
@@ -284,7 +264,6 @@ let fold_tests =
            words here; one pass with one final copy stays well under a
            megaword. *)
         let a = Testkit.Workloads.pendant_cycle ~seed:1 ~cycle:5 800 in
-        Preprocess.memo_reset ();
         let words () =
           let minor, _, major = Gc.counters () in
           minor +. major
@@ -310,7 +289,6 @@ let budget_tests =
         (* One node of budget: the pipeline must bail out (counted, not
            raised), hand back a sound partial shrink, and the solve must
            answer Unknown or the true verdict — never the wrong one. *)
-        Preprocess.memo_reset ();
         let a = padded_triangle 8 in
         let budget = Budget.create ~max_nodes:1 () in
         let src = Preprocess.shrink_source ~budget a in
@@ -342,7 +320,6 @@ let budget_tests =
         check_verdict "reference is sat" (Some true) reference;
         List.iter
           (fun n ->
-            Preprocess.memo_reset ();
             let budget = Budget.create ~max_nodes:n () in
             match
               Helpers.certified_verdict a b

@@ -17,9 +17,6 @@ let tuple_tests =
         check_int "equal" 0 (Tuple.compare [| 1; 2 |] [| 1; 2 |]));
     Alcotest.test_case "elements dedupes preserving order" `Quick (fun () ->
         Alcotest.(check (list int)) "elems" [ 3; 1; 2 ] (Tuple.elements [| 3; 1; 3; 2; 1 |]));
-    Alcotest.test_case "max_element" `Quick (fun () ->
-        check_int "max" 7 (Tuple.max_element [| 1; 7; 3 |]);
-        check_int "empty" (-1) (Tuple.max_element [||]));
     Alcotest.test_case "hash respects equality" `Quick (fun () ->
         check_int "same" (Tuple.hash [| 1; 2; 3 |]) (Tuple.hash [| 1; 2; 3 |]));
     Alcotest.test_case "hash separates permutations and lengths" `Quick (fun () ->
@@ -54,15 +51,6 @@ let vocabulary_tests =
     Alcotest.test_case "duplicate symbol rejected" `Quick (fun () ->
         Alcotest.check_raises "dup" (Invalid_argument "Vocabulary.create: duplicate symbol E")
           (fun () -> ignore (Vocabulary.create [ ("E", 2); ("E", 1) ])));
-    Alcotest.test_case "union merges and detects conflicts" `Quick (fun () ->
-        let v = Vocabulary.create [ ("E", 2) ] and w = Vocabulary.create [ ("P", 1); ("E", 2) ] in
-        check_int "union size" 2 (List.length (Vocabulary.symbols (Vocabulary.union v w)));
-        let bad = Vocabulary.create [ ("E", 3) ] in
-        check "conflict raises" true
-          (try
-             ignore (Vocabulary.union v bad);
-             false
-           with Invalid_argument _ -> true));
     Alcotest.test_case "subset and equal" `Quick (fun () ->
         let v = Vocabulary.create [ ("E", 2) ] and w = Vocabulary.create [ ("P", 1); ("E", 2) ] in
         check "subset" true (Vocabulary.subset v w);
@@ -93,10 +81,6 @@ let relation_tests =
         let s = Relation.of_list 1 [ [| 1 |]; [| 2 |] ] in
         check_int "union" 3 (Relation.cardinal (Relation.union r s));
         check_int "diff" 1 (Relation.cardinal (Relation.diff r s)));
-    Alcotest.test_case "map enforces arity" `Quick (fun () ->
-        let r = Relation.of_list 2 [ [| 0; 1 |] ] in
-        let doubled = Relation.map (Tuple.map (fun x -> 2 * x)) r in
-        check "mapped" true (Relation.mem doubled [| 0; 2 |]));
     Alcotest.test_case "matching agrees with a filter scan" `Quick (fun () ->
         let r = Relation.of_list 2 [ [| 0; 1 |]; [| 0; 2 |]; [| 1; 2 |]; [| 2; 0 |] ] in
         let by_scan pos value =

@@ -248,13 +248,7 @@ let json_tests =
 (* The full result — verdict with its certificate, deciding route, and
    the per-route attempt reports including engine counters — compared
    structurally across telemetry modes. *)
-(* The preprocess shrink memo persists across solves and shows up in the
-   preprocess attempt's counters and node count, so each compared run must
-   start memo-cold or the second run would differ from the first for
-   reasons unrelated to the sink. *)
-let solve_result (a, b) =
-  Preprocess.memo_reset ();
-  Solver.solve a b
+let solve_result (a, b) = Solver.solve a b
 
 let run_disabled pair = with_sink None (fun () -> solve_result pair)
 
@@ -286,7 +280,6 @@ let observer_tests =
       `Quick (fun () ->
         let a = Testkit.Workloads.clique 8 and b = Testkit.Workloads.clique 7 in
         let budgeted () =
-          Preprocess.memo_reset ();
           Solver.solve ~budget:(Budget.create ~max_nodes:400 ()) a b
         in
         let off = with_sink None budgeted in

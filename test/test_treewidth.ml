@@ -39,13 +39,6 @@ let graph_tests =
         check "not mem" false (List.mem 2 (Graph.neighbors g 0)));
     Alcotest.test_case "self-loops ignored" `Quick (fun () ->
         check_int "none" 0 (List.length (Graph.edges (Graph.of_edges ~size:2 [ (1, 1) ]))));
-    Alcotest.test_case "components" `Quick (fun () ->
-        let g = Graph.of_edges ~size:5 [ (0, 1); (3, 4) ] in
-        Alcotest.(check (list (list int)))
-          "three components" [ [ 0; 1 ]; [ 2 ]; [ 3; 4 ] ] (Graph.components g));
-    Alcotest.test_case "is_clique" `Quick (fun () ->
-        check "K3" true (Graph.is_clique (complete_graph 3) [ 0; 1; 2 ]);
-        check "path not" false (Graph.is_clique (path_graph 3) [ 0; 1; 2 ]));
   ]
 
 (* ------------------------------------------------------------------ *)
