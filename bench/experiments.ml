@@ -1681,7 +1681,7 @@ let e19 () =
   let json = ref [] in
   let c7 = Testkit.Workloads.undirected_cycle 7 in
   let solve_time ~preprocess a b =
-    Util.time ~repeat:3 (fun () ->
+    Util.time ~repeat:guard_repeat (fun () ->
         (Core.Solver.solve ~preprocess a b).Core.Solver.verdict)
   in
   let shrunk_size a =

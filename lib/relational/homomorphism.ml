@@ -50,16 +50,11 @@ let nullary_facts_hold a b = missing_nullary a b = None
    must be members of. *)
 type resolved = { ix : Relation.Index.t; arity : int; atoms : int array }
 
-(* Every fact of [g] maps into the target under [h]: one scratch image
-   per call, refilled for each fact. *)
+(* Every fact of [g] maps into the target under [h]. *)
 let facts_hold g (h : mapping) =
-  let image = Array.make g.arity 0 in
   let k = ref 0 and ok = ref true in
   while !ok && !k < Array.length g.atoms do
-    for j = 0 to g.arity - 1 do
-      image.(j) <- h.(g.atoms.(!k + j))
-    done;
-    ok := Relation.Index.mem g.ix image;
+    ok := Relation.Index.mem_image g.ix ~map:h g.atoms ~at:!k ~len:g.arity;
     k := !k + g.arity
   done;
   !ok

@@ -4,17 +4,28 @@ module Tuple_set = Set.Make (struct
   let compare = Tuple.compare
 end)
 
-(* Per-relation hash index, built once on demand and cached on the relation
+(* Per-relation index, built once on demand and cached on the relation
    value.  [by_position.(j)] maps a universe element [v] to the array of
    tuples whose [j]-th entry is [v]; [members] gives O(1) membership.
    Relations are immutable, so a cached index can never go stale — every
    constructor below produces a fresh record with an empty cache slot. *)
 module Index = struct
+  (* Membership.  When the box [0, base)^arity, with [base] one past the
+     largest entry, has at most [dense_cells] cells, one bit per cell,
+     addressed by the tuple read as a number in radix [base]; otherwise
+     a hash set. *)
+  type members =
+    | Dense of { base : int; bits : Bytes.t }
+    | Hashed of unit Tuple.Table.t
+
   type t = {
+    arity : int;
     tuples : Tuple.t array;  (** all tuples, in {!Tuple.compare} order *)
     by_position : (int, Tuple.t array) Hashtbl.t array;
-    members : unit Tuple.Table.t;
+    members : members;
   }
+
+  let dense_cells = 1 lsl 16
 
   let tuples ix = ix.tuples
 
@@ -25,16 +36,68 @@ module Index = struct
     | Some a -> a
     | None -> [||]
 
-  let mem ix t = Tuple.Table.mem ix.members t
+  let bit bits c = Bytes.get_uint8 bits (c lsr 3) land (1 lsl (c land 7)) <> 0
+
+  (* The cell of [t.(j) ..]: [c] so far, [false] at an entry outside
+     [0, base). *)
+  let rec dense_mem base bits (t : Tuple.t) j c =
+    if j = Array.length t then bit bits c
+    else
+      let v = t.(j) in
+      v >= 0 && v < base && dense_mem base bits t (j + 1) ((c * base) + v)
+
+  let mem ix t =
+    match ix.members with
+    | Hashed tbl -> Tuple.Table.mem tbl t
+    | Dense { base; bits } -> Array.length t = ix.arity && dense_mem base bits t 0 0
+
+  (* [dense_mem] on the image under [map] of [src.(at + j)], [j < len]. *)
+  let rec dense_mem_image base bits ~map src ~at ~len j c =
+    if j = len then bit bits c
+    else
+      let v = map.(src.(at + j)) in
+      v >= 0 && v < base && dense_mem_image base bits ~map src ~at ~len (j + 1) ((c * base) + v)
+
+  let mem_image ix ~map src ~at ~len =
+    len = ix.arity
+    &&
+    match ix.members with
+    | Dense { base; bits } -> dense_mem_image base bits ~map src ~at ~len 0 0
+    | Hashed tbl -> Tuple.Table.mem tbl (Array.init len (fun j -> map.(src.(at + j))))
+
+  (* [(hi + 1)^arity] when it is at most [dense_cells]. *)
+  let box ~arity ~hi =
+    let base = hi + 1 in
+    let rec grow cells k =
+      if k = arity then Some cells
+      else if base > dense_cells / cells then None
+      else grow (cells * base) (k + 1)
+    in
+    if hi >= dense_cells then None else grow 1 0
+
+  let membership arity tuple_array =
+    let lo = ref 0 and hi = ref 0 in
+    Array.iter (Array.iter (fun v -> lo := Int.min !lo v; hi := Int.max !hi v)) tuple_array;
+    match if !lo < 0 then None else box ~arity ~hi:!hi with
+    | Some cells ->
+      let base = !hi + 1 and bits = Bytes.make ((cells + 7) / 8) '\000' in
+      Array.iter
+        (fun t ->
+          let c = Array.fold_left (fun c v -> (c * base) + v) 0 t in
+          Bytes.set_uint8 bits (c lsr 3) (Bytes.get_uint8 bits (c lsr 3) lor (1 lsl (c land 7))))
+        tuple_array;
+      Dense { base; bits }
+    | None ->
+      let tbl = Tuple.Table.create (max 16 (Array.length tuple_array)) in
+      Array.iter (fun t -> Tuple.Table.replace tbl t ()) tuple_array;
+      Hashed tbl
 
   let build arity tuple_array =
     let by_position =
       Array.init arity (fun _ -> Hashtbl.create (max 16 (Array.length tuple_array)))
     in
-    let members = Tuple.Table.create (max 16 (Array.length tuple_array)) in
     Array.iter
       (fun (t : Tuple.t) ->
-        Tuple.Table.replace members t ();
         Array.iteri
           (fun j v ->
             Hashtbl.replace by_position.(j) v
@@ -53,11 +116,7 @@ module Index = struct
           packed)
         by_position
     in
-    {
-      tuples = tuple_array;
-      by_position;
-      members;
-    }
+    { arity; tuples = tuple_array; by_position; members = membership arity tuple_array }
 end
 
 type t = { arity : int; tuples : Tuple_set.t; mutable index : Index.t option }

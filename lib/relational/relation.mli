@@ -1,13 +1,21 @@
 (** Finite relations: sets of tuples of a fixed arity.
 
-    Relations are immutable.  Each relation lazily caches a hash {!Index}
+    Relations are immutable.  Each relation lazily caches an {!Index}
     over its tuples — per-(position, value) tuple lists and O(1)
     membership — built on first demand and reused by the propagation,
     semijoin, and direct-route solvers. *)
 
 type t
 
-(** Read-only hash index over a relation's tuples. *)
+(** Read-only index over a relation's tuples.
+
+    Membership is a dense bitset when the relation is small: with
+    [base] one past its largest entry, when [base^arity] is at most
+    2{^16} cells (8 KiB), a member is one bit, addressed by the tuple
+    read as a number in radix [base], and a probe hashes nothing.
+    Larger relations keep a hash set.  Either way a probe answers
+    [false] for a tuple of another length or with an entry outside
+    the relation's range. *)
 module Index : sig
   type t
 
@@ -21,7 +29,16 @@ module Index : sig
       @raise Invalid_argument if [pos] is outside the arity. *)
 
   val mem : t -> Tuple.t -> bool
-  (** O(1) expected membership. *)
+  (** O(1) membership: one bit read on a dense index, one hash probe
+      otherwise. *)
+
+  val mem_image : t -> map:int array -> int array -> at:int -> len:int -> bool
+  (** [mem_image ix ~map src ~at ~len] is
+      [mem ix [| map.(src.(at)); ...; map.(src.(at + len - 1)) |]]
+      without building the tuple on a dense index: [false] when [len]
+      is not the arity.  A staged check gathers a fact's image with it
+      straight from a flat array of fact entries.  Every read is
+      bounds-checked. *)
 end
 
 val index : t -> Index.t

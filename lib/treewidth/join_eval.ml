@@ -131,10 +131,11 @@ let of_bags ?(budget = Budget.unlimited) td ~size ~domain ~checks =
     let holds = checks bag in
     let d = Array.length bag in
     let image = Array.make d 0 in
+    let pass ok = ok image in
     let rec assign i =
       if i = d then begin
         Budget.tick budget;
-        if List.for_all (fun ok -> ok image) holds then yield (Array.copy image)
+        if List.for_all pass holds then yield (Array.copy image)
       end
       else
         for v = 0 to domain bag.(i) - 1 do
@@ -147,24 +148,34 @@ let of_bags ?(budget = Budget.unlimited) td ~size ~domain ~checks =
   make ~size ~vars ~parent ~kids ~rows
 
 let of_decomposition ?budget td a b =
-  let m = Structure.size b in
-  let target_rel name =
-    match Structure.relation b name with
-    | r -> r
-    | exception Not_found -> Relation.empty 0
+  let n = Structure.size a and m = Structure.size b in
+  (* Every fact with its target index, resolved once.  A symbol missing
+     from [b] resolves to an empty relation and one of another arity to
+     its own: neither holds an image, since the gather below reads the
+     fact's own arity worth of entries. *)
+  let facts =
+    List.map
+      (fun (name, t) ->
+        ( Relation.index
+            (match Structure.relation b name with
+            | r -> r
+            | exception Not_found -> Relation.empty 0),
+          t ))
+      (Structure.facts a)
   in
   (* A bag's checks: every fact of [a] inside it maps into [b]. *)
   let checks bag =
-    List.rev
-      (Structure.fold_tuples
-         (fun name t acc ->
-           if Array.for_all (fun x -> Array.mem x bag) t then
-             let rel = target_rel name and pos = Array.map (position bag) t in
-             (fun image -> Relation.mem rel (project pos image)) :: acc
-           else acc)
-         a [])
+    let slot = Array.make n (-1) in
+    Array.iteri (fun i x -> slot.(x) <- i) bag;
+    List.filter_map
+      (fun (ix, t) ->
+        if Array.for_all (fun x -> slot.(x) >= 0) t then
+          let pos = Array.map (fun x -> slot.(x)) t and len = Array.length t in
+          Some (fun image -> Relation.Index.mem_image ix ~map:image pos ~at:0 ~len)
+        else None)
+      facts
   in
-  of_bags ?budget td ~size:(Structure.size a) ~domain:(fun _ -> m) ~checks
+  of_bags ?budget td ~size:n ~domain:(fun _ -> m) ~checks
 
 (* ------------------------------------------------------------------ *)
 (* The bottom-up pass and the top-down descent.                        *)

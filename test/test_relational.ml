@@ -468,10 +468,11 @@ let ac_script_agrees (a, b, removed, script) =
 
 (* The staged check against one written out here.  [b] may lack a
    symbol of [a] or give it another arity, either side may hold nullary
-   facts, and the mappings interleave every in-range mapping of the
-   right length with ones of the wrong length or with values outside
-   [b]'s universe, so rejected and accepted calls alternate on one
-   closure. *)
+   facts, [b]'s relations may sit on either side of the dense cap, and
+   the mappings interleave every in-range mapping of the right length
+   (into [b]'s first few elements) with ones of the wrong length or
+   with values outside [b]'s universe, so rejected and accepted calls
+   alternate on one closure. *)
 let arbitrary_staged_check =
   let open QCheck.Gen in
   let relation ~size arity =
@@ -491,10 +492,22 @@ let arbitrary_staged_check =
            symbols shapes)
     in
     let* size_a = 0 -- 4 and* size_b = 0 -- 3 in
-    let side symbols ~size =
-      flatten_l (List.map (fun (name, r) -> map (fun ts -> (name, ts)) (relation ~size r)) symbols)
+    (* A wide [b] pads every relation of arity 2 or more with a tuple of
+       its last element, 299: 300^2 cells is past the dense cap, so those
+       probes take the hash path. *)
+    let* wide = frequencyl [ (3, false); (1, true) ] in
+    let universe_b = if wide then 300 else size_b in
+    let side symbols ~size ~pad =
+      flatten_l
+        (List.map
+           (fun (name, r) ->
+             map
+               (fun ts -> (name, if pad && r >= 2 then Array.make r (universe_b - 1) :: ts else ts))
+               (relation ~size r))
+           symbols)
     in
-    let* rels_a = side symbols ~size:size_a and* rels_b = side symbols_b ~size:size_b in
+    let* rels_a = side symbols ~size:size_a ~pad:false
+    and* rels_b = side symbols_b ~size:size_b ~pad:wide in
     let all =
       List.fold_left
         (fun acc _ -> List.concat_map (fun h -> List.init size_b (fun v -> v :: h)) acc)
@@ -503,12 +516,13 @@ let arbitrary_staged_check =
     let* wrong =
       list_size (1 -- 12)
         (let* len = oneofl [ max 0 (size_a - 1); size_a; size_a + 1 ] in
-         list_repeat len (-1 -- (size_b + 1)))
+         list_repeat len
+           (frequency [ (8, -1 -- (size_b + 1)); (1, return (universe_b - 1)); (1, return universe_b) ]))
     in
     let* mappings = shuffle_l (List.map Array.of_list (all @ wrong)) in
     return
       ( Structure.of_relations (Vocabulary.create symbols) ~size:size_a rels_a,
-        Structure.of_relations (Vocabulary.create symbols_b) ~size:size_b rels_b,
+        Structure.of_relations (Vocabulary.create symbols_b) ~size:universe_b rels_b,
         mappings )
   in
   QCheck.make
@@ -516,6 +530,58 @@ let arbitrary_staged_check =
       Format.asprintf "A = %a@.B = %a@.mappings = %s" Structure.pp a Structure.pp b
         (String.concat "; " (List.map (Format.asprintf "%a" Tuple.pp) mappings)))
     gen
+
+(* A relation of arity 0-3 whose largest entry puts it on either side
+   of the 2^16-cell dense cap (base 256 vs 257 at arity 2, 40 vs 41 at
+   arity 3, 65536 vs 65537 at arity 1) or well inside it, or the empty
+   relation; with probes of every length from arity - 1 to arity + 1,
+   entries from -2 to two past the largest, every member and every
+   member with one entry moved. *)
+let arbitrary_index_probe =
+  let open QCheck.Gen in
+  let gen =
+    let* arity = 0 -- 3 in
+    let* base =
+      match arity with
+      | 0 -> return 1
+      | 1 -> oneofl [ 3; 65536; 65537 ]
+      | 2 -> oneofl [ 3; 256; 257 ]
+      | _ -> oneofl [ 3; 40; 41 ]
+    in
+    let entry = frequency [ (4, 0 -- min (base - 1) 4); (1, 0 -- (base - 1)) ] in
+    let* ts = list_size (0 -- 8) (array_repeat arity entry) in
+    let* reach = bool in
+    let ts = if reach && arity > 0 then Array.make arity (base - 1) :: ts else ts in
+    let* empty = frequencyl [ (5, false); (1, true) ] in
+    let ts = if empty then [] else ts in
+    let moved =
+      List.concat_map
+        (fun t -> List.init arity (fun j -> Array.mapi (fun i v -> if i = j then v + 1 else v) t))
+        ts
+    in
+    let* random =
+      list_size (1 -- 12)
+        (let* len = oneofl [ max 0 (arity - 1); arity; arity + 1 ] in
+         array_repeat len (frequency [ (4, -2 -- 5); (1, base - 3 -- (base + 1)) ]))
+    in
+    let* probes = shuffle_l (ts @ moved @ random) in
+    return (Relation.of_list arity ts, probes)
+  in
+  QCheck.make
+    ~print:(fun (r, probes) ->
+      Format.asprintf "R = %a@.probes = %s" Relation.pp r
+        (String.concat "; " (List.map (Format.asprintf "%a" Tuple.pp) probes)))
+    gen
+
+(* [mem_image] reads [len] entries of [src] from [at] through [map]:
+   here [map] holds the probe after a junk prefix, and [src] points at
+   it between junk entries that a gather reading more or fewer than
+   [len] entries would pick up. *)
+let gathered ix (p : Tuple.t) =
+  let len = Array.length p in
+  let map = Array.append [| 7; -1; 0 |] p and junk = [| 0; 2; 1 |] in
+  let src = Array.concat [ junk; Array.init len (fun j -> 3 + j); junk ] in
+  Relation.Index.mem_image ix ~map src ~at:(Array.length junk) ~len
 
 let direct_is_homomorphism a b h =
   Array.length h = Structure.size a
@@ -529,6 +595,14 @@ let direct_is_homomorphism a b h =
 
 let property_tests =
   [
+    qtest ~count:500 "index mem and mem_image agree with the tuple set" arbitrary_index_probe
+      (fun (r, probes) ->
+        let ix = Relation.index r in
+        List.for_all
+          (fun p ->
+            let expected = List.exists (Tuple.equal p) (Relation.elements r) in
+            Relation.Index.mem ix p = expected && gathered ix p = expected)
+          probes);
     qtest ~count:500 "staged is_homomorphism agrees with a direct check" arbitrary_staged_check
       (fun (a, b, mappings) ->
         let check = Homomorphism.is_homomorphism a b in

@@ -413,6 +413,117 @@ let count_tests =
 
 
 (* ------------------------------------------------------------------ *)
+(* Decomposition rows                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The rows every node of [tree] yields, with its node, in the order the
+   bottom-up pass reads them, and the ticks spent reading them. *)
+let trace_rows build =
+  let budget = Budget.create ~max_nodes:max_int () in
+  let rows = ref [] in
+  let store =
+    {
+      Join_eval.row = (fun u r -> rows := (u, r) :: !rows);
+      join = (fun () () -> ());
+      add = (fun () () -> ());
+    }
+  in
+  ignore (Join_eval.bottom_up (build budget) store);
+  (List.rev !rows, Budget.spent budget)
+
+(* [of_decomposition]'s rows written out with a projection per fact and
+   a membership test on the tuple set, which reads no index.  A symbol
+   missing from [b] is the empty nullary relation, so its facts hold
+   nowhere; one of another arity holds no projection of the fact's own
+   length. *)
+let reference_rows budget td a b =
+  let checks bag =
+    let position x =
+      let rec find i = if bag.(i) = x then i else find (i + 1) in
+      find 0
+    in
+    List.rev
+      (Structure.fold_tuples
+         (fun name t acc ->
+           if Array.for_all (fun x -> Array.mem x bag) t then
+             let rel =
+               match Structure.relation b name with
+               | r -> r
+               | exception Not_found -> Relation.empty 0
+             and pos = Array.map position t in
+             (fun image ->
+               let img = Array.map (fun i -> image.(i)) pos in
+               List.exists (Tuple.equal img) (Relation.elements rel))
+             :: acc
+           else acc)
+         a [])
+  in
+  Join_eval.of_bags ~budget td ~size:(Structure.size a)
+    ~domain:(fun _ -> Structure.size b)
+    ~checks
+
+let same_rows td a b =
+  trace_rows (fun budget -> Join_eval.of_decomposition ~budget td a b)
+  = trace_rows (fun budget -> reference_rows budget td a b)
+
+(* A source of up to 6 elements over 1-3 symbols of arity 0-3, and a
+   target of up to 4 that may lack a symbol or give it an arity one
+   lower or higher. *)
+let arbitrary_decomposition_pair =
+  let open QCheck.Gen in
+  let relation ~size arity =
+    if arity = 0 then map (fun p -> if p then [ [||] ] else []) bool
+    else list_size (0 -- 6) (array_repeat arity (0 -- (size - 1)))
+  in
+  let gen =
+    let* arities = list_size (1 -- 3) (0 -- 3) in
+    let symbols = List.mapi (fun i r -> (Printf.sprintf "R%d" i, r)) arities in
+    (* 0: same arity, 1: missing from [b], 2: one higher, 3: one lower. *)
+    let* shapes = list_repeat (List.length symbols) (frequencyl [ (5, 0); (1, 1); (1, 2); (1, 3) ]) in
+    let symbols_b =
+      List.concat
+        (List.map2
+           (fun (name, r) shape ->
+             match shape with
+             | 0 -> [ (name, r) ]
+             | 1 -> []
+             | 2 -> [ (name, r + 1) ]
+             | _ -> [ (name, max 0 (r - 1)) ])
+           symbols shapes)
+    in
+    let* size_a = 1 -- 6 and* size_b = 1 -- 4 in
+    let side symbols ~size =
+      flatten_l (List.map (fun (name, r) -> map (fun ts -> (name, ts)) (relation ~size r)) symbols)
+    in
+    let* rels_a = side symbols ~size:size_a and* rels_b = side symbols_b ~size:size_b in
+    return
+      ( Structure.of_relations (Vocabulary.create symbols) ~size:size_a rels_a,
+        Structure.of_relations (Vocabulary.create symbols_b) ~size:size_b rels_b )
+  in
+  QCheck.make
+    ~print:(fun (a, b) -> Format.asprintf "A = %a@.B = %a" Structure.pp a Structure.pp b)
+    gen
+
+let row_tests =
+  [
+    Alcotest.test_case "a clashing arity holds no image" `Quick (fun () ->
+        (* The target's binary R holds every pair, so a gather that read
+           only its first two entries would accept the ternary fact. *)
+        let a = Structure.of_relations (Vocabulary.create [ ("R", 3) ]) ~size:3 [ ("R", [ [| 0; 1; 2 |] ]) ] in
+        let b =
+          Structure.of_relations (Vocabulary.create [ ("R", 2) ]) ~size:2
+            [ ("R", [ [| 0; 0 |]; [| 0; 1 |]; [| 1; 0 |]; [| 1; 1 |] ]) ]
+        in
+        let td = Option.get (Td_solver.decompose a) in
+        check "same rows and ticks" true (same_rows td a b);
+        check_int "no homomorphism" 0 (Join_eval.count (Join_eval.of_decomposition td a b));
+        let missing = Structure.of_relations graph_vocab ~size:2 [] in
+        check "missing symbol" true (same_rows td a missing));
+    qtest ~count:300 "of_decomposition keeps its rows and ticks" arbitrary_decomposition_pair
+      (fun (a, b) -> same_rows (Option.get (Td_solver.decompose a)) a b);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Nice tree decompositions                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -445,5 +556,6 @@ let () =
       ("acyclic", acyclic_tests);
       ("incidence", incidence_tests);
       ("counting", count_tests);
+      ("td-rows", row_tests);
       ("ghw", ghw_tests);
     ]
