@@ -864,6 +864,59 @@ let perf_guard ~experiment metrics =
 let guard_repeat = 9
 
 (* ------------------------------------------------------------------ *)
+(* BENCH_*.json rows                                                    *)
+(* ------------------------------------------------------------------ *)
+
+module Json = Wire.Json
+
+(* A measured float at 7 significant digits: timing noise is larger
+   than the digits dropped, and the rows stay short. *)
+let num f = Json.Float (float_of_string (Printf.sprintf "%.7g" f))
+
+(* Every row records the revision ([null] outside a git checkout) and
+   the core count it was measured at. *)
+let stamp =
+  lazy
+    (let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+     let line = In_channel.input_line ic in
+     let rev =
+       match (Unix.close_process_in ic, line) with
+       | Unix.WEXITED 0, Some rev -> Json.String rev
+       | _ -> Json.Null
+     in
+     [ ("rev", rev); ("cores", Json.Int (Domain.recommended_domain_count ())) ])
+
+let row fields = Json.Obj (fields @ Lazy.force stamp)
+
+(* A JSON list with one row per line, so a rerun's diff names the rows
+   it changed. *)
+let write_rows path rows =
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc "[\n";
+      output_string oc (String.concat ",\n" (List.map Json.to_string rows));
+      output_string oc "\n]\n")
+
+(* BENCH_perf.json accumulates the rows of E16-E20, keyed by (family, k,
+   size): a row replaces the stored row with its key, so reruns update in
+   place and `main e16 e17` in either order yields one artifact.  A file
+   that does not parse as a list fails the experiment and is left as it
+   is. *)
+let append_perf_json rows =
+  let path = "BENCH_perf.json" in
+  let stored =
+    if not (Sys.file_exists path) then []
+    else
+      match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+      | Json.List stored -> stored
+      | _ -> failwith (path ^ " is not a JSON list; not overwritten")
+      | exception Json.Parse_error msg ->
+        failwith (Printf.sprintf "%s: %s; not overwritten" path msg)
+  in
+  let key r = List.map (fun field -> Json.member field r) [ "family"; "k"; "size" ] in
+  let fresh = List.map key rows in
+  write_rows path (List.filter (fun r -> not (List.mem (key r) fresh)) stored @ rows)
+
+(* ------------------------------------------------------------------ *)
 (* E15 — certified verdicts: construction and checking overhead          *)
 (* ------------------------------------------------------------------ *)
 
@@ -997,10 +1050,12 @@ let certify () =
           Printf.sprintf "%.2fx" (t_solve /. t_raw) ]
         :: !rows;
       entries :=
-        Printf.sprintf
-          "  {\"route\": %S, \"certificate\": %S, \"size\": %d,\n\
-          \   \"raw_route_s\": %.6e, \"certified_solve_s\": %.6e, \"check_s\": %.6e}"
-          expected form size t_raw t_solve t_check
+        row
+          Json.[
+            ("route", String expected); ("certificate", String form);
+            ("size", Int size); ("raw_route_s", num t_raw);
+            ("certified_solve_s", num t_solve); ("check_s", num t_check);
+          ]
         :: !entries)
     cases;
   (* The positive side: a witness is its own certificate. *)
@@ -1015,10 +1070,12 @@ let certify () =
     rows := [ "any (sat)"; "witness"; int (Array.length h); "-"; f2s t_solve;
               f2s t_check; "-" ] :: !rows;
     entries :=
-      Printf.sprintf
-        "  {\"route\": \"sat-witness\", \"certificate\": \"witness\", \"size\": %d,\n\
-        \   \"raw_route_s\": null, \"certified_solve_s\": %.6e, \"check_s\": %.6e}"
-        (Array.length h) t_solve t_check
+      row
+        Json.[
+          ("route", String "sat-witness"); ("certificate", String "witness");
+          ("size", Int (Array.length h)); ("raw_route_s", Null);
+          ("certified_solve_s", num t_solve); ("check_s", num t_check);
+        ]
       :: !entries
   | _ -> failwith "expected sat on the witness case");
   Util.table
@@ -1026,11 +1083,7 @@ let certify () =
       [ "route"; "certificate"; "size"; "raw route"; "certified solve"; "check";
         "overhead" ]
     (List.rev !rows);
-  let oc = open_out "BENCH_certify.json" in
-  output_string oc "[\n";
-  output_string oc (String.concat ",\n" (List.rev !entries));
-  output_string oc "\n]\n";
-  close_out oc;
+  write_rows "BENCH_certify.json" (List.rev !entries);
   Util.note "wrote BENCH_certify.json (certificate overhead per route, medians of %d)."
     repeat;
   Util.note "the certified solve includes dispatch, the decision, and building the";
@@ -1063,96 +1116,19 @@ let dense_floor s = Structure.add_tuple (Testkit.Workloads.staircase_dag s) "E" 
 
 let sparse_floor s = Structure.add_tuple (Testkit.Workloads.path s) "E" [| 0; 0 |]
 
-(* BENCH_perf.json accumulates rows from both E16 and E17, keyed by
-   (family, k, size): merging replaces rows whose key matches an incoming
-   entry, so reruns update in place instead of duplicating, and `main e16
-   e17` in either order yields one artifact. *)
-
-(* The raw text of field [name] in a rendered JSON object, up to the next
-   comma, brace or newline — enough to key the flat rows we write. *)
-let perf_json_field entry name =
-  let pat = Printf.sprintf "\"%s\":" name in
-  let plen = String.length pat and len = String.length entry in
-  let rec find i =
-    if i + plen > len then None
-    else if String.sub entry i plen = pat then begin
-      let j = ref (i + plen) in
-      while !j < len && entry.[!j] = ' ' do incr j done;
-      let stop = ref !j in
-      while
-        !stop < len && entry.[!stop] <> ',' && entry.[!stop] <> '}'
-        && entry.[!stop] <> '\n'
-      do
-        incr stop
-      done;
-      Some (String.trim (String.sub entry !j (!stop - !j)))
-    end
-    else find (i + 1)
-  in
-  find 0
-
-let perf_json_key entry =
-  ( perf_json_field entry "family",
-    perf_json_field entry "k",
-    perf_json_field entry "size" )
-
-(* Split the bracketless body of BENCH_perf.json back into balanced-brace
-   object chunks (entries span several lines; the format we write never
-   puts braces inside strings). *)
-let split_perf_entries inner =
-  let entries = ref [] and depth = ref 0 and start = ref (-1) in
-  String.iteri
-    (fun i c ->
-      match c with
-      | '{' ->
-        if !depth = 0 then start := i;
-        incr depth
-      | '}' ->
-        decr depth;
-        if !depth = 0 && !start >= 0 then begin
-          entries := ("  " ^ String.sub inner !start (i - !start + 1)) :: !entries;
-          start := -1
-        end
-      | _ -> ())
-    inner;
-  List.rev !entries
-
-let append_perf_json entries =
-  let existing =
-    if Sys.file_exists "BENCH_perf.json" then begin
-      let ic = open_in_bin "BENCH_perf.json" in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let s = String.trim s in
-      let len = String.length s in
-      if len >= 2 && s.[0] = '[' && s.[len - 1] = ']' then
-        split_perf_entries (String.sub s 1 (len - 2))
-      else []
-    end
-    else []
-  in
-  let fresh = List.map perf_json_key entries in
-  let kept =
-    List.filter (fun e -> not (List.mem (perf_json_key e) fresh)) existing
-  in
-  let oc = open_out "BENCH_perf.json" in
-  output_string oc "[\n";
-  output_string oc (String.concat ",\n" (kept @ entries));
-  output_string oc "\n]\n";
-  close_out oc
-
 let e16 () =
   Util.header
     "E16 Indexed propagation: compact-table filtering vs naive revise (Thm 3.4)";
   let json = ref [] in
   let record family s a b naive ac4 =
     json :=
-      Printf.sprintf
-        "  {\"family\": %S, \"size\": %d, \"norm_a\": %d, \"norm_b\": %d,\n\
-        \   \"naive_s\": %s, \"ac4_s\": %.6e}"
-        family s (Structure.norm a) (Structure.norm b)
-        (match naive with Some t -> Printf.sprintf "%.6e" t | None -> "null")
-        ac4
+      row
+        Json.[
+          ("family", String family); ("size", Int s);
+          ("norm_a", Int (Structure.norm a)); ("norm_b", Int (Structure.norm b));
+          ("naive_s", Option.fold ~none:Null ~some:num naive);
+          ("ac4_s", num ac4);
+        ]
       :: !json
   in
   let measure family source target sizes =
@@ -1267,10 +1243,12 @@ let e16 () =
     timers;
   assert (reads < guard_repeat * ticks / 64);
   json :=
-    Printf.sprintf
-      "  {\"family\": \"deadline-polling\", \"size\": %d, \"plain_s\": %.6e,\n\
-      \   \"deadline_s\": %.6e, \"tick_ratio\": %.3f, \"clock_reads\": %d}"
-      ticks t_plain t_deadline tick_ratio reads
+    row
+      Json.[
+        ("family", String "deadline-polling"); ("size", Int ticks);
+        ("plain_s", num t_plain); ("deadline_s", num t_deadline);
+        ("tick_ratio", num tick_ratio); ("clock_reads", Int reads);
+      ]
     :: !json;
   append_perf_json (List.rev !json);
   Util.note
@@ -1300,14 +1278,16 @@ let e17 () =
   let json = ref [] in
   let record family ~k s a b naive counting (stats : Pebble.Game.stats) =
     json :=
-      Printf.sprintf
-        "  {\"family\": %S, \"k\": %d, \"size\": %d, \"norm_a\": %d, \"norm_b\": %d,\n\
-        \   \"naive_s\": %s, \"counting_s\": %.6e, \"configs_ranked\": %d,\n\
-        \   \"supports_built\": %d, \"deaths_propagated\": %d}"
-        family k s (Structure.norm a) (Structure.norm b)
-        (match naive with Some t -> Printf.sprintf "%.6e" t | None -> "null")
-        counting stats.Pebble.Game.configs_ranked
-        stats.Pebble.Game.supports_built stats.Pebble.Game.deaths_propagated
+      row
+        Json.[
+          ("family", String family); ("k", Int k); ("size", Int s);
+          ("norm_a", Int (Structure.norm a)); ("norm_b", Int (Structure.norm b));
+          ("naive_s", Option.fold ~none:Null ~some:num naive);
+          ("counting_s", num counting);
+          ("configs_ranked", Int stats.Pebble.Game.configs_ranked);
+          ("supports_built", Int stats.Pebble.Game.supports_built);
+          ("deaths_propagated", Int stats.Pebble.Game.deaths_propagated);
+        ]
       :: !json
   in
   let measure family ~k source target sizes =
@@ -1391,10 +1371,12 @@ let e17 () =
        a real regression — see the perf_guard verdict)."
       expo_counting expo_naive;
   json :=
-    Printf.sprintf
-      "  {\"family\": \"pebble-summary\", \"largest_speedup\": %.2f,\n\
-      \   \"expo_counting\": %.3f, \"expo_naive\": %.3f}"
-      largest_speedup expo_counting expo_naive
+    row
+      Json.[
+        ("family", String "pebble-summary");
+        ("largest_speedup", num largest_speedup);
+        ("expo_counting", num expo_counting); ("expo_naive", num expo_naive);
+      ]
     :: !json;
   (* Datalog with indexed joins: transitive closure of a path, semi-naive.
      The closure has exactly n(n-1)/2 facts, so ns per derived fact is the
@@ -1422,10 +1404,12 @@ let e17 () =
         let derived = stats.Datalog.Eval.derived in
         assert (derived = n * (n - 1) / 2);
         json :=
-          Printf.sprintf
-            "  {\"family\": \"datalog-tc\", \"size\": %d, \"norm_a\": %d,\n\
-            \   \"derived\": %d, \"rounds\": %d, \"seminaive_s\": %.6e}"
-            n (Structure.norm a) derived stats.Datalog.Eval.rounds t
+          row
+            Json.[
+              ("family", String "datalog-tc"); ("size", Int n);
+              ("norm_a", Int (Structure.norm a)); ("derived", Int derived);
+              ("rounds", Int stats.Datalog.Eval.rounds); ("seminaive_s", num t);
+            ]
           :: !json;
         ( (derived, t),
           [ "datalog-tc"; int n; int derived; int stats.Datalog.Eval.rounds;
@@ -1597,15 +1581,16 @@ let e18 () =
   assert (total "ac.establishes" > 0);
   assert (total "pebble.initial_configs" > 0);
   json :=
-    Printf.sprintf
-      "  {\"family\": \"telemetry-overhead\", \"off_s\": %.6e, \"memory_s\": \
-       %.6e,\n\
-      \   \"jsonl_s\": %.6e, \"memory_ratio\": %.3f, \"jsonl_ratio\": %.3f,\n\
-      \   \"memory_records\": %d, \"jsonl_bytes\": %d, \"ac_kills\": %d,\n\
-      \   \"datalog_derived\": %d, \"pebble_supports_built\": %d}"
-      t_off t_mem t_jsonl mem_ratio jsonl_ratio mem_records trace_bytes
-      (total "ac.kills") (total "datalog.derived")
-      (total "pebble.supports_built")
+    row
+      Json.[
+        ("family", String "telemetry-overhead"); ("off_s", num t_off);
+        ("memory_s", num t_mem); ("jsonl_s", num t_jsonl);
+        ("memory_ratio", num mem_ratio); ("jsonl_ratio", num jsonl_ratio);
+        ("memory_records", Int mem_records); ("jsonl_bytes", Int trace_bytes);
+        ("ac_kills", Int (total "ac.kills"));
+        ("datalog_derived", Int (total "datalog.derived"));
+        ("pebble_supports_built", Int (total "pebble.supports_built"));
+      ]
     :: !json;
   append_perf_json (List.rev !json);
   Util.note "merged E18 rows into BENCH_perf.json.";
@@ -1695,11 +1680,12 @@ let e19 () =
     assert (verdict vp = verdict vr);
     let shrunk = shrunk_size a in
     json :=
-      Printf.sprintf
-        "  {\"family\": %S, \"k\": %d, \"size\": %d, \"shrunk\": %d,\n\
-        \   \"verdict\": %S, \"pre_s\": %.6e, \"raw_s\": %.6e, \"speedup\": \
-         %.3f}"
-        family k (Structure.size a) shrunk (verdict vp) tp tr (tr /. tp)
+      row
+        Json.[
+          ("family", String family); ("k", Int k); ("size", Int (Structure.size a));
+          ("shrunk", Int shrunk); ("verdict", String (verdict vp));
+          ("pre_s", num tp); ("raw_s", num tr); ("speedup", num (tr /. tp));
+        ]
       :: !json;
     [
       family; int k; int (Structure.size a); int shrunk; verdict vp; f2s tp;
@@ -1886,7 +1872,12 @@ let e20 () =
     let route =
       Enumerate.route_name (Enumerate.plan ?max_width a b).Enumerate.route
     in
+    (* Each side starts on a collected heap: a count timed right after
+       the drain paid for the drain's garbage, and read 20 or 50 us at
+       k=8 by the allocation history of the experiments run before. *)
+    Gc.full_major ();
     let streamed, total_s, max_gap_s = drain ?max_width a b in
+    Gc.full_major ();
     let counted, count_s =
       Util.time ~repeat:3 (fun () -> Enumerate.count ?max_width a b)
     in
@@ -1900,12 +1891,13 @@ let e20 () =
            family k streamed counted);
     let per_answer_s = total_s /. float_of_int (max 1 streamed) in
     json :=
-      Printf.sprintf
-        "  {\"family\": %S, \"k\": %d, \"size\": %d, \"route\": %S,\n\
-        \   \"answers\": %d, \"total_s\": %.6e, \"ns_per_answer\": %.1f,\n\
-        \   \"max_gap_s\": %.6e, \"count_s\": %.6e}"
-        family k (Structure.size a) route streamed total_s
-        (per_answer_s *. 1e9) max_gap_s count_s
+      row
+        Json.[
+          ("family", String family); ("k", Int k); ("size", Int (Structure.size a));
+          ("route", String route); ("answers", Int streamed);
+          ("total_s", num total_s); ("ns_per_answer", num (per_answer_s *. 1e9));
+          ("max_gap_s", num max_gap_s); ("count_s", num count_s);
+        ]
       :: !json;
     ( (per_answer_s, total_s, count_s),
       [

@@ -14,6 +14,7 @@
    Malformed inputs exit with a located message, never a backtrace. *)
 
 open Cmdliner
+module Json = Wire.Json
 
 (* Every command body runs inside [run]: structured errors print one line
    on stderr and map to their documented exit code. *)
@@ -186,24 +187,17 @@ let trace_out_term =
 (* Assemble the memory sink's records into the one-document metrics
    report: records grouped by type, already in emission order. *)
 let metrics_document ~command records =
-  let spans = Buffer.create 1024
-  and counters = Buffer.create 256
-  and timers = Buffer.create 256 in
-  let put buf r =
-    if Buffer.length buf > 0 then Buffer.add_char buf ',';
-    Buffer.add_string buf (Telemetry.json_of_record r)
+  let of_type keep =
+    Json.List (List.map Telemetry.json_of_record (List.filter keep records))
   in
-  List.iter
-    (fun r ->
-      match r with
-      | Telemetry.Span _ -> put spans r
-      | Telemetry.Counter _ -> put counters r
-      | Telemetry.Timer _ -> put timers r)
-    records;
-  Printf.sprintf
-    "{\"version\":1,\"command\":\"%s\",\"spans\":[%s],\"counters\":[%s],\"timers\":[%s]}\n"
-    command (Buffer.contents spans) (Buffer.contents counters)
-    (Buffer.contents timers)
+  Json.Obj
+    [
+      ("version", Json.Int 1);
+      ("command", Json.String command);
+      ("spans", of_type (function Telemetry.Span _ -> true | _ -> false));
+      ("counters", of_type (function Telemetry.Counter _ -> true | _ -> false));
+      ("timers", of_type (function Telemetry.Timer _ -> true | _ -> false));
+    ]
 
 (* Install the sinks the flags ask for, run the command body, and — even
    when it escapes with Budget.Exhausted or a structured error — flush
@@ -240,7 +234,8 @@ let with_telemetry ~command ~metrics_json ~trace_out f =
         Option.iter
           (fun (path, (_, drain)) ->
             let oc = channel path in
-            output_string oc (metrics_document ~command (drain ()));
+            output_string oc (Json.to_string (metrics_document ~command (drain ())));
+            output_char oc '\n';
             flush oc)
           mem;
         List.iter close_out !opened)
@@ -595,7 +590,7 @@ let enumerate max_nodes timeout limit format metrics_json trace_out a b =
           let plan = Enumerate.plan ~budget a b in
           let route = Enumerate.route_name plan.Enumerate.route in
           (* One JSON value per line, flushed with it. *)
-          let print_json j = Format.printf "%s@." (Serve.Json.to_string j) in
+          let print_json j = Format.printf "%s@." (Json.to_string j) in
           let n = ref 0 in
           let complete =
             Enumerate.iter_limited ?limit
@@ -604,14 +599,14 @@ let enumerate max_nodes timeout limit format metrics_json trace_out a b =
                 match format with
                 | `Text -> Format.printf "%a@." Relational.Tuple.pp h
                 | `Jsonl ->
-                  print_json Serve.(Json.Obj [ ("hom", Protocol.json_of_mapping h) ]))
+                  print_json (Json.Obj [ ("hom", Serve.Protocol.json_of_mapping h) ]))
               plan.Enumerate.seq
           in
           (match format with
           | `Text -> ()
           | `Jsonl ->
             print_json
-              Serve.Json.(
+              Json.(
                 Obj
                   [
                     ("done", Bool true);
@@ -1170,8 +1165,8 @@ let parse_structure_text ~what text =
    else (id, budgets, certify) so the minimized line replays under the
    same conditions. *)
 let set_field key v = function
-  | Serve.Json.Obj fields ->
-    Serve.Json.Obj
+  | Json.Obj fields ->
+    Json.Obj
       (List.map (fun (k, x) -> if k = key then (k, v) else (k, x)) fields)
   | j -> j
 
@@ -1194,9 +1189,9 @@ let triage dump_path out fuel =
       | Some spec -> Unix.putenv "CQCSP_TEST_ABORT" spec
       | None -> ( try Unix.putenv "CQCSP_TEST_ABORT" "" with _ -> ()));
       let frame =
-        match Serve.Json.parse d.Serve.Dump.line with
+        match Json.parse d.Serve.Dump.line with
         | j -> j
-        | exception Serve.Json.Parse_error msg ->
+        | exception Json.Parse_error msg ->
           Core.Error.bad_input "dump request line: %s" msg
       in
       let limits =
@@ -1218,12 +1213,12 @@ let triage dump_path out fuel =
         if !fuel <= 0 then None
         else begin
           decr fuel;
-          match Serve.Worker.execute ~limits ~id:Serve.Json.Null compute with
+          match Serve.Worker.execute ~limits ~id:Json.Null compute with
           | Error (crash, _) -> Some (Core.Error.crash_class_name crash)
           | Ok j -> (
-            match Serve.Json.member "error" j with
-            | Some (Serve.Json.String "worker_crash") ->
-              Serve.Json.string_member "crash" j
+            match Json.member "error" j with
+            | Some (Json.String "worker_crash") ->
+              Json.string_member "crash" j
             | _ -> None)
         end
       in
@@ -1241,7 +1236,7 @@ let triage dump_path out fuel =
             ?timeout:req.Serve.Protocol.timeout ()
         in
         let get field =
-          match Serve.Json.string_member field j with
+          match Json.string_member field j with
           | Some v -> v
           | None -> Core.Error.bad_input "dump request is missing %S" field
         in
@@ -1260,7 +1255,7 @@ let triage dump_path out fuel =
             | Serve.Protocol.Enumerate ->
               Seq.iter ignore (Enumerate.stream ~budget:(budget ()) a b)
             | _ -> ignore (Core.Solver.solve ~budget:(budget ()) a b));
-            Serve.Json.Null
+            Json.Null
           in
           let crashes a b = signature (compute a b) = Some target in
           if not (crashes a b) then None
@@ -1275,9 +1270,9 @@ let triage dump_path out fuel =
             let size = Relational.Structure.size in
             Some
               ( set_field "target"
-                  (Serve.Json.String (Relational.Structure_text.print b'))
+                  (Json.String (Relational.Structure_text.print b'))
                   (set_field "source"
-                     (Serve.Json.String (Relational.Structure_text.print a'))
+                     (Json.String (Relational.Structure_text.print a'))
                      j),
                 [
                   Printf.sprintf "tuples: %d -> %d" t0 t1;
@@ -1293,7 +1288,7 @@ let triage dump_path out fuel =
             let a, b = Core.Solver.containment_instance q1 q2 in
             Serve.Worker.test_abort_hook a;
             ignore (Core.Solver.solve ~budget:(budget ()) a b);
-            Serve.Json.Null
+            Json.Null
           in
           let crashes q1 q2 =
             match signature (compute q1 q2) with
@@ -1308,8 +1303,8 @@ let triage dump_path out fuel =
             let a0 = atoms q1 q2 and a1 = atoms q1' q2' in
             Some
               ( set_field "q2"
-                  (Serve.Json.String (Cq.Query.to_string q2'))
-                  (set_field "q1" (Serve.Json.String (Cq.Query.to_string q1')) j),
+                  (Json.String (Cq.Query.to_string q2'))
+                  (set_field "q1" (Json.String (Cq.Query.to_string q1')) j),
                 [
                   Printf.sprintf "atoms: %d -> %d" a0 a1;
                   Printf.sprintf "reduction: %.0f%%"
@@ -1323,7 +1318,7 @@ let triage dump_path out fuel =
          worker, so it is skipped. *)
       let minimum =
         match frame with
-        | Serve.Json.List members ->
+        | Json.List members ->
           List.find_map
             (fun m ->
               match Serve.Protocol.request_of_json m with
@@ -1342,9 +1337,9 @@ let triage dump_path out fuel =
            different machine, or missing CQCSP_TEST_ABORT state)"
           target
       | Some (request, report) ->
-        let min_dump = { d with Serve.Dump.line = Serve.Json.to_string request } in
+        let min_dump = { d with Serve.Dump.line = Json.to_string request } in
         Out_channel.with_open_text out (fun oc ->
-            output_string oc (Serve.Json.to_string (Serve.Dump.to_json min_dump));
+            output_string oc (Json.to_string (Serve.Dump.to_json min_dump));
             output_char oc '\n');
         Format.printf "signature: %s (reproduced)@." target;
         List.iter (Format.printf "%s@.") report;

@@ -302,9 +302,9 @@ let attempt restrict s route (run : run) =
     (Telemetry.end_span sp
        ~fields:
          [
-           ("route", Telemetry.String (route_name route));
-           ("nodes", Telemetry.Int nodes);
-           ("outcome", Telemetry.String (outcome_name outcome));
+           ("route", Wire.Json.String (route_name route));
+           ("nodes", Wire.Json.Int nodes);
+           ("outcome", Wire.Json.String (outcome_name outcome));
          ]);
   ({ route; nodes; outcome; counters }, verdict)
 
@@ -601,9 +601,9 @@ let solve ?(max_treewidth = 3) ?(consistency_k = 2) ?(booleanize_threshold = 4)
   ignore
     (Telemetry.end_span span
        ~fields:
-         (("verdict", Telemetry.String (verdict_name r.verdict))
-         :: ("route", Telemetry.String (route_name r.route))
-         :: (if threads > 1 then [ ("threads", Telemetry.Int threads) ] else [])));
+         (("verdict", Wire.Json.String (verdict_name r.verdict))
+         :: ("route", Wire.Json.String (route_name r.route))
+         :: (if threads > 1 then [ ("threads", Wire.Json.Int threads) ] else [])));
   r
 
 let lift_target (r : Preprocess.retraction) (res : result) =

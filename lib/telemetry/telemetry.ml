@@ -1,4 +1,4 @@
-type value = Int of int | Float of float | Bool of bool | String of string
+type value = Wire.Json.t
 
 type record =
   | Span of {
@@ -10,66 +10,27 @@ type record =
   | Counter of { name : string; total : int }
   | Timer of { name : string; seconds : float; count : int }
 
-(* ------------------------------------------------------------------ *)
-(* JSON rendering (by hand: the library must stay dependency-free)      *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = "\"" ^ json_escape s ^ "\""
-
-(* JSON numbers may not be nan/inf; clamp to null. *)
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.9g" f else "null"
-
-let json_of_value = function
-  | Int i -> string_of_int i
-  | Float f -> json_float f
-  | Bool b -> string_of_bool b
-  | String s -> json_string s
-
-let json_object fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> json_string k ^ ":" ^ v) fields) ^ "}"
-
-let json_of_record = function
+let json_of_record : record -> Wire.Json.t =
+  let open Wire.Json in
+  function
   | Span { name; elapsed_s; fields; counters } ->
-    json_object
+    Obj
       [
-        ("type", json_string "span");
-        ("name", json_string name);
-        ("elapsed_s", json_float elapsed_s);
-        ("fields", json_object (List.map (fun (k, v) -> (k, json_of_value v)) fields));
-        ( "counters",
-          json_object (List.map (fun (k, n) -> (k, string_of_int n)) counters) );
+        ("type", String "span");
+        ("name", String name);
+        ("elapsed_s", Float elapsed_s);
+        ("fields", Obj fields);
+        ("counters", Obj (List.map (fun (k, n) -> (k, Int n)) counters));
       ]
   | Counter { name; total } ->
-    json_object
-      [
-        ("type", json_string "counter");
-        ("name", json_string name);
-        ("total", string_of_int total);
-      ]
+    Obj [ ("type", String "counter"); ("name", String name); ("total", Int total) ]
   | Timer { name; seconds; count } ->
-    json_object
+    Obj
       [
-        ("type", json_string "timer");
-        ("name", json_string name);
-        ("seconds", json_float seconds);
-        ("count", string_of_int count);
+        ("type", String "timer");
+        ("name", String name);
+        ("seconds", Float seconds);
+        ("count", Int count);
       ]
 
 (* ------------------------------------------------------------------ *)
@@ -88,7 +49,7 @@ module Sink = struct
     {
       emit =
         (fun r ->
-          output_string oc (json_of_record r);
+          output_string oc (Wire.Json.to_string (json_of_record r));
           output_char oc '\n');
       flush = (fun () -> flush oc);
     }

@@ -22,7 +22,10 @@
 
 (** {1 Data model} *)
 
-type value = Int of int | Float of float | Bool of bool | String of string
+type value = Wire.Json.t
+(** A span field's value is a JSON value; the JSONL sink writes it with
+    {!Wire.Json.to_string}, so floats round-trip and non-finite ones
+    become [null]. *)
 
 type record =
   | Span of {
@@ -39,8 +42,8 @@ type record =
   | Timer of { name : string; seconds : float; count : int }
       (** An accumulated {!time} total, emitted by {!flush}. *)
 
-val json_of_record : record -> string
-(** One-line JSON rendering (the JSONL sink's format):
+val json_of_record : record -> Wire.Json.t
+(** The record as a JSON object, one line of the JSONL sink:
     [{"type":"span",...}], [{"type":"counter",...}], [{"type":"timer",...}]. *)
 
 (** {1 Sinks} *)

@@ -1,7 +1,10 @@
-(** A minimal JSON tree: just enough for the serve protocol's one-object-
-    per-line frames, with a hardened parser (depth cap, strict escapes)
-    so adversarial frames surface as {!Parse_error}, never as a stack
-    overflow or an uncaught exception deeper in the daemon. *)
+(** The repository's one JSON library: a minimal JSON tree with one
+    writer and a hardened parser.  The serve protocol's frames, the
+    telemetry records and the CLI's metrics document, and the bench's
+    [BENCH_*.json] rows are all [t] values written by {!to_string}.  The
+    parser (depth cap, strict escapes) makes adversarial frames surface
+    as {!Parse_error}, never as a stack overflow or an uncaught exception
+    deeper in the daemon. *)
 
 type t =
   | Null

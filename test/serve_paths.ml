@@ -8,7 +8,7 @@
    answers, or in how many cache lookups and forks it costs, shows up
    here. *)
 
-module Json = Serve.Json
+module Json = Wire.Json
 module Server = Serve.Server
 
 let triangle = "size 3\nE 0 1\nE 1 2\nE 2 0\n"

@@ -8,7 +8,7 @@
    unit tests pin down the cache lifecycle (hit / intern / eviction /
    poisoning), fault-injection determinism and the JSON layer. *)
 
-module Json = Serve.Json
+module Json = Wire.Json
 module Fault = Serve.Fault
 module Cache = Serve.Cache
 module Protocol = Serve.Protocol

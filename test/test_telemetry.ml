@@ -96,7 +96,7 @@ let counter_tests =
             let inner_deltas = Telemetry.end_span inner in
             check "inner saw only its own" true (inner_deltas = [ ("c.i", 2) ]);
             let outer_deltas =
-              Telemetry.end_span ~fields:[ ("k", Telemetry.Int 7) ] outer
+              Telemetry.end_span ~fields:[ ("k", Wire.Json.Int 7) ] outer
             in
             check "outer rolled the inner up" true
               (outer_deltas = [ ("c.i", 2); ("c.o", 1) ]);
@@ -106,7 +106,7 @@ let counter_tests =
               check_str "inner first" "inner" iname;
               check_str "then outer" "outer" oname;
               check "elapsed nonnegative" true (elapsed_s >= 0.0);
-              check "fields kept" true (fields = [ ("k", Telemetry.Int 7) ]);
+              check "fields kept" true (fields = [ ("k", Wire.Json.Int 7) ]);
               check "record carries the deltas" true
                 (counters = [ ("c.i", 2); ("c.o", 1) ])
             | rs -> Alcotest.failf "expected 2 spans, got %d records" (List.length rs)));
@@ -167,16 +167,16 @@ let json_tests =
     Alcotest.test_case "span record renders as one JSON object" `Quick
       (fun () ->
         let s =
-          Telemetry.json_of_record
+          Wire.Json.to_string @@ Telemetry.json_of_record
             (Telemetry.Span
                {
                  name = "solver.attempt";
                  elapsed_s = 0.25;
                  fields =
                    [
-                     ("route", Telemetry.String "backtracking");
-                     ("ok", Telemetry.Bool true);
-                     ("nodes", Telemetry.Int 12);
+                     ("route", Wire.Json.String "backtracking");
+                     ("ok", Wire.Json.Bool true);
+                     ("nodes", Wire.Json.Int 12);
                    ];
                  counters = [ ("ac.kills", 3) ];
                })
@@ -191,19 +191,63 @@ let json_tests =
     Alcotest.test_case "strings are escaped, non-finite floats become null"
       `Quick (fun () ->
         let render fields =
-          Telemetry.json_of_record
+          Wire.Json.to_string @@ Telemetry.json_of_record
             (Telemetry.Span { name = "s"; elapsed_s = 0.0; fields; counters = [] })
         in
-        let s = render [ ("msg", Telemetry.String "a\"b\\c\nd\tee\x01f") ] in
+        let s = render [ ("msg", Wire.Json.String "a\"b\\c\nd\tee\x01f") ] in
         check "quote" true (contains ~needle:"a\\\"b" s);
         check "backslash" true (contains ~needle:"b\\\\c" s);
         check "newline" true (contains ~needle:"c\\nd" s);
         check "tab" true (contains ~needle:"d\\tee" s);
         check "control" true (contains ~needle:"\\u0001" s);
         check "raw newline gone" true (not (String.contains s '\n'));
-        let s = render [ ("x", Telemetry.Float nan); ("y", Telemetry.Float infinity) ] in
+        let s = render [ ("x", Wire.Json.Float nan); ("y", Wire.Json.Float infinity) ] in
         check "nan" true (contains ~needle:"\"x\":null" s);
         check "inf" true (contains ~needle:"\"y\":null" s));
+    Alcotest.test_case "a span survives its JSONL line" `Quick (fun () ->
+        let fields =
+          [
+            ("route", Wire.Json.String "tree-dp \"k=2\"");
+            ("nodes", Wire.Json.Int (-12));
+            ("ok", Wire.Json.Bool false);
+            ("share", Wire.Json.Float 0.1234567891234);
+            ("tiny", Wire.Json.Float 5e-324);
+          ]
+        in
+        let elapsed_s = 0.1234567891234 in
+        let line =
+          Wire.Json.to_string
+            (Telemetry.json_of_record
+               (Telemetry.Span
+                  { name = "solver.attempt"; elapsed_s; fields; counters = [] }))
+        in
+        let j = Wire.Json.parse line in
+        check "name" true (Wire.Json.string_member "name" j = Some "solver.attempt");
+        check "every field" true
+          (Wire.Json.member "fields" j = Some (Wire.Json.Obj fields));
+        check "elapsed_s bit-exact" true
+          (Option.map Int64.bits_of_float (Wire.Json.float_member "elapsed_s" j)
+          = Some (Int64.bits_of_float elapsed_s));
+        (* The sink's own lines, with clock-read durations, parse back to
+           the records a memory sink saw beside it. *)
+        let path = Filename.temp_file "cqcsp-test" ".jsonl" in
+        Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+        let oc = open_out path in
+        let mem, drain = Telemetry.Sink.memory () in
+        let records =
+          with_sink
+            (Some (Telemetry.Sink.tee mem (Telemetry.Sink.jsonl oc)))
+            (fun () ->
+              Telemetry.with_span "phase" ~fields (fun () ->
+                  Telemetry.time "t.x" (fun () -> Telemetry.count "n.m" 2));
+              Telemetry.flush ();
+              drain ())
+        in
+        close_out oc;
+        let lines = In_channel.with_open_text path In_channel.input_lines in
+        check_int "span, counter and timer" 3 (List.length records);
+        check "each line parses to its record" true
+          (List.map Wire.Json.parse lines = List.map Telemetry.json_of_record records));
     Alcotest.test_case "jsonl sink streams one line per record" `Quick
       (fun () ->
         let path = Filename.temp_file "cqcsp-test" ".jsonl" in
