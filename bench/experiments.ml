@@ -873,15 +873,28 @@ module Json = Wire.Json
    than the digits dropped, and the rows stay short. *)
 let num f = Json.Float (float_of_string (Printf.sprintf "%.7g" f))
 
+(* The first line a shell command prints, when it exits 0. *)
+let command_line cmd =
+  let ic = Unix.open_process_in cmd in
+  let line = In_channel.input_line ic in
+  match (Unix.close_process_in ic, line) with
+  | Unix.WEXITED 0, line -> Ok line
+  | _ -> Error ()
+
 (* Every row records the revision ([null] outside a git checkout) and
-   the core count it was measured at. *)
+   the core count it was measured at.  A revision whose measured code
+   (lib, bin, bench) has uncommitted changes ends in [-dirty]; the
+   BENCH_*.json files a run rewrites are not measured code. *)
 let stamp =
   lazy
-    (let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-     let line = In_channel.input_line ic in
-     let rev =
-       match (Unix.close_process_in ic, line) with
-       | Unix.WEXITED 0, Some rev -> Json.String rev
+    (let rev =
+       match command_line "git rev-parse --short HEAD 2>/dev/null" with
+       | Ok (Some rev) ->
+         let dirty =
+           command_line
+             "git status --porcelain --untracked-files=no -- :/lib :/bin :/bench 2>/dev/null"
+         in
+         Json.String (if dirty = Ok None then rev else rev ^ "-dirty")
        | _ -> Json.Null
      in
      [ ("rev", rev); ("cores", Json.Int (Domain.recommended_domain_count ())) ])

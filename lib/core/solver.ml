@@ -180,10 +180,10 @@ let head ~booleanize_threshold a b =
                   | Error cert -> Refuted cert) )
         else None);
     (* Booleanized Schaefer target (Lemma 3.5) for small targets.  The
-       guard reads the vocabularies and classifies the encoded target
-       (cached per relation), scanning the source for an empty-relation
-       fact only when that class is missing; it rejects exactly the pairs
-       on which [Booleanize.solve] answers [Not_schaefer]. *)
+       guard reads the vocabularies and classifies the encoded target,
+       scanning the source for an empty-relation fact only when that
+       class is missing; it rejects exactly the pairs on which
+       [Booleanize.solve] answers [Not_schaefer]. *)
     independent All (fun () ->
         if
           Structure.size b > booleanize_threshold

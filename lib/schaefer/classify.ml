@@ -18,7 +18,11 @@ let class_name = function
   | Bijunctive -> "bijunctive"
   | Affine -> "affine"
 
-let closure_test r = function
+(* Each test is quadratic (Horn, dual Horn) or cubic (bijunctive, affine)
+   in the relation's cardinality and reads nothing but the relation, so a
+   template's classes are a function of the template alone (Theorem 3.1):
+   nothing is kept between calls. *)
+let relation_in_class r = function
   | Zero_valid -> Boolean_relation.mem r 0
   | One_valid -> Boolean_relation.mem r ((1 lsl Boolean_relation.arity r) - 1)
   | Horn -> Boolean_relation.closed_under2 r Boolean_relation.tuple_and
@@ -26,52 +30,10 @@ let closure_test r = function
   | Bijunctive -> Boolean_relation.closed_under3 r Boolean_relation.tuple_majority
   | Affine -> Boolean_relation.closed_under3 r Boolean_relation.tuple_xor3
 
-(* The closure tests are quadratic (Horn, dual Horn) or cubic (bijunctive,
-   affine) in the relation's cardinality, and repeated solves against the
-   same target re-run them on identical relations; memoize the class list
-   per relation value.  The key [(arity, masks)] describes the Boolean
-   relation canonically (masks are sorted).  The table is bounded: at
-   capacity it is reset wholesale rather than evicted entry by entry,
-   which keeps lookups O(1) without an LRU structure. *)
-let cache_capacity = 4096
-
-let class_cache : (int * int list, schaefer_class list) Hashtbl.t =
-  Hashtbl.create 256
-
-(* The table is process-global and the serve daemon classifies templates
-   from concurrent request threads; all table access runs under this
-   lock.  The closure tests themselves run outside it — concurrent misses
-   on the same key just both compute and the second insert wins. *)
-let class_cache_lock = Mutex.create ()
-
-let relation_classes r =
-  let key = (Boolean_relation.arity r, Boolean_relation.masks r) in
-  let cached =
-    Mutex.lock class_cache_lock;
-    let found = Hashtbl.find_opt class_cache key in
-    Mutex.unlock class_cache_lock;
-    found
-  in
-  match cached with
-  | Some classes ->
-    Telemetry.count "schaefer.class_cache_hits" 1;
-    classes
-  | None ->
-    Telemetry.count "schaefer.class_cache_misses" 1;
-    let classes = List.filter (closure_test r) all_classes in
-    Mutex.lock class_cache_lock;
-    if Hashtbl.length class_cache >= cache_capacity then
-      Hashtbl.reset class_cache;
-    Hashtbl.replace class_cache key classes;
-    Mutex.unlock class_cache_lock;
-    classes
-
-let relation_in_class r c = List.mem c (relation_classes r)
-
-let is_boolean_structure b = Structure.size b = 2
+let relation_classes r = List.filter (relation_in_class r) all_classes
 
 let boolean_relations b =
-  if not (is_boolean_structure b) then
+  if Structure.size b <> 2 then
     invalid_arg "Classify: structure is not Boolean (universe size <> 2)";
   List.map
     (fun (name, _) -> (name, Boolean_relation.of_relation (Structure.relation b name)))

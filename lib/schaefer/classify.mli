@@ -28,19 +28,16 @@ val all_classes : schaefer_class list
 val class_name : schaefer_class -> string
 
 val relation_in_class : Boolean_relation.t -> schaefer_class -> bool
+(** The one closure test of the class, run on the relation. *)
 
 val relation_classes : Boolean_relation.t -> schaefer_class list
 (** All classes the relation belongs to, in the order of {!all_classes}.
-    Memoized per relation value (keyed by arity and tuple masks, bounded
-    table), so repeated solves against the same target structure do not
-    re-run the closure tests; {!relation_in_class}, {!structure_classes}
-    and {!classify} share the cache. *)
-
-val is_boolean_structure : Structure.t -> bool
-(** Universe of size exactly 2. *)
+    Computed from the relation on every call: nothing is kept between
+    calls, so equal relations always get equal answers. *)
 
 val boolean_relations : Structure.t -> (string * Boolean_relation.t) list
-(** @raise Invalid_argument if the structure is not Boolean. *)
+(** @raise Invalid_argument if the structure is not Boolean (universe of
+    size other than 2). *)
 
 val structure_classes : Structure.t -> schaefer_class list
 (** Classes containing {e every} relation of the structure.

@@ -84,17 +84,14 @@ let canonical_text b = Structure_text.print b
 let fingerprint b = fnv1a64 (canonical_text b)
 
 (* The per-template analysis: force every relation's hash index (the
-   propagation/semijoin/direct routes all probe them) and run the
-   Boolean Schaefer classifier, whose classes live in a memo table keyed
-   by the relation values.  Everything here is a pure warm-up: solving
-   against the interned structure afterwards finds the work already
-   done. *)
+   propagation/semijoin/direct routes all probe them), which the interned
+   structure keeps.  A pure warm-up: solving against the interned
+   structure afterwards finds the indexes built.  Schaefer classes are
+   not kept; a solve computes them from the template. *)
 let analyse s =
   List.iter
     (fun (name, _arity) -> ignore (Structure.index s name))
-    (Vocabulary.symbols (Structure.vocabulary s));
-  if Schaefer.Classify.is_boolean_structure s then
-    ignore (Schaefer.Classify.structure_classes s)
+    (Vocabulary.symbols (Structure.vocabulary s))
 
 let build_analysis t b =
   Fault.trip Fault.Cache_build;

@@ -2,13 +2,14 @@
 
     In the serve workload the template side [B] of a homomorphism request
     [(A, B)] repeats constantly (Kolaitis–Vardi: [B] is the schema /
-    constraint language).  Per-template analysis — Schaefer
-    classification and every relation's hash
+    constraint language).  Per-template analysis — every relation's hash
     {!Relational.Relation.Index} — is expensive but amortizable, so
     the cache builds it once per distinct template and then {e interns}
     the analysed [Structure.t]: a hit hands back the cached structure
-    whose lazily-built indexes and memoized classifications are already
-    warm, and every request against that template reuses them.
+    whose lazily-built indexes are already warm, and every request
+    against that template reuses them.  Schaefer classes are not kept:
+    a solve computes them from the template (Theorem 3.1), which costs
+    about what a lookup would.
 
     Each entry also stores the template's certified {e core}
     ({!Preprocess.target_core}), computed once at insert/warm time, so

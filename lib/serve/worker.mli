@@ -23,11 +23,12 @@
     Fork safety: the child immediately detaches telemetry and re-creates
     the fault-injection mutex ({!Telemetry.detach_after_fork},
     {!Fault.relock_after_fork}) because either lock may have been held
-    at fork time by a parent thread that no longer exists.  The one
-    deeper library mutex, the Schaefer class memo's, is not reset (the
-    preprocess shrink keeps no state, so it holds none); if a child ever
-    inherits it mid-lock, the watchdog reaps it — fork-safety failures
-    are survivable by construction, not assumed away. *)
+    at fork time by a parent thread that no longer exists.  No library
+    below serve keeps state between calls (the Schaefer classifier and
+    the preprocess shrink compute from their input), so no deeper lock
+    is left for a child to inherit; should one ever be held at fork, the
+    watchdog reaps the child — fork-safety failures are survivable by
+    construction, not assumed away. *)
 
 type limits = {
   mem_bytes : int option;  (** RLIMIT_AS ceiling, bytes. *)

@@ -85,10 +85,11 @@ let classify_tests =
         let r = Boolean_relation.create 2 [ 0b01; 0b10 ] in
         Alcotest.(check (list string)) "classes" [ "bijunctive"; "affine" ]
           (List.map Classify.class_name (Classify.relation_classes r)));
-    Alcotest.test_case "classification is stable across repeated (cached) calls" `Quick
+    Alcotest.test_case "classification is stable across calls and equal relations" `Quick
       (fun () ->
-        (* The first call computes the closure tests, the second hits the
-           memo table; equal relations built independently share the key. *)
+        (* Classes are computed from the relation alone: a repeated call
+           and a structurally equal relation built from its tuples in
+           another order get the same answer. *)
         let r = Boolean_relation.create 2 [ 0b00; 0b10; 0b11 ] in
         let first = Classify.relation_classes r in
         Alcotest.(check (list string))
@@ -107,6 +108,41 @@ let classify_tests =
         in
         Alcotest.(check (list string)) "classes" [ "bijunctive"; "affine" ]
           (List.map Classify.class_name (Classify.structure_classes b)));
+    qtest ~count:200 "structure classes intersect over relations of random structures"
+      (QCheck.make
+         QCheck.Gen.(
+           let* arities = list_size (1 -- 3) (1 -- 3) in
+           flatten_l
+             (List.mapi
+                (fun i arity ->
+                  let+ masks = gen_masks ~arity in
+                  (Printf.sprintf "R%d" i, arity, masks))
+                arities)))
+      (fun rels ->
+        let v = Vocabulary.create (List.map (fun (name, arity, _) -> (name, arity)) rels) in
+        let b =
+          Structure.of_relations v ~size:2
+            (List.map
+               (fun (name, arity, masks) ->
+                 (name, List.map (Boolean_relation.tuple_of_mask arity) masks))
+               rels)
+        in
+        let classes = Classify.structure_classes b in
+        let expected =
+          List.filter
+            (fun c ->
+              List.for_all
+                (fun (_, arity, masks) ->
+                  List.mem c (Classify.relation_classes (Boolean_relation.create arity masks)))
+                rels)
+            Classify.all_classes
+        in
+        let first_preferred =
+          List.find_opt
+            (fun c -> List.mem c classes)
+            Classify.[ Zero_valid; One_valid; Bijunctive; Horn; Dual_horn; Affine ]
+        in
+        classes = expected && Classify.classify b = first_preferred);
     Alcotest.test_case "non-Boolean structure rejected" `Quick (fun () ->
         check "raises" true
           (try
